@@ -84,11 +84,14 @@ cmake --build "$tsan_build" -j --target test_parallel --target test_obs \
 echo "== tier-1: ASan+UBSan pass over tolerant ingest ($asan_build) =="
 cmake -B "$asan_build" -S "$repo" -DMUM_ASAN=ON
 # test_batch's damaged-pack ingest and the fuzzer's batch round-trip arm
-# both drive the zero-copy column views over hostile bytes.
+# both drive the zero-copy column views over hostile bytes. test_golden
+# runs whole campaigns through the column writers: the chaos corruptor
+# rebuilding batches, and the v2/v3 decoders appending into them.
 cmake --build "$asan_build" -j --target fuzz_warts --target test_chaos \
-  --target test_batch
+  --target test_batch --target test_golden
 "$asan_build/tools/fuzz_warts" --iters 10000
 "$asan_build/tests/test_chaos"
 "$asan_build/tests/test_batch"
+"$asan_build/tests/test_golden"
 
 echo "== tier-1: OK =="
