@@ -18,7 +18,7 @@
 int main() {
   using namespace mum;
 
-  bench::Study study(bench::default_study());
+  run::Runner study(bench::default_study());
   const int cycle = gen::cycle_of(2014, 12);
   std::cout << "Ablation — IOTP indexing vs egress-rooted tree indexing, "
             << "cycle " << cycle + 1 << "\n\n";

@@ -15,7 +15,7 @@ namespace mum::bench {
 inline int run_as_series_bench(
     const std::string& title, std::uint32_t asn,
     const std::function<void(const lpr::LongitudinalReport&)>& checks) {
-  Study study(default_study());
+  run::Runner study(default_study());
   std::cout << title << "\n(running the 60-cycle study...)\n\n";
   const lpr::LongitudinalReport report = study.run_all();
   std::cout << '\n';

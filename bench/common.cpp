@@ -8,8 +8,8 @@
 
 namespace mum::bench {
 
-StudyConfig default_study() {
-  StudyConfig config;
+run::RunnerConfig default_study() {
+  run::RunnerConfig config;
   // Defaults in RunnerConfig (and the GenConfig/CampaignConfig/
   // PipelineConfig it holds) are the paper configuration (j = 2, full
   // fleet, one thread per hardware thread); nothing to override here. Kept

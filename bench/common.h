@@ -1,8 +1,8 @@
 // Shared harness for the paper-reproduction benches. The heavy lifting
 // (internet construction, month generation, the LPR pipeline, longitudinal
 // sweeps) lives in the library-level Runner API (run/runner.h); this header
-// is a thin adapter keeping the historical Study/StudyConfig names alive for
-// the fig*/table* binaries, plus the table/series printers they share.
+// adds the standard study configuration and the table/series printers the
+// fig*/table* binaries share.
 #pragma once
 
 #include <cstdint>
@@ -14,15 +14,10 @@
 
 namespace mum::bench {
 
-// The old bench-private Study grew into run::Runner; these aliases keep the
-// 18 bench binaries (and out-of-tree scripts patterned on them) compiling.
-using StudyConfig = run::RunnerConfig;
-using Study = run::Runner;
-
 // The standard configuration all paper benches share (the "dataset" of this
 // reproduction). Deterministic: same seed => same numbers, at any thread
 // count.
-StudyConfig default_study();
+run::RunnerConfig default_study();
 
 // --- printers -----------------------------------------------------------
 

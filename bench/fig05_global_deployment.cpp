@@ -21,7 +21,7 @@
 int main() {
   using namespace mum;
 
-  bench::Study study(bench::default_study());
+  run::Runner study(bench::default_study());
   std::cout << "Fig. 5 — global MPLS deployment, cycles 1-60\n\n";
 
   util::TextTable table({"cycle", "date", "traces", "w/ tunnel", "share",

@@ -17,8 +17,8 @@
 int main() {
   using namespace mum;
 
-  bench::StudyConfig config = bench::default_study();
-  bench::Study study(config);
+  run::RunnerConfig config = bench::default_study();
+  run::Runner study(config);
 
   const int december_2014 = gen::cycle_of(2014, 12);
   constexpr int kDays = 29;

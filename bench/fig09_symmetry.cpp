@@ -13,7 +13,7 @@
 int main() {
   using namespace mum;
 
-  bench::Study study(bench::default_study());
+  run::Runner study(bench::default_study());
   const int cycle = gen::cycle_of(2014, 12);
   std::cout << "Fig. 9 — IOTP symmetry distribution, cycle " << cycle + 1
             << " (" << gen::cycle_date(cycle) << ")\n\n";

@@ -13,7 +13,7 @@
 int main() {
   using namespace mum;
 
-  bench::Study study(bench::default_study());
+  run::Runner study(bench::default_study());
   std::cout << "Fig. 13 — AS6453 Mono-FEC sub-split (Parallel Links vs "
                "Routers Disjoint)\n(running the 60-cycle study...)\n\n";
   const lpr::LongitudinalReport report = study.run_all();

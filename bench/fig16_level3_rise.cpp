@@ -19,8 +19,8 @@
 int main() {
   using namespace mum;
 
-  bench::StudyConfig config = bench::default_study();
-  bench::Study study(config);
+  run::RunnerConfig config = bench::default_study();
+  run::Runner study(config);
 
   const int april_2012 = gen::cycle_of(2012, 4);
   constexpr int kDays = 30;

@@ -25,8 +25,8 @@
 int main() {
   using namespace mum;
 
-  bench::StudyConfig config = bench::default_study();
-  bench::Study study(config);
+  run::RunnerConfig config = bench::default_study();
+  run::Runner study(config);
   const int cycle = gen::cycle_of(2014, 6);
   gen::MonthContext ctx = study.internet().instantiate(cycle);
 
@@ -45,8 +45,8 @@ int main() {
     probe::TraceOptions options;
     options.reply_loss = 0.0;
     const auto trace = probe::trace_route(monitor, *path, options, rng);
-    dataset::Snapshot snap;
-    snap.traces.push_back(trace);
+    dataset::SnapshotBatch snap;
+    snap.traces.append(trace);
     study.ip2as().annotate(snap.traces);
     const auto extracted = lpr::extract_lsps(snap, study.ip2as());
     for (const auto& obs : extracted.observations) {

@@ -70,7 +70,8 @@ const Corpus& corpus() {
 }
 
 // v2 baseline: map each shard (same I/O path as v3) and run the varint
-// stream decoder — one branchy parse per byte, full Trace materialization.
+// stream decoder — one branchy parse per byte, appending every record into
+// batch columns.
 void BM_IngestV2Stream(benchmark::State& state) {
   const Corpus& c = corpus();
   for (auto _ : state) {
@@ -78,7 +79,7 @@ void BM_IngestV2Stream(benchmark::State& state) {
     for (const auto& path : c.v2_paths) {
       const auto file = util::MmapFile::open_ro(path);
       const auto snap = dataset::parse_snapshot_v2(file->view());
-      traces += snap->traces.size();
+      traces += snap->trace_count();
     }
     if (traces != c.traces) state.SkipWithError("v2 decode lost traces");
   }
@@ -115,9 +116,9 @@ void BM_IngestV3Mmap(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestV3Mmap)->Unit(benchmark::kMillisecond);
 
-// Apples-to-apples with the v2 baseline: validate AND materialize every
-// record into owning Trace structs. The delta against BM_IngestV3Mmap is
-// the cost of leaving the zero-copy regime.
+// Apples-to-apples with the v2 baseline: validate AND copy every record
+// into owning batch columns. The delta against BM_IngestV3Mmap is the cost
+// of leaving the zero-copy regime.
 void BM_IngestV3Materialize(benchmark::State& state) {
   const Corpus& c = corpus();
   for (auto _ : state) {
@@ -125,7 +126,7 @@ void BM_IngestV3Materialize(benchmark::State& state) {
     for (const auto& path : c.v3_paths) {
       const auto file = util::MmapFile::open_ro(path);
       const auto snap = dataset::parse_pack(file->view());
-      traces += snap->traces.size();
+      traces += snap->trace_count();
     }
     if (traces != c.traces) state.SkipWithError("v3 decode lost traces");
   }
@@ -145,7 +146,7 @@ void BM_IngestFileSource(benchmark::State& state) {
   for (auto _ : state) {
     auto source = dataset::make_file_source(paths);
     std::uint64_t traces = 0;
-    while (const auto snap = source->next()) traces += snap->traces.size();
+    while (const auto snap = source->next()) traces += snap->trace_count();
     if (traces != c.traces) state.SkipWithError("source lost traces");
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -1,21 +1,20 @@
 // Measurement-path throughput: observation -> trace storage -> annotate ->
-// pack serialization -> ingest, legacy heap Traces vs the arena-backed SoA
+// pack serialization -> ingest, heap Traces vs the arena-backed SoA
 // TraceBatch (DESIGN.md Sec. 14). Forwarding walks are precomputed once —
 // the network simulation is the workload's input, not the measurement path
-// this PR optimizes — so the gated pair isolates exactly the stages the
-// batch rebuild touched. Reports traces/s (SetItemsProcessed) and heap
-// allocations per trace via a global operator-new counting hook;
-// scripts/bench.sh records both in BENCH_PR9.json and gates the batch path
-// at >= 3x the legacy traces/s and >= 10x fewer allocations per trace.
-// BM_CampaignSnapshot* additionally time the full snapshot (routing + walk
-// included) as ungated context for the end-to-end win.
+// — so the gated pair isolates exactly the stages the batch layout
+// changed. Reports traces/s (SetItemsProcessed) and heap allocations per
+// trace via a global operator-new counting hook; scripts/bench.sh records
+// both in BENCH_PR9.json and gates the batch path at >= 3x the heap
+// reference's traces/s and >= 10x fewer allocations per trace.
+// BM_CampaignSnapshot additionally times the full campaign snapshot
+// (routing + walk included) as ungated context.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -148,10 +147,28 @@ const Corpus& corpus() {
   return c;
 }
 
-// Legacy measurement path: one heap Trace per probe (hop vector growth per
-// trace), per-hop trie annotate, per-record pack encode, full Trace
-// materialization on ingest. This is the pre-PR path, kept in-tree as the
-// batch oracle (gen::CampaignConfig::batch = false).
+// Heap reference (bench-local; the library keeps only the batch path): one
+// heap Trace per probe through the probe layer's heap sink (hop vector
+// growth per trace), monitor blocks merged by move, per-trace trie
+// annotate, a per-record AoS-to-column transposition into the pack writer,
+// and a heap Trace materialized per record on ingest. This is the shape of
+// the measurement path before traces were stored as columns.
+dataset::Trace to_heap_trace(dataset::TraceView view) {
+  dataset::Trace t;
+  t.monitor_id = view.monitor_id();
+  t.src = view.src();
+  t.dst = view.dst();
+  t.reached = view.reached();
+  t.hops.resize(view.hop_count());
+  for (std::size_t k = 0; k < t.hops.size(); ++k) {
+    const dataset::HopView hop = view.hop(k);
+    t.hops[k].addr = hop.addr();
+    t.hops[k].rtt_ms = hop.rtt_ms();
+    if (hop.has_labels()) t.hops[k].labels = hop.label_stack();
+  }
+  return t;
+}
+
 void BM_MeasurementPathLegacy(benchmark::State& state) {
   const Corpus& c = corpus();
   const auto& monitors = c.internet.monitors();
@@ -161,11 +178,8 @@ void BM_MeasurementPathLegacy(benchmark::State& state) {
       g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) {
     const util::Rng noise_base(0xBEEF);
-    dataset::Snapshot snap;
-    snap.cycle_id = 50;
-    snap.date = "2010-03";
-    // Same block-then-merge shape as the pre-PR campaign loop: each monitor
-    // grows its own trace vector, blocks concatenate in monitor order.
+    // Each monitor grows its own trace vector; blocks concatenate in
+    // monitor order.
     std::vector<std::vector<dataset::Trace>> blocks(monitors.size());
     for (std::size_t mi = 0; mi < monitors.size(); ++mi) {
       util::Rng rng = noise_base.fork(mi);
@@ -174,18 +188,34 @@ void BM_MeasurementPathLegacy(benchmark::State& state) {
                                                  options, rng, probe.walk));
       }
     }
-    snap.traces.reserve(c.traces);
+    std::vector<dataset::Trace> traces;
+    traces.reserve(c.traces);
     for (auto& block : blocks) {
-      for (auto& trace : block) snap.traces.push_back(std::move(trace));
+      for (auto& trace : block) traces.push_back(std::move(trace));
     }
-    c.ip2as.annotate(std::span<dataset::Trace>(snap.traces));
+    for (dataset::Trace& trace : traces) c.ip2as.annotate(trace);
+
+    dataset::SnapshotBatch snap;
+    snap.cycle_id = 50;
+    snap.date = "2010-03";
+    for (const dataset::Trace& trace : traces) snap.traces.append(trace);
     const std::string bytes = dataset::serialize_pack(snap);
-    const auto back = dataset::parse_pack(bytes);
-    if (!back || back->traces.size() != c.traces) {
-      state.SkipWithError("legacy round-trip lost traces");
+    const auto view = dataset::PackView::open(bytes, {}, nullptr);
+    if (!view) {
+      state.SkipWithError("heap pack failed to open");
       break;
     }
-    benchmark::DoNotOptimize(back->traces.data());
+    const dataset::SnapshotBatch ingested = view->to_snapshot_batch();
+    std::vector<dataset::Trace> back;
+    back.reserve(ingested.trace_count());
+    for (std::size_t i = 0; i < ingested.trace_count(); ++i) {
+      back.push_back(to_heap_trace(ingested.traces.view(i)));
+    }
+    if (back.size() != c.traces) {
+      state.SkipWithError("heap round-trip lost traces");
+      break;
+    }
+    benchmark::DoNotOptimize(back.data());
   }
   const std::uint64_t allocs =
       g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
@@ -255,40 +285,22 @@ void BM_MeasurementPathBatch(benchmark::State& state) {
 BENCHMARK(BM_MeasurementPathBatch)->Unit(benchmark::kMillisecond);
 
 // Context (not gated): the full campaign snapshot including AS routing and
-// the forwarding walk — the shared simulation floor both paths pay.
-void BM_CampaignSnapshotLegacy(benchmark::State& state) {
-  const Corpus& c = corpus();
-  gen::CampaignConfig config;
-  config.batch = false;
-  const gen::CampaignRunner campaign(c.internet, c.ip2as, config);
-  auto ctx = c.internet.instantiate(50);
-
-  std::uint64_t traces = 0;
-  for (auto _ : state) {
-    const dataset::Snapshot snap = campaign.snapshot(ctx, 50, 0);
-    traces = snap.traces.size();
-    benchmark::DoNotOptimize(snap.traces.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(traces));
-}
-BENCHMARK(BM_CampaignSnapshotLegacy)->Unit(benchmark::kMillisecond);
-
-void BM_CampaignSnapshotBatch(benchmark::State& state) {
+// the forwarding walk — the simulation floor under the measurement path.
+void BM_CampaignSnapshot(benchmark::State& state) {
   const Corpus& c = corpus();
   const gen::CampaignRunner campaign(c.internet, c.ip2as);
   auto ctx = c.internet.instantiate(50);
 
   std::uint64_t traces = 0;
   for (auto _ : state) {
-    const dataset::SnapshotBatch snap = campaign.snapshot_batch(ctx, 50, 0);
+    const dataset::SnapshotBatch snap = campaign.snapshot(ctx, 50, 0);
     traces = snap.trace_count();
     benchmark::DoNotOptimize(snap.traces.hop_addr_col().data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(traces));
 }
-BENCHMARK(BM_CampaignSnapshotBatch)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CampaignSnapshot)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

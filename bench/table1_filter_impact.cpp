@@ -20,7 +20,7 @@
 int main() {
   using namespace mum;
 
-  bench::Study study(bench::default_study());
+  run::Runner study(bench::default_study());
   std::cout << "Table 1 — filter impact, averaged over cycles 1-60\n"
             << "(generating and filtering 60 monthly campaigns...)\n\n";
 

@@ -21,7 +21,7 @@
 int main() {
   using namespace mum;
 
-  bench::Study study(bench::default_study());
+  run::Runner study(bench::default_study());
   std::cout << "Table 2 — per-AS, per-year IP address statistics\n"
             << "(generating 60 monthly campaigns...)\n\n";
 

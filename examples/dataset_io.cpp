@@ -35,12 +35,13 @@ int main(int argc, char** argv) {
   // 2. Persist every snapshot as a warts-lite file.
   std::vector<fs::path> files;
   std::uintmax_t bytes = 0;
-  for (const dataset::Snapshot& snap : month.snapshots) {
+  for (const dataset::SnapshotBatch& snap : month.snapshots) {
     const fs::path file =
         dir / ("cycle" + std::to_string(snap.cycle_id) + "_s" +
                std::to_string(snap.sub_index) + ".mumw");
     std::ofstream os(file, std::ios::binary);
-    dataset::write_snapshot(os, snap);
+    const std::string encoded = dataset::serialize_snapshot(snap);
+    os.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
     os.close();
     bytes += fs::file_size(file);
     files.push_back(file);

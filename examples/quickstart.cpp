@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
             << month.snapshots.size() << " snapshots\n";
 
   // Show one trace crossing an MPLS tunnel.
-  for (const dataset::Trace& trace : month.cycle().traces) {
-    if (trace.crosses_explicit_tunnel() && trace.reached) {
+  for (const dataset::TraceView trace : month.cycle().traces) {
+    if (trace.crosses_explicit_tunnel() && trace.reached()) {
       std::cout << "\nSample trace with an explicit MPLS tunnel:\n"
                 << dataset::to_text(trace) << '\n';
       break;

@@ -16,12 +16,12 @@
 #      delta step must be >= 5x faster than the rebuild at the 10^4 tier)
 #   5. bench/micro_probe  -> BENCH_PR9.json (measurement path over
 #      precomputed forwarding walks: observe -> store -> annotate -> pack ->
-#      ingest, legacy heap Traces vs arena-backed SoA TraceBatch, with an
+#      ingest, heap Traces vs arena-backed SoA TraceBatch, with an
 #      operator-new counting hook; gated on the same-report pair — batch
-#      must run at >= 3x the legacy traces/s with >= 10x fewer heap
-#      allocations per trace. The legacy benchmark IS the pre-PR path
-#      (CampaignConfig::batch = false reaches the same code), so comparing
-#      within one report keeps the gate honest on loaded machines)
+#      must run at >= 3x the heap reference's traces/s with >= 10x fewer
+#      heap allocations per trace. The heap reference is bench-local (the
+#      library stores snapshots only as batches), so comparing within one
+#      report keeps the gate honest on loaded machines)
 #
 # After the micro stages, an RSS-envelope gate runs a scaled campaign
 # (`mum campaign --scale`) and fails when peak RSS exceeds the memory
@@ -207,11 +207,11 @@ if ratio < 5.0:
     sys.exit(f"evolve gate FAILED: rebuild/evolve = {ratio:.2f}x, need >= 5x")
 PY
 
-# PR9 compares the two in-tree measurement paths inside one report: the
-# legacy benchmark exercises the pre-PR heap-Trace pipeline verbatim (it is
-# kept in-tree as the batch path's oracle, CampaignConfig::batch = false),
-# so the live legacy/batch ratio is the "vs pre-PR baseline" number and is
-# immune to machine-load drift between runs. baseline_commit records the
+# PR9 compares two measurement paths inside one report: the legacy
+# benchmark runs micro_probe's bench-local heap-Trace reference (heap sink,
+# per-trace annotate, per-record transposition into the pack writer, heap
+# materialization on ingest), so the live legacy/batch ratio is the "vs
+# heap path" number and is immune to machine-load drift between runs. baseline_commit records the
 # last pre-PR commit for provenance; for scale, the full simulate ->
 # annotate -> pack -> parse pipeline there measured 1808 ns/trace at 11.4
 # heap allocations/trace on this world shape.

@@ -21,7 +21,7 @@
 #include <string>
 #include <string_view>
 
-#include "dataset/trace.h"
+#include "dataset/trace_batch.h"
 #include "util/io.h"
 
 namespace mum::chaos {
@@ -119,9 +119,10 @@ class Corruptor {
   const ChaosConfig& config() const noexcept { return config_; }
   const ChaosStats& stats() const noexcept { return stats_; }
 
-  // Apply the structural faults to a decoded snapshot in place. Keyed by
+  // Apply the structural faults to a decoded snapshot, rebuilding its
+  // columns through the TraceBatch append protocol. Keyed by
   // (seed, snapshot.cycle_id, snapshot.sub_index).
-  void corrupt(dataset::Snapshot& snapshot);
+  void corrupt(dataset::SnapshotBatch& snapshot);
 
   // Apply wire faults to a serialized snapshot. The 5-byte magic+version
   // header is spared so corrupted files still identify as warts-lite and

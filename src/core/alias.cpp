@@ -79,19 +79,19 @@ LabelAliasResolver::LabelAliasResolver(
 
 LabelAliasResolver::LabelAliasResolver(
     const std::vector<LspObservation>& observations,
-    const std::vector<dataset::Trace>& traces)
+    const dataset::TraceBatch& traces)
     : LabelAliasResolver(observations) {
   // Subnet-alignment rule: P -> C adjacency inside one AS implies C's /31
   // mate is an interface of P's router.
-  for (const dataset::Trace& trace : traces) {
-    for (std::size_t i = 0; i + 1 < trace.hops.size(); ++i) {
-      const auto& prev = trace.hops[i];
-      const auto& cur = trace.hops[i + 1];
+  for (const dataset::TraceView trace : traces) {
+    for (std::size_t i = 0; i + 1 < trace.hop_count(); ++i) {
+      const dataset::HopView prev = trace.hop(i);
+      const dataset::HopView cur = trace.hop(i + 1);
       if (prev.anonymous() || cur.anonymous()) continue;
-      if (prev.asn == 0 || prev.asn != cur.asn) continue;
-      const net::Ipv4Addr mate(cur.addr.value() ^ 1u);
-      if (mate == prev.addr) continue;  // nothing to learn
-      uf_.merge(prev.addr, mate);
+      if (prev.asn() == 0 || prev.asn() != cur.asn()) continue;
+      const net::Ipv4Addr mate(cur.addr().value() ^ 1u);
+      if (mate == prev.addr()) continue;  // nothing to learn
+      uf_.merge(prev.addr(), mate);
     }
   }
 }

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "core/model.h"
-#include "dataset/trace.h"
+#include "dataset/trace_batch.h"
 
 namespace mum::lpr {
 
@@ -67,7 +67,7 @@ class LabelAliasResolver final : public AliasResolver {
       const std::vector<LspObservation>& observations);
   // Same, plus the subnet-alignment rule over the raw (annotated) traces.
   LabelAliasResolver(const std::vector<LspObservation>& observations,
-                     const std::vector<dataset::Trace>& traces);
+                     const dataset::TraceBatch& traces);
 
   net::Ipv4Addr canonical(net::Ipv4Addr addr) const override;
 

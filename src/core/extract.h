@@ -21,10 +21,35 @@
 
 #include "core/model.h"
 #include "dataset/ip2as.h"
-#include "dataset/trace.h"
 #include "dataset/trace_batch.h"
 
 namespace mum::lpr {
+
+// Flat open-addressing set of IPv4 addresses: the unique-address census
+// behind ExtractStats and census_by_as. A power-of-two u32 slot array with
+// linear probing, Fibonacci-hashed on the high bits; 0 (the anonymous '*'
+// address, never a member) marks an empty slot. Grows by doubling at half
+// load. A snapshot repeats each responding interface dozens of times, so
+// this is one multiply and a probe or two per hop — no node allocation.
+class AddrSet {
+ public:
+  explicit AddrSet(std::size_t min_capacity = 1024);
+
+  // Insert a nonzero address; true when it was not yet a member.
+  bool insert(std::uint32_t addr);
+  bool contains(std::uint32_t addr) const noexcept;
+
+  std::size_t size() const noexcept { return size_; }
+  std::size_t capacity() const noexcept { return slots_.size(); }
+
+ private:
+  std::size_t slot_of(std::uint32_t addr) const noexcept;
+  void grow();
+
+  std::vector<std::uint32_t> slots_;
+  std::size_t size_ = 0;
+  unsigned shift_ = 0;  // 32 - log2(capacity)
+};
 
 struct ExtractStats {
   std::uint64_t traces_total = 0;
@@ -50,14 +75,10 @@ struct ExtractedSnapshot {
   ExtractStats stats;
 };
 
-// Extract all complete explicit LSPs from an annotated snapshot. Traces must
-// have been annotated with Ip2As first (hop ASNs are consumed here); the
-// `ip2as` reference is used for endpoint resolution of unmapped hops.
-ExtractedSnapshot extract_lsps(const dataset::Snapshot& snapshot,
-                               const dataset::Ip2As& ip2as);
-// Batch form: identical algorithm over TraceView/HopView spans — no Trace
-// materialization. Produces the same observations and stats as running the
-// heap overload on snapshot.to_snapshot().
+// Extract all complete explicit LSPs from an annotated snapshot, reading
+// the batch columns through TraceView/HopView. Traces must have been
+// annotated with Ip2As first (hop ASNs are consumed here); the `ip2as`
+// reference is used for endpoint resolution of unmapped destinations.
 ExtractedSnapshot extract_lsps(const dataset::SnapshotBatch& snapshot,
                                const dataset::Ip2As& ip2as);
 
@@ -68,8 +89,6 @@ struct AsIpCensus {
   std::uint64_t mpls_ips = 0;
   std::uint64_t non_mpls_ips = 0;
 };
-std::unordered_map<std::uint32_t, AsIpCensus> census_by_as(
-    const dataset::Snapshot& snapshot);
 std::unordered_map<std::uint32_t, AsIpCensus> census_by_as(
     const dataset::SnapshotBatch& snapshot);
 

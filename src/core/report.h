@@ -4,8 +4,7 @@
 //
 // Every report type implements the Report interface: `to_table` renders the
 // fixed-width text form for terminals, `to_json` the machine-readable form
-// for external plotting. (This replaces the old report_json.h free-function
-// pair; deprecated shims live there for one PR.)
+// for external plotting.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +18,7 @@
 #include "core/filters.h"
 #include "dataset/decode.h"
 #include "dataset/ip2as.h"
-#include "dataset/trace.h"
+#include "dataset/trace_batch.h"
 #include "util/thread_pool.h"
 
 namespace mum::lpr {

@@ -20,10 +20,6 @@ void Ip2As::annotate(Trace& trace) const {
   }
 }
 
-void Ip2As::annotate(std::span<Trace> traces) const {
-  for (auto& t : traces) annotate(t);
-}
-
 std::uint32_t AsnCache::miss(std::size_t slot_index, std::uint32_t addr,
                              const Ip2As& table) {
   const std::uint32_t asn = table.lookup(net::Ipv4Addr(addr));

@@ -73,11 +73,8 @@ class Ip2As {
   // Longest-prefix-match origin lookup; kUnknownAsn when uncovered.
   std::uint32_t lookup(net::Ipv4Addr addr) const;
 
-  // Fill TraceHop::asn and Trace::dst_asn in place. The span form accepts
-  // any contiguous range of traces — callers never copy into a vector just
-  // to annotate.
+  // Fill TraceHop::asn and Trace::dst_asn of one hand-built trace.
   void annotate(Trace& trace) const;
-  void annotate(std::span<Trace> traces) const;
   // Columnar form: fills the dst_asn and hop_asn columns. Interface
   // addresses repeat heavily across a snapshot (and across snapshots of the
   // same campaign), so lookups go through a flat memo table instead of one

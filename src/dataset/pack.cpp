@@ -112,80 +112,6 @@ std::uint64_t pack_checksum(std::string_view bytes) noexcept {
   return h;
 }
 
-std::string serialize_pack(const Snapshot& snapshot) {
-  // Build the ten column payloads.
-  std::array<std::string, kPackSectionCount> cols;
-  cols[section_index(PackSection::kDate)] = snapshot.date;
-
-  auto& monitor = cols[section_index(PackSection::kTraceMonitor)];
-  auto& src = cols[section_index(PackSection::kTraceSrc)];
-  auto& dst = cols[section_index(PackSection::kTraceDst)];
-  auto& reached = cols[section_index(PackSection::kTraceReached)];
-  auto& hop_off = cols[section_index(PackSection::kTraceHopOffset)];
-  auto& hop_addr = cols[section_index(PackSection::kHopAddr)];
-  auto& hop_rtt = cols[section_index(PackSection::kHopRtt)];
-  auto& lse_off = cols[section_index(PackSection::kHopLseOffset)];
-  auto& lse_pool = cols[section_index(PackSection::kLsePool)];
-
-  std::uint64_t hops = 0;
-  std::uint64_t lses = 0;
-  put_u64le(hop_off, 0);
-  put_u64le(lse_off, 0);
-  for (const Trace& t : snapshot.traces) {
-    put_u32le(monitor, t.monitor_id);
-    put_u32le(src, t.src.value());
-    put_u32le(dst, t.dst.value());
-    reached.push_back(t.reached ? 1 : 0);
-    for (const TraceHop& h : t.hops) {
-      put_u32le(hop_addr, h.addr.value());
-      put_u32le(hop_rtt,
-                static_cast<std::uint32_t>(std::lround(h.rtt_ms * 1000.0)));
-      for (const auto& lse : h.labels.entries()) {
-        put_u32le(lse_pool, lse.encode());
-      }
-      lses += h.labels.depth();
-      put_u64le(lse_off, lses);
-    }
-    hops += t.hops.size();
-    put_u64le(hop_off, hops);
-  }
-
-  // Lay the sections out after the table, each 8-byte aligned.
-  const std::size_t table_end =
-      kPackHeaderBytes + kPackSectionCount * kPackSectionEntryBytes;
-  std::array<std::size_t, kPackSectionCount> offsets{};
-  std::size_t off = table_end;
-  for (std::size_t s = 0; s < kPackSectionCount; ++s) {
-    offsets[s] = off;
-    off = aligned_up(off + cols[s].size());
-  }
-  const std::size_t total = off;
-
-  std::string out;
-  out.reserve(total);
-  out.append(kPackMagic, sizeof kPackMagic);
-  out.push_back(static_cast<char>(kPackVersion));
-  out.append(3, '\0');
-  put_u32le(out, snapshot.cycle_id);
-  put_u32le(out, snapshot.sub_index);
-  put_u32le(out, static_cast<std::uint32_t>(kPackSectionCount));
-  put_u32le(out, 0);
-  put_u64le(out, total);
-  for (std::size_t s = 0; s < kPackSectionCount; ++s) {
-    put_u32le(out, static_cast<std::uint32_t>(s));
-    put_u32le(out, kElemSize[s]);
-    put_u64le(out, offsets[s]);
-    put_u64le(out, cols[s].size());
-    put_u64le(out, pack_checksum(cols[s]));
-  }
-  for (std::size_t s = 0; s < kPackSectionCount; ++s) {
-    out.resize(offsets[s], '\0');  // alignment padding
-    out.append(cols[s]);
-  }
-  out.resize(total, '\0');
-  return out;
-}
-
 std::string serialize_pack(const SnapshotBatch& snapshot) {
   const TraceBatch& b = snapshot.traces;
   const std::size_t n_traces = b.trace_count();
@@ -547,50 +473,27 @@ const char* PackView::u32_col(PackSection s) const noexcept {
   return bytes_.data() + section_off_[section_index(s)];
 }
 
-Trace PackView::trace(std::size_t i) const {
-  Trace t;
-  t.monitor_id = le32(u32_col(PackSection::kTraceMonitor) + i * 4);
-  t.src = net::Ipv4Addr(le32(u32_col(PackSection::kTraceSrc) + i * 4));
-  t.dst = net::Ipv4Addr(le32(u32_col(PackSection::kTraceDst) + i * 4));
-  t.reached = bytes_[section_off_[section_index(PackSection::kTraceReached)] +
-                     i] != 0;
+void PackView::append_trace(std::size_t i, TraceBatch& out) const {
+  out.begin_trace(le32(u32_col(PackSection::kTraceMonitor) + i * 4),
+                  net::Ipv4Addr(le32(u32_col(PackSection::kTraceSrc) + i * 4)),
+                  net::Ipv4Addr(le32(u32_col(PackSection::kTraceDst) + i * 4)));
   const char* hop_off_col = u32_col(PackSection::kTraceHopOffset);
   const auto a = static_cast<std::size_t>(le64(hop_off_col + i * 8));
   const auto b = static_cast<std::size_t>(le64(hop_off_col + (i + 1) * 8));
-  if (a == b) return t;
   const char* addr_col = u32_col(PackSection::kHopAddr);
   const char* rtt_col = u32_col(PackSection::kHopRtt);
   const char* lse_off_col = u32_col(PackSection::kHopLseOffset);
   const char* pool = u32_col(PackSection::kLsePool);
-  t.hops.resize(b - a);
   for (std::size_t h = a; h < b; ++h) {
-    TraceHop& hop = t.hops[h - a];
-    hop.addr = net::Ipv4Addr(le32(addr_col + h * 4));
-    hop.rtt_ms = static_cast<double>(le32(rtt_col + h * 4)) / 1000.0;
+    out.add_hop(net::Ipv4Addr(le32(addr_col + h * 4)),
+                static_cast<double>(le32(rtt_col + h * 4)) / 1000.0);
     const auto la = static_cast<std::size_t>(le64(lse_off_col + h * 8));
     const auto lb = static_cast<std::size_t>(le64(lse_off_col + (h + 1) * 8));
-    if (la != lb) {
-      std::vector<net::LabelStackEntry> entries;
-      entries.reserve(lb - la);
-      for (std::size_t s = la; s < lb; ++s) {
-        entries.push_back(net::LabelStackEntry::decode(le32(pool + s * 4)));
-      }
-      hop.labels = net::LabelStack(std::move(entries));
-    }
+    for (std::size_t s = la; s < lb; ++s) out.add_label(le32(pool + s * 4));
   }
-  return t;
-}
-
-Snapshot PackView::to_snapshot() const {
-  Snapshot snap;
-  snap.cycle_id = cycle_id_;
-  snap.sub_index = sub_index_;
-  snap.date.assign(date_);
-  snap.traces.reserve(valid_count());
-  for (std::size_t i = 0; i < n_traces_; ++i) {
-    if (trace_valid(i)) snap.traces.push_back(trace(i));
-  }
-  return snap;
+  out.end_trace(
+      bytes_[section_off_[section_index(PackSection::kTraceReached)] + i] !=
+      0);
 }
 
 SnapshotBatch PackView::to_snapshot_batch() const {
@@ -648,17 +551,17 @@ SnapshotBatch PackView::to_snapshot_batch() const {
 
   // Damaged (or exotic-host) path: append valid records one by one.
   for (std::size_t i = 0; i < n_traces_; ++i) {
-    if (trace_valid(i)) out.traces.append(trace(i));
+    if (trace_valid(i)) append_trace(i, out.traces);
   }
   return out;
 }
 
-std::optional<Snapshot> parse_pack(std::string_view bytes,
-                                   const DecodeOptions& options,
-                                   DecodeDiagnostics* diagnostics) {
+std::optional<SnapshotBatch> parse_pack(std::string_view bytes,
+                                        const DecodeOptions& options,
+                                        DecodeDiagnostics* diagnostics) {
   const auto view = PackView::open(bytes, options, diagnostics);
   if (!view) return std::nullopt;
-  return view->to_snapshot();
+  return view->to_snapshot_batch();
 }
 
 }  // namespace mum::dataset

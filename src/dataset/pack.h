@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "dataset/decode.h"
-#include "dataset/trace.h"
 #include "dataset/trace_batch.h"
 
 namespace mum::dataset {
@@ -73,12 +72,9 @@ inline constexpr std::size_t kPackSectionCount = 10;
 std::uint64_t pack_checksum(std::string_view bytes) noexcept;
 
 // Serialize a snapshot as a v3 pack (always succeeds; deterministic bytes).
-std::string serialize_pack(const Snapshot& snapshot);
-
-// Columnar writer: a TraceBatch's columns ARE the pack sections, so this is
-// section-table bookkeeping plus one memcpy per column (the RTT column is
-// the only per-element pass — quantization to ms*1000). Byte-identical to
-// serialize_pack(batch.to_snapshot()).
+// A TraceBatch's columns ARE the pack sections, so this is section-table
+// bookkeeping plus one memcpy per column (the RTT column is the only
+// per-element pass — quantization to ms*1000).
 std::string serialize_pack(const SnapshotBatch& snapshot);
 
 // Zero-copy validated view over pack bytes (an mmap or any buffer). The
@@ -108,14 +104,12 @@ class PackView {
   }
   std::size_t valid_count() const noexcept;
 
-  // Materialize record i (requires trace_valid(i)). AS annotations are not
-  // persisted — re-annotate via Ip2As, as with every warts-lite form.
-  Trace trace(std::size_t i) const;
-  // Materialize every valid record into a Snapshot.
-  Snapshot to_snapshot() const;
-  // Columnar ingest: when every record is valid this is a column copy into
-  // the batch arena (no per-record slicing); damaged packs fall back to
-  // appending valid records one by one. Equivalent traces to to_snapshot().
+  // Append record i (requires trace_valid(i)) to `out`. AS annotations are
+  // not persisted — re-annotate via Ip2As, as with every warts-lite form.
+  void append_trace(std::size_t i, TraceBatch& out) const;
+  // Ingest every valid record: when every record is valid this is a column
+  // copy into the batch arena (no per-record slicing); damaged packs fall
+  // back to append_trace for each valid record.
   SnapshotBatch to_snapshot_batch() const;
 
  private:
@@ -134,10 +128,10 @@ class PackView {
   std::vector<bool> invalid_;  // empty when every record is valid
 };
 
-// One-shot convenience: open + to_snapshot. nullopt exactly when open
+// One-shot convenience: open + to_snapshot_batch. nullopt exactly when open
 // fails (strict: any fault; tolerant: unrecognizable container only).
-std::optional<Snapshot> parse_pack(std::string_view bytes,
-                                   const DecodeOptions& options = {},
-                                   DecodeDiagnostics* diagnostics = nullptr);
+std::optional<SnapshotBatch> parse_pack(
+    std::string_view bytes, const DecodeOptions& options = {},
+    DecodeDiagnostics* diagnostics = nullptr);
 
 }  // namespace mum::dataset

@@ -1,12 +1,10 @@
-// Traceroute dataset model: hops, traces, snapshots (one probing run of the
-// whole monitor fleet) and cycles (the paper's unit: "the first run of each
-// team" in a month). This mirrors what CAIDA Archipelago delivers after
-// warts decoding — which is exactly the input LPR consumes.
+// Single-trace value model: one traceroute with its hops, as CAIDA
+// Archipelago delivers it after warts decoding. Snapshots and months are
+// columnar (dataset/trace_batch.h); a Trace is the one-record form that
+// lab tests build by hand and TraceBatch::append(const Trace&) ingests.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "net/ipv4.h"
@@ -37,26 +35,6 @@ struct Trace {
 
   // True when any hop carries a quoted label stack (explicit tunnel signal).
   bool crosses_explicit_tunnel() const noexcept;
-};
-
-// One probing run of the whole fleet ("team run" / daily snapshot).
-struct Snapshot {
-  std::uint32_t cycle_id = 0;  // global cycle index (0-based)
-  std::uint32_t sub_index = 0; // snapshot index within the month (0 = cycle)
-  std::string date;            // "YYYY-MM" or "YYYY-MM-DD"
-  std::vector<Trace> traces;
-
-  std::size_t trace_count() const noexcept { return traces.size(); }
-};
-
-// A month of data: the cycle snapshot (index 0) plus the additional
-// snapshots used by the Persistence filter (X+1 ... X+j).
-struct MonthData {
-  std::uint32_t cycle_id = 0;
-  std::string date;
-  std::vector<Snapshot> snapshots;
-
-  const Snapshot& cycle() const { return snapshots.front(); }
 };
 
 }  // namespace mum::dataset

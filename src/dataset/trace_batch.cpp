@@ -90,6 +90,20 @@ void TraceBatch::end_trace(bool reached) {
   hop_off_.push_back(hop_addr_.size());
 }
 
+void TraceBatch::discard_trace() {
+  const std::size_t traces = reached_.size();
+  monitor_.truncate(traces);
+  src_.truncate(traces);
+  dst_.truncate(traces);
+  dst_asn_.truncate(traces);
+  const auto hops = static_cast<std::size_t>(hop_off_.back());
+  hop_addr_.truncate(hops);
+  hop_rtt_.truncate(hops);
+  hop_asn_.truncate(hops);
+  lse_off_.truncate(hops + 1);
+  lse_pool_.truncate(static_cast<std::size_t>(lse_off_.back()));
+}
+
 void TraceBatch::append(const Trace& trace) {
   begin_trace(trace.monitor_id, trace.src, trace.dst, trace.dst_asn);
   for (const TraceHop& hop : trace.hops) {
@@ -151,36 +165,6 @@ void TraceBatch::assign_columns(std::span<const std::uint32_t> monitor,
   }
 }
 
-Trace TraceBatch::to_trace(std::size_t i) const {
-  const TraceView v = view(i);
-  Trace t;
-  t.monitor_id = v.monitor_id();
-  t.src = v.src();
-  t.dst = v.dst();
-  t.dst_asn = v.dst_asn();
-  t.reached = v.reached();
-  const std::size_t n = v.hop_count();
-  t.hops.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const HopView h = v.hop(k);
-    TraceHop& out = t.hops[k];
-    out.addr = h.addr();
-    out.rtt_ms = h.rtt_ms();
-    out.asn = h.asn();
-    if (h.has_labels()) out.labels = h.label_stack();
-  }
-  return t;
-}
-
-std::vector<Trace> TraceBatch::to_traces() const {
-  std::vector<Trace> out;
-  out.reserve(trace_count());
-  for (std::size_t i = 0; i < trace_count(); ++i) {
-    out.push_back(to_trace(i));
-  }
-  return out;
-}
-
 std::vector<std::uint32_t> HopView::labels() const {
   const auto words = lse_words();
   std::vector<std::uint32_t> out;
@@ -197,31 +181,6 @@ net::LabelStack HopView::label_stack() const {
     entries.push_back(net::LabelStackEntry::decode(w));
   }
   return net::LabelStack(std::move(entries));
-}
-
-Snapshot SnapshotBatch::to_snapshot() const {
-  Snapshot snap;
-  snap.cycle_id = cycle_id;
-  snap.sub_index = sub_index;
-  snap.date = date;
-  snap.traces = traces.to_traces();
-  return snap;
-}
-
-SnapshotBatch SnapshotBatch::from_snapshot(const Snapshot& snapshot) {
-  SnapshotBatch out;
-  out.cycle_id = snapshot.cycle_id;
-  out.sub_index = snapshot.sub_index;
-  out.date = snapshot.date;
-  std::size_t hops = 0;
-  std::size_t lses = 0;
-  for (const Trace& t : snapshot.traces) {
-    hops += t.hops.size();
-    for (const TraceHop& h : t.hops) lses += h.labels.depth();
-  }
-  out.traces.reserve(snapshot.traces.size(), hops, lses);
-  for (const Trace& t : snapshot.traces) out.traces.append(t);
-  return out;
 }
 
 }  // namespace mum::dataset

@@ -15,10 +15,13 @@
 // lse_off[h+1])) — the exact shape the pack's offset sections carry.
 //
 // RTTs are stored as the raw doubles the trace engine produced, NOT the
-// pack's millisecond-quantized u32s: the batch must materialize Traces
-// byte-identical to the legacy heap path, and quantization is a
-// serialization concern (it happens in serialize_pack, for batch and
-// legacy alike).
+// pack's millisecond-quantized u32s: quantization is a serialization
+// concern (serialize_pack and the v2 writer both round on the way out).
+//
+// This is the only in-memory form of a snapshot: generation writes it,
+// the chaos corruptor rebuilds it, both decoders append into it, and LPR
+// extraction reads its columns. dataset::Trace survives as a single-record
+// value (append(const Trace&)) for hand-built lab inputs.
 //
 // Arena ownership: a default-constructed batch owns a private arena; the
 // borrowing constructor carves from a caller-owned arena that the caller
@@ -59,7 +62,7 @@ class HopView {
   std::span<const std::uint32_t> lse_words() const noexcept;
   // Label values, top first (what LPR compares).
   std::vector<std::uint32_t> labels() const;
-  // Materialize a heap LabelStack (compat / conversion layer only).
+  // The quoted stack as a LabelStack value (text rendering, tests).
   net::LabelStack label_stack() const;
 
  private:
@@ -83,6 +86,25 @@ class TraceView {
   HopView hop(std::size_t k) const noexcept;
   // Global index of this trace's first hop in the hop columns.
   std::size_t first_hop() const noexcept;
+  // True when any hop carries a quoted label stack (explicit tunnel signal).
+  bool crosses_explicit_tunnel() const noexcept;
+
+ private:
+  const TraceBatch* batch_;
+  std::size_t index_;
+};
+
+// Forward iteration over a batch's traces as TraceViews (range-for).
+class TraceIterator {
+ public:
+  TraceIterator(const TraceBatch* batch, std::size_t index) noexcept
+      : batch_(batch), index_(index) {}
+  TraceView operator*() const noexcept { return TraceView(batch_, index_); }
+  TraceIterator& operator++() noexcept {
+    ++index_;
+    return *this;
+  }
+  bool operator==(const TraceIterator&) const noexcept = default;
 
  private:
   const TraceBatch* batch_;
@@ -115,13 +137,15 @@ class TraceBatch {
 
   // --- append protocol (no interleaving between traces) ------------------
   // begin_trace, then per hop: add_hop followed by its add_label calls,
-  // then end_trace.
+  // then end_trace — or discard_trace to drop the open trace and every hop
+  // and label added to it (a decoder abandoning a malformed record).
   void begin_trace(std::uint32_t monitor_id, net::Ipv4Addr src,
                    net::Ipv4Addr dst, std::uint32_t dst_asn = 0);
   void add_hop(net::Ipv4Addr addr, double rtt_ms, std::uint32_t asn = 0);
   // Append one RFC 3032 word to the stack of the hop added last.
   void add_label(std::uint32_t lse_word);
   void end_trace(bool reached);
+  void discard_trace();
 
   // AoS compat: append a heap Trace (including its annotations).
   void append(const Trace& trace);
@@ -141,10 +165,10 @@ class TraceBatch {
                       std::span<const std::uint64_t> lse_off,
                       std::span<const std::uint32_t> lse_pool);
 
-  // --- views and conversions ---------------------------------------------
+  // --- views --------------------------------------------------------------
   TraceView view(std::size_t i) const noexcept { return TraceView(this, i); }
-  Trace to_trace(std::size_t i) const;
-  std::vector<Trace> to_traces() const;
+  TraceIterator begin() const noexcept { return {this, 0}; }
+  TraceIterator end() const noexcept { return {this, trace_count()}; }
 
   // --- raw columns (serialization + annotate) ----------------------------
   std::span<const std::uint32_t> monitor_col() const noexcept {
@@ -212,21 +236,26 @@ class TraceBatch {
   util::ArenaVector<std::uint32_t> lse_pool_;
 };
 
-// A Snapshot with columnar trace storage; the batch analogue of
-// dataset::Snapshot.
+// One probing run of the whole monitor fleet ("team run" / daily
+// snapshot), stored columnar.
 struct SnapshotBatch {
-  std::uint32_t cycle_id = 0;
-  std::uint32_t sub_index = 0;
-  std::string date;
+  std::uint32_t cycle_id = 0;   // global cycle index (0-based)
+  std::uint32_t sub_index = 0;  // snapshot index within the month (0 = cycle)
+  std::string date;             // "YYYY-MM" or "YYYY-MM-DD"
   TraceBatch traces;
 
   std::size_t trace_count() const noexcept { return traces.trace_count(); }
+};
 
-  // Materialize the legacy heap form (byte-identical downstream behaviour —
-  // the conversion preserves every field including annotations and raw
-  // double RTTs).
-  Snapshot to_snapshot() const;
-  static SnapshotBatch from_snapshot(const Snapshot& snapshot);
+// A month of data (the paper's unit: "the first run of each team" in a
+// month): the cycle snapshot (index 0) plus the additional snapshots the
+// Persistence filter compares against (X+1 ... X+j).
+struct MonthData {
+  std::uint32_t cycle_id = 0;
+  std::string date;
+  std::vector<SnapshotBatch> snapshots;
+
+  const SnapshotBatch& cycle() const { return snapshots.front(); }
 };
 
 // --- inline view accessors (definitions need TraceBatch complete) ---------
@@ -275,6 +304,11 @@ inline std::size_t TraceView::hop_count() const noexcept {
 }
 inline HopView TraceView::hop(std::size_t k) const noexcept {
   return HopView(batch_, first_hop() + k);
+}
+inline bool TraceView::crosses_explicit_tunnel() const noexcept {
+  const auto hop_off = batch_->hop_off_col();
+  const auto lse_off = batch_->lse_off_col();
+  return lse_off[hop_off[index_ + 1]] != lse_off[hop_off[index_]];
 }
 
 }  // namespace mum::dataset

@@ -26,20 +26,16 @@ CampaignRunner::CampaignRunner(CampaignRunner&&) noexcept = default;
 CampaignRunner& CampaignRunner::operator=(CampaignRunner&&) noexcept =
     default;
 
-dataset::Snapshot CampaignRunner::snapshot(MonthContext& ctx, int cycle,
-                                           int sub_index) const {
+dataset::SnapshotBatch CampaignRunner::snapshot(MonthContext& ctx, int cycle,
+                                                int sub_index) const {
   return snapshot(ctx, cycle, sub_index, config_);
 }
 
-dataset::Snapshot CampaignRunner::snapshot(
+dataset::SnapshotBatch CampaignRunner::snapshot(
     MonthContext& ctx, int cycle, int sub_index,
     const CampaignConfig& config) const {
-  if (config.batch) {
-    return snapshot_batch(ctx, cycle, sub_index, config).to_snapshot();
-  }
-
   const Internet& internet = *internet_;
-  dataset::Snapshot snap;
+  dataset::SnapshotBatch snap;
   snap.cycle_id = static_cast<std::uint32_t>(cycle);
   snap.sub_index = static_cast<std::uint32_t>(sub_index);
   snap.date = cycle_date(cycle);
@@ -65,79 +61,9 @@ dataset::Snapshot CampaignRunner::snapshot(
   // Ark-style split of the destination list across the fleet, with overlap:
   // destination d is probed by the `overlap` monitors following d % N
   // (stable across snapshots, so the Persistence filter compares like with
-  // like). Each monitor writes its own trace block; blocks are concatenated
-  // in monitor order so the merged snapshot is identical to a serial run.
-  std::vector<std::vector<dataset::Trace>> blocks(n_monitors);
-  util::parallel_for(pool_, n_monitors, [&](std::size_t mi) {
-    const probe::Monitor& monitor = monitors[mi];
-    util::Rng rng = noise_base.fork(mi);
-    std::vector<dataset::Trace>& out = blocks[mi];
-    int probed = 0;
-    for (int o = 0; o < overlap && probed < per_monitor; ++o) {
-      const std::size_t lane =
-          (mi + monitors.size() - static_cast<std::size_t>(o)) %
-          monitors.size();
-      const int per_dest = std::max(1, internet.config().probes_per_dest);
-      for (std::size_t d = lane; d < dests.size() && probed < per_monitor;
-           d += monitors.size(), ++probed) {
-        for (int pp = 0; pp < per_dest; ++pp) {
-          // Additional probes land in the same /24 (same FEC) but hash to
-          // different Paris flows.
-          Destination dest = dests[d];
-          dest.addr = net::Ipv4Addr(dest.addr.value() +
-                                    static_cast<std::uint32_t>(pp) * 128);
-          const auto path = internet.path_spec(monitor, dest, ctx);
-          if (!path) continue;
-          out.push_back(
-              probe::trace_route(monitor, *path, config.trace, rng));
-        }
-      }
-    }
-  });
-
-  std::size_t total = 0;
-  for (const auto& block : blocks) total += block.size();
-  snap.traces.reserve(total);
-  for (auto& block : blocks) {
-    for (auto& trace : block) snap.traces.push_back(std::move(trace));
-  }
-
-  ip2as_->annotate(snap.traces);
-  return snap;
-}
-
-dataset::SnapshotBatch CampaignRunner::snapshot_batch(MonthContext& ctx,
-                                                      int cycle,
-                                                      int sub_index) const {
-  return snapshot_batch(ctx, cycle, sub_index, config_);
-}
-
-dataset::SnapshotBatch CampaignRunner::snapshot_batch(
-    MonthContext& ctx, int cycle, int sub_index,
-    const CampaignConfig& config) const {
-  const Internet& internet = *internet_;
-  dataset::SnapshotBatch snap;
-  snap.cycle_id = static_cast<std::uint32_t>(cycle);
-  snap.sub_index = static_cast<std::uint32_t>(sub_index);
-  snap.date = cycle_date(cycle);
-
-  ctx.apply_flaps(sub_index, internet.config().ecmp_flap_prob);
-
-  const auto& monitors = internet.monitors();
-  const auto& dests = internet.destinations();
-  const std::size_t n_monitors = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             static_cast<double>(monitors.size()) * config.monitor_share));
-
-  // Same observation-noise lineage as the heap path: byte-identity between
-  // the two rests on every monitor consuming the identical draw sequence.
-  const util::Rng noise_base(util::hash_combine(
-      internet.config().seed,
-      util::hash_combine(0xABCDull + cycle, sub_index)));
-
-  const int per_monitor = internet.config().dests_per_monitor;
-  const int overlap = std::max(1, internet.config().dest_overlap);
-
+  // like). Each monitor writes its own shard batch; shards are merged in
+  // monitor order so the snapshot is identical to a serial run.
+  //
   // Shard arenas are grown serially, then reset and lent to one TraceBatch
   // each: after the first snapshot every column re-carves the same chunks,
   // so the probe loop's steady state performs no heap allocation.
@@ -166,6 +92,8 @@ dataset::SnapshotBatch CampaignRunner::snapshot_batch(
       for (std::size_t d = lane; d < dests.size() && probed < per_monitor;
            d += monitors.size(), ++probed) {
         for (int pp = 0; pp < per_dest; ++pp) {
+          // Additional probes land in the same /24 (same FEC) but hash to
+          // different Paris flows.
           Destination dest = dests[d];
           dest.addr = net::Ipv4Addr(dest.addr.value() +
                                     static_cast<std::uint32_t>(pp) * 128);
@@ -250,10 +178,10 @@ dataset::MonthData CampaignRunner::month(DeltaEvolver& evolver,
   return month;
 }
 
-std::vector<dataset::Snapshot> CampaignRunner::daily_month(int cycle,
-                                                           int days) const {
+std::vector<dataset::SnapshotBatch> CampaignRunner::daily_month(
+    int cycle, int days) const {
   const Internet& internet = *internet_;
-  std::vector<dataset::Snapshot> out;
+  std::vector<dataset::SnapshotBatch> out;
   out.reserve(static_cast<std::size_t>(days));
   util::Rng dyn_rng(util::hash_combine(internet.config().seed,
                                        0xDA1ull + cycle));
@@ -279,7 +207,7 @@ std::vector<dataset::Snapshot> CampaignRunner::daily_month(int cycle,
                      999.0);
     day_config.monitor_share = config_.monitor_share * wobble;
 
-    dataset::Snapshot snap = snapshot(ctx, cycle, day - 1, day_config);
+    dataset::SnapshotBatch snap = snapshot(ctx, cycle, day - 1, day_config);
     snap.date = cycle_date(cycle) + (day < 10 ? "-0" : "-") +
                 std::to_string(day);
     out.push_back(std::move(snap));

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "dataset/ip2as.h"
-#include "dataset/trace.h"
 #include "dataset/trace_batch.h"
 #include "gen/evolve.h"
 #include "gen/internet.h"
@@ -33,12 +32,6 @@ struct CampaignConfig {
   probe::TraceOptions trace;
   // Fraction of the monitor fleet active (varies day-to-day in Fig. 16).
   double monitor_share = 1.0;
-  // Measurement path. On (the default), each monitor writes an arena-backed
-  // SoA dataset::TraceBatch shard and shards merge column-wise in monitor
-  // order; snapshot() materializes heap Traces from the merged batch. Off
-  // runs the original heap-Trace path. Output is byte-identical either way
-  // — the heap path is the batch path's oracle (tests/test_batch.cpp).
-  bool batch = true;
 };
 
 class CampaignRunner {
@@ -57,26 +50,18 @@ class CampaignRunner {
 
   // One snapshot at (cycle, sub_index). `ctx` must come from
   // internet.instantiate(); flaps for `sub_index` are applied inside.
-  // Traces are ip2as-annotated.
-  dataset::Snapshot snapshot(MonthContext& ctx, int cycle,
-                             int sub_index) const;
-  // Same, with a per-call config override (daily fleet-size wobble).
-  dataset::Snapshot snapshot(MonthContext& ctx, int cycle, int sub_index,
-                             const CampaignConfig& config) const;
-
-  // Columnar form of snapshot(): monitors probe into per-shard arena
-  // batches (cached on the runner and reset between snapshots, so the
-  // steady state of a month allocates nothing in the probe loop), merged
-  // column-wise in monitor order and ip2as-annotated. snapshot() with
-  // config.batch on is exactly this plus to_snapshot().
+  // Monitors probe into per-shard arena batches (cached on the runner and
+  // reset between snapshots, so the steady state of a month allocates
+  // nothing in the probe loop), merged column-wise in monitor order and
+  // ip2as-annotated.
   //
-  // Like snapshot(), not safe to call concurrently on one runner (both
-  // mutate `ctx`; this one also reuses the runner's shard arenas).
-  dataset::SnapshotBatch snapshot_batch(MonthContext& ctx, int cycle,
-                                        int sub_index) const;
-  dataset::SnapshotBatch snapshot_batch(MonthContext& ctx, int cycle,
-                                        int sub_index,
-                                        const CampaignConfig& config) const;
+  // Not safe to call concurrently on one runner: it mutates `ctx` and
+  // reuses the runner's shard arenas.
+  dataset::SnapshotBatch snapshot(MonthContext& ctx, int cycle,
+                                  int sub_index) const;
+  // Same, with a per-call config override (daily fleet-size wobble).
+  dataset::SnapshotBatch snapshot(MonthContext& ctx, int cycle, int sub_index,
+                                  const CampaignConfig& config) const;
 
   // Full month: cycle snapshot + extra snapshots, advancing label dynamics
   // between runs.
@@ -89,7 +74,7 @@ class CampaignRunner {
   // Daily data for one month (Fig. 16): `days` snapshots, profile evaluated
   // at each day, fleet size wobbling deterministically around the configured
   // share.
-  std::vector<dataset::Snapshot> daily_month(int cycle, int days) const;
+  std::vector<dataset::SnapshotBatch> daily_month(int cycle, int days) const;
 
  private:
   // Per-monitor probe scratch: an arena the shard's TraceBatch carves from
@@ -105,7 +90,7 @@ class CampaignRunner {
   mutable std::vector<std::unique_ptr<MonitorShard>> shards_;
   // Warm addr -> asn memo shared by every snapshot of the campaign (the
   // ip2as table is fixed for the runner's lifetime). Same non-reentrancy
-  // contract as shards_: one snapshot_batch at a time per runner.
+  // contract as shards_: one snapshot at a time per runner.
   mutable dataset::AsnCache asn_cache_;
 };
 

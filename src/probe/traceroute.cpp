@@ -12,9 +12,9 @@ std::uint64_t paris_flow_id(const Monitor& monitor, net::Ipv4Addr dst) {
 
 namespace {
 
-// The observation model, shared verbatim between the legacy heap path and
-// the batch path: one definition means one RNG draw sequence, which is what
-// makes the two paths byte-identical by construction. The sink receives
+// The observation model, shared verbatim between the single-trace heap sink
+// and the batch sink: one definition means one RNG draw sequence, which is
+// what makes the two sinks byte-identical by construction. The sink receives
 // each emitted hop (labels == nullptr for anonymous or unquoted hops) and
 // finally the reached flag.
 template <class Sink>

@@ -444,7 +444,7 @@ std::string data_shard_filename(int cycle, std::size_t sub,
 }
 
 bool write_data_shard(const std::string& dir, int cycle, std::size_t sub,
-                      const dataset::Snapshot& snapshot,
+                      const dataset::SnapshotBatch& snapshot,
                       std::uint8_t format) {
   static obs::Counter& shards_written =
       obs::registry().counter("checkpoint.shards_written");

@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "core/report.h"
-#include "dataset/trace.h"
+#include "dataset/trace_batch.h"
 
 namespace mum::run {
 
@@ -64,7 +64,8 @@ std::string data_shard_filename(int cycle, std::size_t sub,
 
 // Atomic write (temp + rename) of one snapshot in the given format (2 or 3).
 bool write_data_shard(const std::string& dir, int cycle, std::size_t sub,
-                      const dataset::Snapshot& snapshot, std::uint8_t format);
+                      const dataset::SnapshotBatch& snapshot,
+                      std::uint8_t format);
 
 // Paths of cycle N's existing shards in sub order, either extension per sub
 // (stream preferred when both exist). Stops at the first missing sub index,

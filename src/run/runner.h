@@ -1,10 +1,8 @@
 // Campaign-level execution engine: the library's top entry point for paper
 // studies. A Runner builds the synthetic internet once from its config, then
 // runs monthly cycles through generation and the LPR pipeline — serially or
-// across a thread pool it owns.
-//
-// Promoted from bench/common's Study so the fig*/table* binaries, the CLI
-// and examples all share one API (bench::Study is now an alias of this).
+// across a thread pool it owns. The fig*/table* benches, the CLI and the
+// examples all share this one API.
 //
 // Determinism contract: all randomness derives from RNG streams keyed by
 // (seed, cycle, monitor)-style lineages, cycles are independent, and

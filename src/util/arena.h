@@ -192,6 +192,8 @@ class ArenaVector {
   std::span<const T> span() const noexcept { return {data_, size_}; }
   std::span<T> mutable_span() noexcept { return {data_, size_}; }
   void clear() noexcept { size_ = 0; }  // keeps the current block
+  // Drop elements past `n` (n <= size()); keeps the current block.
+  void truncate(std::size_t n) noexcept { size_ = n; }
 
  private:
   Arena* arena_ = nullptr;

@@ -45,10 +45,10 @@ TEST_F(CampaignTest, TracesAreAnnotated) {
   MonthContext ctx = internet.instantiate(50);
   const auto snap = runner.snapshot(ctx, 50, 0);
   int annotated_hops = 0;
-  for (const auto& t : snap.traces) {
-    EXPECT_NE(t.dst_asn, 0u);
-    for (const auto& h : t.hops) {
-      if (!h.anonymous() && h.asn != 0) ++annotated_hops;
+  for (const dataset::TraceView t : snap.traces) {
+    EXPECT_NE(t.dst_asn(), 0u);
+    for (std::size_t k = 0; k < t.hop_count(); ++k) {
+      if (!t.hop(k).anonymous() && t.hop(k).asn() != 0) ++annotated_hops;
     }
   }
   EXPECT_GT(annotated_hops, 500);
@@ -58,7 +58,7 @@ TEST_F(CampaignTest, SomeTracesCrossExplicitTunnels) {
   MonthContext ctx = internet.instantiate(50);
   const auto snap = runner.snapshot(ctx, 50, 0);
   int tunneled = 0;
-  for (const auto& t : snap.traces) {
+  for (const dataset::TraceView t : snap.traces) {
     tunneled += t.crosses_explicit_tunnel() ? 1 : 0;
   }
   EXPECT_GT(tunneled, 20);
@@ -71,7 +71,9 @@ TEST_F(CampaignTest, MonitorShareReducesFleet) {
   half.monitor_share = 0.5;
   const auto snap = runner.snapshot(ctx, 50, 0, half);
   std::set<std::uint32_t> monitors;
-  for (const auto& t : snap.traces) monitors.insert(t.monitor_id);
+  for (const dataset::TraceView t : snap.traces) {
+    monitors.insert(t.monitor_id());
+  }
   EXPECT_EQ(monitors.size(), 2u);
 }
 
@@ -92,13 +94,13 @@ TEST_F(CampaignTest, CampaignDeterministicForSameSeed) {
   const auto other_ip2as = other.build_ip2as();
   const auto m2 = CampaignRunner(other, other_ip2as).month(40);
   ASSERT_EQ(m1.cycle().trace_count(), m2.cycle().trace_count());
-  for (std::size_t i = 0; i < m1.cycle().traces.size(); ++i) {
-    const auto& a = m1.cycle().traces[i];
-    const auto& b = m2.cycle().traces[i];
-    ASSERT_EQ(a.hops.size(), b.hops.size());
-    for (std::size_t h = 0; h < a.hops.size(); ++h) {
-      EXPECT_EQ(a.hops[h].addr, b.hops[h].addr);
-      EXPECT_EQ(a.hops[h].labels, b.hops[h].labels);
+  for (std::size_t i = 0; i < m1.cycle().trace_count(); ++i) {
+    const dataset::TraceView a = m1.cycle().traces.view(i);
+    const dataset::TraceView b = m2.cycle().traces.view(i);
+    ASSERT_EQ(a.hop_count(), b.hop_count());
+    for (std::size_t h = 0; h < a.hop_count(); ++h) {
+      EXPECT_EQ(a.hop(h).addr(), b.hop(h).addr());
+      EXPECT_EQ(a.hop(h).labels(), b.hop(h).labels());
     }
   }
 }
@@ -152,7 +154,7 @@ TEST_F(CampaignTest, DailyMonthGeneratesPerDaySnapshots) {
 
 TEST_F(CampaignTest, Level3AppearsMidApril2012) {
   const auto days = runner.daily_month(cycle_of(2012, 4), 30);
-  auto level3_lsps = [&](const dataset::Snapshot& snap) {
+  auto level3_lsps = [&](const dataset::SnapshotBatch& snap) {
     const auto extracted = ::mum::lpr::extract_lsps(snap, ip2as);
     std::size_t n = 0;
     for (const auto& obs : extracted.observations) {

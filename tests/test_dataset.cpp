@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "batch_testing.h"
 #include "dataset/ip2as.h"
 #include "dataset/pack.h"
 #include "dataset/trace.h"
@@ -80,8 +81,9 @@ TEST(Ip2As, AnnotateVector) {
   ip2as.add_prefix(net::Ipv4Prefix(ip(0x0A000000), 8), 65001);
   std::vector<Trace> traces(3);
   for (auto& t : traces) t.dst = ip(0x0A000005);
-  ip2as.annotate(traces);
-  for (const auto& t : traces) EXPECT_EQ(t.dst_asn, 65001u);
+  SnapshotBatch snap = testing::make_snapshot(traces);
+  ip2as.annotate(snap.traces);
+  for (const TraceView t : snap.traces) EXPECT_EQ(t.dst_asn(), 65001u);
 }
 
 // --- varints ------------------------------------------------------------
@@ -116,11 +118,7 @@ TEST(Varint, SmallValuesAreOneByte) {
 
 // --- warts-lite ---------------------------------------------------------
 
-Snapshot sample_snapshot() {
-  Snapshot snap;
-  snap.cycle_id = 42;
-  snap.sub_index = 1;
-  snap.date = "2014-12";
+std::vector<Trace> sample_traces() {
   Trace t;
   t.monitor_id = 7;
   t.src = ip(0x01020304);
@@ -131,44 +129,43 @@ Snapshot sample_snapshot() {
   TraceHop multi = labeled_hop(0x0A000002, 300123);
   multi.labels.push(17, 2, 1);  // two-entry stack
   t.hops.push_back(multi);
-  snap.traces.push_back(t);
   Trace unreached;
   unreached.monitor_id = 8;
   unreached.src = ip(1);
   unreached.dst = ip(2);
   unreached.reached = false;
-  snap.traces.push_back(unreached);
-  return snap;
+  return {t, unreached};
+}
+
+SnapshotBatch sample_snapshot() {
+  return testing::make_snapshot(sample_traces(), 42, 1, "2014-12");
 }
 
 TEST(WartsLite, RoundTripPreservesEverything) {
-  const Snapshot snap = sample_snapshot();
+  const SnapshotBatch snap = sample_snapshot();
   const std::string bytes = serialize_snapshot(snap);
   const auto back = parse_snapshot(bytes);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->cycle_id, snap.cycle_id);
   EXPECT_EQ(back->sub_index, snap.sub_index);
   EXPECT_EQ(back->date, snap.date);
-  ASSERT_EQ(back->traces.size(), snap.traces.size());
-  const Trace& t0 = back->traces[0];
-  EXPECT_EQ(t0.monitor_id, 7u);
-  EXPECT_EQ(t0.src, snap.traces[0].src);
-  EXPECT_EQ(t0.dst, snap.traces[0].dst);
-  EXPECT_TRUE(t0.reached);
-  ASSERT_EQ(t0.hops.size(), 3u);
-  EXPECT_TRUE(t0.hops[1].anonymous());
-  EXPECT_EQ(t0.hops[2].labels, snap.traces[0].hops[2].labels);
-  EXPECT_NEAR(t0.hops[0].rtt_ms, 1.0, 1e-3);
-  EXPECT_FALSE(back->traces[1].reached);
+  testing::expect_views_match(back->traces, sample_traces());
+  const TraceView t0 = back->traces.view(0);
+  EXPECT_EQ(t0.monitor_id(), 7u);
+  EXPECT_TRUE(t0.reached());
+  ASSERT_EQ(t0.hop_count(), 3u);
+  EXPECT_TRUE(t0.hop(1).anonymous());
+  EXPECT_NEAR(t0.hop(0).rtt_ms(), 1.0, 1e-3);
+  EXPECT_FALSE(back->traces.view(1).reached());
 }
 
 TEST(WartsLite, StreamRoundTrip) {
-  const Snapshot snap = sample_snapshot();
+  const SnapshotBatch snap = sample_snapshot();
   std::stringstream ss;
-  write_snapshot(ss, snap);
+  ss << serialize_snapshot(snap);
   const auto back = read_snapshot(ss);
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->traces.size(), snap.traces.size());
+  EXPECT_EQ(serialize_snapshot(*back), serialize_snapshot(snap));
 }
 
 TEST(WartsLite, RejectsBadMagic) {
@@ -192,7 +189,7 @@ TEST(WartsLite, RejectsTruncation) {
 }
 
 TEST(WartsLite, EmptySnapshotRoundTrip) {
-  Snapshot snap;
+  SnapshotBatch snap;
   snap.cycle_id = 0;
   snap.date = "";
   const auto back = parse_snapshot(serialize_snapshot(snap));
@@ -201,32 +198,28 @@ TEST(WartsLite, EmptySnapshotRoundTrip) {
 }
 
 TEST(WartsLite, AnonymousOnlyTraceRoundTrip) {
-  Snapshot snap;
-  snap.cycle_id = 9;
-  snap.date = "2013-01";
   Trace t;
   t.monitor_id = 3;
   t.src = ip(1);
   t.dst = ip(2);
   t.reached = false;
   t.hops.assign(5, TraceHop{});  // every hop anonymous
-  snap.traces.push_back(t);
+  const SnapshotBatch snap = testing::make_snapshot({t}, 9, 0, "2013-01");
 
   const auto back = parse_snapshot(serialize_snapshot(snap));
   ASSERT_TRUE(back.has_value());
-  ASSERT_EQ(back->traces.size(), 1u);
-  ASSERT_EQ(back->traces[0].hops.size(), 5u);
-  for (const auto& hop : back->traces[0].hops) {
-    EXPECT_TRUE(hop.anonymous());
-    EXPECT_FALSE(hop.has_labels());
+  ASSERT_EQ(back->trace_count(), 1u);
+  const TraceView trace = back->traces.view(0);
+  ASSERT_EQ(trace.hop_count(), 5u);
+  for (std::size_t k = 0; k < trace.hop_count(); ++k) {
+    EXPECT_TRUE(trace.hop(k).anonymous());
+    EXPECT_FALSE(trace.hop(k).has_labels());
   }
 }
 
 TEST(WartsLite, MaxDepthLabelStackRoundTrip) {
   // Quoted stacks deeper than anything the generator emits must still
   // round-trip exactly (the paper's data shows stacks up to ~6; go further).
-  Snapshot snap;
-  snap.date = "2015-06";
   Trace t;
   t.src = ip(1);
   t.dst = ip(2);
@@ -237,12 +230,12 @@ TEST(WartsLite, MaxDepthLabelStackRoundTrip) {
                     static_cast<std::uint8_t>(255 - i));
   }
   t.hops.push_back(hop);
-  snap.traces.push_back(t);
+  const SnapshotBatch snap = testing::make_snapshot({t}, 0, 0, "2015-06");
 
   const auto back = parse_snapshot(serialize_snapshot(snap));
   ASSERT_TRUE(back.has_value());
-  ASSERT_EQ(back->traces[0].hops.size(), 1u);
-  const auto& quoted = back->traces[0].hops[0].labels;
+  ASSERT_EQ(back->traces.view(0).hop_count(), 1u);
+  const net::LabelStack quoted = back->traces.view(0).hop(0).label_stack();
   ASSERT_EQ(quoted.depth(), 16u);
   EXPECT_EQ(quoted, hop.labels);
   EXPECT_TRUE(quoted.entries().back().bottom_of_stack());
@@ -356,7 +349,7 @@ TEST(WartsLite, TolerantNeverFailsOnBitFlippedCorpus) {
 }
 
 TEST(WartsLite, V1UnframedFaultAbandonsRemainder) {
-  const Snapshot snap = sample_snapshot();
+  const SnapshotBatch snap = sample_snapshot();
   const std::string v1 = serialize_snapshot(snap, 1);
   ASSERT_TRUE(parse_snapshot(v1).has_value());
 
@@ -409,8 +402,8 @@ TEST(PackFaults, OversizedSectionClaimIsBoundedNotAllocated) {
   EXPECT_GE(diag.count(FaultClass::kOversizedClaim), 1u);
   // The hop columns are gone; traces with hops are individually skipped,
   // the hopless record survives.
-  ASSERT_EQ(salvaged->traces.size(), 1u);
-  EXPECT_TRUE(salvaged->traces[0].hops.empty());
+  ASSERT_EQ(salvaged->trace_count(), 1u);
+  EXPECT_EQ(salvaged->traces.view(0).hop_count(), 0u);
 }
 
 TEST(PackFaults, OverlappingSectionsAreRejectedAsBadTable) {
@@ -442,7 +435,7 @@ TEST(PackFaults, OverlappingSectionsAreRejectedAsBadTable) {
 }
 
 TEST(WartsLite, TextRenderingContainsKeyFields) {
-  const Snapshot snap = sample_snapshot();
+  const SnapshotBatch snap = sample_snapshot();
   const std::string text = to_text(snap);
   EXPECT_NE(text.find("cycle=42"), std::string::npos);
   EXPECT_NE(text.find("10.0.0.2"), std::string::npos);
@@ -456,10 +449,9 @@ class WartsFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(WartsFuzz, RandomSnapshotsRoundTrip) {
   util::Rng rng(GetParam());
-  Snapshot snap;
-  snap.cycle_id = static_cast<std::uint32_t>(rng.below(100));
-  snap.sub_index = static_cast<std::uint32_t>(rng.below(30));
-  snap.date = "2013-07";
+  const auto cycle_id = static_cast<std::uint32_t>(rng.below(100));
+  const auto sub_index = static_cast<std::uint32_t>(rng.below(30));
+  std::vector<Trace> traces;
   const int n = 1 + static_cast<int>(rng.below(20));
   for (int i = 0; i < n; ++i) {
     Trace t;
@@ -481,24 +473,15 @@ TEST_P(WartsFuzz, RandomSnapshotsRoundTrip) {
       }
       t.hops.push_back(std::move(hop));
     }
-    snap.traces.push_back(std::move(t));
+    traces.push_back(std::move(t));
   }
+  const SnapshotBatch snap =
+      testing::make_snapshot(traces, cycle_id, sub_index, "2013-07");
 
   const auto back = parse_snapshot(serialize_snapshot(snap));
   ASSERT_TRUE(back.has_value());
-  ASSERT_EQ(back->traces.size(), snap.traces.size());
-  for (std::size_t i = 0; i < snap.traces.size(); ++i) {
-    const Trace& a = snap.traces[i];
-    const Trace& b = back->traces[i];
-    EXPECT_EQ(a.src, b.src);
-    EXPECT_EQ(a.dst, b.dst);
-    EXPECT_EQ(a.reached, b.reached);
-    ASSERT_EQ(a.hops.size(), b.hops.size());
-    for (std::size_t h = 0; h < a.hops.size(); ++h) {
-      EXPECT_EQ(a.hops[h].addr, b.hops[h].addr);
-      EXPECT_EQ(a.hops[h].labels, b.hops[h].labels);
-    }
-  }
+  // The wire keeps RTTs to the microsecond.
+  testing::expect_views_match(back->traces, traces, 1e-3);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WartsFuzz, ::testing::Values(1, 2, 3, 4, 5));

@@ -505,7 +505,8 @@ TEST(DailyMonth, MatchesPerDayReinstantiation) {
                          util::mix64(util::hash_combine(cycle, day)) % 1000) /
                      999.0);
     day_config.monitor_share = runner.config().monitor_share * wobble;
-    dataset::Snapshot ref = runner.snapshot(ctx, cycle, day - 1, day_config);
+    dataset::SnapshotBatch ref =
+        runner.snapshot(ctx, cycle, day - 1, day_config);
     ref.date = daily[static_cast<std::size_t>(day - 1)].date;
 
     EXPECT_EQ(dataset::serialize_snapshot(daily[static_cast<std::size_t>(

@@ -70,7 +70,7 @@ class Lab {
   // Probe `n_dests` destinations split across the two external ASes,
   // entering at every border pair; returns the classified report.
   lpr::CycleReport run(int n_dests) {
-    dataset::Snapshot snap;
+    dataset::SnapshotBatch snap;
     snap.cycle_id = 1;
     const auto borders = topo_->border_routers();
     probe::Monitor monitor;
@@ -99,7 +99,7 @@ class Lab {
                             plane_.asn);
           path.segments.push_back(seg);
           path.dst = dst;
-          snap.traces.push_back(
+          snap.traces.append(
               probe::trace_route(monitor, path, options, rng));
         }
       }

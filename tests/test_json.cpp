@@ -6,7 +6,7 @@
 
 #include <cmath>
 
-#include "core/report_json.h"
+#include "core/report.h"
 #include "util/json.h"
 
 namespace mum {
@@ -139,7 +139,7 @@ lpr::CycleReport sample_report() {
 }
 
 TEST(ReportJson, CycleReportStructureAndFields) {
-  const std::string text = to_json(sample_report());
+  const std::string text = sample_report().to_json();
   EXPECT_TRUE(structurally_valid(text)) << text;
   EXPECT_NE(text.find("\"cycle\":60"), std::string::npos);  // 1-based
   EXPECT_NE(text.find("\"date\":\"2014-12\""), std::string::npos);
@@ -150,7 +150,7 @@ TEST(ReportJson, CycleReportStructureAndFields) {
 }
 
 TEST(ReportJson, IotpsIncludedOnRequest) {
-  const std::string text = to_json(sample_report(), /*include_iotps=*/true);
+  const std::string text = sample_report().to_json(/*include_iotps=*/true);
   EXPECT_TRUE(structurally_valid(text)) << text;
   EXPECT_NE(text.find("\"iotps\""), std::string::npos);
   EXPECT_NE(text.find("\"class\":\"Mono-FEC\""), std::string::npos);
@@ -163,7 +163,7 @@ TEST(ReportJson, LongitudinalIsArrayOfCycles) {
   lpr::LongitudinalReport longitudinal;
   longitudinal.cycles.push_back(sample_report());
   longitudinal.cycles.push_back(sample_report());
-  const std::string text = to_json(longitudinal);
+  const std::string text = longitudinal.to_json();
   EXPECT_TRUE(structurally_valid(text)) << text;
   EXPECT_EQ(text.front(), '[');
   EXPECT_EQ(text.back(), ']');

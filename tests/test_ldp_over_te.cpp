@@ -133,8 +133,8 @@ TEST(LdpOverTe, ExtractionHandlesStackedRuns) {
   TraceOptions options;
   options.reply_loss = 0.0;
   util::Rng obs_rng(1);
-  dataset::Snapshot snap;
-  snap.traces.push_back(trace_route(monitor, f.path(), options, obs_rng));
+  dataset::SnapshotBatch snap;
+  snap.traces.append(trace_route(monitor, f.path(), options, obs_rng));
 
   dataset::Ip2As ip2as;
   ip2as.add_prefix(net::Ipv4Prefix(ip(0x10000000), 8), 65001);
@@ -166,14 +166,14 @@ TEST(LdpOverTe, SameTunnelForAllDestsKeepsIotpMonoLsp) {
   ip2as.add_prefix(net::Ipv4Prefix(ip(0x20000000), 8), 65098);
   ip2as.add_prefix(net::Ipv4Prefix(ip(0x30000000), 8), 65099);
 
-  dataset::Snapshot snap;
+  dataset::SnapshotBatch snap;
   TraceOptions options;
   options.reply_loss = 0.0;
   util::Rng obs_rng(1);
   for (std::uint32_t d = 0; d < 8; ++d) {
     PathSpec p = f.path();
     p.dst = ip((d % 2 ? 0x20000000u : 0x30000000u) + (d << 8) + 1);
-    snap.traces.push_back(trace_route(monitor, p, options, obs_rng));
+    snap.traces.append(trace_route(monitor, p, options, obs_rng));
   }
   ip2as.annotate(snap.traces);
   const auto extracted = lpr::extract_lsps(snap, ip2as);

@@ -37,16 +37,18 @@ class PropertySweep : public ::testing::TestWithParam<std::uint64_t> {
   gen::Internet internet;
   dataset::Ip2As ip2as;
   gen::MonthContext ctx;
-  dataset::Snapshot snapshot;
+  dataset::SnapshotBatch snapshot;
 };
 
 TEST_P(PropertySweep, QuotedStacksAreWellFormed) {
   // Every quoted LSE stack has exactly one bottom-of-stack flag, on its
   // last entry (RFC 3032).
-  for (const auto& trace : snapshot.traces) {
-    for (const auto& hop : trace.hops) {
-      if (hop.labels.empty()) continue;
-      const auto& entries = hop.labels.entries();
+  for (const dataset::TraceView trace : snapshot.traces) {
+    for (std::size_t k = 0; k < trace.hop_count(); ++k) {
+      const dataset::HopView hop = trace.hop(k);
+      if (!hop.has_labels()) continue;
+      const net::LabelStack stack = hop.label_stack();
+      const auto& entries = stack.entries();
       for (std::size_t i = 0; i < entries.size(); ++i) {
         EXPECT_EQ(entries[i].bottom_of_stack(), i + 1 == entries.size());
         EXPECT_GE(entries[i].label(), net::kLabelFirstUnreserved);
@@ -58,20 +60,21 @@ TEST_P(PropertySweep, QuotedStacksAreWellFormed) {
 
 TEST_P(PropertySweep, LabelsRespectVendorRanges) {
   // Every quoted label must come out of the owning router's vendor pool.
-  for (const auto& trace : snapshot.traces) {
-    for (const auto& hop : trace.hops) {
-      if (hop.labels.empty() || hop.anonymous()) continue;
-      const auto* as = internet.modeled(hop.asn);
+  for (const dataset::TraceView trace : snapshot.traces) {
+    for (std::size_t k = 0; k < trace.hop_count(); ++k) {
+      const dataset::HopView hop = trace.hop(k);
+      if (!hop.has_labels() || hop.anonymous()) continue;
+      const auto* as = internet.modeled(hop.asn());
       if (as == nullptr) continue;
-      const auto router = as->topo.router_of_addr(hop.addr);
+      const auto router = as->topo.router_of_addr(hop.addr());
       if (router == topo::kInvalidRouter) continue;
       // Only the TOP label belongs to this router (inner labels of a
       // stacked packet were allocated by the tunnel tail).
       const auto range =
           mpls::default_range(as->topo.router(router).vendor);
-      const auto label = hop.labels.top().label();
-      EXPECT_GE(label, range.first) << hop.addr.to_string();
-      EXPECT_LE(label, range.last) << hop.addr.to_string();
+      const auto label = hop.labels().front();
+      EXPECT_GE(label, range.first) << hop.addr().to_string();
+      EXPECT_LE(label, range.last) << hop.addr().to_string();
     }
   }
 }
@@ -110,10 +113,11 @@ TEST_P(PropertySweep, LdpLabelsAreRouterScopedInTraces) {
 TEST_P(PropertySweep, ExtractionNeverInventsLabels) {
   // Every (addr, label) pair in extracted LSPs exists verbatim in a trace.
   std::set<std::pair<net::Ipv4Addr, std::uint32_t>> in_traces;
-  for (const auto& trace : snapshot.traces) {
-    for (const auto& hop : trace.hops) {
-      for (const auto& lse : hop.labels.entries()) {
-        in_traces.insert({hop.addr, lse.label()});
+  for (const dataset::TraceView trace : snapshot.traces) {
+    for (std::size_t k = 0; k < trace.hop_count(); ++k) {
+      const dataset::HopView hop = trace.hop(k);
+      for (const std::uint32_t label : hop.labels()) {
+        in_traces.insert({hop.addr(), label});
       }
     }
   }
@@ -185,13 +189,14 @@ TEST_P(PropertySweep, ClassifiedIotpInvariants) {
 TEST_P(PropertySweep, TracesRespectAsPathOrder) {
   // Responding hops annotated with modelled ASes must appear in contiguous
   // AS segments (no interleaving A B A), matching valley-free forwarding.
-  for (const auto& trace : snapshot.traces) {
+  for (const dataset::TraceView trace : snapshot.traces) {
     std::vector<std::uint32_t> as_sequence;
-    for (const auto& hop : trace.hops) {
-      if (hop.anonymous() || hop.asn == 0) continue;
-      if (internet.modeled(hop.asn) == nullptr) continue;
-      if (as_sequence.empty() || as_sequence.back() != hop.asn) {
-        as_sequence.push_back(hop.asn);
+    for (std::size_t k = 0; k < trace.hop_count(); ++k) {
+      const dataset::HopView hop = trace.hop(k);
+      if (hop.anonymous() || hop.asn() == 0) continue;
+      if (internet.modeled(hop.asn()) == nullptr) continue;
+      if (as_sequence.empty() || as_sequence.back() != hop.asn()) {
+        as_sequence.push_back(hop.asn());
       }
     }
     std::set<std::uint32_t> seen;

@@ -220,7 +220,7 @@ std::optional<dataset::Ip2As> load_ip2as(const std::string& path,
 // is the cycle; the rest feed the Persistence filter.
 struct LoadedData {
   dataset::Ip2As ip2as;
-  std::vector<dataset::Snapshot> snapshots;
+  std::vector<dataset::SnapshotBatch> snapshots;
   // What the decoder skipped across all files (clean in strict mode).
   dataset::DecodeDiagnostics decode;
 };
@@ -262,6 +262,7 @@ LoadResult load_inputs(Args& args, std::ostream& err, bool need_ip2as,
   }
   const auto source = dataset::make_file_source(
       files, dataset::DecodeOptions{.tolerant = tolerant}, pool);
+  dataset::AsnCache asn_cache;
   while (auto snap = source->next()) {
     const dataset::DecodeDiagnostics& diag = source->last_diagnostics();
     if (!diag.clean()) {
@@ -269,7 +270,7 @@ LoadResult load_inputs(Args& args, std::ostream& err, bool need_ip2as,
           << " records, skipped " << diag.records_skipped << " ("
           << diag.faults_total() << " faults)\n";
     }
-    data.ip2as.annotate(snap->traces);
+    data.ip2as.annotate(snap->traces, asn_cache);
     data.snapshots.push_back(std::move(*snap));
   }
   if (source->failed()) {
