@@ -17,7 +17,12 @@ inline int run_as_series_bench(
     const std::function<void(const lpr::LongitudinalReport&)>& checks) {
   run::Runner study(default_study());
   std::cout << title << "\n(running the 60-cycle study...)\n\n";
-  const lpr::LongitudinalReport report = study.run_all();
+  const run::RunOutcome outcome = study.run_all_contained();
+  if (!outcome.manifest.complete()) {
+    std::cerr << "study incomplete: a cycle failed\n";
+    return 1;
+  }
+  const lpr::LongitudinalReport& report = outcome.report;
   std::cout << '\n';
   print_as_series(std::cout, report, asn);
   std::cout << '\n';

@@ -16,7 +16,12 @@ int main() {
   run::Runner study(bench::default_study());
   std::cout << "Fig. 13 — AS6453 Mono-FEC sub-split (Parallel Links vs "
                "Routers Disjoint)\n(running the 60-cycle study...)\n\n";
-  const lpr::LongitudinalReport report = study.run_all();
+  const run::RunOutcome outcome = study.run_all_contained();
+  if (!outcome.manifest.complete()) {
+    std::cerr << "study incomplete: a cycle failed\n";
+    return 1;
+  }
+  const lpr::LongitudinalReport& report = outcome.report;
   std::cout << '\n';
 
   util::TextTable table({"cycle", "date", "Mono-FEC", "parallel", "disjoint",

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 gate: full build + test suite, then a ThreadSanitizer pass over the
-# parallel execution layer (tests/test_parallel) to catch data races the
-# functional tests cannot, then an ASan+UBSan pass over the tolerant-ingest
-# layer (decoder fuzz corpus + chaos tests) to catch memory errors arbitrary
-# bytes could trigger. On top of that: a failpoint matrix (every io fault
-# class injected at 2% must leave a campaign contained) and a kill/resume
-# torture loop (real process kills at fixed io-op ordinals; resumed runs
-# must be byte-identical to an uninterrupted one).
+# parallel execution layer (tests/test_parallel, the campaign loop's shared
+# supervision state) to catch data races the functional tests cannot, then
+# an ASan+UBSan pass over the tolerant-ingest layer (decoder fuzz corpus +
+# chaos tests) to catch memory errors arbitrary bytes could trigger. On top
+# of that: a failpoint matrix (every io fault class injected at 2% must
+# leave a campaign contained) and a kill/resume torture loop (real process
+# kills at fixed io-op ordinals; resumed runs must be byte-identical to an
+# uninterrupted one).
 #
 # Usage: scripts/tier1.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 set -euo pipefail
@@ -66,20 +67,25 @@ for k in 2 7 13 23 31; do
   echo "  kill at op $k -> exit 9, resume byte-identical"
 done
 
-echo "== tier-1: TSan pass over test_parallel + test_obs + test_evolve + test_batch ($tsan_build) =="
+echo "== tier-1: TSan pass over test_parallel + test_obs + test_evolve + test_batch + test_supervision ($tsan_build) =="
 cmake -B "$tsan_build" -S "$repo" -DMUM_TSAN=ON
 # Only these targets — a full TSan tree is slow and adds nothing here.
 # test_obs runs with telemetry sinks installed, so the sharded metric and
 # trace paths get raced for real. test_evolve races the DeltaEvolver's
 # per-AS delta fan-out and the evolved runner at 16 threads. test_batch
 # races the arena-backed shard batches (one arena per monitor, merged in
-# monitor order) against the legacy oracle at 16 threads.
+# monitor order) against the legacy oracle at 16 threads. The
+# SupervisionRun cases race the campaign loop's shared abort, failure,
+# ENOSPC-streak and retry state at 1/4/16 threads; the kill/resume loop
+# among them is left out (a minute of re-runs in Release, no new races).
 cmake --build "$tsan_build" -j --target test_parallel --target test_obs \
-  --target test_evolve --target test_batch
+  --target test_evolve --target test_batch --target test_supervision
 "$tsan_build/tests/test_parallel"
 "$tsan_build/tests/test_obs"
 "$tsan_build/tests/test_evolve"
 "$tsan_build/tests/test_batch"
+"$tsan_build/tests/test_supervision" \
+  --gtest_filter='SupervisionRun.*:-SupervisionRun.KillAtEveryIoOpResumesByteIdentical'
 
 echo "== tier-1: ASan+UBSan pass over tolerant ingest ($asan_build) =="
 cmake -B "$asan_build" -S "$repo" -DMUM_ASAN=ON

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "dataset/pack.h"
+
 namespace mum::dataset {
 
 namespace {
@@ -146,7 +148,8 @@ std::optional<std::uint64_t> get_varint(std::string_view in, std::size_t& pos,
 
 std::string serialize_snapshot(const SnapshotBatch& snapshot,
                                std::uint8_t version) {
-  // v2 encode straight off the batch views (varint framing per record).
+  if (version >= kPackVersion) return serialize_pack(snapshot);
+  // v1/v2 encode straight off the batch views (varint framing per record).
   std::string out;
   out.append(kWartsLiteMagic, sizeof kWartsLiteMagic);
   put_u8(out, version);
@@ -181,6 +184,10 @@ std::string serialize_snapshot(const SnapshotBatch& snapshot,
 
 std::string serialize_snapshot(const SnapshotBatch& snapshot) {
   return serialize_snapshot(snapshot, kWartsLiteVersion);
+}
+
+const char* snapshot_extension(std::uint8_t version) noexcept {
+  return version >= kPackVersion ? ".mump" : ".mumw";
 }
 
 std::optional<SnapshotBatch> parse_snapshot_v2(

@@ -49,10 +49,15 @@ inline constexpr char kWartsLiteMagic[4] = {'M', 'U', 'M', 'W'};
 
 // Encode straight off the batch's TraceView/HopView spans.
 std::string serialize_snapshot(const SnapshotBatch& snapshot);
-// Serialize at an explicit format version (1 or 2) — for compatibility
-// tests and for producing archives older readers understand.
+// Serialize at an explicit format version: 1 or 2 for the stream (v1 for
+// compatibility tests and for archives older readers understand), 3 for
+// the columnar pack (dataset/pack.h). This is where a configured container
+// format picks its writer.
 std::string serialize_snapshot(const SnapshotBatch& snapshot,
                                std::uint8_t version);
+// File extension for a container format: ".mump" for the pack, ".mumw"
+// for the stream versions.
+const char* snapshot_extension(std::uint8_t version) noexcept;
 
 // Decode one snapshot from any warts-lite container, sniffing the magic to
 // pick the v1/v2 stream decoder or the v3 pack validator. Strict mode (the

@@ -146,30 +146,21 @@ dataset::SnapshotBatch CampaignRunner::snapshot(
 }
 
 dataset::MonthData CampaignRunner::month(int cycle) const {
-  const Internet& internet = *internet_;
-  dataset::MonthData month;
-  month.cycle_id = static_cast<std::uint32_t>(cycle);
-  month.date = cycle_date(cycle);
-
-  MonthContext ctx = internet.instantiate(cycle, /*day_of_month=*/1, pool_);
-  util::Rng dyn_rng(util::hash_combine(internet.config().seed,
-                                       0xD1Aull + cycle));
-  for (int s = 0; s <= config_.extra_snapshots; ++s) {
-    if (s > 0) ctx.advance_dynamics(dyn_rng);
-    month.snapshots.push_back(snapshot(ctx, cycle, s));
-  }
-  return month;
+  MonthContext ctx = internet_->instantiate(cycle, /*day_of_month=*/1, pool_);
+  return probe_month(ctx, cycle);
 }
 
 dataset::MonthData CampaignRunner::month(DeltaEvolver& evolver,
                                          int cycle) const {
-  const Internet& internet = *internet_;
+  return probe_month(evolver.evolve_to(cycle, /*day_of_month=*/1), cycle);
+}
+
+dataset::MonthData CampaignRunner::probe_month(MonthContext& ctx,
+                                               int cycle) const {
   dataset::MonthData month;
   month.cycle_id = static_cast<std::uint32_t>(cycle);
   month.date = cycle_date(cycle);
-
-  MonthContext& ctx = evolver.evolve_to(cycle, /*day_of_month=*/1);
-  util::Rng dyn_rng(util::hash_combine(internet.config().seed,
+  util::Rng dyn_rng(util::hash_combine(internet_->config().seed,
                                        0xD1Aull + cycle));
   for (int s = 0; s <= config_.extra_snapshots; ++s) {
     if (s > 0) ctx.advance_dynamics(dyn_rng);

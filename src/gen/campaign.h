@@ -77,6 +77,10 @@ class CampaignRunner {
   std::vector<dataset::SnapshotBatch> daily_month(int cycle, int days) const;
 
  private:
+  // The month body both month() overloads share: the cycle snapshot plus
+  // the extra snapshots over `ctx`, advancing label dynamics between runs.
+  dataset::MonthData probe_month(MonthContext& ctx, int cycle) const;
+
   // Per-monitor probe scratch: an arena the shard's TraceBatch carves from
   // plus a reusable forwarder walk buffer. Cached across snapshots so arena
   // high-water stabilizes after the first snapshot (the soak test gates

@@ -77,6 +77,11 @@ std::uint64_t TraceLog::events() const noexcept {
   return events_;
 }
 
+bool TraceLog::flush() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return static_cast<bool>(os_->flush());
+}
+
 void TraceLog::write_line(const std::string& line) {
   const std::lock_guard<std::mutex> lock(mutex_);
   *os_ << line << '\n';

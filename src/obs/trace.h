@@ -46,6 +46,9 @@ class TraceLog {
   void mark(std::string_view name, int cycle, std::string_view detail = {});
 
   std::uint64_t events() const noexcept;
+  // Push buffered lines to the sink; false once any write to it failed
+  // (a full disk surfaces here, not at open()).
+  bool flush();
 
  private:
   void write_line(const std::string& line);

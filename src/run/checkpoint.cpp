@@ -440,7 +440,7 @@ std::optional<lpr::CycleReport> load_checkpoint_file(const std::string& dir,
 std::string data_shard_filename(int cycle, std::size_t sub,
                                 std::uint8_t format) {
   return "cycle_" + std::to_string(cycle + 1) + "_s" + std::to_string(sub) +
-         (format >= dataset::kPackVersion ? ".mump" : ".mumw");
+         dataset::snapshot_extension(format);
 }
 
 bool write_data_shard(const std::string& dir, int cycle, std::size_t sub,
@@ -455,9 +455,7 @@ bool write_data_shard(const std::string& dir, int cycle, std::size_t sub,
   const std::string name = data_shard_filename(cycle, sub, format);
   const std::string final_path = (fs::path(dir) / name).string();
   const std::string tmp_path = (fs::path(dir) / (name + ".tmp")).string();
-  const std::string bytes = format >= dataset::kPackVersion
-                                ? dataset::serialize_pack(snapshot)
-                                : dataset::serialize_snapshot(snapshot);
+  const std::string bytes = dataset::serialize_snapshot(snapshot, format);
   if (!env.write_file(tmp_path, bytes)) return false;
   bytes_written.add(bytes.size());
   if (!env.rename_file(tmp_path, final_path)) return false;

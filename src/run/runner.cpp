@@ -1,11 +1,12 @@
 #include "run/runner.h"
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <thread>
+#include <utility>
 
-#include "dataset/pack.h"
 #include "dataset/snapshot_source.h"
 #include "dataset/warts_lite.h"
 #include "obs/log.h"
@@ -19,6 +20,22 @@
 namespace mum::run {
 
 namespace {
+
+// Fleet-size anomalies per (0-based) cycle: the paper's dataset shows two
+// dips "caused by measurement issues in the Archipelago infrastructure"
+// at cycles 23 and 58 (1-based) — modelled as a reduced monitor share.
+constexpr std::array<std::pair<int, double>, 2> kFleetDips = {
+    {{22, 0.55}, {57, 0.6}}};
+// Deterministic backoff before attempt N of a cycle or a write: N * this.
+constexpr std::uint64_t kRetryBackoffMs = 1;
+// Consecutive ENOSPC checkpoint-write failures before the run degrades:
+// persistence is dropped, computing continues, the manifest records it.
+constexpr int kEnospcDegradeThreshold = 3;
+
+void backoff(int attempt) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(
+      kRetryBackoffMs * static_cast<std::uint64_t>(attempt)));
+}
 
 std::unique_ptr<util::ThreadPool> make_pool(int threads_config) {
   const unsigned threads =
@@ -34,10 +51,8 @@ void log_cycle_progress(int cycle, const char* outcome) {
   const obs::LogLevel level =
       yearly ? obs::LogLevel::kInfo : obs::LogLevel::kDebug;
   if (!obs::log_enabled(level)) return;
-  std::string line = "  ... processed cycle " + std::to_string(cycle + 1) +
-                     " (" + gen::cycle_date(cycle) + ")";
-  if (outcome != nullptr) line += std::string(" [") + outcome + "]";
-  obs::log(level, line);
+  obs::log(level, "  ... processed cycle " + std::to_string(cycle + 1) +
+                      " (" + gen::cycle_date(cycle) + ") [" + outcome + "]");
 }
 
 }  // namespace
@@ -54,29 +69,14 @@ unsigned Runner::threads() const noexcept {
   return pool_ ? pool_->size() : 1;
 }
 
-gen::CampaignConfig Runner::campaign_for(int cycle) const {
-  gen::CampaignConfig campaign = config_.campaign;
-  const auto dip = config_.fleet_share_by_cycle.find(cycle);
-  if (dip != config_.fleet_share_by_cycle.end()) {
-    campaign.monitor_share *= dip->second;
-  }
-  return campaign;
-}
-
 dataset::MonthData Runner::month_data(int cycle) const {
-  return month_data(cycle, nullptr);
-}
-
-dataset::MonthData Runner::month_data(int cycle,
-                                      gen::DeltaEvolver* evolver) const {
-  gen::CampaignRunner campaign(internet_, ip2as_, campaign_for(cycle),
-                               pool_.get());
-  return evolver != nullptr ? campaign.month(*evolver, cycle)
-                            : campaign.month(cycle);
+  return prepare_month(cycle, nullptr, nullptr);
 }
 
 lpr::CycleReport Runner::run_cycle(int cycle) const {
-  return run_cycle_chaos(cycle, nullptr);
+  dataset::DecodeDiagnostics decode;
+  const dataset::MonthData month = prepare_month(cycle, nullptr, &decode);
+  return classify(cycle, month, std::move(decode));
 }
 
 dataset::MonthData Runner::prepare_month(int cycle,
@@ -85,7 +85,14 @@ dataset::MonthData Runner::prepare_month(int cycle,
                                          gen::DeltaEvolver* evolver) const {
   dataset::MonthData month = [&] {
     const obs::StageSpan span(obs::Stage::kGenerate, cycle);
-    return month_data(cycle, evolver);
+    gen::CampaignConfig campaign = config_.campaign;
+    for (const auto& [dip_cycle, share] : kFleetDips) {
+      if (dip_cycle == cycle) campaign.monitor_share *= share;
+    }
+    const gen::CampaignRunner runner(internet_, ip2as_, campaign,
+                                     pool_.get());
+    return evolver != nullptr ? runner.month(*evolver, cycle)
+                              : runner.month(cycle);
   }();
   if (corruptor != nullptr) {
     // Chaos wire round-trips run the real ingest path — that time is
@@ -98,9 +105,8 @@ dataset::MonthData Runner::prepare_month(int cycle,
         // Wire faults exercise the real ingest path: serialize (in the
         // configured container format), flip bits, tolerant-decode, keep
         // whatever the decoder salvaged.
-        std::string bytes = config_.snapshot_format >= dataset::kPackVersion
-                                ? dataset::serialize_pack(snapshot)
-                                : dataset::serialize_snapshot(snapshot);
+        std::string bytes =
+            dataset::serialize_snapshot(snapshot, config_.snapshot_format);
         corruptor->corrupt_bytes(
             bytes,
             util::hash_combine(static_cast<std::uint64_t>(cycle), sub));
@@ -129,15 +135,8 @@ dataset::MonthData Runner::prepare_month(int cycle,
   return month;
 }
 
-lpr::CycleReport Runner::run_cycle_chaos(int cycle,
-                                         chaos::Corruptor* corruptor,
-                                         gen::DeltaEvolver* evolver) const {
-  dataset::DecodeDiagnostics decode;
-  const dataset::MonthData month =
-      prepare_month(cycle, corruptor, &decode, evolver);
-  // Stage boundary: a deadline can fire on compute-only cycles here (no-op
-  // outside a CycleScope, so run_all and the benches never pay for it).
-  util::io::check_deadline();
+lpr::CycleReport Runner::classify(int cycle, const dataset::MonthData& month,
+                                  dataset::DecodeDiagnostics decode) const {
   const obs::StageSpan span(obs::Stage::kClassify, cycle);
   lpr::CycleReport report =
       lpr::run_pipeline(month, ip2as_, config_.pipeline, pool_.get());
@@ -169,7 +168,7 @@ void Runner::quarantine_file(const std::string& path,
 }
 
 std::optional<lpr::CycleReport> Runner::run_cycle_from_data(
-    int cycle, CycleStatus* status) const {
+    int cycle, CycleStatus& status) const {
   const auto paths = find_data_shards(config_.checkpoint_dir, cycle);
   if (paths.empty()) return std::nullopt;
   // Crash consistency: shards persist one at a time, so a kill mid-cycle
@@ -205,50 +204,13 @@ std::optional<lpr::CycleReport> Runner::run_cycle_from_data(
     // A shard whose *bytes* are bad is evidence of torn persistence —
     // quarantine it so the recompute can write a fresh one. An unreadable
     // shard proves nothing about the bytes; leave it alone.
-    if (status != nullptr &&
-        source->error_kind() == dataset::SourceErrorKind::kUndecodable) {
-      quarantine_file(source->last_path(), "undecodable shard", *status);
+    if (source->error_kind() == dataset::SourceErrorKind::kUndecodable) {
+      quarantine_file(source->last_path(), "undecodable shard", status);
     }
     return std::nullopt;
   }
   util::io::check_deadline();
-  const obs::StageSpan span(obs::Stage::kClassify, cycle);
-  lpr::CycleReport report =
-      lpr::run_pipeline(month, ip2as_, config_.pipeline, pool_.get());
-  report.decode = source->diagnostics();
-  return report;
-}
-
-lpr::LongitudinalReport Runner::run_all() const {
-  const int first = config_.first_cycle;
-  const int last = config_.last_cycle;
-  const std::size_t n =
-      last >= first ? static_cast<std::size_t>(last - first + 1) : 0;
-
-  lpr::LongitudinalReport report;
-  report.cycles.resize(n);
-  const auto run_one = [&](std::size_t i, gen::DeltaEvolver* evolver) {
-    const int cycle = first + static_cast<int>(i);
-    const std::uint64_t t0 = obs::monotonic_ns();
-    report.cycles[i] = run_cycle_chaos(cycle, nullptr, evolver);
-    if (obs::TraceLog* t = obs::trace()) {
-      t->span("cycle", cycle, t0, obs::monotonic_ns() - t0);
-    }
-    log_cycle_progress(cycle, nullptr);
-  };
-  if (config_.evolve) {
-    // Delta evolution: cycles advance one standing world in order; inner
-    // stages (monitor fan-out, SPF, classification) still use the pool.
-    gen::DeltaEvolver evolver(internet_, pool_.get());
-    for (std::size_t i = 0; i < n; ++i) run_one(i, &evolver);
-  } else {
-    // Each cycle fills its own slot; inner generation/classification runs
-    // inline on the worker (nested parallel_for detects the region), so the
-    // pool is never oversubscribed.
-    util::parallel_for(pool_.get(), n,
-                       [&](std::size_t i) { run_one(i, nullptr); });
-  }
-  return report;
+  return classify(cycle, month, source->diagnostics());
 }
 
 RunOutcome Runner::run_all_contained() const {
@@ -294,7 +256,7 @@ RunOutcome Runner::run_all_contained() const {
   std::atomic<bool> abort{false};
   std::atomic<bool> budget_exceeded{false};
   std::atomic<int> failures{0};
-  // ENOSPC degradation: after `enospc_degrade_threshold` consecutive
+  // ENOSPC degradation: after kEnospcDegradeThreshold consecutive
   // disk-full write failures the run stops persisting (checkpoints AND
   // shards) but keeps computing — the report completes, the manifest and
   // exit code say persistence was dropped.
@@ -308,13 +270,12 @@ RunOutcome Runner::run_all_contained() const {
     lpr::CycleReport& slot = out.report.cycles[i];
     // Deterministic placeholder: a failed or skipped cycle keeps its
     // identity in the report, with zero counts.
-    slot.cycle_id = static_cast<std::uint32_t>(cycle);
-    slot.date = gen::cycle_date(cycle);
     const auto reset_slot = [&] {
       slot = lpr::CycleReport{};
       slot.cycle_id = static_cast<std::uint32_t>(cycle);
       slot.date = gen::cycle_date(cycle);
     };
+    reset_slot();
 
     // One persistence attempt set: op-level retry for transient failures
     // (each retry draws fresh fault ordinals), no retry on disk-full, and
@@ -330,7 +291,7 @@ RunOutcome Runner::run_all_contained() const {
         if (util::io::env().last_error() == util::io::Error::kEnospc) {
           const int streak =
               enospc_streak.fetch_add(1, std::memory_order_acq_rel) + 1;
-          if (streak >= config_.enospc_degrade_threshold &&
+          if (streak >= kEnospcDegradeThreshold &&
               !degraded.exchange(true, std::memory_order_acq_rel)) {
             obs::log_warn(
                 "  ! persistent ENOSPC: dropping checkpoint persistence, "
@@ -342,9 +303,7 @@ RunOutcome Runner::run_all_contained() const {
           break;  // disk-full does not retry
         }
         if (t >= config_.retries) break;
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(std::uint64_t{config_.retry_backoff_ms} *
-                                      static_cast<std::uint64_t>(t + 1)));
+        backoff(t + 1);
       }
       ++status.checkpoint_write_failures;
       write_failures.inc();
@@ -391,7 +350,7 @@ RunOutcome Runner::run_all_contained() const {
         // shards re-ingests them — cheaper than regenerating, and identical
         // for clean runs. Failing that, recompute below.
         if (config_.checkpoint_data) {
-          if (auto from_data = run_cycle_from_data(cycle, &status)) {
+          if (auto from_data = run_cycle_from_data(cycle, status)) {
             slot = std::move(*from_data);
             status.outcome = CycleOutcome::kFromData;
             persist_checkpoint();
@@ -406,34 +365,23 @@ RunOutcome Runner::run_all_contained() const {
           throw chaos::ChaosError("injected failure in cycle " +
                                   std::to_string(cycle + 1));
         }
+        dataset::DecodeDiagnostics decode;
+        const dataset::MonthData month = prepare_month(
+            cycle, data_chaos ? &corruptor : nullptr, &decode, evolver);
+        // Stage boundary: a deadline can fire on compute-only cycles here.
+        util::io::check_deadline();
         if (checkpoints && config_.checkpoint_data) {
-          // Keep the month in hand so its snapshots can be persisted; the
-          // shards carry the post-chaos data (what the pipeline saw).
-          dataset::DecodeDiagnostics decode;
-          const dataset::MonthData month = prepare_month(
-              cycle, data_chaos ? &corruptor : nullptr, &decode, evolver);
-          util::io::check_deadline();
-          {
-            const obs::StageSpan span(obs::Stage::kReport, cycle);
-            for (std::size_t sub = 0; sub < month.snapshots.size(); ++sub) {
-              supervised_write([&] {
-                return write_data_shard(config_.checkpoint_dir, cycle, sub,
-                                        month.snapshots[sub],
-                                        config_.snapshot_format);
-              });
-            }
+          // The shards carry the post-chaos data (what the pipeline sees).
+          const obs::StageSpan span(obs::Stage::kReport, cycle);
+          for (std::size_t sub = 0; sub < month.snapshots.size(); ++sub) {
+            supervised_write([&] {
+              return write_data_shard(config_.checkpoint_dir, cycle, sub,
+                                      month.snapshots[sub],
+                                      config_.snapshot_format);
+            });
           }
-          {
-            const obs::StageSpan span(obs::Stage::kClassify, cycle);
-            slot = lpr::run_pipeline(month, ip2as_, config_.pipeline,
-                                     pool_.get());
-          }
-          slot.decode = std::move(decode);
-          util::io::check_deadline();
-        } else {
-          slot = run_cycle_chaos(cycle, data_chaos ? &corruptor : nullptr,
-                                 evolver);
         }
+        slot = classify(cycle, month, std::move(decode));
         status.outcome = CycleOutcome::kOk;
         if (evolver != nullptr) status.delta = evolver->last_stats();
         persist_checkpoint();
@@ -497,9 +445,7 @@ RunOutcome Runner::run_all_contained() const {
             if (obs::TraceLog* t = obs::trace()) {
               t->mark("cycle_retry", cycle, e.what());
             }
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                std::uint64_t{config_.retry_backoff_ms} *
-                static_cast<std::uint64_t>(attempt)));
+            backoff(attempt);
             continue;
           }
           status.outcome = CycleOutcome::kFailed;
@@ -528,11 +474,15 @@ RunOutcome Runner::run_all_contained() const {
 
   if (config_.evolve) {
     // Delta evolution runs the cycle loop serially against one standing
-    // world; checkpoint-restored cycles skip generation entirely and the
+    // world; inner stages (monitor fan-out, SPF, classification) still use
+    // the pool. Checkpoint-restored cycles skip generation entirely and the
     // evolver jumps the gap when the next computed cycle asks for it.
     gen::DeltaEvolver evolver(internet_, pool_.get());
     for (std::size_t i = 0; i < n; ++i) run_one(i, &evolver);
   } else {
+    // Each cycle fills its own slot; inner generation/classification runs
+    // inline on the worker (nested parallel_for detects the region), so the
+    // pool is never oversubscribed.
     util::parallel_for(pool_.get(), n,
                        [&](std::size_t i) { run_one(i, nullptr); });
   }

@@ -2,7 +2,9 @@
 // studies. A Runner builds the synthetic internet once from its config, then
 // runs monthly cycles through generation and the LPR pipeline — serially or
 // across a thread pool it owns. The fig*/table* benches, the CLI and the
-// examples all share this one API.
+// examples all share this one API: run_all_contained() is the campaign loop
+// (a default config runs plain cycles with nothing injected or persisted),
+// run_cycle() and month_data() serve single-cycle benches and tests.
 //
 // Determinism contract: all randomness derives from RNG streams keyed by
 // (seed, cycle, monitor)-style lineages, cycles are independent, and
@@ -12,7 +14,6 @@
 // right unless the machine is shared.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 
@@ -31,10 +32,6 @@ struct RunnerConfig {
   lpr::PipelineConfig pipeline;
   int first_cycle = 0;
   int last_cycle = gen::kCycles - 1;  // inclusive
-  // Fleet-size anomalies per (0-based) cycle: the paper's dataset shows two
-  // dips "caused by measurement issues in the Archipelago infrastructure"
-  // at cycles 23 and 58 (1-based) — modelled as a reduced monitor share.
-  std::map<int, double> fleet_share_by_cycle = {{22, 0.55}, {57, 0.6}};
   // Worker threads for cycle- and monitor-level parallelism: 0 = one per
   // hardware thread, 1 = fully serial. Output is identical either way.
   int threads = 0;
@@ -47,7 +44,7 @@ struct RunnerConfig {
   // full rebuild is the delta path's oracle.
   bool evolve = true;
 
-  // --- fault injection & containment (run_all_contained only) -----------
+  // --- fault injection & containment -------------------------------------
   // Chaos faults injected into each cycle's data (off by default). When
   // flip_byte > 0, snapshots additionally round-trip through serialization +
   // tolerant decode, and the decoder's diagnostics land in the cycle report.
@@ -74,23 +71,19 @@ struct RunnerConfig {
   // clean (chaos-free) runs the resumed report stays byte-identical.
   bool checkpoint_data = false;
 
-  // --- supervision (run_all_contained only) -----------------------------
+  // --- supervision -------------------------------------------------------
   // Extra attempts for a cycle whose worker threw. The attempt number keys
   // the io-fault streams (an injected EIO storm on attempt 0 does not recur
   // on attempt 1), while data chaos keys off (seed, cycle) alone — so an
   // injected cycle failure still burns every attempt, and the report bytes
   // never depend on how many attempts a cycle needed. 0 = no retries.
+  // Attempt N backs off N ms first.
   int retries = 0;
-  // Deterministic backoff between attempts: attempt N sleeps N * this.
-  std::uint32_t retry_backoff_ms = 1;
   // Cooperative per-cycle deadline, 0 = none. IoEnv ops and stage
   // boundaries check it; an expired cycle is recorded kTimedOut (never
   // retried — the next attempt would hit the same wall) and counts against
   // the failure budget.
   std::uint32_t cycle_deadline_ms = 0;
-  // Consecutive ENOSPC checkpoint-write failures before the run degrades:
-  // persistence is dropped, computing continues, the manifest records it.
-  int enospc_degrade_threshold = 3;
 };
 
 // What run_all_contained produces: the science and the operational record.
@@ -113,45 +106,48 @@ class Runner {
   // Effective thread count (config.threads resolved against hardware).
   unsigned threads() const noexcept;
 
-  // Generate one month of data and run the LPR pipeline on it. Monitor
-  // fan-out and classification use the pool when threads > 1.
+  // Generate one month of data (from-scratch instantiate, no evolver) and
+  // run the LPR pipeline on it. Monitor fan-out and classification use the
+  // pool when threads > 1. The campaign loop's evolved cycles must match it
+  // byte for byte, which makes it the loop's oracle in tests.
   lpr::CycleReport run_cycle(int cycle) const;
   // Month data only (for benches that sweep pipeline configs over fixed
   // data, like the Fig. 6 persistence sweep).
   dataset::MonthData month_data(int cycle) const;
 
-  // Run the whole configured cycle range; cycles execute in parallel when
-  // threads > 1 and merge in cycle order. Progress goes through obs::log
-  // (one info line per 12 cycles, per-cycle at debug); line interleaving
-  // may differ across thread counts, reports never do.
-  // A worker exception propagates — use run_all_contained to survive it.
-  lpr::LongitudinalReport run_all() const;
-
-  // Containment variant: chaos injection, per-cycle error containment with
-  // the configured failure policy, checkpoints and resume. A failed cycle
-  // keeps a deterministic placeholder slot (cycle id + date, zero counts),
-  // so the final report stays byte-identical across thread counts whenever
-  // the set of attempted cycles is deterministic (always true under
-  // keep-going within budget, and for chaos-injected failures).
+  // Run the whole configured cycle range: the one campaign loop. With
+  // evolve on, cycles advance one standing world in order; with it off they
+  // fan out across the pool. Either way they merge in cycle order. Progress
+  // goes through obs::log (one info line per 12 cycles, per-cycle at
+  // debug); line interleaving may differ across thread counts, reports
+  // never do.
+  //
+  // Every cycle is contained: chaos injection, per-cycle error containment
+  // with the configured failure policy, retries, checkpoints and resume. A
+  // failed cycle keeps a deterministic placeholder slot (cycle id + date,
+  // zero counts), so the final report stays byte-identical across thread
+  // counts whenever the set of attempted cycles is deterministic (always
+  // true under keep-going within budget, and for chaos-injected failures).
+  // Callers that need every cycle check manifest.complete().
   // The manifest additionally records per-cycle wall-clock and stage
   // timings, total wall-clock and peak RSS — observed state only; nothing
   // in the report depends on it.
   RunOutcome run_all_contained() const;
 
  private:
-  gen::CampaignConfig campaign_for(int cycle) const;
-  // month_data plus optional chaos: structural faults mutate the month's
-  // snapshots in place; wire faults round-trip them through serialization
-  // (in config.snapshot_format) and tolerant decode, re-annotating
-  // survivors, with the decoder's diagnostics accumulated into `decode`.
-  // `evolver`, when given, generates the month against the standing evolved
-  // world instead of a from-scratch instantiate (byte-identical output).
-  dataset::MonthData month_data(int cycle, gen::DeltaEvolver* evolver) const;
+  // Generate a month (against `evolver`'s standing world when given — a
+  // byte-identical mutation of the from-scratch instantiate), then apply
+  // optional chaos: structural faults mutate the month's snapshots in
+  // place; wire faults round-trip them through serialization (in
+  // config.snapshot_format) and tolerant decode, re-annotating survivors,
+  // with the decoder's diagnostics accumulated into `decode`.
   dataset::MonthData prepare_month(int cycle, chaos::Corruptor* corruptor,
                                    dataset::DecodeDiagnostics* decode,
                                    gen::DeltaEvolver* evolver = nullptr) const;
-  lpr::CycleReport run_cycle_chaos(int cycle, chaos::Corruptor* corruptor,
-                                   gen::DeltaEvolver* evolver = nullptr) const;
+  // The shared tail of every cycle: run the pipeline over `month` and attach
+  // what the decoders salvaged, then check the cycle deadline.
+  lpr::CycleReport classify(int cycle, const dataset::MonthData& month,
+                            dataset::DecodeDiagnostics decode) const;
   // Re-ingest a cycle's persisted data shards (strict decode, magic-sniffed
   // per shard) and run the pipeline on them. nullopt when shards are
   // missing, incomplete (fewer than the configured snapshots per cycle — a
@@ -159,7 +155,7 @@ class Runner {
   // the caller recomputes from generation. An undecodable shard is recorded
   // in `status` so the supervision layer can quarantine it.
   std::optional<lpr::CycleReport> run_cycle_from_data(
-      int cycle, CycleStatus* status = nullptr) const;
+      int cycle, CycleStatus& status) const;
   // Move a corrupt checkpoint/shard into <checkpoint_dir>/quarantine/
   // (kept as evidence, never deleted) and record the reason in `status`.
   void quarantine_file(const std::string& path, const std::string& reason,

@@ -394,10 +394,16 @@ TEST(Containment, FailureBudgetAbortsTheRun) {
   EXPECT_GE(outcome.manifest.count(run::CycleOutcome::kSkipped), 1u);
 }
 
+// The oracle is per-cycle run_cycle(): a from-scratch rebuild with no
+// evolver, no containment and no manifest — an independent path to the
+// bytes the campaign loop must produce at any thread count.
 TEST(Containment, CleanRunMatchesRunAllAcrossThreadCounts) {
   auto config = small_runner(3);
   run::Runner serial(config);
-  const auto baseline = serial.run_all();
+  lpr::LongitudinalReport baseline;
+  for (int c = config.first_cycle; c <= config.last_cycle; ++c) {
+    baseline.cycles.push_back(serial.run_cycle(c));
+  }
   const auto contained = serial.run_all_contained();
   EXPECT_TRUE(contained.manifest.complete());
   EXPECT_EQ(contained.report.to_json(), baseline.to_json());
@@ -405,6 +411,7 @@ TEST(Containment, CleanRunMatchesRunAllAcrossThreadCounts) {
   config.threads = 3;
   run::Runner threaded(config);
   const auto parallel = threaded.run_all_contained();
+  EXPECT_TRUE(parallel.manifest.complete());
   EXPECT_EQ(parallel.report.to_json(), baseline.to_json());
 }
 

@@ -386,6 +386,28 @@ TEST_F(CliPipeline, CampaignDegradedExitCode) {
   EXPECT_NE(json.find("persistent enospc"), std::string::npos);
 }
 
+// A file that fails only when flushed (a full disk) loses telemetry or
+// trace bytes; the run must say so and exit fatal (3), not ok.
+TEST_F(CliPipeline, CampaignTelemetryToFullDiskIsFatal) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  std::string out;
+  EXPECT_EQ(run_cmd({"campaign", "--small", "--cycles", "1", "--quiet",
+                     "--telemetry=/dev/full"},
+                    &out),
+            kExitFatal);
+  EXPECT_NE(out.find("cannot write /dev/full"), std::string::npos) << out;
+}
+
+TEST_F(CliPipeline, CampaignTraceToFullDiskIsFatal) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  std::string out;
+  EXPECT_EQ(run_cmd({"campaign", "--small", "--cycles", "1", "--quiet",
+                     "--trace-out", "/dev/full"},
+                    &out),
+            kExitFatal);
+  EXPECT_NE(out.find("cannot write /dev/full"), std::string::npos) << out;
+}
+
 TEST_F(CliPipeline, CampaignSupervisionFlags) {
   // --retry and --cycle-deadline parse and validate.
   std::string out;

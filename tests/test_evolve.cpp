@@ -385,8 +385,8 @@ TEST(EvolveRunner, ReportMatchesRebuildOracleAcrossSeeds) {
     auto off = evolve_runner(/*cycles=*/6, /*threads=*/2, /*evolve=*/false);
     on.gen.seed = seed;
     off.gen.seed = seed;
-    const auto evolved = run::Runner(on).run_all();
-    const auto rebuilt = run::Runner(off).run_all();
+    const auto evolved = run::Runner(on).run_all_contained().report;
+    const auto rebuilt = run::Runner(off).run_all_contained().report;
     EXPECT_EQ(evolved.to_json(), rebuilt.to_json()) << "seed=" << seed;
   }
 }
@@ -395,11 +395,14 @@ TEST(EvolveRunner, ReportMatchesRebuildOracleAcrossSeeds) {
 // must not depend on how much the inner stages parallelize.
 TEST(EvolveRunner, ByteIdenticalAtAnyThreadCount) {
   const auto baseline =
-      run::Runner(evolve_runner(5, /*threads=*/1, /*evolve=*/true)).run_all();
+      run::Runner(evolve_runner(5, /*threads=*/1, /*evolve=*/true))
+          .run_all_contained()
+          .report;
   const std::string expected = baseline.to_json();
   for (const int threads : {4, 16}) {
-    const auto got =
-        run::Runner(evolve_runner(5, threads, /*evolve=*/true)).run_all();
+    const auto got = run::Runner(evolve_runner(5, threads, /*evolve=*/true))
+                         .run_all_contained()
+                         .report;
     EXPECT_EQ(got.to_json(), expected) << "threads=" << threads;
   }
 }

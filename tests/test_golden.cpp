@@ -201,7 +201,9 @@ TEST_P(GoldenDigests, DefaultStudy) {
   config.threads = GetParam();
   run::Runner runner(config);
   ASSERT_EQ(config.last_cycle - config.first_cycle + 1, 60);
-  expect_digests(cycle_digests(runner.run_all()), kDefaultStudy,
+  const run::RunOutcome outcome = runner.run_all_contained();
+  ASSERT_TRUE(outcome.manifest.complete());
+  expect_digests(cycle_digests(outcome.report), kDefaultStudy,
                  label("default study"));
 }
 
@@ -216,17 +218,19 @@ TEST_P(GoldenDigests, Chaos) {
   // Wire faults round-trip every snapshot through the configured container:
   // the v2 stream decoder and the v3 pack validator each salvage their own
   // damage.
-  for (const std::uint8_t format :
-       {dataset::kWartsLiteVersion, dataset::kPackVersion}) {
-    config.snapshot_format = format;
+  const struct {
+    std::uint8_t format;
+    const std::vector<std::uint64_t>& digests;
+    const char* run;
+  } cases[] = {{dataset::kWartsLiteVersion, kChaosV2, "chaos v2"},
+               {dataset::kPackVersion, kChaosV3, "chaos v3"}};
+  for (const auto& c : cases) {
+    config.snapshot_format = c.format;
     run::Runner runner(config);
     const run::RunOutcome outcome = runner.run_all_contained();
     ASSERT_TRUE(outcome.manifest.complete());
     ASSERT_GT(outcome.manifest.chaos_total().total(), 0u);
-    expect_digests(cycle_digests(outcome.report),
-                   format == dataset::kPackVersion ? kChaosV3 : kChaosV2,
-                   label(format == dataset::kPackVersion ? "chaos v3"
-                                                          : "chaos v2"));
+    expect_digests(cycle_digests(outcome.report), c.digests, label(c.run));
   }
 }
 

@@ -216,8 +216,8 @@ TEST(Determinism, RunnerLongitudinalIdenticalAcrossThreadCounts) {
   run::RunnerConfig parallel_config = serial_config;
   parallel_config.threads = 4;
 
-  const auto rs = run::Runner(serial_config).run_all();
-  const auto rp = run::Runner(parallel_config).run_all();
+  const auto rs = run::Runner(serial_config).run_all_contained().report;
+  const auto rp = run::Runner(parallel_config).run_all_contained().report;
   ASSERT_EQ(rs.cycles.size(), 3u);
   EXPECT_EQ(rs.to_json(), rp.to_json());
 }

@@ -304,7 +304,6 @@ TEST_F(SupervisionRun, InjectedCycleFailureBurnsEveryAttempt) {
   config.chaos.seed = 3;
   config.keep_going = true;
   config.retries = 2;
-  config.retry_backoff_ms = 0;
   const run::Runner runner(config);
   const auto outcome = runner.run_all_contained();
   const auto failed = outcome.manifest.count(run::CycleOutcome::kFailed);
@@ -388,7 +387,6 @@ TEST_F(SupervisionRun, PersistentEnospcDegradesButCompletes) {
   auto config = tiny_runner(6);
   config.checkpoint_dir = dir_.string();
   config.chaos.io.enospc = 1.0;  // disk full for every write, forever
-  config.enospc_degrade_threshold = 3;
   const run::Runner runner(config);
   const auto outcome = runner.run_all_contained();
 
@@ -397,8 +395,9 @@ TEST_F(SupervisionRun, PersistentEnospcDegradesButCompletes) {
   EXPECT_TRUE(outcome.manifest.checkpoints_degraded);
   EXPECT_TRUE(outcome.manifest.degraded());
   EXPECT_FALSE(outcome.manifest.degraded_reason.empty());
-  // Exactly threshold failures were recorded before persistence stopped
-  // (disk-full is never retried; serial cycles, one checkpoint write each).
+  // Exactly the degrade threshold (3 consecutive ENOSPC failures) was
+  // recorded before persistence stopped (disk-full is never retried;
+  // serial cycles, one checkpoint write each).
   EXPECT_EQ(outcome.manifest.checkpoint_write_failures_total(), 3u);
   for (const auto& cycle : outcome.report.cycles) {
     EXPECT_FALSE(cycle.date.empty());
@@ -426,8 +425,7 @@ TEST_F(SupervisionRun, ReportBytesImmuneToIoChaosAndThreads) {
     config.chaos.io.stale_rename = 0.02;
     config.chaos.seed = 99;
     config.retries = 2;
-    config.retry_backoff_ms = 0;
-    const auto outcome = run::Runner(config).run_all_contained();
+      const auto outcome = run::Runner(config).run_all_contained();
     EXPECT_TRUE(outcome.manifest.complete());
     EXPECT_EQ(outcome.report.to_json(), baseline.report.to_json())
         << "threads=" << threads;

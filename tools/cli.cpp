@@ -119,11 +119,39 @@ std::optional<std::string> Args::unknown_flag() const {
 
 namespace {
 
-// --format v2|v3: container format for files this command writes.
-std::optional<std::uint8_t> parse_format(const std::string& text) {
-  if (text == "v2" || text == "2") return dataset::kWartsLiteVersion;
-  if (text == "v3" || text == "3") return dataset::kPackVersion;
-  return std::nullopt;
+// --format v2|v3: container format for files this command writes. An
+// absent flag leaves `format` as it is; a bad value is a usage error
+// (written to `err`, returns false).
+bool apply_format(const std::optional<std::string>& spec,
+                  std::uint8_t& format, std::ostream& err) {
+  if (!spec) return true;
+  if (*spec == "v2" || *spec == "2") {
+    format = dataset::kWartsLiteVersion;
+  } else if (*spec == "v3" || *spec == "3") {
+    format = dataset::kPackVersion;
+  } else {
+    err << "--format must be v2 or v3, got '" << *spec << "'\n";
+    return false;
+  }
+  return true;
+}
+
+// --small: a world a few hundred traces big, for smoke runs and tests.
+void apply_small_world(gen::GenConfig& gen) {
+  gen.background_transit = 8;
+  gen.stub_ases = 12;
+  gen.monitors = 6;
+  gen.dests_per_monitor = 150;
+}
+
+// Flush a file the command wrote and check that every byte landed: a full
+// disk (or /dev/full) only fails at flush time. On failure the error goes
+// to `err` and the command exits kExitFatal.
+bool finish_file(std::ofstream& os, const fs::path& path, std::ostream& err) {
+  os.close();
+  if (os) return true;
+  err << "cannot write " << path.string() << '\n';
+  return false;
 }
 
 // --scale routers=N[,lsps=M]: world-size targets; k/m suffixes accepted
@@ -334,6 +362,8 @@ class ScopedTrace {
   ~ScopedTrace() {
     if (log_) obs::set_trace(nullptr);
   }
+  // False when the installed log lost a write.
+  bool flush() { return !log_ || log_->flush(); }
 
  private:
   std::unique_ptr<obs::TraceLog> log_;
@@ -367,23 +397,11 @@ int run_generate(Args& args, std::ostream& out, std::ostream& err) {
     return kExitUsage;
   }
   std::uint8_t format = dataset::kWartsLiteVersion;
-  if (format_spec) {
-    const auto parsed = parse_format(*format_spec);
-    if (!parsed) {
-      err << "--format must be v2 or v3, got '" << *format_spec << "'\n";
-      return kExitUsage;
-    }
-    format = *parsed;
-  }
+  if (!apply_format(format_spec, format, err)) return kExitUsage;
 
   gen::GenConfig config;
   config.seed = static_cast<std::uint64_t>(seed);
-  if (small) {
-    config.background_transit = 8;
-    config.stub_ases = 12;
-    config.monitors = 6;
-    config.dests_per_monitor = 150;
-  }
+  if (small) apply_small_world(config);
   gen::Internet internet(config);
   const auto ip2as = internet.build_ip2as();
 
@@ -397,23 +415,18 @@ int run_generate(Args& args, std::ostream& out, std::ostream& err) {
     const fs::path file =
         fs::path(*out_dir) /
         ("cycle" + std::to_string(snap.cycle_id + 1) + "_s" +
-         std::to_string(snap.sub_index) +
-         (format >= dataset::kPackVersion ? ".mump" : ".mumw"));
+         std::to_string(snap.sub_index) + dataset::snapshot_extension(format));
     std::ofstream os(file, std::ios::binary);
-    if (!os) {
-      err << "cannot write " << file << '\n';
-      return kExitFatal;
-    }
-    const std::string bytes = format >= dataset::kPackVersion
-                                  ? dataset::serialize_pack(snap)
-                                  : dataset::serialize_snapshot(snap);
+    const std::string bytes = dataset::serialize_snapshot(snap, format);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    if (!finish_file(os, file, err)) return kExitFatal;
     out << "wrote " << file.string() << " (" << snap.trace_count()
         << " traces)\n";
   }
   const fs::path table_file = fs::path(*out_dir) / "ip2as.txt";
   std::ofstream ts(table_file);
   ts << dataset::to_table_text(ip2as);
+  if (!finish_file(ts, table_file, err)) return kExitFatal;
   out << "wrote " << table_file.string() << " (" << ip2as.prefix_count()
       << " prefixes)\n";
   return kExitOk;
@@ -654,12 +667,7 @@ int run_campaign(Args& args, std::ostream& out, std::ostream& err) {
       return kExitUsage;
     }
   }
-  if (small) {
-    config.gen.background_transit = 8;
-    config.gen.stub_ases = 12;
-    config.gen.monitors = 6;
-    config.gen.dests_per_monitor = 150;
-  }
+  if (small) apply_small_world(config.gen);
   config.first_cycle = 0;
   config.last_cycle = static_cast<int>(cycles) - 1;
   config.threads = static_cast<int>(threads);
@@ -678,13 +686,8 @@ int run_campaign(Args& args, std::ostream& out, std::ostream& err) {
     err << "--checkpoint-data requires --checkpoints or --resume\n";
     return kExitUsage;
   }
-  if (format_spec) {
-    const auto parsed = parse_format(*format_spec);
-    if (!parsed) {
-      err << "--format must be v2 or v3, got '" << *format_spec << "'\n";
-      return kExitUsage;
-    }
-    config.snapshot_format = *parsed;
+  if (!apply_format(format_spec, config.snapshot_format, err)) {
+    return kExitUsage;
   }
   if (chaos_spec) {
     std::string error;
@@ -710,7 +713,7 @@ int run_campaign(Args& args, std::ostream& out, std::ostream& err) {
       return kExitFatal;
     }
   }
-  const ScopedTrace trace_scope(std::move(trace_log));
+  ScopedTrace trace_scope(std::move(trace_log));
   // Fresh counters: the dump below covers this campaign alone, even when
   // several invocations share the process (tests drive cli::run directly).
   obs::registry().reset();
@@ -731,10 +734,15 @@ int run_campaign(Args& args, std::ostream& out, std::ostream& err) {
     outcome.report.to_table(out);
   }
   if (!config.checkpoint_dir.empty()) {
+    // A run whose cycles never persisted anything (all timed out, say)
+    // still owes the directory its manifest.
+    std::error_code ec;
+    fs::create_directories(config.checkpoint_dir, ec);
     const fs::path manifest_file =
         fs::path(config.checkpoint_dir) / "manifest.json";
     std::ofstream ms(manifest_file);
     ms << outcome.manifest.to_json() << '\n';
+    if (!finish_file(ms, manifest_file, err)) return kExitFatal;
   }
   if (telemetry) {
     // Registry snapshot at end of run: to the named file, or to the err
@@ -742,14 +750,15 @@ int run_campaign(Args& args, std::ostream& out, std::ostream& err) {
     const std::string snapshot = obs::registry().to_json();
     if (*telemetry) {
       std::ofstream ts(**telemetry);
-      if (!ts) {
-        err << "cannot write " << **telemetry << '\n';
-        return kExitFatal;
-      }
       ts << snapshot << '\n';
+      if (!finish_file(ts, **telemetry, err)) return kExitFatal;
     } else {
       err << snapshot << '\n';
     }
+  }
+  if (!trace_scope.flush()) {
+    err << "cannot write " << *trace_out << '\n';
+    return kExitFatal;
   }
 
   const run::RunManifest& manifest = outcome.manifest;
