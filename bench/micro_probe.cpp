@@ -8,7 +8,8 @@
 // both in BENCH_PR9.json and gates the batch path at >= 3x the heap
 // reference's traces/s and >= 10x fewer allocations per trace.
 // BM_CampaignSnapshot additionally times the full campaign snapshot
-// (routing + walk included) as ungated context.
+// (plane lookup + walk included; probes are routed once, on the runner's
+// first snapshot) as ungated context.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -94,38 +95,21 @@ struct Corpus {
           return config;
         }()),
         ip2as(internet.build_ip2as()) {
-    // Replicate the campaign's per-monitor destination split exactly, but
-    // keep the walks instead of tracing them.
+    // The campaign's own probe plans, resolved against cycle 50, keeping
+    // the walks instead of tracing them.
     const auto ctx = internet.instantiate(50);
-    const auto& monitors = internet.monitors();
-    const auto& dests = internet.destinations();
-    const int per_monitor = internet.config().dests_per_monitor;
-    const int overlap = std::max(1, internet.config().dest_overlap);
-    by_monitor.resize(monitors.size());
-    gen::Internet::PathScratch scratch;
-    for (std::size_t mi = 0; mi < monitors.size(); ++mi) {
-      int probed = 0;
-      for (int o = 0; o < overlap && probed < per_monitor; ++o) {
-        const std::size_t lane =
-            (mi + monitors.size() - static_cast<std::size_t>(o)) %
-            monitors.size();
-        const int per_dest = std::max(1, internet.config().probes_per_dest);
-        for (std::size_t d = lane; d < dests.size() && probed < per_monitor;
-             d += monitors.size(), ++probed) {
-          for (int pp = 0; pp < per_dest; ++pp) {
-            gen::Destination dest = dests[d];
-            dest.addr = net::Ipv4Addr(dest.addr.value() +
-                                      static_cast<std::uint32_t>(pp) * 128);
-            if (!internet.path_spec(monitors[mi], dest, ctx, scratch)) {
-              continue;
-            }
-            ProbeInput probe;
-            probe.dst = dest.addr;
-            probe.walk = probe::walk_path(
-                scratch.path, probe::paris_flow_id(monitors[mi], dest.addr));
-            by_monitor[mi].push_back(std::move(probe));
-          }
-        }
+    std::vector<const probe::AsDataPlane*> planes;
+    ctx.plane_table(planes);
+    probe::PathSpec path;
+    by_monitor.resize(internet.monitors().size());
+    for (std::size_t mi = 0; mi < by_monitor.size(); ++mi) {
+      const gen::ProbePlan plan = internet.probe_plan(mi);
+      for (std::size_t i = 0; i < plan.size(); ++i) {
+        if (!plan.resolve(i, planes, path)) continue;
+        ProbeInput probe;
+        probe.dst = path.dst;
+        probe.walk = probe::walk_path(path, plan.probes[i].flow_id);
+        by_monitor[mi].push_back(std::move(probe));
       }
       traces += by_monitor[mi].size();
     }
@@ -284,8 +268,9 @@ void BM_MeasurementPathBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_MeasurementPathBatch)->Unit(benchmark::kMillisecond);
 
-// Context (not gated): the full campaign snapshot including AS routing and
-// the forwarding walk — the simulation floor under the measurement path.
+// Context (not gated): the full campaign snapshot including the plan's
+// plane lookup and the forwarding walk — the simulation floor under the
+// measurement path.
 void BM_CampaignSnapshot(benchmark::State& state) {
   const Corpus& c = corpus();
   const gen::CampaignRunner campaign(c.internet, c.ip2as);

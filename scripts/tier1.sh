@@ -67,7 +67,7 @@ for k in 2 7 13 23 31; do
   echo "  kill at op $k -> exit 9, resume byte-identical"
 done
 
-echo "== tier-1: TSan pass over test_parallel + test_obs + test_evolve + test_batch + test_supervision ($tsan_build) =="
+echo "== tier-1: TSan pass over test_parallel + test_obs + test_evolve + test_batch + test_supervision + test_campaign ($tsan_build) =="
 cmake -B "$tsan_build" -S "$repo" -DMUM_TSAN=ON
 # Only these targets — a full TSan tree is slow and adds nothing here.
 # test_obs runs with telemetry sinks installed, so the sharded metric and
@@ -78,14 +78,20 @@ cmake -B "$tsan_build" -S "$repo" -DMUM_TSAN=ON
 # SupervisionRun cases race the campaign loop's shared abort, failure,
 # ENOSPC-streak and retry state at 1/4/16 threads; the kill/resume loop
 # among them is left out (a minute of re-runs in Release, no new races).
+# test_campaign's ProbePlan and CampaignRunnerReuse cases race the probe
+# plans, which each monitor builds lazily inside the monitor fan-out, and a
+# runner reused across 60 cycles on a 4-thread pool.
 cmake --build "$tsan_build" -j --target test_parallel --target test_obs \
-  --target test_evolve --target test_batch --target test_supervision
+  --target test_evolve --target test_batch --target test_supervision \
+  --target test_campaign
 "$tsan_build/tests/test_parallel"
 "$tsan_build/tests/test_obs"
 "$tsan_build/tests/test_evolve"
 "$tsan_build/tests/test_batch"
 "$tsan_build/tests/test_supervision" \
   --gtest_filter='SupervisionRun.*:-SupervisionRun.KillAtEveryIoOpResumesByteIdentical'
+"$tsan_build/tests/test_campaign" \
+  --gtest_filter='ProbePlan.*:CampaignRunnerReuse.*'
 
 echo "== tier-1: ASan+UBSan pass over tolerant ingest ($asan_build) =="
 cmake -B "$asan_build" -S "$repo" -DMUM_ASAN=ON

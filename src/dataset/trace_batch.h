@@ -26,7 +26,7 @@
 // Arena ownership: a default-constructed batch owns a private arena; the
 // borrowing constructor carves from a caller-owned arena that the caller
 // resets between uses (the per-monitor shard pattern in
-// gen::CampaignRunner::snapshot_batch — steady state allocates nothing).
+// gen::CampaignRunner::snapshot — steady state allocates nothing).
 // Only trivially-copyable column data lives in the arena, so moving a batch
 // is a pointer copy and dropping one runs no per-trace destructors.
 #pragma once

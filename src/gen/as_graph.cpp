@@ -104,30 +104,16 @@ const AsGraph::DestTables& AsGraph::tables_for(std::uint32_t dst) const {
 
 std::vector<std::uint32_t> AsGraph::route(std::uint32_t src,
                                           std::uint32_t dst) const {
-  std::vector<std::uint32_t> path;
-  route(src, dst, path);
-  return path;
-}
-
-void AsGraph::route(std::uint32_t src, std::uint32_t dst,
-                    std::vector<std::uint32_t>& path) const {
-  path.clear();
-  if (src == dst) {
-    path.push_back(src);
-    return;
-  }
+  if (src == dst) return {src};
   const DestTables& t = tables_for(dst);
 
-  path.push_back(src);
+  std::vector<std::uint32_t> path{src};
   // Phase encodes where we are in the valley-free walk:
   // 0 = may still climb providers, 1 = peer edge used / descending only.
   int phase = 0;
   std::size_t at = index_of(src);
   while (nodes_[at].asn != dst) {
-    if (path.size() > nodes_.size()) {  // safety: no route
-      path.clear();
-      return;
-    }
+    if (path.size() > nodes_.size()) return {};  // safety: no route
 
     // Candidate next hops with the metric they would leave us with,
     // preferring customer > peer > provider on equal totals.
@@ -169,14 +155,12 @@ void AsGraph::route(std::uint32_t src, std::uint32_t dst,
       }
     }
 
-    if (best_next == ~std::size_t{0}) {  // unreachable
-      path.clear();
-      return;
-    }
+    if (best_next == ~std::size_t{0}) return {};  // unreachable
     at = best_next;
     phase = best_phase;
     path.push_back(nodes_[at].asn);
   }
+  return path;
 }
 
 bool AsGraph::fully_connected() const {

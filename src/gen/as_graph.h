@@ -63,10 +63,6 @@ class AsGraph {
   // concurrently (the memo cache is lock-guarded); mutation via add_* must
   // not race with route().
   std::vector<std::uint32_t> route(std::uint32_t src, std::uint32_t dst) const;
-  // Scratch-reusing form: clears and refills `out` (capacity kept) — the
-  // per-probe hot path. Same result as the returning overload.
-  void route(std::uint32_t src, std::uint32_t dst,
-             std::vector<std::uint32_t>& out) const;
 
   // True when every AS can reach every other AS.
   bool fully_connected() const;

@@ -1,5 +1,7 @@
 #include "gen/campaign.h"
 
+#include <optional>
+
 #include "obs/telemetry.h"
 #include "probe/forwarder.h"
 #include "probe/traceroute.h"
@@ -8,9 +10,10 @@
 namespace mum::gen {
 
 struct CampaignRunner::MonitorShard {
+  std::optional<ProbePlan> plan;
   util::Arena arena;
+  probe::PathSpec path;
   probe::WalkResult walk;
-  Internet::PathScratch path;
 };
 
 CampaignRunner::CampaignRunner(const Internet& internet,
@@ -43,7 +46,6 @@ dataset::SnapshotBatch CampaignRunner::snapshot(
   ctx.apply_flaps(sub_index, internet.config().ecmp_flap_prob);
 
   const auto& monitors = internet.monitors();
-  const auto& dests = internet.destinations();
   const std::size_t n_monitors = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              static_cast<double>(monitors.size()) * config.monitor_share));
@@ -55,14 +57,10 @@ dataset::SnapshotBatch CampaignRunner::snapshot(
       internet.config().seed,
       util::hash_combine(0xABCDull + cycle, sub_index)));
 
-  const int per_monitor = internet.config().dests_per_monitor;
-  const int overlap = std::max(1, internet.config().dest_overlap);
-
-  // Ark-style split of the destination list across the fleet, with overlap:
-  // destination d is probed by the `overlap` monitors following d % N
-  // (stable across snapshots, so the Persistence filter compares like with
-  // like). Each monitor writes its own shard batch; shards are merged in
-  // monitor order so the snapshot is identical to a serial run.
+  // Each monitor probes its plan (Internet::probe_plan: the Ark-style split
+  // of the destination list, stable across snapshots so the Persistence
+  // filter compares like with like) into its own shard batch; shards are
+  // merged in monitor order so the snapshot is identical to a serial run.
   //
   // Shard arenas are grown serially, then reset and lent to one TraceBatch
   // each: after the first snapshot every column re-carves the same chunks,
@@ -76,32 +74,22 @@ dataset::SnapshotBatch CampaignRunner::snapshot(
     shards_[mi]->arena.reset();
     blocks.emplace_back(shards_[mi]->arena);
   }
+  ctx.plane_table(planes_);
 
   util::parallel_for(pool_, n_monitors, [&](std::size_t mi) {
     const probe::Monitor& monitor = monitors[mi];
+    MonitorShard& shard = *shards_[mi];
+    // Routed once per runner; assigned only once complete, so a throw
+    // leaves no partial plan behind.
+    if (!shard.plan) shard.plan = internet.probe_plan(mi);
+    const ProbePlan& plan = *shard.plan;
     util::Rng rng = noise_base.fork(mi);
     dataset::TraceBatch& out = blocks[mi];
-    probe::WalkResult& walk = shards_[mi]->walk;
-    Internet::PathScratch& path = shards_[mi]->path;
-    int probed = 0;
-    for (int o = 0; o < overlap && probed < per_monitor; ++o) {
-      const std::size_t lane =
-          (mi + monitors.size() - static_cast<std::size_t>(o)) %
-          monitors.size();
-      const int per_dest = std::max(1, internet.config().probes_per_dest);
-      for (std::size_t d = lane; d < dests.size() && probed < per_monitor;
-           d += monitors.size(), ++probed) {
-        for (int pp = 0; pp < per_dest; ++pp) {
-          // Additional probes land in the same /24 (same FEC) but hash to
-          // different Paris flows.
-          Destination dest = dests[d];
-          dest.addr = net::Ipv4Addr(dest.addr.value() +
-                                    static_cast<std::uint32_t>(pp) * 128);
-          if (!internet.path_spec(monitor, dest, ctx, path)) continue;
-          probe::trace_route_into(monitor, path.path, config.trace, rng,
-                                  out, &walk);
-        }
-      }
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      if (!plan.resolve(i, planes_, shard.path)) continue;
+      probe::walk_path(shard.path, plan.probes[i].flow_id, shard.walk);
+      probe::observe_walk_into(monitor, shard.path.dst, config.trace, rng,
+                               shard.walk, out);
     }
   });
 
@@ -145,26 +133,30 @@ dataset::SnapshotBatch CampaignRunner::snapshot(
   return snap;
 }
 
-dataset::MonthData CampaignRunner::month(int cycle) const {
+dataset::MonthData CampaignRunner::month(int cycle,
+                                         double fleet_share) const {
   MonthContext ctx = internet_->instantiate(cycle, /*day_of_month=*/1, pool_);
-  return probe_month(ctx, cycle);
+  return probe_month(ctx, cycle, fleet_share);
 }
 
-dataset::MonthData CampaignRunner::month(DeltaEvolver& evolver,
-                                         int cycle) const {
-  return probe_month(evolver.evolve_to(cycle, /*day_of_month=*/1), cycle);
+dataset::MonthData CampaignRunner::month(DeltaEvolver& evolver, int cycle,
+                                         double fleet_share) const {
+  return probe_month(evolver.evolve_to(cycle, /*day_of_month=*/1), cycle,
+                     fleet_share);
 }
 
-dataset::MonthData CampaignRunner::probe_month(MonthContext& ctx,
-                                               int cycle) const {
+dataset::MonthData CampaignRunner::probe_month(MonthContext& ctx, int cycle,
+                                               double fleet_share) const {
+  CampaignConfig config = config_;
+  config.monitor_share *= fleet_share;
   dataset::MonthData month;
   month.cycle_id = static_cast<std::uint32_t>(cycle);
   month.date = cycle_date(cycle);
   util::Rng dyn_rng(util::hash_combine(internet_->config().seed,
                                        0xD1Aull + cycle));
-  for (int s = 0; s <= config_.extra_snapshots; ++s) {
+  for (int s = 0; s <= config.extra_snapshots; ++s) {
     if (s > 0) ctx.advance_dynamics(dyn_rng);
-    month.snapshots.push_back(snapshot(ctx, cycle, s));
+    month.snapshots.push_back(snapshot(ctx, cycle, s, config));
   }
   return month;
 }

@@ -9,10 +9,15 @@
 //
 // CampaignRunner is the entry point: it holds the campaign configuration
 // once and generates snapshots with the monitor fleet fanned out over an
-// optional thread pool. Determinism contract: every monitor draws its
+// optional thread pool. Everything it learns is kept for its lifetime: each
+// monitor's probe plan (routed on the first snapshot that uses the monitor),
+// the per-monitor shard arenas and walk scratch, and the addr -> asn memo.
+// A campaign that keeps one runner across its cycles routes every probe once
+// and probes from warm memory. Determinism contract: every monitor draws its
 // observation noise from an RNG stream keyed by (seed, cycle, sub_index,
 // monitor), and per-monitor trace blocks are concatenated in monitor order —
-// so output is bit-identical no matter how many threads execute it.
+// so output is bit-identical no matter how many threads execute it, and no
+// matter how many snapshots the runner generated before.
 #pragma once
 
 #include <cstdint>
@@ -49,14 +54,15 @@ class CampaignRunner {
   const Internet& internet() const noexcept { return *internet_; }
 
   // One snapshot at (cycle, sub_index). `ctx` must come from
-  // internet.instantiate(); flaps for `sub_index` are applied inside.
-  // Monitors probe into per-shard arena batches (cached on the runner and
-  // reset between snapshots, so the steady state of a month allocates
-  // nothing in the probe loop), merged column-wise in monitor order and
+  // internet.instantiate() or a DeltaEvolver; flaps for `sub_index` are
+  // applied inside. Each monitor resolves its probe plan against `ctx`'s
+  // data planes, walks and observes into its shard's arena batch (reset
+  // between snapshots, so the steady state allocates nothing in the probe
+  // loop); shards merge column-wise in monitor order and are
   // ip2as-annotated.
   //
   // Not safe to call concurrently on one runner: it mutates `ctx` and
-  // reuses the runner's shard arenas.
+  // reuses the runner's plans, shard arenas and memo.
   dataset::SnapshotBatch snapshot(MonthContext& ctx, int cycle,
                                   int sub_index) const;
   // Same, with a per-call config override (daily fleet-size wobble).
@@ -64,12 +70,14 @@ class CampaignRunner {
                                   const CampaignConfig& config) const;
 
   // Full month: cycle snapshot + extra snapshots, advancing label dynamics
-  // between runs.
-  dataset::MonthData month(int cycle) const;
+  // between runs. `fleet_share` scales config().monitor_share for this
+  // month only (the campaign's fleet-size dips).
+  dataset::MonthData month(int cycle, double fleet_share = 1.0) const;
   // Same month, generated against `evolver`'s standing world instead of a
   // from-scratch instantiate. Byte-identical to `month(cycle)` (the
   // DeltaEvolver oracle contract), but cycle N+1 is a mutation of cycle N.
-  dataset::MonthData month(DeltaEvolver& evolver, int cycle) const;
+  dataset::MonthData month(DeltaEvolver& evolver, int cycle,
+                           double fleet_share = 1.0) const;
 
   // Daily data for one month (Fig. 16): `days` snapshots, profile evaluated
   // at each day, fleet size wobbling deterministically around the configured
@@ -79,22 +87,27 @@ class CampaignRunner {
  private:
   // The month body both month() overloads share: the cycle snapshot plus
   // the extra snapshots over `ctx`, advancing label dynamics between runs.
-  dataset::MonthData probe_month(MonthContext& ctx, int cycle) const;
+  dataset::MonthData probe_month(MonthContext& ctx, int cycle,
+                                 double fleet_share) const;
 
-  // Per-monitor probe scratch: an arena the shard's TraceBatch carves from
-  // plus a reusable forwarder walk buffer. Cached across snapshots so arena
-  // high-water stabilizes after the first snapshot (the soak test gates
-  // this via the probe.arena.* gauges).
+  // Per-monitor probe state, kept for the runner's lifetime: the monitor's
+  // probe plan (built on first use, inside the monitor fan-out), the arena
+  // its shard TraceBatch carves from (reset per snapshot, so arena
+  // high-water stabilizes after the first one; the soak test gates this via
+  // the probe.arena.* gauges) and path/walk scratch.
   struct MonitorShard;
 
   const Internet* internet_;
   const dataset::Ip2As* ip2as_;
   CampaignConfig config_;
   util::ThreadPool* pool_;
+  // One snapshot at a time per runner (see snapshot()): these are mutated
+  // by the const generation calls.
   mutable std::vector<std::unique_ptr<MonitorShard>> shards_;
-  // Warm addr -> asn memo shared by every snapshot of the campaign (the
-  // ip2as table is fixed for the runner's lifetime). Same non-reentrancy
-  // contract as shards_: one snapshot at a time per runner.
+  // The snapshot's data plane per modelled AS, by ModeledAs::index.
+  mutable std::vector<const probe::AsDataPlane*> planes_;
+  // addr -> asn memo for annotation, warm for the runner's lifetime (the
+  // ip2as table is fixed).
   mutable dataset::AsnCache asn_cache_;
 };
 

@@ -60,6 +60,14 @@ const probe::AsDataPlane* MonthContext::plane_of(std::uint32_t asn) const {
   return it == planes_.end() ? nullptr : &it->second->plane;
 }
 
+void MonthContext::plane_table(
+    std::vector<const probe::AsDataPlane*>& out) const {
+  out.clear();
+  for (const auto& [asn, modeled] : internet_->modeled_) {
+    out.push_back(plane_of(asn));
+  }
+}
+
 namespace {
 
 // Variant-0 route on an arbitrary IGP state (used to re-route TE LSPs after
@@ -474,6 +482,9 @@ void Internet::build_topologies(util::Rng& rng_in, util::ThreadPool* pool) {
       }
     }
   }
+
+  std::uint32_t index = 0;
+  for (auto& [asn, m] : modeled_) m->index = index++;
 }
 
 void Internet::place_monitors_and_destinations(util::Rng& rng_in) {
@@ -874,35 +885,62 @@ MonthContext Internet::instantiate(int cycle, int day_of_month,
 std::optional<probe::PathSpec> Internet::path_spec(
     const probe::Monitor& monitor, const Destination& dest,
     const MonthContext& ctx) const {
-  PathScratch scratch;
-  if (!path_spec(monitor, dest, ctx, scratch)) return std::nullopt;
-  return std::move(scratch.path);
+  ProbePlan plan;
+  if (!plan_route(monitor, dest, plan)) return std::nullopt;
+  std::vector<const probe::AsDataPlane*> planes;
+  ctx.plane_table(planes);
+  probe::PathSpec path;
+  if (!plan.resolve(0, planes, path)) return std::nullopt;
+  return path;
 }
 
-bool Internet::path_spec(const probe::Monitor& monitor,
-                         const Destination& dest, const MonthContext& ctx,
-                         PathScratch& scratch) const {
+ProbePlan Internet::probe_plan(std::size_t monitor_index) const {
+  const probe::Monitor& monitor = monitors_.at(monitor_index);
+  const std::size_t n_monitors = monitors_.size();
+  const int per_monitor = config_.dests_per_monitor;
+  const int overlap = std::max(1, config_.dest_overlap);
+  const int per_dest = std::max(1, config_.probes_per_dest);
+  ProbePlan plan;
+  int probed = 0;
+  for (int o = 0; o < overlap && probed < per_monitor; ++o) {
+    const std::size_t lane =
+        (monitor_index + n_monitors - static_cast<std::size_t>(o)) %
+        n_monitors;
+    for (std::size_t d = lane; d < destinations_.size() && probed < per_monitor;
+         d += n_monitors, ++probed) {
+      for (int pp = 0; pp < per_dest; ++pp) {
+        // Additional probes land in the same /24 (same FEC) but hash to
+        // different Paris flows.
+        Destination dest = destinations_[d];
+        dest.addr = net::Ipv4Addr(dest.addr.value() +
+                                  static_cast<std::uint32_t>(pp) * 128);
+        plan_route(monitor, dest, plan);
+      }
+    }
+  }
+  return plan;
+}
+
+bool Internet::plan_route(const probe::Monitor& monitor,
+                          const Destination& dest, ProbePlan& plan) const {
   const std::uint32_t src_asn = monitor_asn_.at(monitor.id);
-  std::vector<std::uint32_t>& as_path = scratch.as_path;
-  graph_.route(src_asn, dest.asn, as_path);
+  const std::vector<std::uint32_t> as_path = graph_.route(src_asn, dest.asn);
   if (as_path.empty()) return false;
 
-  probe::PathSpec& path = scratch.path;
-  path.pre_hops.clear();
-  path.segments.clear();
-  path.post_hops.clear();
-  path.dst = dest.addr;
-  path.dst_responds =
+  ProbePlan::Probe probe;
+  probe.dst = dest.addr;
+  probe.dst_responds =
       to01(util::hash_combine(dest.addr.value(),
                               config_.seed ^ 0xDE57ull)) >=
       config_.dest_silent_prob;
+  probe.flow_id = probe::paris_flow_id(monitor, dest.addr);
   const std::uint64_t dh = dst24_hash(dest.addr);
 
   // Source-side stub hops: monitor gateway + stub exit router.
   const AsNode& src_node = graph_.as_node(src_asn);
-  path.pre_hops.push_back(src_node.block.nth(
+  plan.pre_hops.push_back(src_node.block.nth(
       src_node.block.size() / 4 + 2 * monitor.id));
-  path.pre_hops.push_back(src_node.block.nth(
+  plan.pre_hops.push_back(src_node.block.nth(
       src_node.block.size() / 4 + 64 + 2 *
           (util::hash_combine(monitor.id, as_path.size() > 1 ? as_path[1]
                                                              : 0) % 8)));
@@ -914,35 +952,38 @@ bool Internet::path_spec(const probe::Monitor& monitor,
     if (!node.modeled) {
       // Stub AS: destination side only (stubs never provide transit).
       const std::uint64_t quarter = node.block.size() / 4;
-      path.post_hops.push_back(node.block.nth(
+      plan.post_hops.push_back(node.block.nth(
           quarter + 128 + 2 * (util::hash_combine(prev_asn, asn) % 16)));
       continue;
     }
 
-    const ModeledAs* as = modeled(asn);
-    probe::SegmentSpec seg;
-    seg.plane = ctx.plane_of(asn);
-    if (seg.plane == nullptr) return false;
+    const ModeledAs& as = *modeled_.at(asn);
+    ProbePlan::Segment seg;
+    seg.as_index = as.index;
     // Hot-potato ingress: where a packet enters an AS is fixed by where it
     // comes FROM (the upstream handed it over at the interconnect nearest
     // the source), not by its destination — so one monitor funnels all its
     // traffic through one ingress and IOTPs aggregate many destinations.
     const std::uint64_t ingress_hash =
         util::hash_combine(monitor.id + 1, prev_asn);
-    seg.ingress = as->border_for(prev_asn, ingress_hash);
-    seg.entry_iface = as->entry_iface_for(prev_asn, ingress_hash);
+    seg.ingress = as.border_for(prev_asn, ingress_hash);
+    seg.entry_iface = as.entry_iface_for(prev_asn, ingress_hash);
     if (i + 1 < as_path.size()) {
       // Egress toward the next AS; rotate the hash so ingress and egress
       // peering-point choices decorrelate.
-      seg.egress = as->border_for(as_path[i + 1], util::mix64(dh + 1));
+      seg.egress = as.border_for(as_path[i + 1], util::mix64(dh + 1));
     } else {
       // Destination lives inside this modelled AS: route to its
       // (hash-chosen) attachment router.
       seg.egress = static_cast<topo::RouterId>(
-          util::mix64(dest.addr.value() >> 8) % as->topo.router_count());
+          util::mix64(dest.addr.value() >> 8) % as.topo.router_count());
     }
-    path.segments.push_back(seg);
+    plan.segments.push_back(seg);
   }
+  probe.pre_end = static_cast<std::uint32_t>(plan.pre_hops.size());
+  probe.seg_end = static_cast<std::uint32_t>(plan.segments.size());
+  probe.post_end = static_cast<std::uint32_t>(plan.post_hops.size());
+  plan.probes.push_back(probe);
   return true;
 }
 

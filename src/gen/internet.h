@@ -16,6 +16,7 @@
 
 #include "dataset/ip2as.h"
 #include "gen/as_graph.h"
+#include "gen/probe_plan.h"
 #include "gen/profiles.h"
 #include "igp/spf.h"
 #include "mpls/ldp.h"
@@ -108,6 +109,9 @@ struct ModeledAs {
   static constexpr int kPeeringPoints = 3;
   std::map<std::uint32_t, std::vector<topo::RouterId>> borders_toward;
   std::map<std::uint32_t, std::vector<net::Ipv4Addr>> entry_ifaces_from;
+  // Dense position in Internet::modeled_asns() (ASN order): how probe plans
+  // name this AS (ProbePlan::Segment::as_index).
+  std::uint32_t index = 0;
 
   // Border router / entry iface serving `neighbor` for a destination whose
   // /24 hashes to `dst_hash`.
@@ -170,6 +174,9 @@ class MonthContext {
   void apply_flaps(int sub_index, double flap_prob);
 
   const probe::AsDataPlane* plane_of(std::uint32_t asn) const;
+  // Every modelled AS's data plane, by ModeledAs::index (null where this
+  // month has none): the table probe plans resolve against. Refills `out`.
+  void plane_table(std::vector<const probe::AsDataPlane*>& out) const;
 
   int cycle() const noexcept { return cycle_; }
 
@@ -225,21 +232,16 @@ class Internet {
                            util::ThreadPool* pool = nullptr) const;
 
   // Path from a monitor to a destination through `ctx`'s planes; nullopt
-  // when AS-level routing fails.
+  // when AS-level routing fails. The plan's routing plus a plane lookup.
   std::optional<probe::PathSpec> path_spec(const probe::Monitor& monitor,
                                            const Destination& dest,
                                            const MonthContext& ctx) const;
 
-  // Scratch-reusing form for the per-probe hot loop: refills scratch.path
-  // (vector capacities kept, so steady state performs no heap allocation)
-  // and returns false when AS-level routing fails. Equivalent to the
-  // allocating overload above.
-  struct PathScratch {
-    probe::PathSpec path;
-    std::vector<std::uint32_t> as_path;
-  };
-  bool path_spec(const probe::Monitor& monitor, const Destination& dest,
-                 const MonthContext& ctx, PathScratch& scratch) const;
+  // Every probe monitor `monitor_index` sends per snapshot, routed: the
+  // Ark-style split of the destination list (destination d goes to the
+  // `dest_overlap` monitors following d % N, `dests_per_monitor` per
+  // monitor, `probes_per_dest` Paris flows into each /24), in send order.
+  ProbePlan probe_plan(std::size_t monitor_index) const;
 
   // AS hosting monitor `id`.
   std::uint32_t monitor_asn(std::uint32_t monitor_id) const {
@@ -263,6 +265,12 @@ class Internet {
   void build_graph(util::Rng& rng);
   void build_topologies(util::Rng& rng, util::ThreadPool* pool);
   void place_monitors_and_destinations(util::Rng& rng);
+
+  // The one routing body behind path_spec and probe_plan: appends the
+  // probe's route to `plan`, or returns false (plan untouched) when
+  // AS-level routing fails.
+  bool plan_route(const probe::Monitor& monitor, const Destination& dest,
+                  ProbePlan& plan) const;
 
   // Full per-AS control-plane build for `profile`: pools (with the epoch
   // label burn), LDP, RSVP-TE signalled over the cycle IGP, scalar fields,

@@ -54,6 +54,16 @@ std::uint64_t peak_rss_bytes() noexcept {
 #endif
 }
 
+std::uint64_t minor_faults() noexcept {
+#if defined(__unix__) || defined(__APPLE__)
+  rusage ru{};
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
+  return static_cast<std::uint64_t>(ru.ru_minflt);
+#else
+  return 0;
+#endif
+}
+
 // --- Counter -----------------------------------------------------------
 
 std::uint64_t Counter::value() const noexcept {

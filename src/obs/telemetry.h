@@ -53,6 +53,9 @@ std::uint64_t monotonic_ns() noexcept;
 
 // Peak resident set size of this process in bytes (0 if unavailable).
 std::uint64_t peak_rss_bytes() noexcept;
+// Minor page faults this process has taken so far, all threads (0 if
+// unavailable): first touches of fresh memory, for before/after deltas.
+std::uint64_t minor_faults() noexcept;
 
 // Monotonically increasing event count.
 class Counter {

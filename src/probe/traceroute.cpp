@@ -114,17 +114,4 @@ dataset::Trace trace_route(const Monitor& monitor, const PathSpec& path,
   return observe_walk(monitor, path.dst, options, rng, walk);
 }
 
-void trace_route_into(const Monitor& monitor, const PathSpec& path,
-                      const TraceOptions& options, util::Rng& rng,
-                      dataset::TraceBatch& out, WalkResult* scratch) {
-  if (scratch != nullptr) {
-    walk_path(path, paris_flow_id(monitor, path.dst), *scratch);
-    observe_walk_into(monitor, path.dst, options, rng, *scratch, out);
-  } else {
-    const WalkResult walk =
-        walk_path(path, paris_flow_id(monitor, path.dst));
-    observe_walk_into(monitor, path.dst, options, rng, walk, out);
-  }
-}
-
 }  // namespace mum::probe

@@ -65,18 +65,11 @@ dataset::Trace trace_route(const Monitor& monitor, const PathSpec& path,
 dataset::Trace observe_walk(const Monitor& monitor, net::Ipv4Addr dst,
                             const TraceOptions& options, util::Rng& rng,
                             const WalkResult& walk);
-// Batch form; appends one trace to `out`.
+// Batch form: the same RNG draw sequence (the two share one
+// observation-model core), but the trace lands as columns appended to
+// `out`, with no per-hop heap allocation. The campaign probe loop's sink.
 void observe_walk_into(const Monitor& monitor, net::Ipv4Addr dst,
                        const TraceOptions& options, util::Rng& rng,
                        const WalkResult& walk, dataset::TraceBatch& out);
-
-// Batch form: identical RNG draw sequence and observable behaviour (the two
-// share one observation-model core), but the trace lands as columns in
-// `out` with zero per-hop heap allocation. `scratch`, when non-null, is a
-// caller-owned WalkResult reused across calls (per-worker scratch).
-void trace_route_into(const Monitor& monitor, const PathSpec& path,
-                      const TraceOptions& options, util::Rng& rng,
-                      dataset::TraceBatch& out,
-                      WalkResult* scratch = nullptr);
 
 }  // namespace mum::probe

@@ -81,6 +81,7 @@ std::string RunManifest::to_json() const {
   json.field("threads", static_cast<std::uint64_t>(threads));
   json.field("evolve", evolve);
   json.field("wall_ns", wall_ns);
+  json.field("minor_faults", minor_faults);
   json.field("peak_rss_bytes", peak_rss_bytes);
   json.field("complete", complete());
   json.field("degraded", degraded());

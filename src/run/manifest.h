@@ -68,9 +68,12 @@ struct RunManifest {
   bool evolve = false;
   std::vector<CycleStatus> cycles;  // one per cycle, in cycle order
   bool failure_budget_exceeded = false;
-  // End-of-run operational record: total wall-clock of the contained run
-  // and the process's peak resident set when it finished.
+  // End-of-run operational record: total wall-clock of the contained run,
+  // the minor page faults the process took over it (memory first touched
+  // during the cycle loop) and the process's peak resident set when it
+  // finished.
   std::uint64_t wall_ns = 0;
+  std::uint64_t minor_faults = 0;
   std::uint64_t peak_rss_bytes = 0;
   // --- supervision record --------------------------------------------------
   // Set when persistent ENOSPC dropped checkpoint persistence mid-run: the

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -79,20 +80,23 @@ lpr::CycleReport Runner::run_cycle(int cycle) const {
   return classify(cycle, month, std::move(decode));
 }
 
-dataset::MonthData Runner::prepare_month(int cycle,
-                                         chaos::Corruptor* corruptor,
-                                         dataset::DecodeDiagnostics* decode,
-                                         gen::DeltaEvolver* evolver) const {
+dataset::MonthData Runner::prepare_month(
+    int cycle, chaos::Corruptor* corruptor,
+    dataset::DecodeDiagnostics* decode, gen::DeltaEvolver* evolver,
+    const gen::CampaignRunner* campaign) const {
   dataset::MonthData month = [&] {
     const obs::StageSpan span(obs::Stage::kGenerate, cycle);
-    gen::CampaignConfig campaign = config_.campaign;
+    double fleet_share = 1.0;
     for (const auto& [dip_cycle, share] : kFleetDips) {
-      if (dip_cycle == cycle) campaign.monitor_share *= share;
+      if (dip_cycle == cycle) fleet_share = share;
     }
-    const gen::CampaignRunner runner(internet_, ip2as_, campaign,
-                                     pool_.get());
-    return evolver != nullptr ? runner.month(*evolver, cycle)
-                              : runner.month(cycle);
+    std::optional<gen::CampaignRunner> own;
+    if (campaign == nullptr) {
+      campaign = &own.emplace(internet_, ip2as_, config_.campaign,
+                              pool_.get());
+    }
+    return evolver != nullptr ? campaign->month(*evolver, cycle, fleet_share)
+                              : campaign->month(cycle, fleet_share);
   }();
   if (corruptor != nullptr) {
     // Chaos wire round-trips run the real ingest path — that time is
@@ -222,6 +226,7 @@ RunOutcome Runner::run_all_contained() const {
   namespace fs = std::filesystem;
 
   const std::uint64_t run_t0 = obs::monotonic_ns();
+  const std::uint64_t faults_t0 = obs::minor_faults();
   const int first = config_.first_cycle;
   const int last = config_.last_cycle;
   const std::size_t n =
@@ -263,7 +268,8 @@ RunOutcome Runner::run_all_contained() const {
   std::atomic<int> enospc_streak{0};
   std::atomic<bool> degraded{false};
 
-  const auto run_one = [&](std::size_t i, gen::DeltaEvolver* evolver) {
+  const auto run_one = [&](std::size_t i, gen::DeltaEvolver* evolver,
+                           const gen::CampaignRunner* campaign) {
     const int cycle = first + static_cast<int>(i);
     CycleStatus& status = out.manifest.cycles[i];
     status.cycle = cycle;
@@ -366,8 +372,9 @@ RunOutcome Runner::run_all_contained() const {
                                   std::to_string(cycle + 1));
         }
         dataset::DecodeDiagnostics decode;
-        const dataset::MonthData month = prepare_month(
-            cycle, data_chaos ? &corruptor : nullptr, &decode, evolver);
+        const dataset::MonthData month =
+            prepare_month(cycle, data_chaos ? &corruptor : nullptr, &decode,
+                          evolver, campaign);
         // Stage boundary: a deadline can fire on compute-only cycles here.
         util::io::check_deadline();
         if (checkpoints && config_.checkpoint_data) {
@@ -476,15 +483,21 @@ RunOutcome Runner::run_all_contained() const {
     // Delta evolution runs the cycle loop serially against one standing
     // world; inner stages (monitor fan-out, SPF, classification) still use
     // the pool. Checkpoint-restored cycles skip generation entirely and the
-    // evolver jumps the gap when the next computed cycle asks for it.
+    // evolver jumps the gap when the next computed cycle asks for it. One
+    // probe runner serves every cycle: probe plans, shard arenas, walk
+    // scratch and the asn memo stay warm, and both are torn down here,
+    // inside the loop's wall time.
     gen::DeltaEvolver evolver(internet_, pool_.get());
-    for (std::size_t i = 0; i < n; ++i) run_one(i, &evolver);
+    const gen::CampaignRunner campaign(internet_, ip2as_, config_.campaign,
+                                       pool_.get());
+    for (std::size_t i = 0; i < n; ++i) run_one(i, &evolver, &campaign);
   } else {
-    // Each cycle fills its own slot; inner generation/classification runs
-    // inline on the worker (nested parallel_for detects the region), so the
-    // pool is never oversubscribed.
+    // Each cycle fills its own slot with a probe runner of its own; inner
+    // generation/classification runs inline on the worker (nested
+    // parallel_for detects the region), so the pool is never
+    // oversubscribed.
     util::parallel_for(pool_.get(), n,
-                       [&](std::size_t i) { run_one(i, nullptr); });
+                       [&](std::size_t i) { run_one(i, nullptr, nullptr); });
   }
 
   out.manifest.failure_budget_exceeded =
@@ -504,6 +517,7 @@ RunOutcome Runner::run_all_contained() const {
     chaos::publish_io(out.manifest.io);
   }
   out.manifest.wall_ns = obs::monotonic_ns() - run_t0;
+  out.manifest.minor_faults = obs::minor_faults() - faults_t0;
   out.manifest.peak_rss_bytes = obs::peak_rss_bytes();
   return out;
 }

@@ -136,14 +136,18 @@ class Runner {
 
  private:
   // Generate a month (against `evolver`'s standing world when given — a
-  // byte-identical mutation of the from-scratch instantiate), then apply
-  // optional chaos: structural faults mutate the month's snapshots in
-  // place; wire faults round-trip them through serialization (in
-  // config.snapshot_format) and tolerant decode, re-annotating survivors,
-  // with the decoder's diagnostics accumulated into `decode`.
-  dataset::MonthData prepare_month(int cycle, chaos::Corruptor* corruptor,
-                                   dataset::DecodeDiagnostics* decode,
-                                   gen::DeltaEvolver* evolver = nullptr) const;
+  // byte-identical mutation of the from-scratch instantiate — and through
+  // `campaign`, the campaign-lifetime probe runner, when given; otherwise
+  // through a runner of its own), then apply optional chaos: structural
+  // faults mutate the month's snapshots in place; wire faults round-trip
+  // them through serialization (in config.snapshot_format) and tolerant
+  // decode, re-annotating survivors, with the decoder's diagnostics
+  // accumulated into `decode`.
+  dataset::MonthData prepare_month(
+      int cycle, chaos::Corruptor* corruptor,
+      dataset::DecodeDiagnostics* decode,
+      gen::DeltaEvolver* evolver = nullptr,
+      const gen::CampaignRunner* campaign = nullptr) const;
   // The shared tail of every cycle: run the pipeline over `month` and attach
   // what the decoders salvaged, then check the cycle deadline.
   lpr::CycleReport classify(int cycle, const dataset::MonthData& month,

@@ -349,8 +349,10 @@ TEST(Traceroute, BatchSinkIsDrawForDrawIdenticalToHeapSink) {
       const auto path = internet.path_spec(monitor, dests[d], ctx);
       if (!path) continue;
       heap.push_back(probe::trace_route(monitor, *path, options, rng_heap));
-      probe::trace_route_into(monitor, *path, options, rng_batch, batch,
-                              &scratch);
+      probe::walk_path(*path, probe::paris_flow_id(monitor, path->dst),
+                       scratch);
+      probe::observe_walk_into(monitor, path->dst, options, rng_batch,
+                               scratch, batch);
     }
   }
   ASSERT_GT(heap.size(), 50u);

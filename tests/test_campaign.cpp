@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/filters.h"
+#include "dataset/warts_lite.h"
+#include "util/thread_pool.h"
 
 #include <set>
 
@@ -169,6 +171,120 @@ TEST_F(CampaignTest, Level3AppearsMidApril2012) {
   const auto mid = level3_lsps(days[20]);
   EXPECT_GT(mid, 0u);
   EXPECT_LT(mid, level3_lsps(days[29]));
+}
+
+// --- probe plan --------------------------------------------------------------
+
+// Every probe a monitor's plan holds, resolved against a month's planes, is
+// the path Internet::path_spec derives for it, field by field; the probes
+// path_spec cannot route are the ones the plan leaves out. The campaign's
+// destination split is re-derived here independently of probe_plan.
+TEST(ProbePlan, ResolvesToPathSpecOnDefaultWorld) {
+  const Internet internet(GenConfig{});
+  const GenConfig& config = internet.config();
+  const auto& monitors = internet.monitors();
+  const auto& dests = internet.destinations();
+  std::vector<ProbePlan> plans;
+  for (std::size_t mi = 0; mi < monitors.size(); ++mi) {
+    plans.push_back(internet.probe_plan(mi));
+  }
+
+  for (const int cycle : {1, 22, 57}) {
+    const MonthContext ctx = internet.instantiate(cycle);
+    std::vector<const probe::AsDataPlane*> planes;
+    ctx.plane_table(planes);
+    probe::PathSpec resolved;
+    std::size_t routed = 0;
+    for (std::size_t mi = 0; mi < monitors.size(); ++mi) {
+      const ProbePlan& plan = plans[mi];
+      std::size_t next = 0;  // the plan probe the next routable one must be
+      int probed = 0;
+      for (int o = 0;
+           o < config.dest_overlap && probed < config.dests_per_monitor;
+           ++o) {
+        const std::size_t lane =
+            (mi + monitors.size() - static_cast<std::size_t>(o)) %
+            monitors.size();
+        for (std::size_t d = lane;
+             d < dests.size() && probed < config.dests_per_monitor;
+             d += monitors.size(), ++probed) {
+          for (int pp = 0; pp < config.probes_per_dest; ++pp) {
+            Destination dest = dests[d];
+            dest.addr = net::Ipv4Addr(dest.addr.value() +
+                                      static_cast<std::uint32_t>(pp) * 128);
+            const auto path = internet.path_spec(monitors[mi], dest, ctx);
+            if (!path) {
+              if (next < plan.size()) {
+                EXPECT_NE(plan.probes[next].dst, dest.addr);
+              }
+              continue;
+            }
+            ASSERT_LT(next, plan.size()) << "monitor " << mi;
+            const ProbePlan::Probe& probe = plan.probes[next];
+            EXPECT_EQ(probe.dst, dest.addr);
+            EXPECT_EQ(probe.flow_id,
+                      probe::paris_flow_id(monitors[mi], dest.addr));
+            ASSERT_TRUE(plan.resolve(next, planes, resolved));
+            EXPECT_EQ(resolved.pre_hops, path->pre_hops);
+            EXPECT_EQ(resolved.post_hops, path->post_hops);
+            EXPECT_EQ(resolved.dst, path->dst);
+            EXPECT_EQ(resolved.dst_responds, path->dst_responds);
+            ASSERT_EQ(resolved.segments.size(), path->segments.size());
+            for (std::size_t s = 0; s < path->segments.size(); ++s) {
+              const probe::SegmentSpec& a = resolved.segments[s];
+              const probe::SegmentSpec& b = path->segments[s];
+              EXPECT_EQ(a.plane, b.plane);
+              EXPECT_EQ(a.ingress, b.ingress);
+              EXPECT_EQ(a.egress, b.egress);
+              EXPECT_EQ(a.entry_iface, b.entry_iface);
+            }
+            ++next;
+            ++routed;
+          }
+        }
+      }
+      EXPECT_EQ(next, plan.size()) << "monitor " << mi;
+    }
+    EXPECT_GT(routed, 20000u) << "cycle " << cycle;
+  }
+}
+
+// One runner kept for a whole campaign (plans, shard arenas, walk scratch
+// and asn memo warm from cycle to cycle, the fleet dips included) generates
+// the same bytes as a fresh runner per cycle; so does daily_month on the
+// warm runner. Monitors fan out over a pool, where plans are built lazily.
+TEST(CampaignRunnerReuse, MatchesFreshRunnerPerCycle) {
+  const Internet internet(small_config());
+  const dataset::Ip2As ip2as = internet.build_ip2as();
+  util::ThreadPool pool(4);
+  const CampaignRunner warm(internet, ip2as, CampaignConfig{}, &pool);
+  DeltaEvolver warm_world(internet, &pool);
+  DeltaEvolver cold_world(internet, &pool);
+  const auto same = [](const dataset::SnapshotBatch& a,
+                       const dataset::SnapshotBatch& b) {
+    return dataset::serialize_snapshot(a) == dataset::serialize_snapshot(b);
+  };
+
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    const double fleet_share = cycle == 22 ? 0.55 : cycle == 57 ? 0.6 : 1.0;
+    const auto reused = warm.month(warm_world, cycle, fleet_share);
+    const auto fresh = CampaignRunner(internet, ip2as, CampaignConfig{}, &pool)
+                           .month(cold_world, cycle, fleet_share);
+    ASSERT_EQ(reused.snapshots.size(), fresh.snapshots.size());
+    for (std::size_t s = 0; s < fresh.snapshots.size(); ++s) {
+      ASSERT_TRUE(same(reused.snapshots[s], fresh.snapshots[s]))
+          << "cycle " << cycle << " snapshot " << s;
+    }
+  }
+
+  const auto reused_days = warm.daily_month(cycle_of(2012, 4), 5);
+  const auto fresh_days =
+      CampaignRunner(internet, ip2as, CampaignConfig{}, &pool)
+          .daily_month(cycle_of(2012, 4), 5);
+  ASSERT_EQ(reused_days.size(), fresh_days.size());
+  for (std::size_t d = 0; d < fresh_days.size(); ++d) {
+    ASSERT_TRUE(same(reused_days[d], fresh_days[d])) << "day " << d + 1;
+  }
 }
 
 }  // namespace

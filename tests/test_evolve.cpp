@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -50,6 +51,19 @@ TEST(Arena, BumpAllocatesZeroedAlignedArrays) {
                 alignof(std::uint64_t),
             0u);
   EXPECT_GE(arena.used(), 10 * sizeof(std::uint32_t) + 3 * sizeof(std::uint64_t));
+}
+
+// Chunks are not zero-filled when allocated, so make_array alone owes its
+// callers zeroes: a chunk dirtied, reset and carved again still hands out
+// zeroed arrays.
+TEST(Arena, MakeArrayZeroesDirtiedChunkAfterReset) {
+  util::Arena arena(256);
+  const auto dirty = arena.make_array_uninit<std::uint64_t>(64);
+  std::fill(dirty.begin(), dirty.end(), ~std::uint64_t{0});
+  arena.reset();
+  const auto clean = arena.make_array<std::uint64_t>(64);
+  EXPECT_EQ(clean.data(), dirty.data());  // the same bytes, carved again
+  for (const std::uint64_t v : clean) EXPECT_EQ(v, 0u);
 }
 
 TEST(Arena, CopyArrayPreservesContents) {

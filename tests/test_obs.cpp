@@ -314,6 +314,10 @@ TEST(Manifest, RecordsTimingAndPeakRss) {
   const std::string json = outcome.manifest.to_json();
   EXPECT_NE(json.find("\"wall_ns\":"), std::string::npos);
   EXPECT_NE(json.find("\"peak_rss_bytes\":"), std::string::npos);
+  // Minor faults over the cycle loop are observed state like peak RSS: in
+  // the manifest, never in the report.
+  EXPECT_NE(json.find("\"minor_faults\":"), std::string::npos);
+  EXPECT_EQ(outcome.report.to_json().find("minor_faults"), std::string::npos);
   EXPECT_NE(json.find("\"duration_ns\":"), std::string::npos);
   EXPECT_NE(json.find("\"generate_ns\":"), std::string::npos);
 }
