@@ -36,17 +36,21 @@ int main() {
   // customer cone) and find a destination whose trace crosses a >=2-LSR
   // Vodafone tunnel.
   const probe::Monitor& monitor = study.internet().monitors().front();
+  // Loss-free Paris traceroutes: the forwarding walk, then the observation
+  // model appending the trace to a batch.
+  probe::TraceOptions options;
+  options.reply_loss = 0.0;
   std::optional<gen::Destination> target;
   std::vector<net::Ipv4Addr> lsr_addrs;
   for (const auto& dest : study.internet().destinations()) {
     const auto path = study.internet().path_spec(monitor, dest, ctx);
     if (!path) continue;
     util::Rng rng(1);
-    probe::TraceOptions options;
-    options.reply_loss = 0.0;
-    const auto trace = probe::trace_route(monitor, *path, options, rng);
     dataset::SnapshotBatch snap;
-    snap.traces.append(trace);
+    probe::observe_walk_into(
+        monitor, path->dst, options, rng,
+        probe::walk_path(*path, probe::paris_flow_id(monitor, path->dst)),
+        snap.traces);
     study.ip2as().annotate(snap.traces);
     const auto extracted = lpr::extract_lsps(snap, study.ip2as());
     for (const auto& obs : extracted.observations) {
@@ -97,19 +101,21 @@ int main() {
       }
     }
     const auto path = study.internet().path_spec(monitor, *target, ctx);
-    probe::TraceOptions options;
-    options.reply_loss = 0.0;
     util::Rng rng(static_cast<std::uint64_t>(t) + 7);
-    const auto trace = probe::trace_route(monitor, *path, options, rng);
+    dataset::TraceBatch batch;
+    probe::observe_walk_into(
+        monitor, path->dst, options, rng,
+        probe::walk_path(*path, probe::paris_flow_id(monitor, path->dst)),
+        batch);
 
     std::uint32_t l1 = 0, l2 = 0;
-    for (const auto& hop : trace.hops) {
-      if (hop.addr == lsr_addrs[0] && hop.has_labels()) {
-        l1 = hop.labels.top().label();
-      }
-      if (hop.addr == lsr_addrs[1] && hop.has_labels()) {
-        l2 = hop.labels.top().label();
-      }
+    const dataset::TraceView view = batch.view(0);
+    for (std::size_t k = 0; k < view.hop_count(); ++k) {
+      const dataset::HopView hop = view.hop(k);
+      if (!hop.has_labels()) continue;
+      const std::uint32_t top = hop.labels().front();
+      if (hop.addr() == lsr_addrs[0]) l1 = top;
+      if (hop.addr() == lsr_addrs[1]) l2 = top;
     }
     table.add_row({std::to_string(t), std::to_string(l1),
                    std::to_string(l2)});

@@ -9,9 +9,12 @@
 // reference's traces/s and >= 10x fewer allocations per trace.
 // BM_CampaignSnapshot additionally times the full campaign snapshot
 // (plane lookup + walk included; probes are routed once, on the runner's
-// first snapshot) as ungated context.
+// first snapshot) as ungated context. Building the corpus checks once that
+// the heap reference and the batch path write identical pack bytes; both
+// gated benches refuse to run (SkipWithError) if they do not.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -84,6 +87,7 @@ struct Corpus {
   std::size_t traces = 0;
   std::size_t hops = 0;
   std::size_t lses = 0;
+  bool paths_agree = false;  // heap_pack() == batch_pack(), checked once
 
   Corpus()
       : internet([] {
@@ -123,7 +127,16 @@ struct Corpus {
         }
       }
     }
+    util::Arena arena;
+    dataset::AsnCache asn_cache;
+    paths_agree = heap_pack() == batch_pack(arena, asn_cache);
   }
+
+  // Observation -> storage -> annotate -> pack serialization, one snapshot,
+  // through the bench-local heap reference and through the batch path.
+  std::string heap_pack() const;
+  std::string batch_pack(util::Arena& arena,
+                         dataset::AsnCache& asn_cache) const;
 };
 
 const Corpus& corpus() {
@@ -132,17 +145,85 @@ const Corpus& corpus() {
 }
 
 // Heap reference (bench-local; the library keeps only the batch path): one
-// heap Trace per probe through the probe layer's heap sink (hop vector
-// growth per trace), monitor blocks merged by move, per-trace trie
-// annotate, a per-record AoS-to-column transposition into the pack writer,
-// and a heap Trace materialized per record on ingest. This is the shape of
-// the measurement path before traces were stored as columns.
-dataset::Trace to_heap_trace(dataset::TraceView view) {
-  dataset::Trace t;
-  t.monitor_id = view.monitor_id();
-  t.src = view.src();
-  t.dst = view.dst();
-  t.reached = view.reached();
+// heap trace per probe (hop vector growth per trace), monitor blocks merged
+// by move, per-trace trie annotate, a per-record AoS-to-column transposition
+// into the pack writer, and a heap trace materialized per record on ingest.
+// This is the shape of the measurement path before traces were stored as
+// columns.
+struct HeapHop {
+  net::Ipv4Addr addr;  // kAnonymousAddr for '*'
+  double rtt_ms = 0.0;
+  net::LabelStack labels;
+  std::uint32_t asn = 0;
+};
+
+struct HeapTrace {
+  std::uint32_t monitor_id = 0;
+  net::Ipv4Addr src;
+  net::Ipv4Addr dst;
+  std::uint32_t dst_asn = 0;
+  bool reached = false;
+  std::vector<HeapHop> hops;
+};
+
+// A copy of probe::observe_walk_into's observation model that emits a heap
+// trace; same RNG draws in the same order. Corpus::paths_agree catches drift.
+HeapTrace observe_heap(const probe::Monitor& monitor, net::Ipv4Addr dst,
+                       const probe::TraceOptions& options, util::Rng& rng,
+                       const probe::WalkResult& walk) {
+  HeapTrace trace{monitor.id, monitor.addr, dst, 0, false, {}};
+  const int attempts = std::max(1, options.attempts);
+  double cumulative_ms = 0.0;
+  int ttl = 0;
+  int gap = 0;
+  for (const probe::HopRecord& hop : walk.hops) {
+    cumulative_ms += hop.latency_ms;
+    if (!hop.ttl_visible) continue;
+    if (++ttl > options.max_ttl) break;
+    int lost = 0;  // replies lost before one got through
+    if (rng.chance(hop.response_prob)) {
+      while (lost < attempts && rng.chance(options.reply_loss)) ++lost;
+    } else {
+      lost = attempts;
+    }
+    if (lost == attempts) {
+      trace.hops.emplace_back();  // '*'
+      if (++gap >= options.gap_limit) return trace;
+      continue;
+    }
+    gap = 0;
+    const double rtt = 2.0 * cumulative_ms + rng.uniform01() * 0.4;
+    trace.hops.push_back(
+        {hop.addr, rtt, hop.rfc4950 ? hop.labels : net::LabelStack{}, 0});
+  }
+  trace.reached = walk.reached && ttl < options.max_ttl;
+  if (trace.reached) {
+    trace.hops.push_back(
+        {dst, 2.0 * (cumulative_ms + 1.0) + rng.uniform01() * 0.4, {}, 0});
+  }
+  return trace;
+}
+
+void annotate_heap(const dataset::Ip2As& ip2as, HeapTrace& trace) {
+  trace.dst_asn = ip2as.lookup(trace.dst);
+  for (HeapHop& hop : trace.hops) {
+    hop.asn = hop.addr == net::kAnonymousAddr ? dataset::kUnknownAsn
+                                              : ip2as.lookup(hop.addr);
+  }
+}
+
+void append_heap(const HeapTrace& trace, dataset::TraceBatch& out) {
+  out.begin_trace(trace.monitor_id, trace.src, trace.dst, trace.dst_asn);
+  for (const HeapHop& hop : trace.hops) {
+    out.add_hop(hop.addr, hop.rtt_ms, hop.asn);
+    for (const auto& lse : hop.labels.entries()) out.add_label(lse.encode());
+  }
+  out.end_trace(trace.reached);
+}
+
+HeapTrace to_heap_trace(dataset::TraceView view) {
+  HeapTrace t{view.monitor_id(), view.src(), view.dst(), 0, view.reached(),
+              {}};
   t.hops.resize(view.hop_count());
   for (std::size_t k = 0; k < t.hops.size(); ++k) {
     const dataset::HopView hop = view.hop(k);
@@ -153,54 +234,62 @@ dataset::Trace to_heap_trace(dataset::TraceView view) {
   return t;
 }
 
-void BM_MeasurementPathLegacy(benchmark::State& state) {
-  const Corpus& c = corpus();
-  const auto& monitors = c.internet.monitors();
+std::string Corpus::heap_pack() const {
+  const auto& monitors = internet.monitors();
   const probe::TraceOptions options;
-
-  const std::uint64_t allocs_before =
-      g_alloc_count.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    const util::Rng noise_base(0xBEEF);
-    // Each monitor grows its own trace vector; blocks concatenate in
-    // monitor order.
-    std::vector<std::vector<dataset::Trace>> blocks(monitors.size());
-    for (std::size_t mi = 0; mi < monitors.size(); ++mi) {
-      util::Rng rng = noise_base.fork(mi);
-      for (const ProbeInput& probe : c.by_monitor[mi]) {
-        blocks[mi].push_back(probe::observe_walk(monitors[mi], probe.dst,
-                                                 options, rng, probe.walk));
-      }
+  const util::Rng noise_base(0xBEEF);
+  // Each monitor grows its own trace vector; blocks concatenate in monitor
+  // order.
+  std::vector<std::vector<HeapTrace>> blocks(monitors.size());
+  for (std::size_t mi = 0; mi < monitors.size(); ++mi) {
+    util::Rng rng = noise_base.fork(mi);
+    for (const ProbeInput& probe : by_monitor[mi]) {
+      blocks[mi].push_back(
+          observe_heap(monitors[mi], probe.dst, options, rng, probe.walk));
     }
-    std::vector<dataset::Trace> traces;
-    traces.reserve(c.traces);
-    for (auto& block : blocks) {
-      for (auto& trace : block) traces.push_back(std::move(trace));
-    }
-    for (dataset::Trace& trace : traces) c.ip2as.annotate(trace);
-
-    dataset::SnapshotBatch snap;
-    snap.cycle_id = 50;
-    snap.date = "2010-03";
-    for (const dataset::Trace& trace : traces) snap.traces.append(trace);
-    const std::string bytes = dataset::serialize_pack(snap);
-    const auto view = dataset::PackView::open(bytes, {}, nullptr);
-    if (!view) {
-      state.SkipWithError("heap pack failed to open");
-      break;
-    }
-    const dataset::SnapshotBatch ingested = view->to_snapshot_batch();
-    std::vector<dataset::Trace> back;
-    back.reserve(ingested.trace_count());
-    for (std::size_t i = 0; i < ingested.trace_count(); ++i) {
-      back.push_back(to_heap_trace(ingested.traces.view(i)));
-    }
-    if (back.size() != c.traces) {
-      state.SkipWithError("heap round-trip lost traces");
-      break;
-    }
-    benchmark::DoNotOptimize(back.data());
   }
+  std::vector<HeapTrace> all;
+  all.reserve(traces);
+  for (auto& block : blocks) {
+    for (auto& trace : block) all.push_back(std::move(trace));
+  }
+  for (HeapTrace& trace : all) annotate_heap(ip2as, trace);
+
+  dataset::SnapshotBatch snap;
+  snap.cycle_id = 50;
+  snap.date = "2010-03";
+  for (const HeapTrace& trace : all) append_heap(trace, snap.traces);
+  return dataset::serialize_pack(snap);
+}
+
+// Batch measurement path: traces land as SoA columns in one reused arena
+// (steady state allocates nothing), memoized column annotate, column-memcpy
+// pack serialization.
+std::string Corpus::batch_pack(util::Arena& arena,
+                               dataset::AsnCache& asn_cache) const {
+  const auto& monitors = internet.monitors();
+  const probe::TraceOptions options;
+  const util::Rng noise_base(0xBEEF);
+  dataset::SnapshotBatch snap;
+  snap.cycle_id = 50;
+  snap.date = "2010-03";
+  snap.traces = dataset::TraceBatch(arena);
+  snap.traces.reserve(traces, hops, lses);
+  for (std::size_t mi = 0; mi < monitors.size(); ++mi) {
+    util::Rng rng = noise_base.fork(mi);
+    for (const ProbeInput& probe : by_monitor[mi]) {
+      probe::observe_walk_into(monitors[mi], probe.dst, options, rng,
+                               probe.walk, snap.traces);
+    }
+  }
+  ip2as.annotate(snap.traces, asn_cache);
+  return dataset::serialize_pack(snap);
+}
+
+// The gated pair's counters: traces/s, and heap allocations per trace since
+// `allocs_before`.
+void report_throughput(benchmark::State& state, const Corpus& c,
+                       std::uint64_t allocs_before) {
   const std::uint64_t allocs =
       g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
   const auto items = static_cast<std::int64_t>(state.iterations()) *
@@ -212,37 +301,54 @@ void BM_MeasurementPathLegacy(benchmark::State& state) {
   }
   state.SetLabel(std::to_string(c.traces) + " traces/snapshot");
 }
+
+void BM_MeasurementPathLegacy(benchmark::State& state) {
+  const Corpus& c = corpus();
+  if (!c.paths_agree) {
+    state.SkipWithError("heap reference and batch path pack bytes differ");
+    return;
+  }
+
+  const std::uint64_t allocs_before =
+      g_alloc_count.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    const std::string bytes = c.heap_pack();
+    const auto view = dataset::PackView::open(bytes, {}, nullptr);
+    if (!view) {
+      state.SkipWithError("heap pack failed to open");
+      break;
+    }
+    const dataset::SnapshotBatch ingested = view->to_snapshot_batch();
+    std::vector<HeapTrace> back;
+    back.reserve(ingested.trace_count());
+    for (std::size_t i = 0; i < ingested.trace_count(); ++i) {
+      back.push_back(to_heap_trace(ingested.traces.view(i)));
+    }
+    if (back.size() != c.traces) {
+      state.SkipWithError("heap round-trip lost traces");
+      break;
+    }
+    benchmark::DoNotOptimize(back.data());
+  }
+  report_throughput(state, c, allocs_before);
+}
 BENCHMARK(BM_MeasurementPathLegacy)->Unit(benchmark::kMillisecond);
 
-// Batch measurement path: traces land as SoA columns in one reused arena
-// (steady state allocates nothing), memoized column annotate, column-memcpy
-// pack serialization, zero-copy column ingest.
+// Batch measurement path (Corpus::batch_pack) plus zero-copy column ingest.
 void BM_MeasurementPathBatch(benchmark::State& state) {
   const Corpus& c = corpus();
-  const auto& monitors = c.internet.monitors();
-  const probe::TraceOptions options;
+  if (!c.paths_agree) {
+    state.SkipWithError("heap reference and batch path pack bytes differ");
+    return;
+  }
   util::Arena arena;
   dataset::AsnCache asn_cache;  // campaign-persistent, like the arena
 
   const std::uint64_t allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    const util::Rng noise_base(0xBEEF);
     arena.reset();
-    dataset::SnapshotBatch snap;
-    snap.cycle_id = 50;
-    snap.date = "2010-03";
-    snap.traces = dataset::TraceBatch(arena);
-    snap.traces.reserve(c.traces, c.hops, c.lses);
-    for (std::size_t mi = 0; mi < monitors.size(); ++mi) {
-      util::Rng rng = noise_base.fork(mi);
-      for (const ProbeInput& probe : c.by_monitor[mi]) {
-        probe::observe_walk_into(monitors[mi], probe.dst, options, rng,
-                                 probe.walk, snap.traces);
-      }
-    }
-    c.ip2as.annotate(snap.traces, asn_cache);
-    const std::string bytes = dataset::serialize_pack(snap);
+    const std::string bytes = c.batch_pack(arena, asn_cache);
     const auto view = dataset::PackView::open(bytes, {}, nullptr);
     if (!view) {
       state.SkipWithError("batch pack failed to open");
@@ -255,16 +361,7 @@ void BM_MeasurementPathBatch(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(back.traces.hop_addr_col().data());
   }
-  const std::uint64_t allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
-  const auto items = static_cast<std::int64_t>(state.iterations()) *
-                     static_cast<std::int64_t>(c.traces);
-  state.SetItemsProcessed(items);
-  if (items > 0) {
-    state.counters["allocs_per_trace"] =
-        static_cast<double>(allocs) / static_cast<double>(items);
-  }
-  state.SetLabel(std::to_string(c.traces) + " traces/snapshot");
+  report_throughput(state, c, allocs_before);
 }
 BENCHMARK(BM_MeasurementPathBatch)->Unit(benchmark::kMillisecond);
 

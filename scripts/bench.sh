@@ -208,10 +208,11 @@ if ratio < 5.0:
 PY
 
 # PR9 compares two measurement paths inside one report: the legacy
-# benchmark runs micro_probe's bench-local heap-Trace reference (heap sink,
-# per-trace annotate, per-record transposition into the pack writer, heap
-# materialization on ingest), so the live legacy/batch ratio is the "vs
-# heap path" number and is immune to machine-load drift between runs. baseline_commit records the
+# benchmark runs micro_probe's bench-local heap-trace reference (its own
+# copy of the observation loop, per-trace annotate, per-record
+# transposition into the pack writer, heap materialization on ingest), so
+# the live legacy/batch ratio is the "vs heap path" number and is immune to
+# machine-load drift between runs. baseline_commit records the
 # last pre-PR commit for provenance; for scale, the full simulate ->
 # annotate -> pack -> parse pipeline there measured 1808 ns/trace at 11.4
 # heap allocations/trace on this world shape.

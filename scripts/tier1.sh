@@ -7,7 +7,9 @@
 # of that: a failpoint matrix (every io fault class injected at 2% must
 # leave a campaign contained) and a kill/resume torture loop (real process
 # kills at fixed io-op ordinals; resumed runs must be byte-identical to an
-# uninterrupted one).
+# uninterrupted one). Last, a micro_probe smoke run: its corpus self-check
+# fails the gate if the bench-local heap reference behind the measurement
+# path gate (scripts/bench.sh) has drifted from the batch path.
 #
 # Usage: scripts/tier1.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 set -euo pipefail
@@ -21,6 +23,19 @@ echo "== tier-1: build + ctest ($build) =="
 cmake -B "$build" -S "$repo"
 cmake --build "$build" -j
 ctest --test-dir "$build" --output-on-failure -j
+
+echo "== tier-1: micro_probe smoke (heap reference == batch path) =="
+# The corpus build checks once that both measurement paths write identical
+# pack bytes; on a mismatch each gated bench reports SkipWithError, which
+# google-benchmark prints as "ERROR OCCURRED" but does not turn into an
+# exit code, so the output is checked here.
+probe_out="$("$build/bench/micro_probe" --benchmark_filter=MeasurementPath \
+  --benchmark_min_time=0.01 2>&1)"
+echo "$probe_out" | grep '^BM_'
+if grep -q 'ERROR OCCURRED' <<< "$probe_out"; then
+  echo "FAIL: micro_probe self-check"
+  exit 1
+fi
 
 mum="$build/tools/mum"
 work="$(mktemp -d)"
@@ -74,7 +89,8 @@ cmake -B "$tsan_build" -S "$repo" -DMUM_TSAN=ON
 # trace paths get raced for real. test_evolve races the DeltaEvolver's
 # per-AS delta fan-out and the evolved runner at 16 threads. test_batch
 # races the arena-backed shard batches (one arena per monitor, merged in
-# monitor order) against the legacy oracle at 16 threads. The
+# monitor order) at 16 threads, checked against the recorded snapshot and
+# report digests. The
 # SupervisionRun cases race the campaign loop's shared abort, failure,
 # ENOSPC-streak and retry state at 1/4/16 threads; the kill/resume loop
 # among them is left out (a minute of re-runs in Release, no new races).
@@ -99,11 +115,16 @@ cmake -B "$asan_build" -S "$repo" -DMUM_ASAN=ON
 # both drive the zero-copy column views over hostile bytes. test_golden
 # runs whole campaigns through the column writers: the chaos corruptor
 # rebuilding batches, and the v2/v3 decoders appending into them.
+# test_dataset and test_pack hand-build batches through the append protocol
+# and feed them to both writers and both decoders.
 cmake --build "$asan_build" -j --target fuzz_warts --target test_chaos \
-  --target test_batch --target test_golden
+  --target test_batch --target test_golden --target test_dataset \
+  --target test_pack
 "$asan_build/tools/fuzz_warts" --iters 10000
 "$asan_build/tests/test_chaos"
 "$asan_build/tests/test_batch"
 "$asan_build/tests/test_golden"
+"$asan_build/tests/test_dataset"
+"$asan_build/tests/test_pack"
 
 echo "== tier-1: OK =="

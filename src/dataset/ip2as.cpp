@@ -13,13 +13,6 @@ std::uint32_t Ip2As::lookup(net::Ipv4Addr addr) const {
   return hit.value_or(kUnknownAsn);
 }
 
-void Ip2As::annotate(Trace& trace) const {
-  trace.dst_asn = lookup(trace.dst);
-  for (auto& hop : trace.hops) {
-    hop.asn = hop.anonymous() ? kUnknownAsn : lookup(hop.addr);
-  }
-}
-
 std::uint32_t AsnCache::miss(std::size_t slot_index, std::uint32_t addr,
                              const Ip2As& table) {
   const std::uint32_t asn = table.lookup(net::Ipv4Addr(addr));

@@ -1,8 +1,8 @@
 // IP-to-AS mapping service (the Routeviews role in the paper's pipeline).
 //
 // The generator emits the prefix->origin-AS table; this service wraps it in a
-// longest-prefix-match trie and annotates traces with per-hop and
-// per-destination AS numbers before LPR runs.
+// longest-prefix-match trie and annotates a TraceBatch's per-hop and
+// per-destination AS columns before LPR runs.
 #pragma once
 
 #include <cstdint>
@@ -10,7 +10,6 @@
 #include <span>
 #include <vector>
 
-#include "dataset/trace.h"
 #include "dataset/trace_batch.h"
 #include "net/ipv4.h"
 #include "net/radix_trie.h"
@@ -73,13 +72,12 @@ class Ip2As {
   // Longest-prefix-match origin lookup; kUnknownAsn when uncovered.
   std::uint32_t lookup(net::Ipv4Addr addr) const;
 
-  // Fill TraceHop::asn and Trace::dst_asn of one hand-built trace.
-  void annotate(Trace& trace) const;
-  // Columnar form: fills the dst_asn and hop_asn columns. Interface
-  // addresses repeat heavily across a snapshot (and across snapshots of the
-  // same campaign), so lookups go through a flat memo table instead of one
-  // trie descent per hop. Pass a persistent AsnCache to keep the memo warm
-  // across snapshots; the cache-less overload memoizes within the call only.
+  // Fill a batch's dst_asn and hop_asn columns (anonymous hops map to
+  // kUnknownAsn). Interface addresses repeat heavily across a snapshot (and
+  // across snapshots of the same campaign), so lookups go through a flat
+  // memo table instead of one trie descent per hop. Pass a persistent
+  // AsnCache to keep the memo warm across snapshots; the cache-less overload
+  // memoizes within the call only.
   void annotate(TraceBatch& batch) const;
   void annotate(TraceBatch& batch, AsnCache& cache) const;
 

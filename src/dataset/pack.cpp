@@ -126,7 +126,7 @@ std::string serialize_pack(const SnapshotBatch& snapshot) {
   col_bytes[section_index(PackSection::kTraceSrc)] = n_traces * 4;
   col_bytes[section_index(PackSection::kTraceDst)] = n_traces * 4;
   col_bytes[section_index(PackSection::kTraceReached)] = n_traces;
-  col_bytes[section_index(PackSection::kTraceHopOffset)] = (n_traces + 1) * 8;
+  col_bytes[section_index(PackSection::kHopOffset)] = (n_traces + 1) * 8;
   col_bytes[section_index(PackSection::kHopAddr)] = n_hops * 4;
   col_bytes[section_index(PackSection::kHopRtt)] = n_hops * 4;
   col_bytes[section_index(PackSection::kHopLseOffset)] = (n_hops + 1) * 8;
@@ -156,7 +156,7 @@ std::string serialize_pack(const SnapshotBatch& snapshot) {
     std::memcpy(at(PackSection::kTraceReached), b.reached_col().data(),
                 n_traces);
   }
-  copy_le(at(PackSection::kTraceHopOffset), b.hop_off_col());
+  copy_le(at(PackSection::kHopOffset), b.hop_off_col());
   copy_le(at(PackSection::kHopAddr), b.hop_addr_col());
   copy_le(at(PackSection::kHopLseOffset), b.lse_off_col());
   copy_le(at(PackSection::kLsePool), b.lse_pool_col());
@@ -356,14 +356,14 @@ std::optional<PackView> PackView::open(std::string_view bytes,
       present[section_index(PackSection::kTraceSrc)] &&
       present[section_index(PackSection::kTraceDst)] &&
       present[section_index(PackSection::kTraceReached)] &&
-      present[section_index(PackSection::kTraceHopOffset)];
+      present[section_index(PackSection::kHopOffset)];
   std::size_t n_traces = 0;
   if (traces_usable) {
     n_traces = col_bytes(PackSection::kTraceMonitor) / 4;
     if (col_bytes(PackSection::kTraceSrc) / 4 != n_traces ||
         col_bytes(PackSection::kTraceDst) / 4 != n_traces ||
         col_bytes(PackSection::kTraceReached) != n_traces ||
-        col_bytes(PackSection::kTraceHopOffset) != (n_traces + 1) * 8) {
+        col_bytes(PackSection::kHopOffset) != (n_traces + 1) * 8) {
       diag.add_fault(FaultClass::kBadSectionTable, 0, 0,
                      "trace columns disagree on record count");
       traces_usable = false;
@@ -395,7 +395,7 @@ std::optional<PackView> PackView::open(std::string_view bytes,
   if (traces_usable && n_traces > 0) {
     const char* hop_off_col =
         bytes.data() +
-        view.section_off_[section_index(PackSection::kTraceHopOffset)];
+        view.section_off_[section_index(PackSection::kHopOffset)];
     const char* lse_off_col =
         hops_usable
             ? bytes.data() +
@@ -477,7 +477,7 @@ void PackView::append_trace(std::size_t i, TraceBatch& out) const {
   out.begin_trace(le32(u32_col(PackSection::kTraceMonitor) + i * 4),
                   net::Ipv4Addr(le32(u32_col(PackSection::kTraceSrc) + i * 4)),
                   net::Ipv4Addr(le32(u32_col(PackSection::kTraceDst) + i * 4)));
-  const char* hop_off_col = u32_col(PackSection::kTraceHopOffset);
+  const char* hop_off_col = u32_col(PackSection::kHopOffset);
   const auto a = static_cast<std::size_t>(le64(hop_off_col + i * 8));
   const auto b = static_cast<std::size_t>(le64(hop_off_col + (i + 1) * 8));
   const char* addr_col = u32_col(PackSection::kHopAddr);
@@ -520,7 +520,7 @@ SnapshotBatch PackView::to_snapshot_batch() const {
       section_bytes_[section_index(PackSection::kHopAddr)] == n_hops_ * 4 &&
       section_bytes_[section_index(PackSection::kHopRtt)] == n_hops_ * 4;
   if (invalid_.empty() && hop_cols_sound &&
-      aligned8(sec_ptr(PackSection::kTraceHopOffset)) &&
+      aligned8(sec_ptr(PackSection::kHopOffset)) &&
       aligned8(sec_ptr(PackSection::kHopLseOffset)) &&
       aligned8(sec_ptr(PackSection::kTraceMonitor)) &&
       aligned8(sec_ptr(PackSection::kHopAddr))) {
@@ -540,7 +540,7 @@ SnapshotBatch PackView::to_snapshot_batch() const {
             reinterpret_cast<const std::uint8_t*>(
                 sec_ptr(PackSection::kTraceReached)),
             n_traces_),
-        u64s(PackSection::kTraceHopOffset, n_traces_ + 1),
+        u64s(PackSection::kHopOffset, n_traces_ + 1),
         u32s(PackSection::kHopAddr, n_hops_),
         u32s(PackSection::kHopRtt, n_hops_),
         u64s(PackSection::kHopLseOffset, n_hops_ + 1),

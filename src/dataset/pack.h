@@ -59,7 +59,7 @@ enum class PackSection : std::uint32_t {
   kTraceSrc,        // u32[n_traces]
   kTraceDst,        // u32[n_traces]
   kTraceReached,    // u8[n_traces]
-  kTraceHopOffset,  // u64[n_traces + 1], prefix offsets into hop columns
+  kHopOffset,       // u64[n_traces + 1], prefix offsets into hop columns
   kHopAddr,         // u32[n_hops]
   kHopRtt,          // u32[n_hops], rtt_ms * 1000 rounded (same as v2)
   kHopLseOffset,    // u64[n_hops + 1], prefix offsets into the LSE pool

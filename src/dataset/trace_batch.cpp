@@ -104,15 +104,6 @@ void TraceBatch::discard_trace() {
   lse_pool_.truncate(static_cast<std::size_t>(lse_off_.back()));
 }
 
-void TraceBatch::append(const Trace& trace) {
-  begin_trace(trace.monitor_id, trace.src, trace.dst, trace.dst_asn);
-  for (const TraceHop& hop : trace.hops) {
-    add_hop(hop.addr, hop.rtt_ms, hop.asn);
-    for (const auto& lse : hop.labels.entries()) add_label(lse.encode());
-  }
-  end_trace(trace.reached);
-}
-
 void TraceBatch::append(const TraceBatch& other) {
   const std::uint64_t hop_base = hop_addr_.size();
   const std::uint64_t lse_base = lse_pool_.size();

@@ -20,8 +20,8 @@
 //
 // This is the only in-memory form of a snapshot: generation writes it,
 // the chaos corruptor rebuilds it, both decoders append into it, and LPR
-// extraction reads its columns. dataset::Trace survives as a single-record
-// value (append(const Trace&)) for hand-built lab inputs.
+// extraction reads its columns. Hand-built lab inputs go through the same
+// append protocol (begin_trace / add_hop / add_label / end_trace).
 //
 // Arena ownership: a default-constructed batch owns a private arena; the
 // borrowing constructor carves from a caller-owned arena that the caller
@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "dataset/trace.h"
 #include "net/ipv4.h"
 #include "net/lse.h"
 #include "util/arena.h"
@@ -147,8 +146,6 @@ class TraceBatch {
   void end_trace(bool reached);
   void discard_trace();
 
-  // AoS compat: append a heap Trace (including its annotations).
-  void append(const Trace& trace);
   // Column-wise merge: append every trace of `other`, rebasing offsets.
   void append(const TraceBatch& other);
 

@@ -10,16 +10,10 @@ std::uint64_t paris_flow_id(const Monitor& monitor, net::Ipv4Addr dst) {
                             util::mix64(dst.value()));
 }
 
-namespace {
-
-// The observation model, shared verbatim between the single-trace heap sink
-// and the batch sink: one definition means one RNG draw sequence, which is
-// what makes the two sinks byte-identical by construction. The sink receives
-// each emitted hop (labels == nullptr for anonymous or unquoted hops) and
-// finally the reached flag.
-template <class Sink>
-void run_observation(net::Ipv4Addr dst, const TraceOptions& options,
-                     util::Rng& rng, const WalkResult& walk, Sink&& sink) {
+void observe_walk_into(const Monitor& monitor, net::Ipv4Addr dst,
+                       const TraceOptions& options, util::Rng& rng,
+                       const WalkResult& walk, dataset::TraceBatch& out) {
+  out.begin_trace(monitor.id, monitor.addr, dst);
   double cumulative_ms = 0.0;
   int ttl = 0;
   int gap = 0;  // consecutive anonymous hops (scamper-style gap limit)
@@ -44,14 +38,16 @@ void run_observation(net::Ipv4Addr dst, const TraceOptions& options,
     }
     if (answers) {
       gap = 0;
-      const double rtt = 2.0 * cumulative_ms + rng.uniform01() * 0.4;
-      const net::LabelStack* labels =
-          (hop.rfc4950 && !hop.labels.empty()) ? &hop.labels : nullptr;
-      sink.hop(hop.addr, rtt, labels);
+      out.add_hop(hop.addr, 2.0 * cumulative_ms + rng.uniform01() * 0.4);
+      if (hop.rfc4950) {  // RFC 4950: a quoting router exposes its stack
+        for (const auto& lse : hop.labels.entries()) {
+          out.add_label(lse.encode());
+        }
+      }
     } else {
-      sink.hop(net::kAnonymousAddr, 0.0, nullptr);
+      out.add_hop(net::kAnonymousAddr, 0.0);
       if (++gap >= options.gap_limit) {
-        sink.finish(false);  // give up: trace ends in stars
+        out.end_trace(false);  // give up: trace ends in stars
         return;
       }
     }
@@ -59,59 +55,9 @@ void run_observation(net::Ipv4Addr dst, const TraceOptions& options,
 
   const bool reached = walk.reached && ttl < options.max_ttl;
   if (reached) {
-    sink.hop(dst, 2.0 * (cumulative_ms + 1.0) + rng.uniform01() * 0.4,
-             nullptr);
+    out.add_hop(dst, 2.0 * (cumulative_ms + 1.0) + rng.uniform01() * 0.4);
   }
-  sink.finish(reached);
-}
-
-struct TraceSink {
-  dataset::Trace& trace;
-  void hop(net::Ipv4Addr addr, double rtt_ms, const net::LabelStack* labels) {
-    dataset::TraceHop out;
-    out.addr = addr;
-    out.rtt_ms = rtt_ms;
-    if (labels != nullptr) out.labels = *labels;
-    trace.hops.push_back(std::move(out));
-  }
-  void finish(bool reached) { trace.reached = reached; }
-};
-
-struct BatchSink {
-  dataset::TraceBatch& batch;
-  void hop(net::Ipv4Addr addr, double rtt_ms, const net::LabelStack* labels) {
-    batch.add_hop(addr, rtt_ms);
-    if (labels != nullptr) {
-      for (const auto& lse : labels->entries()) batch.add_label(lse.encode());
-    }
-  }
-  void finish(bool reached) { batch.end_trace(reached); }
-};
-
-}  // namespace
-
-dataset::Trace observe_walk(const Monitor& monitor, net::Ipv4Addr dst,
-                            const TraceOptions& options, util::Rng& rng,
-                            const WalkResult& walk) {
-  dataset::Trace trace;
-  trace.monitor_id = monitor.id;
-  trace.src = monitor.addr;
-  trace.dst = dst;
-  run_observation(dst, options, rng, walk, TraceSink{trace});
-  return trace;
-}
-
-void observe_walk_into(const Monitor& monitor, net::Ipv4Addr dst,
-                       const TraceOptions& options, util::Rng& rng,
-                       const WalkResult& walk, dataset::TraceBatch& out) {
-  out.begin_trace(monitor.id, monitor.addr, dst);
-  run_observation(dst, options, rng, walk, BatchSink{out});
-}
-
-dataset::Trace trace_route(const Monitor& monitor, const PathSpec& path,
-                           const TraceOptions& options, util::Rng& rng) {
-  const WalkResult walk = walk_path(path, paris_flow_id(monitor, path.dst));
-  return observe_walk(monitor, path.dst, options, rng, walk);
+  out.end_trace(reached);
 }
 
 }  // namespace mum::probe

@@ -13,20 +13,11 @@
 
 #include <cstdint>
 
-#include "dataset/trace.h"
 #include "dataset/trace_batch.h"
 #include "probe/forwarder.h"
 #include "util/rng.h"
 
 namespace mum::probe {
-
-// The measurement plane emits into dataset::TraceBatch; alias it into this
-// namespace as the probe-side spelling (probe sits above dataset in the
-// layering, so the type lives there).
-using dataset::HopView;
-using dataset::SnapshotBatch;
-using dataset::TraceBatch;
-using dataset::TraceView;
 
 struct Monitor {
   std::uint32_t id = 0;
@@ -53,21 +44,11 @@ struct TraceOptions {
   int gap_limit = 6;
 };
 
-// Run one traceroute over a precomputed path. `rng` drives only the
-// observation noise (anonymous hops, reply loss, RTT jitter) — forwarding
-// itself is deterministic in the flow id.
-dataset::Trace trace_route(const Monitor& monitor, const PathSpec& path,
-                           const TraceOptions& options, util::Rng& rng);
-
-// Observation model over an already-computed forwarding walk (trace_route
-// == walk_path + observe_walk). Exposed so benches and oracle tests can
-// separate the forwarding simulation from the measurement path proper.
-dataset::Trace observe_walk(const Monitor& monitor, net::Ipv4Addr dst,
-                            const TraceOptions& options, util::Rng& rng,
-                            const WalkResult& walk);
-// Batch form: the same RNG draw sequence (the two share one
-// observation-model core), but the trace lands as columns appended to
-// `out`, with no per-hop heap allocation. The campaign probe loop's sink.
+// Observation model over an already-computed forwarding walk (a traceroute
+// is walk_path + observe_walk_into). `rng` drives only the observation
+// noise (anonymous hops, reply loss, RTT jitter): forwarding itself is
+// deterministic in the flow id. The trace lands as columns appended to
+// `out`, with no per-hop heap allocation; this is the campaign probe loop.
 void observe_walk_into(const Monitor& monitor, net::Ipv4Addr dst,
                        const TraceOptions& options, util::Rng& rng,
                        const WalkResult& walk, dataset::TraceBatch& out);

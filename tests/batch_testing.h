@@ -1,59 +1,96 @@
-// Test helpers bridging hand-written single-trace values (dataset::Trace)
-// and the columnar snapshot form every library path consumes.
+// Test helpers for the columnar trace form every library path consumes:
+// hand-written lab traces appended through the TraceBatch protocol, one
+// traceroute into a batch, and a column-by-column batch comparison.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "dataset/trace.h"
 #include "dataset/trace_batch.h"
+#include "net/lse.h"
+#include "probe/traceroute.h"
 
 namespace mum::testing {
 
-// A snapshot holding `traces` in order (annotations included).
-inline dataset::SnapshotBatch make_snapshot(
-    const std::vector<dataset::Trace>& traces, std::uint32_t cycle_id = 0,
-    std::uint32_t sub_index = 0, std::string date = "") {
-  dataset::SnapshotBatch snap;
-  snap.cycle_id = cycle_id;
-  snap.sub_index = sub_index;
-  snap.date = std::move(date);
-  for (const dataset::Trace& trace : traces) snap.traces.append(trace);
-  return snap;
+// One hand-written hop: addr 0 is an anonymous hop ('*'); `labels` is the
+// quoted stack, top first.
+struct Hop {
+  std::uint32_t addr = 0;
+  net::LabelStack labels = {};
+  double rtt_ms = 1.0;
+};
+
+inline Hop plain(std::uint32_t addr) { return {addr}; }
+// A hop quoting a one-entry stack (TC 0, TTL 1).
+inline Hop labeled(std::uint32_t addr, std::uint32_t label) {
+  Hop hop{addr};
+  hop.labels.push(label, 0, 1);
+  return hop;
+}
+inline Hop anonymous() { return {0, {}, 0.0}; }
+
+// The per-trace fields of a hand-written trace.
+struct TraceHead {
+  std::uint32_t monitor_id = 0;
+  std::uint32_t src = 0;
+  std::uint32_t dst = 0;
+  bool reached = true;
+};
+
+// Append one trace through begin_trace / add_hop / add_label / end_trace.
+inline void add_trace(dataset::TraceBatch& batch, const TraceHead& head,
+                      const std::vector<Hop>& hops) {
+  batch.begin_trace(head.monitor_id, net::Ipv4Addr(head.src),
+                    net::Ipv4Addr(head.dst));
+  for (const Hop& hop : hops) {
+    batch.add_hop(net::Ipv4Addr(hop.addr), hop.rtt_ms);
+    for (const auto& lse : hop.labels.entries()) batch.add_label(lse.encode());
+  }
+  batch.end_trace(head.reached);
 }
 
-// Every field of every trace, read through the views, equals `traces`.
+// One traceroute over `path` into `out`: walk_path + observe_walk_into.
+inline void trace_into(const probe::Monitor& monitor,
+                       const probe::PathSpec& path,
+                       const probe::TraceOptions& options, util::Rng& rng,
+                       dataset::TraceBatch& out) {
+  const probe::WalkResult walk =
+      probe::walk_path(path, probe::paris_flow_id(monitor, path.dst));
+  probe::observe_walk_into(monitor, path.dst, options, rng, walk, out);
+}
+
+// Every column field of every trace of `a` equals `b`'s: monitor, src, dst,
+// dst_asn, reached, and per hop addr, rtt, asn and the quoted LSE words.
 // RTTs compare to within `rtt_tolerance` (0 = exact; wire forms quantize to
 // microseconds).
-inline void expect_views_match(const dataset::TraceBatch& batch,
-                               const std::vector<dataset::Trace>& traces,
-                               double rtt_tolerance = 0.0) {
-  ASSERT_EQ(batch.trace_count(), traces.size());
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    const dataset::Trace& t = traces[i];
-    const dataset::TraceView v = batch.view(i);
-    EXPECT_EQ(v.monitor_id(), t.monitor_id);
-    EXPECT_EQ(v.src(), t.src);
-    EXPECT_EQ(v.dst(), t.dst);
-    EXPECT_EQ(v.dst_asn(), t.dst_asn);
-    EXPECT_EQ(v.reached(), t.reached);
-    ASSERT_EQ(v.hop_count(), t.hops.size());
-    for (std::size_t k = 0; k < t.hops.size(); ++k) {
-      const dataset::TraceHop& hop = t.hops[k];
-      const dataset::HopView hv = v.hop(k);
-      EXPECT_EQ(hv.addr(), hop.addr);
-      if (rtt_tolerance == 0.0) {
-        EXPECT_DOUBLE_EQ(hv.rtt_ms(), hop.rtt_ms);
-      } else {
-        EXPECT_NEAR(hv.rtt_ms(), hop.rtt_ms, rtt_tolerance);
-      }
-      EXPECT_EQ(hv.asn(), hop.asn);
-      EXPECT_EQ(hv.anonymous(), hop.anonymous());
-      EXPECT_EQ(hv.label_depth(), hop.labels.depth());
-      EXPECT_EQ(hv.labels(), hop.labels.labels());
-      EXPECT_TRUE(hv.label_stack() == hop.labels);
+inline void expect_batches_equal(const dataset::TraceBatch& a,
+                                 const dataset::TraceBatch& b,
+                                 double rtt_tolerance = 0.0) {
+  ASSERT_EQ(a.trace_count(), b.trace_count());
+  for (std::size_t i = 0; i < a.trace_count(); ++i) {
+    SCOPED_TRACE("trace " + std::to_string(i));
+    const dataset::TraceView ta = a.view(i);
+    const dataset::TraceView tb = b.view(i);
+    EXPECT_EQ(ta.monitor_id(), tb.monitor_id());
+    EXPECT_EQ(ta.src(), tb.src());
+    EXPECT_EQ(ta.dst(), tb.dst());
+    EXPECT_EQ(ta.dst_asn(), tb.dst_asn());
+    EXPECT_EQ(ta.reached(), tb.reached());
+    ASSERT_EQ(ta.hop_count(), tb.hop_count());
+    for (std::size_t k = 0; k < ta.hop_count(); ++k) {
+      SCOPED_TRACE("hop " + std::to_string(k));
+      const dataset::HopView ha = ta.hop(k);
+      const dataset::HopView hb = tb.hop(k);
+      EXPECT_EQ(ha.addr(), hb.addr());
+      EXPECT_NEAR(ha.rtt_ms(), hb.rtt_ms(), rtt_tolerance);
+      EXPECT_EQ(ha.asn(), hb.asn());
+      const auto wa = ha.lse_words();
+      const auto wb = hb.lse_words();
+      EXPECT_TRUE(std::equal(wa.begin(), wa.end(), wb.begin(), wb.end()));
     }
   }
 }

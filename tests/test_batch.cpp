@@ -4,8 +4,8 @@
 // an AoS value. That pipeline is gone from the library; its outputs on the
 // fixtures below were recorded as FNV-1a digests (snapshot bytes from the
 // AoS writers, report JSON from the heap campaign), so every guarantee here
-// is still stated as byte- or value-identity against it. Single-trace heap
-// values come from the probe layer's heap sink (probe::trace_route).
+// is still stated as byte- or value-identity against it. Batch-level
+// oracles compare against a reference batch from one observe_walk_into run.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -55,7 +55,7 @@ run::RunnerConfig small_runner(int cycles, int threads = 1) {
   return c;
 }
 
-using testing::expect_views_match;
+using testing::expect_batches_equal;
 
 std::uint64_t fnv1a(std::string_view bytes) {
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -84,23 +84,32 @@ dataset::SnapshotBatch campaign_snapshot() {
   return runner.snapshot(ctx, 50, 0);
 }
 
-// Annotated heap traces from the probe layer's heap sink: every monitor
-// toward every third destination of the fixture world.
-std::vector<dataset::Trace> heap_traces() {
+// The probe-layer reference: every monitor toward every third destination
+// of the fixture world, observed in one RNG stream (seed 11). Probe i lands
+// in `pick(i)`, so a test can split or interleave the stream across
+// batches. Returns the world's table for annotating them afterwards.
+template <class Pick>
+dataset::Ip2As observe_fixture(Pick&& pick) {
   gen::Internet internet(small_gen());
-  const auto ip2as = internet.build_ip2as();
   auto ctx = internet.instantiate(50);
   util::Rng rng(11);
-  std::vector<dataset::Trace> out;
+  std::size_t i = 0;
   for (const auto& monitor : internet.monitors()) {
     const auto& dests = internet.destinations();
     for (std::size_t d = 0; d < dests.size(); d += 3) {
       const auto path = internet.path_spec(monitor, dests[d], ctx);
       if (!path) continue;
-      out.push_back(probe::trace_route(monitor, *path, {}, rng));
-      ip2as.annotate(out.back());
+      testing::trace_into(monitor, *path, {}, rng, pick(i++));
     }
   }
+  return internet.build_ip2as();
+}
+
+// The whole reference stream in one batch, annotated.
+dataset::TraceBatch reference_batch() {
+  dataset::TraceBatch out;
+  observe_fixture([&](std::size_t) -> dataset::TraceBatch& { return out; })
+      .annotate(out);
   return out;
 }
 
@@ -227,23 +236,22 @@ TEST(AsnCache, AgreesWithTrieAcrossGrowthAndReuse) {
   EXPECT_EQ(cache.get((17u << 24) + 5, table), dataset::kUnknownAsn);
 }
 
-TEST(TraceBatch, AppendedHeapTracesReadBackThroughViews) {
-  const std::vector<dataset::Trace> traces = heap_traces();
-  ASSERT_GT(traces.size(), 100u);
-
-  dataset::TraceBatch batch;
-  for (const auto& trace : traces) batch.append(trace);
-  expect_views_match(batch, traces);
-}
-
 TEST(TraceBatch, ColumnMergeRebasesOffsets) {
-  const std::vector<dataset::Trace> traces = heap_traces();
-  const std::size_t half = traces.size() / 2;
+  const dataset::TraceBatch reference = reference_batch();
+  ASSERT_GT(reference.trace_count(), 100u);
+  const std::size_t half = reference.trace_count() / 2;
 
+  // The same stream split across two arena-borrowing batches.
   util::Arena arena_a, arena_b;
   dataset::TraceBatch a(arena_a), b(arena_b);
-  for (std::size_t i = 0; i < half; ++i) a.append(traces[i]);
-  for (std::size_t i = half; i < traces.size(); ++i) b.append(traces[i]);
+  const dataset::Ip2As ip2as =
+      observe_fixture([&](std::size_t i) -> dataset::TraceBatch& {
+        return i < half ? a : b;
+      });
+  ip2as.annotate(a);
+  ip2as.annotate(b);
+  ASSERT_GT(a.lse_count(), 0u);
+  ASSERT_GT(b.lse_count(), 0u);
 
   dataset::TraceBatch merged;
   merged.reserve(a.trace_count() + b.trace_count(),
@@ -251,23 +259,24 @@ TEST(TraceBatch, ColumnMergeRebasesOffsets) {
                  a.lse_count() + b.lse_count());
   merged.append(a);
   merged.append(b);
-  expect_views_match(merged, traces);
+  expect_batches_equal(merged, reference);
 }
 
 TEST(TraceBatch, DiscardDropsOnlyTheOpenTrace) {
-  const std::vector<dataset::Trace> traces = heap_traces();
   dataset::TraceBatch batch;
-  for (const auto& trace : traces) {
-    // A half-built record (hops and labels included) vanishes without a
-    // trace; the committed ones are untouched.
-    batch.begin_trace(99, net::Ipv4Addr(1), net::Ipv4Addr(2));
-    batch.add_hop(net::Ipv4Addr(3), 1.0);
-    batch.add_label(0x12345100);
-    batch.discard_trace();
-    batch.append(trace);
-  }
+  const dataset::Ip2As ip2as =
+      observe_fixture([&](std::size_t) -> dataset::TraceBatch& {
+        // A half-built record (hops and labels included) vanishes without
+        // a trace; the committed ones are untouched.
+        batch.begin_trace(99, net::Ipv4Addr(1), net::Ipv4Addr(2));
+        batch.add_hop(net::Ipv4Addr(3), 1.0);
+        batch.add_label(0x12345100);
+        batch.discard_trace();
+        return batch;
+      });
   batch.discard_trace();  // nothing open: a no-op
-  expect_views_match(batch, traces);
+  ip2as.annotate(batch);
+  expect_batches_equal(batch, reference_batch());
 }
 
 TEST(TraceBatch, PackAndStreamWritersMatchAosBytes) {
@@ -281,19 +290,17 @@ TEST(TraceBatch, PackAndStreamWritersMatchAosBytes) {
 
 TEST(TraceBatch, PackViewRoundTripIsByteStable) {
   // The wire format quantizes rtt and drops annotations (asn is recomputed
-  // after ingest), so compare against unannotated heap values.
-  std::vector<dataset::Trace> traces = heap_traces();
-  for (dataset::Trace& trace : traces) {
-    trace.dst_asn = 0;
-    for (dataset::TraceHop& hop : trace.hops) hop.asn = 0;
-  }
-  const std::string bytes =
-      dataset::serialize_pack(testing::make_snapshot(traces, 50));
+  // after ingest), so the reference stays unannotated.
+  dataset::SnapshotBatch snap;
+  snap.cycle_id = 50;
+  observe_fixture(
+      [&](std::size_t) -> dataset::TraceBatch& { return snap.traces; });
+  const std::string bytes = dataset::serialize_pack(snap);
 
   const auto view = dataset::PackView::open(bytes, {}, nullptr);
   ASSERT_TRUE(view.has_value());
   const dataset::SnapshotBatch batch = view->to_snapshot_batch();
-  expect_views_match(batch.traces, traces, 1e-3);
+  expect_batches_equal(batch.traces, snap.traces, 1e-3);
   EXPECT_EQ(dataset::serialize_pack(batch), bytes);
 }
 
@@ -327,38 +334,6 @@ TEST(TraceBatch, DamagedPackIngestsTolerantlyOrRejects) {
     EXPECT_EQ(again->to_snapshot_batch().trace_count(),
               traces.trace_count());
   }
-}
-
-// --- probe layer -----------------------------------------------------------
-
-TEST(Traceroute, BatchSinkIsDrawForDrawIdenticalToHeapSink) {
-  gen::Internet internet(small_gen());
-  auto ctx = internet.instantiate(50);
-  const auto& monitors = internet.monitors();
-  const auto& dests = internet.destinations();
-  const probe::TraceOptions options;
-
-  util::Arena arena;
-  dataset::TraceBatch batch(arena);
-  std::vector<dataset::Trace> heap;
-  util::Rng rng_heap(7);
-  util::Rng rng_batch(7);
-  probe::WalkResult scratch;
-  for (const auto& monitor : monitors) {
-    for (std::size_t d = 0; d < dests.size(); d += 3) {
-      const auto path = internet.path_spec(monitor, dests[d], ctx);
-      if (!path) continue;
-      heap.push_back(probe::trace_route(monitor, *path, options, rng_heap));
-      probe::walk_path(*path, probe::paris_flow_id(monitor, path->dst),
-                       scratch);
-      probe::observe_walk_into(monitor, path->dst, options, rng_batch,
-                               scratch, batch);
-    }
-  }
-  ASSERT_GT(heap.size(), 50u);
-  // Identical draw sequences => identical rngs afterwards.
-  EXPECT_EQ(rng_heap.next(), rng_batch.next());
-  expect_views_match(batch, heap);
 }
 
 // --- campaign layer --------------------------------------------------------

@@ -48,6 +48,22 @@ TEST(Args, TakeIntRejectsGarbage) {
   EXPECT_FALSE(args.ok());
 }
 
+TEST(Args, TakeIntEnforcesInclusiveRange) {
+  // Both bounds are inclusive, and the default range is the target type's.
+  Args in_range({"--lo", "1", "--hi", "60", "--u32", "4294967295"});
+  EXPECT_EQ(in_range.take_int("--lo", 9, 1, 60), 1);
+  EXPECT_EQ(in_range.take_int("--hi", 9, 1, 60), 60);
+  EXPECT_EQ(in_range.take_int<std::uint32_t>("--u32", 0), 4294967295u);
+  EXPECT_TRUE(in_range.ok());
+  // Out of range on either side: the default, and an error naming the range.
+  Args too_big({"--n", "4294967296"});
+  EXPECT_EQ(too_big.take_int("--n", 7), 7);
+  EXPECT_EQ(too_big.error(), "--n must be in [0, 2147483647]");
+  Args too_small({"--n", "0"});
+  EXPECT_EQ(too_small.take_int("--n", 7, 1, 60), 7);
+  EXPECT_EQ(too_small.error(), "--n must be in [1, 60]");
+}
+
 TEST(Args, UnknownFlagDetected) {
   Args args({"--bogus", "x"});
   EXPECT_TRUE(args.unknown_flag().has_value());
@@ -297,6 +313,28 @@ TEST_F(CliPipeline, UsageErrorsExitOne) {
   EXPECT_EQ(run_cmd({"campaign", "--chaos", "bogus=1"}, &out), kExitUsage);
   EXPECT_EQ(run_cmd({"stats", "--tolerant", "--strict", "x.mumw"}, &out),
             kExitUsage);
+}
+
+TEST_F(CliPipeline, OutOfRangeIntegerFlagsExitOne) {
+  // 2^32 is 0 once narrowed to a u32 or to the low half of an int; each
+  // flag must refuse it, or its own out-of-range value, up front.
+  const std::string big = "4294967296";
+  const std::string in_int = " must be in [0, 2147483647]";
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"campaign", "--small", "--failure-budget", big},
+        "--failure-budget" + in_int},
+       {{"campaign", "--small", "--retry", big}, "--retry" + in_int},
+       {{"campaign", "--small", "--cycle-deadline", big},
+        "--cycle-deadline must be in [0, 4294967295]"},
+       {{"campaign", "--small", "--threads", big}, "--threads" + in_int},
+       {{"generate", "--out", (dir_ / "gen").string(), "--snapshots", "0"},
+        "--snapshots must be in [1, 2147483647]"},
+       {{"classify", "--j", big}, "--j" + in_int}};
+  for (const auto& [argv, message] : cases) {
+    std::string out;
+    EXPECT_EQ(run_cmd(argv, &out), kExitUsage) << message;
+    EXPECT_NE(out.find(message), std::string::npos) << out;
+  }
 }
 
 TEST_F(CliPipeline, DataErrorsExitThree) {

@@ -5,7 +5,6 @@
 #include "batch_testing.h"
 #include "dataset/ip2as.h"
 #include "dataset/pack.h"
-#include "dataset/trace.h"
 #include "dataset/warts_lite.h"
 #include "icmp/icmp.h"
 #include "util/rng.h"
@@ -13,38 +12,29 @@
 namespace mum::dataset {
 namespace {
 
+using testing::add_trace;
+using testing::anonymous;
+using testing::Hop;
+using testing::labeled;
+using testing::plain;
+
 net::Ipv4Addr ip(std::uint32_t v) { return net::Ipv4Addr(v); }
 
-TraceHop labeled_hop(std::uint32_t addr, std::uint32_t label) {
-  TraceHop hop;
-  hop.addr = ip(addr);
-  hop.rtt_ms = 1.5;
-  hop.labels.push(label, 0, 1);
-  return hop;
-}
-
-TraceHop plain_hop(std::uint32_t addr) {
-  TraceHop hop;
-  hop.addr = ip(addr);
-  hop.rtt_ms = 1.0;
-  return hop;
-}
-
-// --- Trace basics -------------------------------------------------------
+// --- trace views ---------------------------------------------------------
 
 TEST(Trace, AnonymousDetection) {
-  TraceHop hop;
-  EXPECT_TRUE(hop.anonymous());
-  hop.addr = ip(1);
-  EXPECT_FALSE(hop.anonymous());
+  TraceBatch batch;
+  add_trace(batch, {}, {anonymous(), plain(1)});
+  EXPECT_TRUE(batch.view(0).hop(0).anonymous());
+  EXPECT_FALSE(batch.view(0).hop(1).anonymous());
 }
 
 TEST(Trace, ExplicitTunnelDetection) {
-  Trace t;
-  t.hops.push_back(plain_hop(1));
-  EXPECT_FALSE(t.crosses_explicit_tunnel());
-  t.hops.push_back(labeled_hop(2, 1000));
-  EXPECT_TRUE(t.crosses_explicit_tunnel());
+  TraceBatch batch;
+  add_trace(batch, {}, {plain(1)});
+  add_trace(batch, {}, {plain(1), labeled(2, 1000)});
+  EXPECT_FALSE(batch.view(0).crosses_explicit_tunnel());
+  EXPECT_TRUE(batch.view(1).crosses_explicit_tunnel());
 }
 
 // --- Ip2As --------------------------------------------------------------
@@ -63,27 +53,46 @@ TEST(Ip2As, AnnotateFillsHopAndDestAsns) {
   ip2as.add_prefix(net::Ipv4Prefix(ip(0x0A000000), 8), 65001);
   ip2as.add_prefix(net::Ipv4Prefix(ip(0x0B000000), 8), 65002);
 
-  Trace t;
-  t.dst = ip(0x0B000001);
-  t.hops.push_back(plain_hop(0x0A000001));
-  t.hops.push_back(TraceHop{});  // anonymous
-  t.hops.push_back(plain_hop(0x0C000001));  // unmapped
-  ip2as.annotate(t);
+  // A mapped hop, an anonymous hop, an unmapped hop; the destination maps.
+  const auto fill = [](TraceBatch& batch) {
+    add_trace(batch, {.dst = 0x0B000001},
+              {plain(0x0A000001), anonymous(), plain(0x0C000001)});
+  };
+  const auto expect_annotated = [&](const TraceBatch& batch) {
+    ASSERT_EQ(batch.trace_count(), 1u);
+    const TraceView t = batch.view(0);
+    EXPECT_EQ(t.dst_asn(), 65002u);
+    EXPECT_EQ(t.dst_asn(), ip2as.lookup(t.dst()));
+    EXPECT_EQ(t.hop(0).asn(), 65001u);
+    EXPECT_EQ(t.hop(0).asn(), ip2as.lookup(t.hop(0).addr()));
+    EXPECT_EQ(t.hop(1).asn(), kUnknownAsn);
+    EXPECT_EQ(t.hop(2).asn(), kUnknownAsn);
+    EXPECT_EQ(t.hop(2).asn(), ip2as.lookup(t.hop(2).addr()));
+  };
 
-  EXPECT_EQ(t.dst_asn, 65002u);
-  EXPECT_EQ(t.hops[0].asn, 65001u);
-  EXPECT_EQ(t.hops[1].asn, kUnknownAsn);
-  EXPECT_EQ(t.hops[2].asn, kUnknownAsn);
+  TraceBatch uncached;
+  fill(uncached);
+  ip2as.annotate(uncached);
+  expect_annotated(uncached);
+
+  // One cache across two batches: the second is served from warm entries.
+  AsnCache cache;
+  TraceBatch first, second;
+  fill(first);
+  fill(second);
+  ip2as.annotate(first, cache);
+  ip2as.annotate(second, cache);
+  expect_annotated(first);
+  expect_annotated(second);
 }
 
 TEST(Ip2As, AnnotateVector) {
   Ip2As ip2as;
   ip2as.add_prefix(net::Ipv4Prefix(ip(0x0A000000), 8), 65001);
-  std::vector<Trace> traces(3);
-  for (auto& t : traces) t.dst = ip(0x0A000005);
-  SnapshotBatch snap = testing::make_snapshot(traces);
-  ip2as.annotate(snap.traces);
-  for (const TraceView t : snap.traces) EXPECT_EQ(t.dst_asn(), 65001u);
+  TraceBatch batch;
+  for (int i = 0; i < 3; ++i) add_trace(batch, {.dst = 0x0A000005}, {});
+  ip2as.annotate(batch);
+  for (const TraceView t : batch) EXPECT_EQ(t.dst_asn(), 65001u);
 }
 
 // --- varints ------------------------------------------------------------
@@ -118,27 +127,20 @@ TEST(Varint, SmallValuesAreOneByte) {
 
 // --- warts-lite ---------------------------------------------------------
 
-std::vector<Trace> sample_traces() {
-  Trace t;
-  t.monitor_id = 7;
-  t.src = ip(0x01020304);
-  t.dst = ip(0x05060708);
-  t.reached = true;
-  t.hops.push_back(plain_hop(0x0A000001));
-  t.hops.push_back(TraceHop{});  // anonymous hop
-  TraceHop multi = labeled_hop(0x0A000002, 300123);
-  multi.labels.push(17, 2, 1);  // two-entry stack
-  t.hops.push_back(multi);
-  Trace unreached;
-  unreached.monitor_id = 8;
-  unreached.src = ip(1);
-  unreached.dst = ip(2);
-  unreached.reached = false;
-  return {t, unreached};
-}
-
 SnapshotBatch sample_snapshot() {
-  return testing::make_snapshot(sample_traces(), 42, 1, "2014-12");
+  SnapshotBatch snap;
+  snap.cycle_id = 42;
+  snap.sub_index = 1;
+  snap.date = "2014-12";
+  Hop multi = labeled(0x0A000002, 300123);
+  multi.rtt_ms = 1.5;
+  multi.labels.push(17, 2, 1);  // two-entry stack
+  add_trace(snap.traces,
+            {.monitor_id = 7, .src = 0x01020304, .dst = 0x05060708},
+            {plain(0x0A000001), anonymous(), multi});
+  add_trace(snap.traces, {.monitor_id = 8, .src = 1, .dst = 2,
+                          .reached = false}, {});
+  return snap;
 }
 
 TEST(WartsLite, RoundTripPreservesEverything) {
@@ -149,7 +151,7 @@ TEST(WartsLite, RoundTripPreservesEverything) {
   EXPECT_EQ(back->cycle_id, snap.cycle_id);
   EXPECT_EQ(back->sub_index, snap.sub_index);
   EXPECT_EQ(back->date, snap.date);
-  testing::expect_views_match(back->traces, sample_traces());
+  testing::expect_batches_equal(back->traces, snap.traces);
   const TraceView t0 = back->traces.view(0);
   EXPECT_EQ(t0.monitor_id(), 7u);
   EXPECT_TRUE(t0.reached());
@@ -198,13 +200,12 @@ TEST(WartsLite, EmptySnapshotRoundTrip) {
 }
 
 TEST(WartsLite, AnonymousOnlyTraceRoundTrip) {
-  Trace t;
-  t.monitor_id = 3;
-  t.src = ip(1);
-  t.dst = ip(2);
-  t.reached = false;
-  t.hops.assign(5, TraceHop{});  // every hop anonymous
-  const SnapshotBatch snap = testing::make_snapshot({t}, 9, 0, "2013-01");
+  SnapshotBatch snap;
+  snap.cycle_id = 9;
+  snap.date = "2013-01";
+  add_trace(snap.traces, {.monitor_id = 3, .src = 1, .dst = 2,
+                          .reached = false},
+            std::vector<Hop>(5, anonymous()));  // every hop anonymous
 
   const auto back = parse_snapshot(serialize_snapshot(snap));
   ASSERT_TRUE(back.has_value());
@@ -220,17 +221,15 @@ TEST(WartsLite, AnonymousOnlyTraceRoundTrip) {
 TEST(WartsLite, MaxDepthLabelStackRoundTrip) {
   // Quoted stacks deeper than anything the generator emits must still
   // round-trip exactly (the paper's data shows stacks up to ~6; go further).
-  Trace t;
-  t.src = ip(1);
-  t.dst = ip(2);
-  TraceHop hop = plain_hop(0x0A000001);
+  Hop hop = plain(0x0A000001);
   for (std::uint32_t i = 0; i < 16; ++i) {
     hop.labels.push(net::kLabelFirstUnreserved + i,
                     static_cast<std::uint8_t>(i % 8),
                     static_cast<std::uint8_t>(255 - i));
   }
-  t.hops.push_back(hop);
-  const SnapshotBatch snap = testing::make_snapshot({t}, 0, 0, "2015-06");
+  SnapshotBatch snap;
+  snap.date = "2015-06";
+  add_trace(snap.traces, {.src = 1, .dst = 2}, {hop});
 
   const auto back = parse_snapshot(serialize_snapshot(snap));
   ASSERT_TRUE(back.has_value());
@@ -451,37 +450,34 @@ TEST_P(WartsFuzz, RandomSnapshotsRoundTrip) {
   util::Rng rng(GetParam());
   const auto cycle_id = static_cast<std::uint32_t>(rng.below(100));
   const auto sub_index = static_cast<std::uint32_t>(rng.below(30));
-  std::vector<Trace> traces;
+  SnapshotBatch snap;
+  snap.cycle_id = cycle_id;
+  snap.sub_index = sub_index;
+  snap.date = "2013-07";
   const int n = 1 + static_cast<int>(rng.below(20));
   for (int i = 0; i < n; ++i) {
-    Trace t;
-    t.monitor_id = static_cast<std::uint32_t>(rng.below(200));
-    t.src = ip(static_cast<std::uint32_t>(rng.next()));
-    t.dst = ip(static_cast<std::uint32_t>(rng.next()));
-    t.reached = rng.chance(0.8);
-    const int hops = static_cast<int>(rng.below(25));
-    for (int h = 0; h < hops; ++h) {
-      TraceHop hop;
-      if (!rng.chance(0.1)) {
-        hop.addr = ip(static_cast<std::uint32_t>(rng.next()));
-        hop.rtt_ms = rng.uniform01() * 300.0;
-        const int stack = static_cast<int>(rng.below(3));
-        for (int s = 0; s < stack; ++s) {
-          hop.labels.push(static_cast<std::uint32_t>(rng.below(1 << 20)),
-                          static_cast<std::uint8_t>(rng.below(8)), 1);
-        }
+    const auto monitor_id = static_cast<std::uint32_t>(rng.below(200));
+    const auto src = static_cast<std::uint32_t>(rng.next());
+    const auto dst = static_cast<std::uint32_t>(rng.next());
+    const bool reached = rng.chance(0.8);
+    std::vector<Hop> hops(rng.below(25), anonymous());
+    for (Hop& hop : hops) {
+      if (rng.chance(0.1)) continue;
+      hop.addr = static_cast<std::uint32_t>(rng.next());
+      hop.rtt_ms = rng.uniform01() * 300.0;
+      const int stack = static_cast<int>(rng.below(3));
+      for (int s = 0; s < stack; ++s) {
+        hop.labels.push(static_cast<std::uint32_t>(rng.below(1 << 20)),
+                        static_cast<std::uint8_t>(rng.below(8)), 1);
       }
-      t.hops.push_back(std::move(hop));
     }
-    traces.push_back(std::move(t));
+    add_trace(snap.traces, {monitor_id, src, dst, reached}, hops);
   }
-  const SnapshotBatch snap =
-      testing::make_snapshot(traces, cycle_id, sub_index, "2013-07");
 
   const auto back = parse_snapshot(serialize_snapshot(snap));
   ASSERT_TRUE(back.has_value());
   // The wire keeps RTTs to the microsecond.
-  testing::expect_views_match(back->traces, traces, 1e-3);
+  testing::expect_batches_equal(back->traces, snap.traces, 1e-3);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WartsFuzz, ::testing::Values(1, 2, 3, 4, 5));

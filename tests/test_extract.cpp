@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "batch_testing.h"
 #include "chaos/chaos.h"
 #include "run/runner.h"
 #include "util/rng.h"
@@ -23,47 +24,31 @@ dataset::Ip2As test_ip2as() {
   return ip2as;
 }
 
-dataset::TraceHop plain(std::uint32_t addr) {
-  dataset::TraceHop hop;
-  hop.addr = ip(addr);
-  return hop;
-}
+using testing::anonymous;
+using testing::Hop;
+using testing::labeled;
+using testing::plain;
 
-dataset::TraceHop labeled(std::uint32_t addr, std::uint32_t label) {
-  dataset::TraceHop hop;
-  hop.addr = ip(addr);
-  hop.labels.push(label, 0, 1);
-  return hop;
-}
-
-dataset::TraceHop anonymous() { return dataset::TraceHop{}; }
-
+// One reached trace toward 0x90000001 (AS65099) per hop list, annotated.
 dataset::SnapshotBatch snapshot_of(
-    const std::vector<dataset::Trace>& traces) {
+    const std::vector<std::vector<Hop>>& traces) {
   dataset::SnapshotBatch snap;
   snap.cycle_id = 1;
   snap.date = "2014-12";
-  for (const dataset::Trace& trace : traces) snap.traces.append(trace);
+  for (const auto& hops : traces) {
+    testing::add_trace(snap.traces, {.dst = 0x90000001}, hops);
+  }
   test_ip2as().annotate(snap.traces);
   return snap;
 }
 
-dataset::Trace trace_of(std::vector<dataset::TraceHop> hops,
-                        std::uint32_t dst = 0x90000001) {
-  dataset::Trace t;
-  t.dst = ip(dst);
-  t.reached = true;
-  t.hops = std::move(hops);
-  return t;
-}
-
 TEST(Extract, SimplePhpTunnel) {
   // entry(no label) LSR LSR exit(no label, same AS) ... dst
-  const auto snap = snapshot_of({trace_of({plain(0x10000001),
-                                           labeled(0x10000002, 100),
-                                           labeled(0x10000003, 200),
-                                           plain(0x10000004),
-                                           plain(0x90000001)})});
+  const auto snap = snapshot_of({{plain(0x10000001),
+                                  labeled(0x10000002, 100),
+                                  labeled(0x10000003, 200),
+                                  plain(0x10000004),
+                                  plain(0x90000001)}});
   const auto extracted = extract_lsps(snap, test_ip2as());
   ASSERT_EQ(extracted.observations.size(), 1u);
   const Lsp& lsp = extracted.observations[0].lsp;
@@ -82,11 +67,11 @@ TEST(Extract, SimplePhpTunnel) {
 TEST(Extract, NonPhpTunnelUsesLastLabeledHopAsEgress) {
   // Labeled run directly followed by a hop in ANOTHER AS: no PHP, the last
   // labeled hop is the Egress LER.
-  const auto snap = snapshot_of({trace_of({plain(0x10000001),
-                                           labeled(0x10000002, 100),
-                                           labeled(0x10000003, 200),
-                                           plain(0x20000001),
-                                           plain(0x90000001)})});
+  const auto snap = snapshot_of({{plain(0x10000001),
+                                  labeled(0x10000002, 100),
+                                  labeled(0x10000003, 200),
+                                  plain(0x20000001),
+                                  plain(0x90000001)}});
   const auto extracted = extract_lsps(snap, test_ip2as());
   ASSERT_EQ(extracted.observations.size(), 1u);
   const Lsp& lsp = extracted.observations[0].lsp;
@@ -97,9 +82,9 @@ TEST(Extract, NonPhpTunnelUsesLastLabeledHopAsEgress) {
 
 TEST(Extract, MissingIngressMakesIncomplete) {
   // Trace starts directly with a labeled hop.
-  const auto snap = snapshot_of({trace_of({labeled(0x10000002, 100),
-                                           plain(0x10000003),
-                                           plain(0x90000001)})});
+  const auto snap = snapshot_of({{labeled(0x10000002, 100),
+                                  plain(0x10000003),
+                                  plain(0x90000001)}});
   const auto extracted = extract_lsps(snap, test_ip2as());
   EXPECT_TRUE(extracted.observations.empty());
   EXPECT_EQ(extracted.stats.lsps_observed, 1u);
@@ -108,30 +93,30 @@ TEST(Extract, MissingIngressMakesIncomplete) {
 
 TEST(Extract, MissingExitMakesIncomplete) {
   // Labeled run runs to the end of the trace.
-  const auto snap = snapshot_of({trace_of({plain(0x10000001),
-                                           labeled(0x10000002, 100)})});
+  const auto snap = snapshot_of({{plain(0x10000001),
+                                  labeled(0x10000002, 100)}});
   const auto extracted = extract_lsps(snap, test_ip2as());
   EXPECT_TRUE(extracted.observations.empty());
   EXPECT_EQ(extracted.stats.lsps_incomplete, 1u);
 }
 
 TEST(Extract, AnonymousIngressMakesIncomplete) {
-  const auto snap = snapshot_of({trace_of({anonymous(),
-                                           labeled(0x10000002, 100),
-                                           plain(0x10000003),
-                                           plain(0x90000001)})});
+  const auto snap = snapshot_of({{anonymous(),
+                                  labeled(0x10000002, 100),
+                                  plain(0x10000003),
+                                  plain(0x90000001)}});
   const auto extracted = extract_lsps(snap, test_ip2as());
   EXPECT_EQ(extracted.stats.lsps_incomplete, 1u);
   EXPECT_TRUE(extracted.observations.empty());
 }
 
 TEST(Extract, AnonymousInsideRunMakesIncomplete) {
-  const auto snap = snapshot_of({trace_of({plain(0x10000001),
-                                           labeled(0x10000002, 100),
-                                           anonymous(),
-                                           labeled(0x10000004, 300),
-                                           plain(0x10000005),
-                                           plain(0x90000001)})});
+  const auto snap = snapshot_of({{plain(0x10000001),
+                                  labeled(0x10000002, 100),
+                                  anonymous(),
+                                  labeled(0x10000004, 300),
+                                  plain(0x10000005),
+                                  plain(0x90000001)}});
   const auto extracted = extract_lsps(snap, test_ip2as());
   EXPECT_EQ(extracted.stats.lsps_observed, 1u);  // one (broken) run
   EXPECT_EQ(extracted.stats.lsps_incomplete, 1u);
@@ -139,24 +124,24 @@ TEST(Extract, AnonymousInsideRunMakesIncomplete) {
 }
 
 TEST(Extract, MultiAsRunFlaggedForIntraAsFilter) {
-  const auto snap = snapshot_of({trace_of({plain(0x10000001),
-                                           labeled(0x10000002, 100),
-                                           labeled(0x20000002, 200),
-                                           plain(0x20000003),
-                                           plain(0x90000001)})});
+  const auto snap = snapshot_of({{plain(0x10000001),
+                                  labeled(0x10000002, 100),
+                                  labeled(0x20000002, 200),
+                                  plain(0x20000003),
+                                  plain(0x90000001)}});
   const auto extracted = extract_lsps(snap, test_ip2as());
   ASSERT_EQ(extracted.observations.size(), 1u);
   EXPECT_EQ(extracted.observations[0].lsp.asn, 0u);  // inter-domain marker
 }
 
 TEST(Extract, TwoTunnelsInOneTrace) {
-  const auto snap = snapshot_of({trace_of({plain(0x10000001),
-                                           labeled(0x10000002, 100),
-                                           plain(0x10000003),
-                                           plain(0x20000001),
-                                           labeled(0x20000002, 500),
-                                           plain(0x20000003),
-                                           plain(0x90000001)})});
+  const auto snap = snapshot_of({{plain(0x10000001),
+                                  labeled(0x10000002, 100),
+                                  plain(0x10000003),
+                                  plain(0x20000001),
+                                  labeled(0x20000002, 500),
+                                  plain(0x20000003),
+                                  plain(0x90000001)}});
   const auto extracted = extract_lsps(snap, test_ip2as());
   ASSERT_EQ(extracted.observations.size(), 2u);
   EXPECT_EQ(extracted.observations[0].lsp.asn, 65001u);
@@ -165,9 +150,9 @@ TEST(Extract, TwoTunnelsInOneTrace) {
 }
 
 TEST(Extract, NoTunnelTrace) {
-  const auto snap = snapshot_of({trace_of({plain(0x10000001),
-                                           plain(0x10000002),
-                                           plain(0x90000001)})});
+  const auto snap = snapshot_of({{plain(0x10000001),
+                                  plain(0x10000002),
+                                  plain(0x90000001)}});
   const auto extracted = extract_lsps(snap, test_ip2as());
   EXPECT_TRUE(extracted.observations.empty());
   EXPECT_EQ(extracted.stats.lsps_observed, 0u);
@@ -176,18 +161,18 @@ TEST(Extract, NoTunnelTrace) {
 }
 
 TEST(Extract, MplsVsNonMplsIpCensus) {
-  const auto snap = snapshot_of({trace_of({plain(0x10000001),
-                                           labeled(0x10000002, 100),
-                                           plain(0x10000003),
-                                           plain(0x90000001)})});
+  const auto snap = snapshot_of({{plain(0x10000001),
+                                  labeled(0x10000002, 100),
+                                  plain(0x10000003),
+                                  plain(0x90000001)}});
   const auto extracted = extract_lsps(snap, test_ip2as());
   EXPECT_EQ(extracted.stats.mpls_ips, 1u);      // the labeled hop
   EXPECT_EQ(extracted.stats.non_mpls_ips, 3u);  // everything else
 }
 
 TEST(Extract, MplsIpCountedOnceAcrossTraces) {
-  auto t1 = trace_of({plain(0x10000001), labeled(0x10000002, 100),
-                      plain(0x10000003), plain(0x90000001)});
+  const std::vector<Hop> t1 = {plain(0x10000001), labeled(0x10000002, 100),
+                               plain(0x10000003), plain(0x90000001)};
   auto t2 = t1;
   const auto snap = snapshot_of({t1, t2});
   const auto extracted = extract_lsps(snap, test_ip2as());
@@ -196,13 +181,12 @@ TEST(Extract, MplsIpCountedOnceAcrossTraces) {
 }
 
 TEST(Extract, StackedLabelsPreserved) {
-  dataset::TraceHop hop;
-  hop.addr = ip(0x10000002);
+  Hop hop{0x10000002};
   hop.labels.push(100, 0, 1);  // bottom
   hop.labels.push(200, 0, 1);  // top
-  const auto snap = snapshot_of({trace_of({plain(0x10000001), hop,
-                                           plain(0x10000003),
-                                           plain(0x90000001)})});
+  const auto snap = snapshot_of({{plain(0x10000001), hop,
+                                  plain(0x10000003),
+                                  plain(0x90000001)}});
   const auto extracted = extract_lsps(snap, test_ip2as());
   ASSERT_EQ(extracted.observations.size(), 1u);
   EXPECT_EQ(extracted.observations[0].lsp.lsrs[0].labels,
@@ -210,12 +194,12 @@ TEST(Extract, StackedLabelsPreserved) {
 }
 
 TEST(Extract, CensusByAsSplitsCorrectly) {
-  const auto snap = snapshot_of({trace_of({plain(0x10000001),
-                                           labeled(0x10000002, 100),
-                                           plain(0x10000003),
-                                           labeled(0x20000002, 300),
-                                           plain(0x20000003),
-                                           plain(0x90000001)})});
+  const auto snap = snapshot_of({{plain(0x10000001),
+                                  labeled(0x10000002, 100),
+                                  plain(0x10000003),
+                                  labeled(0x20000002, 300),
+                                  plain(0x20000003),
+                                  plain(0x90000001)}});
   const auto census = census_by_as(snap);
   ASSERT_TRUE(census.contains(65001));
   EXPECT_EQ(census.at(65001).mpls_ips, 1u);
@@ -227,10 +211,10 @@ TEST(Extract, CensusByAsSplitsCorrectly) {
 
 TEST(Extract, CensusAddressNeverDoubleCounted) {
   // An address seen both labeled and unlabeled counts as MPLS only.
-  auto t1 = trace_of({plain(0x10000001), labeled(0x10000002, 100),
-                      plain(0x10000003), plain(0x90000001)});
-  auto t2 = trace_of({plain(0x10000001), plain(0x10000002),
-                      plain(0x90000001)});
+  const std::vector<Hop> t1 = {plain(0x10000001), labeled(0x10000002, 100),
+                               plain(0x10000003), plain(0x90000001)};
+  const std::vector<Hop> t2 = {plain(0x10000001), plain(0x10000002),
+                               plain(0x90000001)};
   const auto census = census_by_as(snapshot_of({t1, t2}));
   EXPECT_EQ(census.at(65001).mpls_ips, 1u);
   EXPECT_EQ(census.at(65001).non_mpls_ips, 2u);

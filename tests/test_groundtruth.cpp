@@ -7,6 +7,7 @@
 // probe them, run the full LPR pipeline, and assert the classification.
 #include <gtest/gtest.h>
 
+#include "batch_testing.h"
 #include "core/report.h"
 #include "mpls/ldp.h"
 #include "mpls/rsvp.h"
@@ -99,8 +100,7 @@ class Lab {
                             plane_.asn);
           path.segments.push_back(seg);
           path.dst = dst;
-          snap.traces.append(
-              probe::trace_route(monitor, path, options, rng));
+          testing::trace_into(monitor, path, options, rng, snap.traces);
         }
       }
     }

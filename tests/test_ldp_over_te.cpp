@@ -3,6 +3,7 @@
 // label, which is what real LSRs base forwarding on).
 #include <gtest/gtest.h>
 
+#include "batch_testing.h"
 #include "core/extract.h"
 #include "core/filters.h"
 #include "core/classify.h"
@@ -134,7 +135,7 @@ TEST(LdpOverTe, ExtractionHandlesStackedRuns) {
   options.reply_loss = 0.0;
   util::Rng obs_rng(1);
   dataset::SnapshotBatch snap;
-  snap.traces.append(trace_route(monitor, f.path(), options, obs_rng));
+  testing::trace_into(monitor, f.path(), options, obs_rng, snap.traces);
 
   dataset::Ip2As ip2as;
   ip2as.add_prefix(net::Ipv4Prefix(ip(0x10000000), 8), 65001);
@@ -173,7 +174,7 @@ TEST(LdpOverTe, SameTunnelForAllDestsKeepsIotpMonoLsp) {
   for (std::uint32_t d = 0; d < 8; ++d) {
     PathSpec p = f.path();
     p.dst = ip((d % 2 ? 0x20000000u : 0x30000000u) + (d << 8) + 1);
-    snap.traces.append(trace_route(monitor, p, options, obs_rng));
+    testing::trace_into(monitor, p, options, obs_rng, snap.traces);
   }
   ip2as.annotate(snap.traces);
   const auto extracted = lpr::extract_lsps(snap, ip2as);

@@ -24,35 +24,21 @@ namespace {
 
 namespace fs = std::filesystem;
 
-net::Ipv4Addr ip(std::uint32_t v) { return net::Ipv4Addr(v); }
-
-std::vector<Trace> sample_traces() {
-  Trace t;
-  t.monitor_id = 7;
-  t.src = ip(0x01020304);
-  t.dst = ip(0x05060708);
-  t.reached = true;
-  TraceHop plain;
-  plain.addr = ip(0x0A000001);
-  plain.rtt_ms = 1.25;
-  t.hops.push_back(plain);
-  t.hops.push_back(TraceHop{});  // anonymous hop
-  TraceHop multi;
-  multi.addr = ip(0x0A000002);
-  multi.rtt_ms = 33.5;
+SnapshotBatch sample_snapshot() {
+  SnapshotBatch snap;
+  snap.cycle_id = 42;
+  snap.sub_index = 1;
+  snap.date = "2014-12";
+  const testing::Hop plain{0x0A000001, {}, 1.25};
+  testing::Hop multi{0x0A000002, {}, 33.5};
   multi.labels.push(300123, 0, 1);
   multi.labels.push(17, 2, 255);
-  t.hops.push_back(multi);
-  Trace unreached;
-  unreached.monitor_id = 8;
-  unreached.src = ip(1);
-  unreached.dst = ip(2);
-  unreached.reached = false;  // zero hops
-  return {t, unreached};
-}
-
-SnapshotBatch sample_snapshot() {
-  return testing::make_snapshot(sample_traces(), 42, 1, "2014-12");
+  testing::add_trace(snap.traces,
+                     {.monitor_id = 7, .src = 0x01020304, .dst = 0x05060708},
+                     {plain, testing::anonymous(), multi});
+  testing::add_trace(snap.traces, {.monitor_id = 8, .src = 1, .dst = 2,
+                                   .reached = false}, {});  // zero hops
+  return snap;
 }
 
 // Little-endian field surgery on serialized packs.
@@ -121,7 +107,7 @@ TEST(Pack, RoundTripPreservesEverything) {
   EXPECT_EQ(back->cycle_id, snap.cycle_id);
   EXPECT_EQ(back->sub_index, snap.sub_index);
   EXPECT_EQ(back->date, snap.date);
-  testing::expect_views_match(back->traces, sample_traces());
+  testing::expect_batches_equal(back->traces, snap.traces);
   const TraceView t0 = back->traces.view(0);
   EXPECT_EQ(t0.monitor_id(), 7u);
   EXPECT_TRUE(t0.reached());
@@ -245,9 +231,9 @@ TEST(Pack, BadOffsetColumnSkipsExactlyTheDamagedRecord) {
   // Make trace 0's hop range non-monotone (start beyond end), restamping the
   // section checksum so only the offset fault fires.
   const std::size_t off = static_cast<std::size_t>(
-      read_le64(bytes, entry_at(PackSection::kTraceHopOffset) + 8));
+      read_le64(bytes, entry_at(PackSection::kHopOffset) + 8));
   write_le64(bytes, off, 5);  // hop_off[0] = 5 > hop_off[1] = 3
-  restamp_checksum(bytes, PackSection::kTraceHopOffset);
+  restamp_checksum(bytes, PackSection::kHopOffset);
 
   DecodeDiagnostics strict;
   EXPECT_FALSE(parse_pack(bytes, DecodeOptions{}, &strict));

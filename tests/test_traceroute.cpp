@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "batch_testing.h"
 #include "mpls/ldp.h"
 
 namespace mum::probe {
 namespace {
 
+using dataset::TraceBatch;
+using dataset::TraceView;
 using topo::RouterId;
 using topo::Vendor;
 
@@ -48,6 +51,13 @@ struct TraceFixture {
     return p;
   }
 
+  // One traceroute over `p`, appended to `traces`; returns its view.
+  TraceView trace(const PathSpec& p, const TraceOptions& options,
+                  util::Rng& rng) {
+    testing::trace_into(monitor, p, options, rng, traces);
+    return traces.view(traces.trace_count() - 1);
+  }
+
   topo::AsTopology topo;
   igp::IgpState igp;
   std::vector<mpls::LabelPool> pools;
@@ -55,6 +65,7 @@ struct TraceFixture {
   AsDataPlane plane;
   Monitor monitor;
   RouterId a, b, c;
+  TraceBatch traces;
 };
 
 TEST(ParisFlowId, StablePerDestination) {
@@ -76,19 +87,19 @@ TEST(TraceRoute, FullCleanTrace) {
   TraceOptions options;
   options.reply_loss = 0.0;
   util::Rng rng(1);
-  const dataset::Trace trace = trace_route(f.monitor, f.path(), options, rng);
+  const TraceView trace = f.trace(f.path(), options, rng);
 
-  EXPECT_EQ(trace.monitor_id, 3u);
-  EXPECT_EQ(trace.src, f.monitor.addr);
-  EXPECT_EQ(trace.dst, ip(0x40000002));
-  EXPECT_TRUE(trace.reached);
+  EXPECT_EQ(trace.monitor_id(), 3u);
+  EXPECT_EQ(trace.src(), f.monitor.addr);
+  EXPECT_EQ(trace.dst(), ip(0x40000002));
+  EXPECT_TRUE(trace.reached());
   // pre(1) + entry + interior + egress + post(1) + destination = 6 hops.
-  ASSERT_EQ(trace.hops.size(), 6u);
-  EXPECT_EQ(trace.hops[0].addr, ip(0x30000002));
-  EXPECT_EQ(trace.hops[1].addr, ip(0x10020000));
-  EXPECT_TRUE(trace.hops[2].has_labels());   // the single interior LSR
-  EXPECT_FALSE(trace.hops[3].has_labels());  // PHP at egress
-  EXPECT_EQ(trace.hops.back().addr, trace.dst);
+  ASSERT_EQ(trace.hop_count(), 6u);
+  EXPECT_EQ(trace.hop(0).addr(), ip(0x30000002));
+  EXPECT_EQ(trace.hop(1).addr(), ip(0x10020000));
+  EXPECT_TRUE(trace.hop(2).has_labels());   // the single interior LSR
+  EXPECT_FALSE(trace.hop(3).has_labels());  // PHP at egress
+  EXPECT_EQ(trace.hop(5).addr(), trace.dst());
 }
 
 TEST(TraceRoute, RttsMonotonicallyIncrease) {
@@ -96,12 +107,12 @@ TEST(TraceRoute, RttsMonotonicallyIncrease) {
   TraceOptions options;
   options.reply_loss = 0.0;
   util::Rng rng(2);
-  const auto trace = trace_route(f.monitor, f.path(), options, rng);
+  const TraceView trace = f.trace(f.path(), options, rng);
   double prev = 0.0;
-  for (const auto& hop : trace.hops) {
-    ASSERT_FALSE(hop.anonymous());
-    EXPECT_GT(hop.rtt_ms, prev - 0.5);  // jitter-tolerant monotonicity
-    prev = hop.rtt_ms;
+  for (std::size_t k = 0; k < trace.hop_count(); ++k) {
+    ASSERT_FALSE(trace.hop(k).anonymous());
+    EXPECT_GT(trace.hop(k).rtt_ms(), prev - 0.5);  // tolerates jitter
+    prev = trace.hop(k).rtt_ms();
   }
 }
 
@@ -111,10 +122,10 @@ TEST(TraceRoute, AnonymousRouterProducesStarHop) {
   TraceOptions options;
   options.reply_loss = 0.0;
   util::Rng rng(3);
-  const auto trace = trace_route(f.monitor, f.path(), options, rng);
-  ASSERT_EQ(trace.hops.size(), 6u);
-  EXPECT_TRUE(trace.hops[2].anonymous());
-  EXPECT_FALSE(trace.hops[2].has_labels());  // no reply => no quoted stack
+  const TraceView trace = f.trace(f.path(), options, rng);
+  ASSERT_EQ(trace.hop_count(), 6u);
+  EXPECT_TRUE(trace.hop(2).anonymous());
+  EXPECT_FALSE(trace.hop(2).has_labels());  // no reply => no quoted stack
 }
 
 TEST(TraceRoute, Rfc4950OffSuppressesLabelsNotHops) {
@@ -123,10 +134,10 @@ TEST(TraceRoute, Rfc4950OffSuppressesLabelsNotHops) {
   TraceOptions options;
   options.reply_loss = 0.0;
   util::Rng rng(4);
-  const auto trace = trace_route(f.monitor, f.path(), options, rng);
-  ASSERT_EQ(trace.hops.size(), 6u);
-  EXPECT_FALSE(trace.hops[2].anonymous());   // hop responds...
-  EXPECT_FALSE(trace.hops[2].has_labels());  // ...but quotes nothing
+  const TraceView trace = f.trace(f.path(), options, rng);
+  ASSERT_EQ(trace.hop_count(), 6u);
+  EXPECT_FALSE(trace.hop(2).anonymous());   // hop responds...
+  EXPECT_FALSE(trace.hop(2).has_labels());  // ...but quotes nothing
   EXPECT_FALSE(trace.crosses_explicit_tunnel());
 }
 
@@ -136,9 +147,9 @@ TEST(TraceRoute, TtlPropagateOffShortensTrace) {
   TraceOptions options;
   options.reply_loss = 0.0;
   util::Rng rng(5);
-  const auto trace = trace_route(f.monitor, f.path(), options, rng);
+  const TraceView trace = f.trace(f.path(), options, rng);
   // Interior LSR invisible: pre + entry + egress + post + dst = 5 hops.
-  ASSERT_EQ(trace.hops.size(), 5u);
+  ASSERT_EQ(trace.hop_count(), 5u);
   EXPECT_FALSE(trace.crosses_explicit_tunnel());
 }
 
@@ -148,9 +159,9 @@ TEST(TraceRoute, MaxTtlTruncates) {
   options.max_ttl = 2;
   options.reply_loss = 0.0;
   util::Rng rng(6);
-  const auto trace = trace_route(f.monitor, f.path(), options, rng);
-  EXPECT_EQ(trace.hops.size(), 2u);
-  EXPECT_FALSE(trace.reached);
+  const TraceView trace = f.trace(f.path(), options, rng);
+  EXPECT_EQ(trace.hop_count(), 2u);
+  EXPECT_FALSE(trace.reached());
 }
 
 TEST(TraceRoute, ReplyLossCreatesAnonymousHops) {
@@ -158,9 +169,9 @@ TEST(TraceRoute, ReplyLossCreatesAnonymousHops) {
   TraceOptions options;
   options.reply_loss = 1.0;  // everything lost
   util::Rng rng(7);
-  const auto trace = trace_route(f.monitor, f.path(), options, rng);
-  for (std::size_t i = 0; i + 1 < trace.hops.size(); ++i) {
-    EXPECT_TRUE(trace.hops[i].anonymous());
+  const TraceView trace = f.trace(f.path(), options, rng);
+  for (std::size_t i = 0; i + 1 < trace.hop_count(); ++i) {
+    EXPECT_TRUE(trace.hop(i).anonymous());
   }
 }
 
@@ -174,10 +185,10 @@ TEST(TraceRoute, RetriesBeatTransientReplyLoss) {
   util::Rng rng(8);
   int anonymous = 0, total = 0;
   for (int i = 0; i < 40; ++i) {
-    const auto trace = trace_route(f.monitor, f.path(), options, rng);
-    for (const auto& hop : trace.hops) {
+    const TraceView trace = f.trace(f.path(), options, rng);
+    for (std::size_t k = 0; k < trace.hop_count(); ++k) {
       ++total;
-      anonymous += hop.anonymous() ? 1 : 0;
+      anonymous += trace.hop(k).anonymous() ? 1 : 0;
     }
   }
   EXPECT_LT(anonymous, total / 20);
@@ -192,9 +203,9 @@ TEST(TraceRoute, RetriesDoNotBeatUnresponsiveRouters) {
   options.reply_loss = 0.0;
   options.attempts = 10;
   util::Rng rng(9);
-  const auto trace = trace_route(f.monitor, f.path(), options, rng);
-  ASSERT_GE(trace.hops.size(), 3u);
-  EXPECT_TRUE(trace.hops[2].anonymous());
+  const TraceView trace = f.trace(f.path(), options, rng);
+  ASSERT_GE(trace.hop_count(), 3u);
+  EXPECT_TRUE(trace.hop(2).anonymous());
 }
 
 TEST(TraceRoute, GapLimitTruncatesDeadPaths) {
@@ -210,10 +221,12 @@ TEST(TraceRoute, GapLimitTruncatesDeadPaths) {
   util::Rng rng(10);
   PathSpec p = f.path();
   p.pre_hops.clear();          // pre-hops always answer; drop them
-  const auto trace = trace_route(f.monitor, p, options, rng);
-  EXPECT_EQ(trace.hops.size(), 3u);
-  EXPECT_FALSE(trace.reached);
-  for (const auto& hop : trace.hops) EXPECT_TRUE(hop.anonymous());
+  const TraceView trace = f.trace(p, options, rng);
+  EXPECT_EQ(trace.hop_count(), 3u);
+  EXPECT_FALSE(trace.reached());
+  for (std::size_t k = 0; k < trace.hop_count(); ++k) {
+    EXPECT_TRUE(trace.hop(k).anonymous());
+  }
 }
 
 TEST(TraceRoute, ObservationNoiseDoesNotChangeForwarding) {
@@ -223,12 +236,12 @@ TEST(TraceRoute, ObservationNoiseDoesNotChangeForwarding) {
   TraceOptions options;
   options.reply_loss = 0.3;
   util::Rng rng1(100), rng2(200);
-  const auto t1 = trace_route(f.monitor, f.path(), options, rng1);
-  const auto t2 = trace_route(f.monitor, f.path(), options, rng2);
-  ASSERT_EQ(t1.hops.size(), t2.hops.size());
-  for (std::size_t i = 0; i < t1.hops.size(); ++i) {
-    if (!t1.hops[i].anonymous() && !t2.hops[i].anonymous()) {
-      EXPECT_EQ(t1.hops[i].addr, t2.hops[i].addr);
+  const TraceView t1 = f.trace(f.path(), options, rng1);
+  const TraceView t2 = f.trace(f.path(), options, rng2);
+  ASSERT_EQ(t1.hop_count(), t2.hop_count());
+  for (std::size_t i = 0; i < t1.hop_count(); ++i) {
+    if (!t1.hop(i).anonymous() && !t2.hop(i).anonymous()) {
+      EXPECT_EQ(t1.hop(i).addr(), t2.hop(i).addr());
     }
   }
 }

@@ -83,15 +83,22 @@ std::optional<std::optional<std::string>> Args::take_eq_flag(
   return std::nullopt;
 }
 
-long Args::take_int(const std::string& name, long def) {
+std::optional<std::uint64_t> Args::take_u64(const std::string& name,
+                                             std::uint64_t lo,
+                                             std::uint64_t hi) {
   const auto value = take_value(name);
-  if (!value) return def;
+  if (!value) return std::nullopt;
   const auto parsed = util::parse_u64(*value);
   if (!parsed) {
     error_ = name + " expects an integer, got '" + *value + "'";
-    return def;
+    return std::nullopt;
   }
-  return static_cast<long>(*parsed);
+  if (*parsed < lo || *parsed > hi) {
+    error_ = name + " must be in [" + std::to_string(lo) + ", " +
+             std::to_string(hi) + "]";
+    return std::nullopt;
+  }
+  return parsed;
 }
 
 std::vector<std::string> Args::positionals() const {
@@ -331,9 +338,8 @@ bool reject_unknown(const Args& args, std::ostream& err) {
 // identical at any thread count (the generation/classification layers merge
 // per-worker results deterministically).
 util::ThreadPool make_pool(Args& args) {
-  const long threads = args.take_int("--threads", 0);
-  return util::ThreadPool(threads <= 0 ? 0
-                                       : static_cast<unsigned>(threads));
+  return util::ThreadPool(
+      static_cast<unsigned>(args.take_int("--threads", 0)));
 }
 
 // Route the engine's obs::log output into this invocation's err stream at
@@ -377,9 +383,10 @@ class ScopedTrace {
 
 int run_generate(Args& args, std::ostream& out, std::ostream& err) {
   const auto out_dir = args.take_value("--out");
-  const long cycle = args.take_int("--cycle", 60);
-  const long seed = args.take_int("--seed", 20151028);
-  const long snapshots = args.take_int("--snapshots", 3);
+  const int cycle = args.take_int("--cycle", 60, 1, gen::kCycles);
+  const auto seed = args.take_int<std::uint64_t>("--seed", 20151028);
+  const int snapshots = args.take_int(
+      "--snapshots", 3, 1, std::numeric_limits<int>::max());
   const bool small = args.take_flag("--small");
   const auto format_spec = args.take_value("--format");
   util::ThreadPool pool = make_pool(args);
@@ -392,23 +399,19 @@ int run_generate(Args& args, std::ostream& out, std::ostream& err) {
     err << "--out DIR is required\n";
     return kExitUsage;
   }
-  if (cycle < 1 || cycle > gen::kCycles) {
-    err << "--cycle must be in [1, " << gen::kCycles << "]\n";
-    return kExitUsage;
-  }
   std::uint8_t format = dataset::kWartsLiteVersion;
   if (!apply_format(format_spec, format, err)) return kExitUsage;
 
   gen::GenConfig config;
-  config.seed = static_cast<std::uint64_t>(seed);
+  config.seed = seed;
   if (small) apply_small_world(config);
   gen::Internet internet(config);
   const auto ip2as = internet.build_ip2as();
 
   gen::CampaignConfig campaign;
-  campaign.extra_snapshots = static_cast<int>(snapshots) - 1;
+  campaign.extra_snapshots = snapshots - 1;
   const auto month = gen::CampaignRunner(internet, ip2as, campaign, &pool)
-                         .month(static_cast<int>(cycle) - 1);
+                         .month(cycle - 1);
 
   fs::create_directories(*out_dir);
   for (const auto& snap : month.snapshots) {
@@ -437,7 +440,7 @@ int run_generate(Args& args, std::ostream& out, std::ostream& err) {
 // ----------------------------------------------------------------------
 
 int run_classify(Args& args, std::ostream& out, std::ostream& err) {
-  const long j = args.take_int("--j", 2);
+  const int j = args.take_int("--j", 2);
   const bool alias = args.take_flag("--alias");
   const bool router_level = args.take_flag("--router-level");
   const bool csv = args.take_flag("--csv");
@@ -459,7 +462,7 @@ int run_classify(Args& args, std::ostream& out, std::ostream& err) {
   month.snapshots = std::move(data.snapshots);
 
   lpr::PipelineConfig pipeline;
-  pipeline.filter.persistence_j = static_cast<int>(j);
+  pipeline.filter.persistence_j = j;
   pipeline.filter.enable_persistence = j > 0 && month.snapshots.size() > 1;
   pipeline.classify.alias_resolution_heuristic = alias;
   lpr::CycleReport report =
@@ -594,12 +597,13 @@ int run_stats(Args& args, std::ostream& out, std::ostream& err) {
 // ----------------------------------------------------------------------
 
 int run_campaign(Args& args, std::ostream& out, std::ostream& err) {
-  const long cycles = args.take_int("--cycles", 12);
-  const long seed = args.take_int("--seed", 20151028);
-  const long threads = args.take_int("--threads", 0);
-  const long failure_budget = args.take_int("--failure-budget", -1);
-  const long retry = args.take_int("--retry", 0);
-  const long cycle_deadline = args.take_int("--cycle-deadline", 0);
+  const int cycles = args.take_int("--cycles", 12, 1, gen::kCycles);
+  const auto seed = args.take_int<std::uint64_t>("--seed", 20151028);
+  const int threads = args.take_int("--threads", 0);
+  const int failure_budget = args.take_int("--failure-budget", -1);
+  const int retry = args.take_int("--retry", 0);
+  const auto cycle_deadline =
+      args.take_int<std::uint32_t>("--cycle-deadline", 0);
   const bool small = args.take_flag("--small");
   const bool keep_going = args.take_flag("--keep-going");
   const bool json = args.take_flag("--json");
@@ -624,25 +628,13 @@ int run_campaign(Args& args, std::ostream& out, std::ostream& err) {
     err << "--quiet and --verbose are mutually exclusive\n";
     return kExitUsage;
   }
-  if (cycles < 1 || cycles > gen::kCycles) {
-    err << "--cycles must be in [1, " << gen::kCycles << "]\n";
-    return kExitUsage;
-  }
   if (checkpoint_dir && resume_dir && *checkpoint_dir != *resume_dir) {
     err << "--checkpoints and --resume name different directories\n";
     return kExitUsage;
   }
-  if (retry < 0) {
-    err << "--retry must be >= 0\n";
-    return kExitUsage;
-  }
-  if (cycle_deadline < 0) {
-    err << "--cycle-deadline must be >= 0 (milliseconds, 0 = none)\n";
-    return kExitUsage;
-  }
 
   run::RunnerConfig config;
-  config.gen.seed = static_cast<std::uint64_t>(seed);
+  config.gen.seed = seed;
   if (evolve_spec) {
     if (*evolve_spec == "on") {
       config.evolve = true;
@@ -669,12 +661,12 @@ int run_campaign(Args& args, std::ostream& out, std::ostream& err) {
   }
   if (small) apply_small_world(config.gen);
   config.first_cycle = 0;
-  config.last_cycle = static_cast<int>(cycles) - 1;
-  config.threads = static_cast<int>(threads);
+  config.last_cycle = cycles - 1;
+  config.threads = threads;
   config.keep_going = keep_going;
-  config.failure_budget = static_cast<int>(failure_budget);
-  config.retries = static_cast<int>(retry);
-  config.cycle_deadline_ms = static_cast<std::uint32_t>(cycle_deadline);
+  config.failure_budget = failure_budget;
+  config.retries = retry;
+  config.cycle_deadline_ms = cycle_deadline;
   if (resume_dir) {
     config.checkpoint_dir = *resume_dir;
     config.resume = true;

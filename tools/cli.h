@@ -12,7 +12,9 @@
 //                 [--quiet | --verbose]
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -50,8 +52,16 @@ class Args {
   // Outer nullopt when absent; inner nullopt when given bare.
   std::optional<std::optional<std::string>> take_eq_flag(
       const std::string& name);
-  // Integer value flag with default; sets `error` on malformed input.
-  long take_int(const std::string& name, long def);
+  // Integer value flag in [lo, hi] (default: all non-negative T); `def`
+  // when absent. Malformed or out-of-range input sets `error`
+  // ("<flag> must be in [lo, hi]"), so no value narrows silently.
+  template <class T>
+  T take_int(const std::string& name, T def, T lo = 0,
+             T hi = std::numeric_limits<T>::max()) {
+    const auto value = take_u64(name, static_cast<std::uint64_t>(lo),
+                                static_cast<std::uint64_t>(hi));
+    return value ? static_cast<T>(*value) : def;
+  }
 
   // Remaining positional arguments (call after all take_* calls).
   std::vector<std::string> positionals() const;
@@ -62,6 +72,9 @@ class Args {
   const std::string& error() const noexcept { return error_; }
 
  private:
+  std::optional<std::uint64_t> take_u64(const std::string& name,
+                                        std::uint64_t lo, std::uint64_t hi);
+
   std::vector<std::string> tokens_;
   std::vector<bool> consumed_;
   std::string error_;

@@ -139,26 +139,32 @@ SnapshotBatch seed_snapshot(mum::util::Rng& rng) {
   snap.date = "2014-06";
   const int traces = 1 + static_cast<int>(rng.below(6));
   for (int i = 0; i < traces; ++i) {
-    mum::dataset::Trace t;
-    t.monitor_id = static_cast<std::uint32_t>(rng.below(32));
-    t.src = mum::net::Ipv4Addr(static_cast<std::uint32_t>(rng.next()));
-    t.dst = mum::net::Ipv4Addr(static_cast<std::uint32_t>(rng.next()));
-    t.reached = rng.chance(0.8);
+    // Draw order: monitor, src, dst, reached, then each hop in turn.
+    const auto monitor = static_cast<std::uint32_t>(rng.below(32));
+    const mum::net::Ipv4Addr src(static_cast<std::uint32_t>(rng.next()));
+    const mum::net::Ipv4Addr dst(static_cast<std::uint32_t>(rng.next()));
+    const bool reached = rng.chance(0.8);
+    snap.traces.begin_trace(monitor, src, dst);
     const int hops = static_cast<int>(rng.below(12));
     for (int h = 0; h < hops; ++h) {
-      mum::dataset::TraceHop hop;
-      if (!rng.chance(0.1)) {
-        hop.addr = mum::net::Ipv4Addr(static_cast<std::uint32_t>(rng.next()));
-        hop.rtt_ms = rng.uniform01() * 200.0;
-        const int stack = static_cast<int>(rng.below(4));
-        for (int s = 0; s < stack; ++s) {
-          hop.labels.push(static_cast<std::uint32_t>(rng.below(1 << 20)),
-                          static_cast<std::uint8_t>(rng.below(8)), 64);
-        }
+      if (rng.chance(0.1)) {
+        snap.traces.add_hop(mum::net::kAnonymousAddr, 0.0);
+        continue;
       }
-      t.hops.push_back(std::move(hop));
+      const mum::net::Ipv4Addr addr(static_cast<std::uint32_t>(rng.next()));
+      snap.traces.add_hop(addr, rng.uniform01() * 200.0);
+      // Entries are drawn bottom first, as LabelStack::push stacks them.
+      mum::net::LabelStack labels;
+      const int stack = static_cast<int>(rng.below(4));
+      for (int s = 0; s < stack; ++s) {
+        labels.push(static_cast<std::uint32_t>(rng.below(1 << 20)),
+                    static_cast<std::uint8_t>(rng.below(8)), 64);
+      }
+      for (const auto& lse : labels.entries()) {
+        snap.traces.add_label(lse.encode());
+      }
     }
-    snap.traces.append(t);
+    snap.traces.end_trace(reached);
   }
   return snap;
 }
