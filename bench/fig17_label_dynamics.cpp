@@ -93,12 +93,10 @@ int main() {
   for (int t = 0; t <= kTotalMin; t += kIntervalMin) {
     if (t > 0 && t % kReoptPeriodMin == 0) {
       // Periodic (timer-driven) re-optimization at production scale.
-      for (int k = 0; k < kProductionScale; ++k) ctx.advance_dynamics(noise);
+      for (int k = 0; k < kProductionScale; ++k) ctx.advance_dynamics();
     } else if (t > 0 && noise.chance(0.02)) {
       // Factual (event-driven) re-signalling: smaller, irregular steps.
-      for (int k = 0; k < kProductionScale / 10; ++k) {
-        ctx.advance_dynamics(noise);
-      }
+      for (int k = 0; k < kProductionScale / 10; ++k) ctx.advance_dynamics();
     }
     const auto path = study.internet().path_spec(monitor, *target, ctx);
     util::Rng rng(static_cast<std::uint64_t>(t) + 7);

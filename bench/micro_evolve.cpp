@@ -1,7 +1,7 @@
 // Cycle evolution vs from-scratch rebuild, across world-size tiers.
 //
-// BM_CycleRebuild is the oracle path (`--evolve off`): every cycle runs a
-// full Internet::instantiate. BM_CycleEvolve advances one standing world
+// BM_CycleRebuild is the oracle path (what Runner::run_cycle generates
+// from): every cycle runs a full Internet::instantiate. BM_CycleEvolve advances one standing world
 // through DeltaEvolver::evolve_to — pristine rollback plus seed-keyed deltas.
 // scripts/bench.sh records the numbers in BENCH_PR8.json and gates on the
 // rebuild/evolve ratio at the 10^4-router tier (the delta step must be >= 5x

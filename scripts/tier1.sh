@@ -91,8 +91,11 @@ cmake -B "$tsan_build" -S "$repo" -DMUM_TSAN=ON
 # races the arena-backed shard batches (one arena per monitor, merged in
 # monitor order) at 16 threads, checked against the recorded snapshot and
 # report digests. The
-# SupervisionRun cases race the campaign loop's shared abort, failure,
-# ENOSPC-streak and retry state at 1/4/16 threads; the kill/resume loop
+# SupervisionRun cases run the campaign loop under io chaos at 1/4/16
+# threads; cycles run one at a time, so what they race is the inner pool
+# fan-outs: the shard source's decode/prefetch pair mapping files through
+# the shared failpoint plan on a worker, and the per-AS evolution,
+# per-monitor probe and classification fan-outs. The kill/resume loop
 # among them is left out (a minute of re-runs in Release, no new races).
 # test_campaign's ProbePlan and CampaignRunnerReuse cases race the probe
 # plans, which each monitor builds lazily inside the monitor fan-out, and a

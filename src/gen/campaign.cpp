@@ -152,10 +152,8 @@ dataset::MonthData CampaignRunner::probe_month(MonthContext& ctx, int cycle,
   dataset::MonthData month;
   month.cycle_id = static_cast<std::uint32_t>(cycle);
   month.date = cycle_date(cycle);
-  util::Rng dyn_rng(util::hash_combine(internet_->config().seed,
-                                       0xD1Aull + cycle));
   for (int s = 0; s <= config.extra_snapshots; ++s) {
-    if (s > 0) ctx.advance_dynamics(dyn_rng);
+    if (s > 0) ctx.advance_dynamics();
     month.snapshots.push_back(snapshot(ctx, cycle, s, config));
   }
   return month;
@@ -166,8 +164,6 @@ std::vector<dataset::SnapshotBatch> CampaignRunner::daily_month(
   const Internet& internet = *internet_;
   std::vector<dataset::SnapshotBatch> out;
   out.reserve(static_cast<std::size_t>(days));
-  util::Rng dyn_rng(util::hash_combine(internet.config().seed,
-                                       0xDA1ull + cycle));
   // One standing context for the whole month: deployment ramps are
   // day-resolved, but a day is a pristine rollback + profile re-evaluation
   // away — byte-identical to the per-day re-instantiate this replaces.
@@ -177,7 +173,7 @@ std::vector<dataset::SnapshotBatch> CampaignRunner::daily_month(
       ctx.restore_pristine();
       ctx.set_day(day);
       ctx.apply_flaps(/*sub_index=*/0, internet.config().ecmp_flap_prob);
-      ctx.advance_dynamics(dyn_rng);
+      ctx.advance_dynamics();
     }
 
     CampaignConfig day_config = config_;

@@ -94,7 +94,7 @@ void DeltaEvolver::step_to(int cycle, int day_of_month) {
     planes->label_epoch = epoch;
 
     if (ldp_structural_changed(planes->profile, profile)) {
-      internet_->build_as_planes(asn, as, profile, *planes, pool_);
+      internet_->build_as_planes(asn, as, profile, *planes);
       ++st.ases_rebuilt;
       if (planes->rsvp) st.lsps_signalled += planes->rsvp->lsp_count();
     } else if (overlay_changed || epoch_changed ||

@@ -12,9 +12,9 @@
 //
 // Determinism contract (the oracle property, enforced by tests/test_evolve):
 // every per-cycle delta is a pure function of (seed, asn, cycle), so a
-// delta-evolved cycle is byte-identical to `instantiate(cycle)` — the full
-// rebuild stays available as the oracle (`--evolve off`) — at any thread
-// count.
+// delta-evolved cycle is byte-identical to `instantiate(cycle)` at any
+// thread count. The full rebuild is the oracle, in tests only: directly,
+// and through run::Runner::run_cycle against the campaign loop.
 #pragma once
 
 #include <cstddef>

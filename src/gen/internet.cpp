@@ -124,7 +124,7 @@ void MonthContext::set_day(int day_of_month) {
     const ProfileSnapshot profile =
         profile_at(asn, as->shape, cycle_, day_of_month);
     if (ldp_structural_changed(planes->profile, profile)) {
-      internet_->build_as_planes(asn, *as, profile, *planes, pool_);
+      internet_->build_as_planes(asn, *as, profile, *planes);
     } else if (te_structural_changed(planes->profile, profile)) {
       internet_->build_te_planes(asn, *as, profile, *planes);
     } else {
@@ -214,8 +214,7 @@ void MonthContext::apply_flaps(int sub_index, double flap_prob) {
   }
 }
 
-void MonthContext::advance_dynamics(util::Rng& rng) {
-  (void)rng;
+void MonthContext::advance_dynamics() {
   for (auto& [asn, planes] : planes_) {
     if (!planes->rsvp) continue;
     const ModeledAs* as = internet_->modeled(asn);
@@ -363,7 +362,6 @@ void Internet::build_graph(util::Rng& rng_in) {
 }
 
 void Internet::build_topologies(util::Rng& rng_in, util::ThreadPool* pool) {
-  int background_index = 0;
   for (const std::uint32_t asn : graph_.asns()) {
     const AsNode& node = graph_.as_node(asn);
     if (!node.modeled) continue;
@@ -379,7 +377,7 @@ void Internet::build_topologies(util::Rng& rng_in, util::ThreadPool* pool) {
         shape = case_study_shape(asn);
         break;
       default:
-        shape = background_shape(asn, background_index++, rng);
+        shape = background_shape(asn, rng);
         if (config_.scale_routers > 0 && asn >= 200 && asn < 30000) {
           // Scaled background transit AS: ~256 routers, half the fleet
           // running a TE mesh (te density set from scale_lsps below), always
@@ -765,9 +763,7 @@ void Internet::apply_profile_scalars(const ProfileSnapshot& profile,
 
 void Internet::build_as_planes(std::uint32_t asn, const ModeledAs& modeled,
                                const ProfileSnapshot& profile,
-                               AsPlanes& planes,
-                               util::ThreadPool* pool) const {
-  (void)pool;  // per-AS work runs single-threaded under the AS-level fan-out
+                               AsPlanes& planes) const {
   const igp::IgpState& cycle_igp = planes.cycle_igp(modeled);
 
   planes.pools.clear();
@@ -872,7 +868,7 @@ MonthContext Internet::instantiate(int cycle, int day_of_month,
                                                  &planes->overlay);
     }
     build_as_planes(asn, as, profile_at(asn, as.shape, cycle, day_of_month),
-                    *planes, pool);
+                    *planes);
     built[i] = std::move(planes);
   });
   for (std::size_t i = 0; i < asns.size(); ++i) {

@@ -169,7 +169,7 @@ bool te_structural_changed(const ProfileSnapshot& a, const ProfileSnapshot& b);
 class MonthContext {
  public:
   // Re-signals TE LSPs of dynamic-label ASes (between snapshots).
-  void advance_dynamics(util::Rng& rng);
+  void advance_dynamics();
   // Sets per-router ECMP salts for snapshot `sub_index` (0 = cycle run).
   void apply_flaps(int sub_index, double flap_prob);
 
@@ -277,8 +277,8 @@ class Internet {
   // and the pristine snapshots. Expects planes.overlay / planes.igp_cycle /
   // planes.label_epoch already set for the target cycle.
   void build_as_planes(std::uint32_t asn, const ModeledAs& as,
-                       const ProfileSnapshot& profile, AsPlanes& planes,
-                       util::ThreadPool* pool) const;
+                       const ProfileSnapshot& profile,
+                       AsPlanes& planes) const;
   // TE-only rebuild: rewinds pools to the post-LDP snapshot, replays the
   // epoch burn, and re-signals the RSVP-TE plane; the LDP plane and its
   // label content are untouched.

@@ -260,7 +260,7 @@ AsShape case_study_shape(std::uint32_t asn) {
   return shape;
 }
 
-AsShape background_shape(std::uint32_t asn, int index, util::Rng& rng) {
+AsShape background_shape(std::uint32_t asn, util::Rng& rng) {
   AsShape shape;
   auto& t = shape.topo;
   t.asn = asn;
@@ -335,7 +335,6 @@ AsShape background_shape(std::uint32_t asn, int index, util::Rng& rng) {
       shape.retire_cycle = 45 + static_cast<int>(rng.below(15));
     }
   }
-  (void)index;
   return shape;
 }
 

@@ -95,7 +95,7 @@ ProfileSnapshot profile_at(std::uint32_t asn, const AsShape& shape, int cycle,
 // Topology + archetype for the five case-study ASes.
 AsShape case_study_shape(std::uint32_t asn);
 
-// Topology + archetype for a background transit AS (index-seeded draws).
-AsShape background_shape(std::uint32_t asn, int index, util::Rng& rng);
+// Topology + archetype for a background transit AS (draws from `rng`).
+AsShape background_shape(std::uint32_t asn, util::Rng& rng);
 
 }  // namespace mum::gen

@@ -4,11 +4,11 @@
 // The runner installs a StageTimings accumulator for the duration of one
 // cycle via StageScope; instrumented blocks bracket themselves with
 // StageSpan (or call add_stage_ns directly, as the IGP layer does for SPF
-// work buried inside generation). This works because the thread pool runs
-// nested parallel regions inline: once a cycle's body starts on a worker,
-// every inner phase executes on that same thread, so a thread_local
-// accumulator pointer attributes all of the cycle's work correctly at any
-// thread count.
+// work buried inside generation). The accumulator pointer is thread_local
+// and set only on the campaign loop's thread, so at threads > 1 a span
+// opened on a pool worker inside an inner fan-out (the per-AS SPF of a
+// delta step) reaches the registry histogram and the trace but not the
+// cycle's StageTimings.
 //
 // Stages may overlap: SPF reconvergence runs *inside* generation, so
 // spf <= generate and the stage array does not sum to the cycle duration.

@@ -79,7 +79,6 @@ std::string RunManifest::to_json() const {
   json.field("first_cycle", first_cycle + 1);  // 1-based, as the paper counts
   json.field("last_cycle", last_cycle + 1);
   json.field("threads", static_cast<std::uint64_t>(threads));
-  json.field("evolve", evolve);
   json.field("wall_ns", wall_ns);
   json.field("minor_faults", minor_faults);
   json.field("peak_rss_bytes", peak_rss_bytes);

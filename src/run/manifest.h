@@ -47,8 +47,9 @@ struct CycleStatus {
   // inside generation), so stages.total() does not equal duration_ns.
   std::uint64_t duration_ns = 0;
   obs::StageTimings stages;
-  // Delta-evolution accounting for this cycle's generation (delta.cycle < 0
-  // when the cycle was not generated through a DeltaEvolver).
+  // Delta-evolution accounting for this cycle's generation. delta.cycle < 0
+  // unless the loop computed the cycle (outcome kOk): restored, failed and
+  // skipped cycles generate nothing.
   gen::CycleDeltaStats delta;
   // --- supervision record ------------------------------------------------
   // How many attempts the cycle consumed (1 = first try succeeded).
@@ -63,9 +64,6 @@ struct RunManifest {
   int first_cycle = 0;
   int last_cycle = 0;
   unsigned threads = 1;
-  // Whether generation evolved a standing world cycle-to-cycle (--evolve on)
-  // instead of rebuilding each cycle from scratch.
-  bool evolve = false;
   std::vector<CycleStatus> cycles;  // one per cycle, in cycle order
   bool failure_budget_exceeded = false;
   // End-of-run operational record: total wall-clock of the contained run,

@@ -1,7 +1,6 @@
 #include "run/runner.h"
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <optional>
@@ -237,7 +236,6 @@ RunOutcome Runner::run_all_contained() const {
   out.manifest.first_cycle = first;
   out.manifest.last_cycle = last;
   out.manifest.threads = threads();
-  out.manifest.evolve = config_.evolve;
   out.manifest.cycles.resize(n);
 
   const bool data_chaos =
@@ -258,18 +256,30 @@ RunOutcome Runner::run_all_contained() const {
   const util::io::FaultCounts counts_before =
       active != nullptr ? active->counts() : util::io::FaultCounts{};
 
-  std::atomic<bool> abort{false};
-  std::atomic<bool> budget_exceeded{false};
-  std::atomic<int> failures{0};
+  // Supervision state. Cycles run one at a time on this thread, so plain
+  // values suffice; the inner pool fan-outs never touch them.
+  bool abort = false;
+  bool budget_exceeded = false;
+  int failures = 0;
   // ENOSPC degradation: after kEnospcDegradeThreshold consecutive
   // disk-full write failures the run stops persisting (checkpoints AND
   // shards) but keeps computing — the report completes, the manifest and
   // exit code say persistence was dropped.
-  std::atomic<int> enospc_streak{0};
-  std::atomic<bool> degraded{false};
+  int enospc_streak = 0;
+  bool degraded = false;
 
-  const auto run_one = [&](std::size_t i, gen::DeltaEvolver* evolver,
-                           const gen::CampaignRunner* campaign) {
+  // Delta evolution runs the cycle loop serially against one standing
+  // world; inner stages (monitor fan-out, SPF, classification) use the pool.
+  // Checkpoint-restored cycles skip generation entirely and the evolver
+  // jumps the gap when the next computed cycle asks for it. One probe runner
+  // serves every cycle: probe plans, shard arenas, walk scratch and the asn
+  // memo stay warm. Both are torn down inside the loop's wall time.
+  std::optional<gen::DeltaEvolver> evolver(std::in_place, internet_,
+                                           pool_.get());
+  std::optional<gen::CampaignRunner> campaign(
+      std::in_place, internet_, ip2as_, config_.campaign, pool_.get());
+
+  for (std::size_t i = 0; i < n; ++i) {
     const int cycle = first + static_cast<int>(i);
     CycleStatus& status = out.manifest.cycles[i];
     status.cycle = cycle;
@@ -288,17 +298,15 @@ RunOutcome Runner::run_all_contained() const {
     // the ENOSPC streak feeds the degradation tripwire. Returns true when
     // the bytes landed.
     const auto supervised_write = [&](const auto& write) -> bool {
-      if (degraded.load(std::memory_order_acquire)) return false;
+      if (degraded) return false;
       for (int t = 0;; ++t) {
         if (write()) {
-          enospc_streak.store(0, std::memory_order_relaxed);
+          enospc_streak = 0;
           return true;
         }
         if (util::io::env().last_error() == util::io::Error::kEnospc) {
-          const int streak =
-              enospc_streak.fetch_add(1, std::memory_order_acq_rel) + 1;
-          if (streak >= kEnospcDegradeThreshold &&
-              !degraded.exchange(true, std::memory_order_acq_rel)) {
+          if (++enospc_streak >= kEnospcDegradeThreshold && !degraded) {
+            degraded = true;
             obs::log_warn(
                 "  ! persistent ENOSPC: dropping checkpoint persistence, "
                 "continuing compute-only");
@@ -326,12 +334,12 @@ RunOutcome Runner::run_all_contained() const {
       });
     };
 
-    // The cycle's whole body runs inline on this worker (nested parallel
-    // regions detect they're in-pool), so a scoped thread-local accumulator
-    // attributes every inner stage to this cycle at any thread count.
+    // The scoped thread-local accumulator below collects the stage spans
+    // this thread opens; spans opened on pool workers inside an inner
+    // fan-out (per-AS SPF) are not attributed to the cycle.
     const std::uint64_t cycle_t0 = obs::monotonic_ns();
     const auto process = [&] {
-      if (abort.load(std::memory_order_acquire)) {
+      if (abort) {
         status.outcome = CycleOutcome::kSkipped;
         return;
       }
@@ -374,7 +382,7 @@ RunOutcome Runner::run_all_contained() const {
         dataset::DecodeDiagnostics decode;
         const dataset::MonthData month =
             prepare_month(cycle, data_chaos ? &corruptor : nullptr, &decode,
-                          evolver, campaign);
+                          &*evolver, &*campaign);
         // Stage boundary: a deadline can fire on compute-only cycles here.
         util::io::check_deadline();
         if (checkpoints && config_.checkpoint_data) {
@@ -390,7 +398,7 @@ RunOutcome Runner::run_all_contained() const {
         }
         slot = classify(cycle, month, std::move(decode));
         status.outcome = CycleOutcome::kOk;
-        if (evolver != nullptr) status.delta = evolver->last_stats();
+        status.delta = evolver->last_stats();
         persist_checkpoint();
       } catch (...) {
         status.chaos = corruptor.stats();
@@ -400,15 +408,11 @@ RunOutcome Runner::run_all_contained() const {
     };
 
     const auto note_failure = [&] {
-      const int failed = failures.fetch_add(1, std::memory_order_acq_rel) + 1;
+      ++failures;
       const bool over_budget =
-          config_.failure_budget >= 0 && failed > config_.failure_budget;
-      if (over_budget) {
-        budget_exceeded.store(true, std::memory_order_release);
-      }
-      if (!config_.keep_going || over_budget) {
-        abort.store(true, std::memory_order_release);
-      }
+          config_.failure_budget >= 0 && failures > config_.failure_budget;
+      if (over_budget) budget_exceeded = true;
+      if (!config_.keep_going || over_budget) abort = true;
     };
 
     {
@@ -442,8 +446,7 @@ RunOutcome Runner::run_all_contained() const {
           break;
         } catch (const std::exception& e) {
           reset_slot();
-          if (attempt < config_.retries &&
-              !abort.load(std::memory_order_acquire)) {
+          if (attempt < config_.retries && !abort) {
             ++attempt;
             retries_counter.inc();
             obs::log_warn("  ! cycle " + std::to_string(cycle + 1) +
@@ -477,32 +480,12 @@ RunOutcome Runner::run_all_contained() const {
     if (status.outcome != CycleOutcome::kSkipped) {
       log_cycle_progress(cycle, to_cstring(status.outcome));
     }
-  };
-
-  if (config_.evolve) {
-    // Delta evolution runs the cycle loop serially against one standing
-    // world; inner stages (monitor fan-out, SPF, classification) still use
-    // the pool. Checkpoint-restored cycles skip generation entirely and the
-    // evolver jumps the gap when the next computed cycle asks for it. One
-    // probe runner serves every cycle: probe plans, shard arenas, walk
-    // scratch and the asn memo stay warm, and both are torn down here,
-    // inside the loop's wall time.
-    gen::DeltaEvolver evolver(internet_, pool_.get());
-    const gen::CampaignRunner campaign(internet_, ip2as_, config_.campaign,
-                                       pool_.get());
-    for (std::size_t i = 0; i < n; ++i) run_one(i, &evolver, &campaign);
-  } else {
-    // Each cycle fills its own slot with a probe runner of its own; inner
-    // generation/classification runs inline on the worker (nested
-    // parallel_for detects the region), so the pool is never
-    // oversubscribed.
-    util::parallel_for(pool_.get(), n,
-                       [&](std::size_t i) { run_one(i, nullptr, nullptr); });
   }
+  campaign.reset();
+  evolver.reset();
 
-  out.manifest.failure_budget_exceeded =
-      budget_exceeded.load(std::memory_order_acquire);
-  if (degraded.load(std::memory_order_acquire)) {
+  out.manifest.failure_budget_exceeded = budget_exceeded;
+  if (degraded) {
     out.manifest.checkpoints_degraded = true;
     out.manifest.degraded_reason =
         "persistent enospc: checkpoint persistence dropped";

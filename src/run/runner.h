@@ -1,17 +1,19 @@
 // Campaign-level execution engine: the library's top entry point for paper
 // studies. A Runner builds the synthetic internet once from its config, then
-// runs monthly cycles through generation and the LPR pipeline — serially or
-// across a thread pool it owns. The fig*/table* benches, the CLI and the
-// examples all share this one API: run_all_contained() is the campaign loop
-// (a default config runs plain cycles with nothing injected or persisted),
-// run_cycle() and month_data() serve single-cycle benches and tests.
+// runs monthly cycles in order through generation and the LPR pipeline, with
+// the inner stages spread across a thread pool it owns. The fig*/table*
+// benches, the CLI and the examples all share this one API:
+// run_all_contained() is the campaign loop (a default config runs plain
+// cycles with nothing injected or persisted), run_cycle() and month_data()
+// serve single-cycle benches and tests, and run_cycle() is the loop's
+// from-scratch oracle.
 //
 // Determinism contract: all randomness derives from RNG streams keyed by
-// (seed, cycle, monitor)-style lineages, cycles are independent, and
-// per-worker results merge in index order — so `threads = N` produces
-// bit-identical reports to `threads = 1` for any N. Pick `threads` purely
-// for wall-clock: one per hardware thread (the default, threads = 0) is
-// right unless the machine is shared.
+// (seed, cycle, monitor)-style lineages, each cycle's world is a function of
+// its cycle alone, and per-worker results merge in index order — so
+// `threads = N` produces bit-identical reports to `threads = 1` for any N.
+// Pick `threads` purely for wall-clock: one per hardware thread (the
+// default, threads = 0) is right unless the machine is shared.
 #pragma once
 
 #include <memory>
@@ -32,17 +34,10 @@ struct RunnerConfig {
   lpr::PipelineConfig pipeline;
   int first_cycle = 0;
   int last_cycle = gen::kCycles - 1;  // inclusive
-  // Worker threads for cycle- and monitor-level parallelism: 0 = one per
-  // hardware thread, 1 = fully serial. Output is identical either way.
+  // Worker threads for the stages inside a cycle (per-AS evolution and SPF,
+  // monitor fan-out, classification): 0 = one per hardware thread, 1 =
+  // fully serial. Output is identical either way.
   int threads = 0;
-  // Delta-based cycle evolution (the default): cycles run in order against
-  // one standing world, each cycle a mutation of the previous one (pristine
-  // rollback + seed-keyed per-cycle deltas through incremental SPF and
-  // TE-only re-signalling). Inner stages still parallelize over the pool.
-  // Off = from-scratch instantiate per cycle, cycles fan out across the
-  // pool. Reports are byte-identical either way, at any thread count — the
-  // full rebuild is the delta path's oracle.
-  bool evolve = true;
 
   // --- fault injection & containment -------------------------------------
   // Chaos faults injected into each cycle's data (off by default). When
@@ -115,12 +110,12 @@ class Runner {
   // data, like the Fig. 6 persistence sweep).
   dataset::MonthData month_data(int cycle) const;
 
-  // Run the whole configured cycle range: the one campaign loop. With
-  // evolve on, cycles advance one standing world in order; with it off they
-  // fan out across the pool. Either way they merge in cycle order. Progress
-  // goes through obs::log (one info line per 12 cycles, per-cycle at
-  // debug); line interleaving may differ across thread counts, reports
-  // never do.
+  // Run the whole configured cycle range: the one campaign loop. Cycles run
+  // in order against one standing world that a gen::DeltaEvolver advances
+  // (pristine rollback + seed-keyed per-cycle deltas through incremental SPF
+  // and TE-only re-signalling), and one gen::CampaignRunner probes them all.
+  // Progress goes through obs::log (one info line per 12 cycles, per-cycle
+  // at debug).
   //
   // Every cycle is contained: chaos injection, per-cycle error containment
   // with the configured failure policy, retries, checkpoints and resume. A

@@ -8,9 +8,11 @@
 //
 // Determinism contract, mirroring chaos::Corruptor: every fault draw derives
 // from an RNG stream keyed by (seed, cycle, attempt, op-ordinal). The
-// op-ordinal comes from the installed thread-local CycleScope, and a cycle's
-// body runs serially on one worker (nested parallel regions run inline), so
-// the same campaign config injects the same faults at any thread count.
+// op-ordinal comes from the installed thread-local CycleScope on the
+// campaign loop's thread, which issues a cycle's ops in order; the shard
+// source, which maps files on a pool worker, captures the scope's lineage
+// and draws each ordinal before dispatch. So the same campaign config
+// injects the same faults at any thread count.
 // Ops issued outside any scope (CLI input loading) key off an explicit or
 // caller-provided ordinal.
 //

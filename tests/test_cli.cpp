@@ -311,6 +311,9 @@ TEST_F(CliPipeline, UsageErrorsExitOne) {
   EXPECT_EQ(run_cmd({"stats", "--bogus-flag", "x.mumw"}, &out), kExitUsage);
   EXPECT_EQ(run_cmd({"campaign", "--cycles", "0"}, &out), kExitUsage);
   EXPECT_EQ(run_cmd({"campaign", "--chaos", "bogus=1"}, &out), kExitUsage);
+  // The per-cycle rebuild is a test oracle (Runner::run_cycle), not a mode.
+  EXPECT_EQ(run_cmd({"campaign", "--evolve", "off"}, &out), kExitUsage);
+  EXPECT_NE(out.find("unknown flag --evolve"), std::string::npos) << out;
   EXPECT_EQ(run_cmd({"stats", "--tolerant", "--strict", "x.mumw"}, &out),
             kExitUsage);
 }

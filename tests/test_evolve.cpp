@@ -3,10 +3,10 @@
 //
 // The load-bearing property: a delta-evolved cycle is byte-identical to a
 // from-scratch `instantiate(cycle)` — at any thread count, from any starting
-// cycle, with every churn knob turned on. The full rebuild (`--evolve off`)
-// stays available as the oracle; these tests hold the two paths against each
-// other at every layer (arena, label pools, incremental SPF, evolver, runner,
-// resume).
+// cycle, with every churn knob turned on. The full rebuild (`instantiate`,
+// and Runner::run_cycle above it) is the oracle; these tests hold the two
+// paths against each other at every layer (arena, label pools, incremental
+// SPF, evolver, runner, resume).
 #include "gen/evolve.h"
 
 #include <gtest/gtest.h>
@@ -381,27 +381,34 @@ TEST(DeltaEvolver, MonthDataMatchesFreshMonth) {
 
 // --- Runner-level parity ----------------------------------------------------
 
-run::RunnerConfig evolve_runner(int cycles, int threads, bool evolve) {
+run::RunnerConfig evolve_runner(int cycles, int threads) {
   run::RunnerConfig c;
   c.gen = churny_config();
   c.first_cycle = 0;
   c.last_cycle = cycles - 1;
   c.threads = threads;
-  c.evolve = evolve;
   return c;
 }
 
 // Delta-vs-rebuild parity across seeds: the whole longitudinal report, not
-// just one snapshot, is byte-identical with `evolve` on and off.
+// just one snapshot, is byte-identical to the per-cycle from-scratch
+// rebuild of Runner::run_cycle, the campaign loop's oracle.
 TEST(EvolveRunner, ReportMatchesRebuildOracleAcrossSeeds) {
   for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{20151028}}) {
-    auto on = evolve_runner(/*cycles=*/6, /*threads=*/2, /*evolve=*/true);
-    auto off = evolve_runner(/*cycles=*/6, /*threads=*/2, /*evolve=*/false);
-    on.gen.seed = seed;
-    off.gen.seed = seed;
-    const auto evolved = run::Runner(on).run_all_contained().report;
-    const auto rebuilt = run::Runner(off).run_all_contained().report;
-    EXPECT_EQ(evolved.to_json(), rebuilt.to_json()) << "seed=" << seed;
+    auto config = evolve_runner(/*cycles=*/6, /*threads=*/1);
+    config.gen.seed = seed;
+    const run::Runner oracle(config);
+    lpr::LongitudinalReport rebuilt;
+    for (int c = config.first_cycle; c <= config.last_cycle; ++c) {
+      rebuilt.cycles.push_back(oracle.run_cycle(c));
+    }
+    const std::string expected = rebuilt.to_json();
+    for (const int threads : {1, 2}) {
+      config.threads = threads;
+      const auto evolved = run::Runner(config).run_all_contained().report;
+      EXPECT_EQ(evolved.to_json(), expected)
+          << "seed=" << seed << " threads=" << threads;
+    }
   }
 }
 
@@ -409,12 +416,12 @@ TEST(EvolveRunner, ReportMatchesRebuildOracleAcrossSeeds) {
 // must not depend on how much the inner stages parallelize.
 TEST(EvolveRunner, ByteIdenticalAtAnyThreadCount) {
   const auto baseline =
-      run::Runner(evolve_runner(5, /*threads=*/1, /*evolve=*/true))
+      run::Runner(evolve_runner(5, /*threads=*/1))
           .run_all_contained()
           .report;
   const std::string expected = baseline.to_json();
   for (const int threads : {4, 16}) {
-    const auto got = run::Runner(evolve_runner(5, threads, /*evolve=*/true))
+    const auto got = run::Runner(evolve_runner(5, threads))
                          .run_all_contained()
                          .report;
     EXPECT_EQ(got.to_json(), expected) << "threads=" << threads;
@@ -422,10 +429,9 @@ TEST(EvolveRunner, ByteIdenticalAtAnyThreadCount) {
 }
 
 TEST(EvolveRunner, ManifestRecordsDeltaAccounting) {
-  auto config = evolve_runner(4, /*threads=*/1, /*evolve=*/true);
-  const auto outcome = run::Runner(config).run_all_contained();
+  const auto outcome =
+      run::Runner(evolve_runner(4, /*threads=*/1)).run_all_contained();
   ASSERT_EQ(outcome.manifest.cycles.size(), 4u);
-  EXPECT_TRUE(outcome.manifest.evolve);
   EXPECT_EQ(outcome.manifest.cycles[0].delta.cycle, 0);
   EXPECT_TRUE(outcome.manifest.cycles[0].delta.full_build);
   for (int c = 1; c < 4; ++c) {
@@ -433,13 +439,6 @@ TEST(EvolveRunner, ManifestRecordsDeltaAccounting) {
     EXPECT_EQ(delta.cycle, c);
     EXPECT_FALSE(delta.full_build) << "cycle " << c << " rebuilt from scratch";
     EXPECT_GT(delta.ases_total, 0u);
-  }
-
-  auto off = evolve_runner(2, /*threads=*/1, /*evolve=*/false);
-  const auto rebuilt = run::Runner(off).run_all_contained();
-  EXPECT_FALSE(rebuilt.manifest.evolve);
-  for (const run::CycleStatus& status : rebuilt.manifest.cycles) {
-    EXPECT_LT(status.delta.cycle, 0);  // no delta accounting off the evolver
   }
 }
 
@@ -463,7 +462,7 @@ class EvolveResumeTest : public ::testing::Test {
 // final report and (b) that the recomputed tail runs on an *evolved* world:
 // the first recomputed cycle is the only full build, every later one a delta.
 TEST_F(EvolveResumeTest, ResumeLandsOnEvolvedWorldByteIdentically) {
-  auto config = evolve_runner(/*cycles=*/8, /*threads=*/1, /*evolve=*/true);
+  auto config = evolve_runner(/*cycles=*/8, /*threads=*/1);
   config.checkpoint_dir = dir_.string();
   const auto uninterrupted = run::Runner(config).run_all_contained();
   ASSERT_TRUE(uninterrupted.manifest.complete());
@@ -511,10 +510,9 @@ TEST(DailyMonth, MatchesPerDayReinstantiation) {
   const auto daily = runner.daily_month(cycle, days);
   ASSERT_EQ(daily.size(), static_cast<std::size_t>(days));
 
-  util::Rng dyn_rng(util::hash_combine(config.seed, 0xDA1ull + cycle));
   for (int day = 1; day <= days; ++day) {
     gen::MonthContext ctx = internet.instantiate(cycle, day);
-    if (day > 1) ctx.advance_dynamics(dyn_rng);
+    if (day > 1) ctx.advance_dynamics();
 
     gen::CampaignConfig day_config = runner.config();
     const double wobble =

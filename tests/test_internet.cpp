@@ -212,8 +212,7 @@ TEST_F(InternetTest, DynamicsRelabelVodafoneLsps) {
   for (const auto& lsp : rsvp->lsps()) {
     for (const auto& hop : lsp.hops) labels_before.push_back(hop.in_label);
   }
-  util::Rng rng(1);
-  ctx.advance_dynamics(rng);
+  ctx.advance_dynamics();
   std::vector<std::uint32_t> labels_after;
   for (const auto& lsp : rsvp->lsps()) {
     for (const auto& hop : lsp.hops) labels_after.push_back(hop.in_label);
@@ -229,8 +228,7 @@ TEST_F(InternetTest, DynamicsLeaveStaticAsesAlone) {
   for (const auto& lsp : att_rsvp->lsps()) {
     for (const auto& hop : lsp.hops) before.push_back(hop.in_label);
   }
-  util::Rng rng(1);
-  ctx.advance_dynamics(rng);
+  ctx.advance_dynamics();
   std::vector<std::uint32_t> after;
   for (const auto& lsp : att_rsvp->lsps()) {
     for (const auto& hop : lsp.hops) after.push_back(hop.in_label);

@@ -103,7 +103,7 @@ TEST(Profiles, BackgroundNoMplsStaysOff) {
   util::Rng rng(1);
   for (int i = 0; i < 50; ++i) {
     util::Rng r = rng.fork(static_cast<std::uint64_t>(i));
-    const AsShape shape = background_shape(200 + i, i, r);
+    const AsShape shape = background_shape(200 + i, r);
     if (shape.archetype == MplsArchetype::kNoMpls) {
       for (const int c : {0, 30, 59}) {
         EXPECT_FALSE(profile_at(200 + i, shape, c).mpls_enabled);
@@ -116,7 +116,7 @@ TEST(Profiles, BackgroundAdoptionRespected) {
   util::Rng rng(2);
   for (int i = 0; i < 80; ++i) {
     util::Rng r = rng.fork(static_cast<std::uint64_t>(i));
-    const AsShape shape = background_shape(300 + i, i, r);
+    const AsShape shape = background_shape(300 + i, r);
     if (shape.archetype == MplsArchetype::kNoMpls) continue;
     if (shape.adopt_cycle > 0) {
       EXPECT_FALSE(
@@ -138,7 +138,7 @@ TEST(Profiles, BackgroundArchetypeMixCoversAll) {
   int counts[5] = {0, 0, 0, 0, 0};
   for (int i = 0; i < 300; ++i) {
     util::Rng r = rng.fork(static_cast<std::uint64_t>(i) + 1000);
-    const AsShape shape = background_shape(400, i, r);
+    const AsShape shape = background_shape(400, r);
     ++counts[static_cast<int>(shape.archetype)];
   }
   for (const int c : counts) EXPECT_GT(c, 0);

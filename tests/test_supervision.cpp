@@ -414,7 +414,6 @@ TEST_F(SupervisionRun, ReportBytesImmuneToIoChaosAndThreads) {
   const auto baseline = run::Runner(tiny_runner(4)).run_all_contained();
   for (const int threads : {1, 4}) {
     auto config = tiny_runner(4, threads);
-    config.evolve = false;  // fan cycles across the pool
     config.checkpoint_dir =
         (dir_ / ("t" + std::to_string(threads))).string();
     config.checkpoint_data = true;
@@ -552,7 +551,6 @@ TEST_F(SupervisionRun, MixedFailureResumeByteIdenticalAcrossThreads) {
     const fs::path dir = dir_ / ("resume_t" + std::to_string(threads));
     damage(dir);
     auto config = tiny_runner(kCycles, threads);
-    config.evolve = false;
     config.checkpoint_dir = dir.string();
     config.checkpoint_data = true;
     config.resume = true;

@@ -616,7 +616,6 @@ int run_campaign(Args& args, std::ostream& out, std::ostream& err) {
   const auto format_spec = args.take_value("--format");
   const auto telemetry = args.take_eq_flag("--telemetry");
   const auto trace_out = args.take_value("--trace-out");
-  const auto evolve_spec = args.take_value("--evolve");
   const auto scale_spec = args.take_value("--scale");
   const auto churn_spec = args.take_value("--churn");
   if (!args.ok()) {
@@ -635,16 +634,6 @@ int run_campaign(Args& args, std::ostream& out, std::ostream& err) {
 
   run::RunnerConfig config;
   config.gen.seed = seed;
-  if (evolve_spec) {
-    if (*evolve_spec == "on") {
-      config.evolve = true;
-    } else if (*evolve_spec == "off") {
-      config.evolve = false;
-    } else {
-      err << "--evolve must be on or off, got '" << *evolve_spec << "'\n";
-      return kExitUsage;
-    }
-  }
   if (scale_spec) {
     std::string error;
     if (!parse_scale_spec(*scale_spec, config.gen, &error)) {
@@ -817,7 +806,7 @@ std::string usage() {
       "  stats     SNAP [SNAP...] [--tolerant | --strict]\n"
       "                           dataset-level statistics\n"
       "  campaign  [--cycles N] [--seed S] [--small] [--threads N]\n"
-      "            [--evolve on|off] [--scale routers=N[,lsps=M]]\n"
+      "            [--scale routers=N[,lsps=M]]\n"
       "            [--churn link=P,metric=P,router=P,resignal=P]\n"
       "            [--chaos SPEC] [--keep-going] [--failure-budget N]\n"
       "            [--retry N] [--cycle-deadline MS]\n"
@@ -844,11 +833,9 @@ std::string usage() {
       "and shards are moved to <dir>/quarantine/, never deleted.\n"
       "--threads 0 (the default) uses one thread per hardware thread; any\n"
       "value produces identical output (deterministic parallelism).\n"
-      "--evolve on (the default) advances one standing world cycle to cycle\n"
-      "(delta evolution); off rebuilds each cycle from scratch. Reports are\n"
-      "byte-identical either way. --scale sizes the world (k/m suffixes:\n"
-      "routers=100k,lsps=1m); --churn adds per-cycle topology/label deltas\n"
-      "as probabilities (e.g. link=0.02,resignal=0.1).\n"
+      "--scale sizes the world (k/m suffixes: routers=100k,lsps=1m);\n"
+      "--churn adds per-cycle topology/label deltas as probabilities\n"
+      "(e.g. link=0.02,resignal=0.1).\n"
       "--quiet silences progress, --verbose adds per-cycle detail (both on\n"
       "stderr). --telemetry dumps the metrics registry at end of run (to\n"
       "stderr, or FILE with =FILE); --trace-out writes a JSONL event log.\n"
