@@ -81,11 +81,12 @@ ArmResult run_arm(bool frr, int failure_rounds) {
         continue;
       }
       // Re-signal over the post-failure IGP route.
+      const igp::EgressColumn& toward = igp_now.column(lsp.egress);
       std::vector<topo::LinkId> route;
       topo::RouterId at = lsp.ingress;
       for (std::size_t guard = topo.router_count() + 4;
            at != lsp.egress && guard > 0; --guard) {
-        const auto& nhs = igp_now.rib(at).nexthops(lsp.egress);
+        const auto nhs = toward.nexthops(at);
         if (nhs.empty()) {
           route.clear();
           break;

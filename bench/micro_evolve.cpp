@@ -49,11 +49,11 @@ const World& world(std::int64_t routers, bool churn) {
   config.dests_per_monitor = 20;
   config.scale_routers = static_cast<std::uint64_t>(routers);
   config.scale_lsps = static_cast<std::uint64_t>(routers) * 10;
-  // The gated arms turn intra-month maintenance failures off: apply_flaps'
-  // failure reconvergence runs identically in BOTH arms (it is per-snapshot
-  // state, not per-cycle state) and at the default rates it dominates the
-  // step, hiding the build cost delta evolution removes. The churn variant
-  // keeps them on — the realistic, ungated number.
+  // The gated arms turn intra-month maintenance failures off: the rebuild
+  // arm's instantiate runs apply_flaps' failure reconvergence, which at the
+  // default rates dominates the step and would hide the build cost delta
+  // evolution removes (the evolve arm leaves the flaps to the snapshot).
+  // The churn variant keeps them on — the realistic, ungated number.
   config.as_maintenance_prob = churn ? 0.25 : 0.0;
   config.link_fail_prob = 0.01;
   if (churn) {

@@ -82,7 +82,7 @@ for k in 2 7 13 23 31; do
   echo "  kill at op $k -> exit 9, resume byte-identical"
 done
 
-echo "== tier-1: TSan pass over test_parallel + test_obs + test_evolve + test_batch + test_supervision + test_campaign ($tsan_build) =="
+echo "== tier-1: TSan pass over test_parallel + test_obs + test_evolve + test_batch + test_supervision + test_campaign + test_spf ($tsan_build) =="
 cmake -B "$tsan_build" -S "$repo" -DMUM_TSAN=ON
 # Only these targets — a full TSan tree is slow and adds nothing here.
 # test_obs runs with telemetry sinks installed, so the sharded metric and
@@ -98,11 +98,14 @@ cmake -B "$tsan_build" -S "$repo" -DMUM_TSAN=ON
 # per-monitor probe and classification fan-outs. The kill/resume loop
 # among them is left out (a minute of re-runs in Release, no new races).
 # test_campaign's ProbePlan and CampaignRunnerReuse cases race the probe
-# plans, which each monitor builds lazily inside the monitor fan-out, and a
-# runner reused across 60 cycles on a 4-thread pool.
+# plans, which the runner routes in a per-monitor fan-out of their own
+# before its first snapshot's flaps, the monitor fan-out that then reads
+# them, and a runner reused across 60 cycles on a 4-thread pool. test_spf
+# races the IGP egress-column fan-out (compute and reconverge on a 4-thread
+# pool), whose Dijkstra bucket ring and next-hop scratch are thread_local.
 cmake --build "$tsan_build" -j --target test_parallel --target test_obs \
   --target test_evolve --target test_batch --target test_supervision \
-  --target test_campaign
+  --target test_campaign --target test_spf
 "$tsan_build/tests/test_parallel"
 "$tsan_build/tests/test_obs"
 "$tsan_build/tests/test_evolve"
@@ -111,6 +114,7 @@ cmake --build "$tsan_build" -j --target test_parallel --target test_obs \
   --gtest_filter='SupervisionRun.*:-SupervisionRun.KillAtEveryIoOpResumesByteIdentical'
 "$tsan_build/tests/test_campaign" \
   --gtest_filter='ProbePlan.*:CampaignRunnerReuse.*'
+"$tsan_build/tests/test_spf"
 
 echo "== tier-1: ASan+UBSan pass over tolerant ingest ($asan_build) =="
 cmake -B "$asan_build" -S "$repo" -DMUM_ASAN=ON

@@ -1,6 +1,6 @@
 #include "gen/campaign.h"
 
-#include <optional>
+#include <algorithm>
 
 #include "obs/telemetry.h"
 #include "probe/forwarder.h"
@@ -10,7 +10,7 @@
 namespace mum::gen {
 
 struct CampaignRunner::MonitorShard {
-  std::optional<ProbePlan> plan;
+  ProbePlan plan;
   util::Arena arena;
   probe::PathSpec path;
   probe::WalkResult walk;
@@ -29,6 +29,38 @@ CampaignRunner::CampaignRunner(CampaignRunner&&) noexcept = default;
 CampaignRunner& CampaignRunner::operator=(CampaignRunner&&) noexcept =
     default;
 
+void CampaignRunner::plan_all() const {
+  if (planned_) return;
+  const Internet& internet = *internet_;
+  const std::size_t n_monitors = internet.monitors().size();
+  std::vector<ProbePlan> plans(n_monitors);
+  util::parallel_for(pool_, n_monitors, [&](std::size_t mi) {
+    plans[mi] = internet.probe_plan(mi);
+  });
+  EgressDemand demand(internet.modeled_asns().size());
+  for (const ProbePlan& plan : plans) {
+    for (const ProbePlan::Segment& seg : plan.segments) {
+      demand[seg.as_index].push_back(seg.egress);
+    }
+  }
+  for (std::vector<topo::RouterId>& egresses : demand) {
+    std::sort(egresses.begin(), egresses.end());
+    egresses.erase(std::unique(egresses.begin(), egresses.end()),
+                   egresses.end());
+  }
+  for (ProbePlan& plan : plans) {
+    shards_.push_back(std::make_unique<MonitorShard>());
+    shards_.back()->plan = std::move(plan);
+  }
+  demand_ = std::move(demand);
+  planned_ = true;
+}
+
+const EgressDemand& CampaignRunner::egress_demand() const {
+  plan_all();
+  return demand_;
+}
+
 dataset::SnapshotBatch CampaignRunner::snapshot(MonthContext& ctx, int cycle,
                                                 int sub_index) const {
   return snapshot(ctx, cycle, sub_index, config_);
@@ -43,7 +75,8 @@ dataset::SnapshotBatch CampaignRunner::snapshot(
   snap.sub_index = static_cast<std::uint32_t>(sub_index);
   snap.date = cycle_date(cycle);
 
-  ctx.apply_flaps(sub_index, internet.config().ecmp_flap_prob);
+  ctx.apply_flaps(sub_index, internet.config().ecmp_flap_prob,
+                  egress_demand());
 
   const auto& monitors = internet.monitors();
   const std::size_t n_monitors = std::max<std::size_t>(
@@ -62,12 +95,9 @@ dataset::SnapshotBatch CampaignRunner::snapshot(
   // filter compares like with like) into its own shard batch; shards are
   // merged in monitor order so the snapshot is identical to a serial run.
   //
-  // Shard arenas are grown serially, then reset and lent to one TraceBatch
-  // each: after the first snapshot every column re-carves the same chunks,
-  // so the probe loop's steady state performs no heap allocation.
-  while (shards_.size() < n_monitors) {
-    shards_.push_back(std::make_unique<MonitorShard>());
-  }
+  // Shard arenas are reset and lent to one TraceBatch each: after the first
+  // snapshot every column re-carves the same chunks, so the probe loop's
+  // steady state performs no heap allocation.
   std::vector<dataset::TraceBatch> blocks;
   blocks.reserve(n_monitors);
   for (std::size_t mi = 0; mi < n_monitors; ++mi) {
@@ -79,10 +109,7 @@ dataset::SnapshotBatch CampaignRunner::snapshot(
   util::parallel_for(pool_, n_monitors, [&](std::size_t mi) {
     const probe::Monitor& monitor = monitors[mi];
     MonitorShard& shard = *shards_[mi];
-    // Routed once per runner; assigned only once complete, so a throw
-    // leaves no partial plan behind.
-    if (!shard.plan) shard.plan = internet.probe_plan(mi);
-    const ProbePlan& plan = *shard.plan;
+    const ProbePlan& plan = shard.plan;
     util::Rng rng = noise_base.fork(mi);
     dataset::TraceBatch& out = blocks[mi];
     for (std::size_t i = 0; i < plan.size(); ++i) {

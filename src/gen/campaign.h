@@ -9,9 +9,10 @@
 //
 // CampaignRunner is the entry point: it holds the campaign configuration
 // once and generates snapshots with the monitor fleet fanned out over an
-// optional thread pool. Everything it learns is kept for its lifetime: each
-// monitor's probe plan (routed on the first snapshot that uses the monitor),
-// the per-monitor shard arenas and walk scratch, and the addr -> asn memo.
+// optional thread pool. Everything it learns is kept for its lifetime: every
+// monitor's probe plan (all routed before the first snapshot's flaps), the
+// IGP egress demand those plans imply, the per-monitor shard arenas and walk
+// scratch, and the addr -> asn memo.
 // A campaign that keeps one runner across its cycles routes every probe once
 // and probes from warm memory. Determinism contract: every monitor draws its
 // observation noise from an RNG stream keyed by (seed, cycle, sub_index,
@@ -52,13 +53,19 @@ class CampaignRunner {
 
   const CampaignConfig& config() const noexcept { return config_; }
   const Internet& internet() const noexcept { return *internet_; }
+  // The IGP egress columns the runner's walks read: the sorted, unique
+  // segment egresses of every monitor's plan, by ModeledAs::index (routing
+  // the plans on first use). snapshot() hands this to apply_flaps.
+  const EgressDemand& egress_demand() const;
 
   // One snapshot at (cycle, sub_index). `ctx` must come from
   // internet.instantiate() or a DeltaEvolver; flaps for `sub_index` are
-  // applied inside. Each monitor resolves its probe plan against `ctx`'s
-  // data planes, walks and observes into its shard's arena batch (reset
-  // between snapshots, so the steady state allocates nothing in the probe
-  // loop); shards merge column-wise in monitor order and are
+  // applied inside, reconverging only egress_demand() (plus the TE
+  // re-signal egresses), so until the next apply_flaps `ctx` serves this
+  // runner's walks only. Each monitor resolves its probe plan against
+  // `ctx`'s data planes, walks and observes into its shard's arena batch
+  // (reset between snapshots, so the steady state allocates nothing in the
+  // probe loop); shards merge column-wise in monitor order and are
   // ip2as-annotated.
   //
   // Not safe to call concurrently on one runner: it mutates `ctx` and
@@ -90,11 +97,15 @@ class CampaignRunner {
   dataset::MonthData probe_month(MonthContext& ctx, int cycle,
                                  double fleet_share) const;
 
+  // Routes every monitor's probe plan and derives demand_ from them; a no-op
+  // once done. A throw leaves nothing behind.
+  void plan_all() const;
+
   // Per-monitor probe state, kept for the runner's lifetime: the monitor's
-  // probe plan (built on first use, inside the monitor fan-out), the arena
-  // its shard TraceBatch carves from (reset per snapshot, so arena
-  // high-water stabilizes after the first one; the soak test gates this via
-  // the probe.arena.* gauges) and path/walk scratch.
+  // probe plan (see plan_all), the arena its shard TraceBatch carves from
+  // (reset per snapshot, so arena high-water stabilizes after the first
+  // one; the soak test gates this via the probe.arena.* gauges) and
+  // path/walk scratch.
   struct MonitorShard;
 
   const Internet* internet_;
@@ -104,6 +115,10 @@ class CampaignRunner {
   // One snapshot at a time per runner (see snapshot()): these are mutated
   // by the const generation calls.
   mutable std::vector<std::unique_ptr<MonitorShard>> shards_;
+  // Sorted, unique segment egresses of all plans, by ModeledAs::index: the
+  // IGP columns a snapshot's walks read. Set with the plans.
+  mutable EgressDemand demand_;
+  mutable bool planned_ = false;
   // The snapshot's data plane per modelled AS, by ModeledAs::index.
   mutable std::vector<const probe::AsDataPlane*> planes_;
   // addr -> asn memo for annotation, warm for the runner's lifetime (the

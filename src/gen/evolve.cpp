@@ -121,7 +121,6 @@ void DeltaEvolver::step_to(int cycle, int day_of_month) {
     stats_.lsps_signalled += st.lsps_signalled;
   }
 
-  ctx.apply_flaps(/*sub_index=*/0, config.ecmp_flap_prob);
   day_ = day_of_month;
 
   obs::registry().counter("evolve.delta_steps").add(1);

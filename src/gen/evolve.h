@@ -35,8 +35,9 @@ struct CycleDeltaStats {
   std::size_t ases_restored = 0;    // pristine rollback only
   std::size_t links_down = 0;          // overlay down links, all ASes
   std::size_t links_cost_changed = 0;  // overlay metric overrides, all ASes
+  // SPF "sources" are egress columns (one Dijkstra each).
   std::size_t spf_sources_total = 0;       // routers of overlay-changed ASes
-  std::size_t spf_sources_recomputed = 0;  // sources the delta SPF re-ran
+  std::size_t spf_sources_recomputed = 0;  // columns the delta SPF re-ran
   std::size_t lsps_signalled = 0;  // TE LSPs signed by rebuilt/re-signed ASes
 };
 
@@ -48,11 +49,15 @@ class DeltaEvolver {
                         util::ThreadPool* pool = nullptr)
       : internet_(&internet), pool_(pool) {}
 
-  // Returns the context at (cycle, day_of_month). Advancing from the
-  // current cycle applies deltas; the first call, a backward jump, or a
-  // recovery after a failed step falls back to a full instantiate. Gaps are
-  // fine: intermediate cycles' deltas replay in order (each cycle's state
-  // is a pure function of (seed, cycle), not of the visit sequence).
+  // Returns the context at (cycle, day_of_month), ready for its cycle
+  // snapshot: CampaignRunner::snapshot applies the snapshot's flaps (ECMP
+  // salts and failure reconvergence). Advancing from the current cycle
+  // applies deltas and leaves the flaps to that snapshot; the first call, a
+  // backward jump, or a recovery after a failed step falls back to a full
+  // instantiate (which applies sub-index 0's flaps itself; re-applying the
+  // same sub-index changes nothing). Gaps are fine: intermediate cycles'
+  // deltas replay in order (each cycle's state is a pure function of
+  // (seed, cycle), not of the visit sequence).
   MonthContext& evolve_to(int cycle, int day_of_month = 1);
 
   const MonthContext* context() const noexcept {
@@ -64,6 +69,7 @@ class DeltaEvolver {
 
  private:
   void full_build(int cycle, int day_of_month);
+  // Pristine rollback plus the target cycle's per-AS deltas; no flaps.
   void step_to(int cycle, int day_of_month);
 
   const Internet* internet_;

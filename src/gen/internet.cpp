@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 namespace mum::gen {
 
@@ -76,11 +77,12 @@ std::vector<topo::LinkId> route_on(const igp::IgpState& igp,
                                    topo::RouterId ingress,
                                    topo::RouterId egress,
                                    std::size_t router_count) {
+  const igp::EgressColumn& toward = igp.column(egress);
   std::vector<topo::LinkId> route;
   topo::RouterId at = ingress;
   for (std::size_t guard = router_count + 4; at != egress; --guard) {
     if (guard == 0) return {};
-    const auto& nhs = igp.rib(at).nexthops(egress);
+    const auto nhs = toward.nexthops(at);
     if (nhs.empty()) return {};
     route.push_back(nhs.front().link);
     at = nhs.front().neighbor;
@@ -134,7 +136,8 @@ void MonthContext::set_day(int day_of_month) {
   }
 }
 
-void MonthContext::apply_flaps(int sub_index, double flap_prob) {
+void MonthContext::apply_flaps(int sub_index, double flap_prob,
+                               const EgressDemand& demand) {
   const GenConfig& config = internet_->config();
   for (auto& [asn, planes] : planes_) {
     const ModeledAs* as = internet_->modeled(asn);
@@ -188,10 +191,31 @@ void MonthContext::apply_flaps(int sub_index, double flap_prob) {
       }
     }
     if (any_down) {
-      // Incremental reconvergence: only sources whose shortest-path DAG
-      // crosses a downed link are recomputed; the rest reuse the base RIB.
-      planes->igp_now = igp::IgpState::reconverge(as->topo, cycle_base, down,
-                                                  pool_, nullptr, overlay);
+      // Demand-driven reconvergence: only the columns this snapshot reads,
+      // i.e. the demanded egresses plus the egress of every TE LSP the
+      // RSVP loop below re-signals (a read-only pre-scan of its decisions).
+      // Of those, only columns whose shortest-path DAG crosses a downed
+      // link are recomputed; the rest are copied from the cycle state.
+      std::vector<topo::RouterId> egresses;
+      if (demand.empty()) {
+        egresses.resize(as->topo.router_count());
+        std::iota(egresses.begin(), egresses.end(), topo::RouterId{0});
+      } else {
+        egresses = demand.at(as->index);
+        if (planes->rsvp) {
+          for (const mpls::TeLsp& lsp : planes->rsvp->lsps()) {
+            if (planes->rsvp->crosses_down_link(lsp.id, down) &&
+                !planes->rsvp->backup_intact(lsp.id, down)) {
+              egresses.push_back(lsp.egress);
+            }
+          }
+          std::sort(egresses.begin(), egresses.end());
+          egresses.erase(std::unique(egresses.begin(), egresses.end()),
+                         egresses.end());
+        }
+      }
+      planes->igp_now = igp::IgpState::reconverge(
+          as->topo, cycle_base, down, egresses, pool_, nullptr, overlay);
       planes->plane.igp = &*planes->igp_now;
       // RSVP-TE reconverges too. With fast reroute, a broken LSP switches
       // to its pre-signalled backup (labels stable); otherwise it is

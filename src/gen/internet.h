@@ -129,9 +129,10 @@ struct AsPlanes {
   std::vector<mpls::LabelPool> pools;
   std::optional<mpls::LdpPlane> ldp;
   std::unique_ptr<mpls::RsvpTePlane> rsvp;
-  // IGP state after this snapshot's link failures (unset => no failures,
-  // plane.igp points at the cycle-converged state below, or the ModeledAs
-  // base state when this cycle's overlay is trivial).
+  // IGP state after this snapshot's link failures, holding only the
+  // demanded egress columns (unset => no failures, plane.igp points at the
+  // cycle-converged state below, or the ModeledAs base state when this
+  // cycle's overlay is trivial).
   std::optional<igp::IgpState> igp_now;
   probe::AsDataPlane plane;  // pointers reference ModeledAs + this struct
 
@@ -157,6 +158,11 @@ struct AsPlanes {
 class Internet;
 class DeltaEvolver;
 
+// The IGP egress columns a snapshot's readers need: per modelled AS (by
+// ModeledAs::index), a sorted, unique list of egress RouterIds. Empty means
+// every router of every AS.
+using EgressDemand = std::vector<std::vector<topo::RouterId>>;
+
 // True when a profile transition requires rebuilding the AS's LDP plane and
 // label pools from scratch (fields that change LDP label content).
 bool ldp_structural_changed(const ProfileSnapshot& a, const ProfileSnapshot& b);
@@ -170,8 +176,13 @@ class MonthContext {
  public:
   // Re-signals TE LSPs of dynamic-label ASes (between snapshots).
   void advance_dynamics();
-  // Sets per-router ECMP salts for snapshot `sub_index` (0 = cycle run).
-  void apply_flaps(int sub_index, double flap_prob);
+  // Sets per-router ECMP salts for snapshot `sub_index` (0 = cycle run) and
+  // reconverges each AS around the snapshot's link failures. The failure
+  // state holds only the `demand` columns, plus the egress of every TE LSP
+  // it re-signals; walking toward any other egress throws until the next
+  // apply_flaps.
+  void apply_flaps(int sub_index, double flap_prob,
+                   const EgressDemand& demand = {});
 
   const probe::AsDataPlane* plane_of(std::uint32_t asn) const;
   // Every modelled AS's data plane, by ModeledAs::index (null where this
@@ -199,15 +210,15 @@ class MonthContext {
   std::uint64_t month_seed_ = 0;
   std::map<std::uint32_t, std::unique_ptr<AsPlanes>> planes_;
   const Internet* internet_ = nullptr;
-  // Pool for per-source SPF parallelism inside reconvergence (nullable).
+  // Pool for per-column SPF parallelism inside reconvergence (nullable).
   util::ThreadPool* pool_ = nullptr;
 };
 
 class Internet {
  public:
-  // When `pool` is given, the per-AS IGP all-pairs SPF runs its sources in
-  // parallel during construction; the built state is byte-identical either
-  // way (per-source rows merge in index order).
+  // When `pool` is given, the per-AS IGP all-pairs SPF runs its egress
+  // columns in parallel during construction; the built state is
+  // byte-identical either way (each column is solved on its own).
   explicit Internet(const GenConfig& config,
                     util::ThreadPool* pool = nullptr);
 

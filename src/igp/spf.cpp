@@ -1,8 +1,9 @@
 #include "igp/spf.h"
 
 #include <algorithm>
-#include <bit>
 #include <queue>
+#include <stdexcept>
+#include <string>
 
 #include "obs/stage.h"
 #include "obs/telemetry.h"
@@ -10,19 +11,7 @@
 
 namespace mum::igp {
 
-// Per-source result: distances plus the next hops concatenated in ascending
-// destination order (local offsets nh_begin, size n+1). Rows are assembled
-// into the flat IgpState arrays in source order, so parallel computation
-// yields byte-identical state.
-struct detail::SourceRow {
-  std::vector<std::uint32_t> dist;
-  std::vector<std::uint32_t> nh_begin;
-  std::vector<NextHop> nh;
-};
-
 namespace {
-
-using detail::SourceRow;
 
 struct QueueItem {
   std::uint32_t dist;
@@ -38,17 +27,16 @@ struct QueueItem {
 // bucket ring would outgrow its benefit and we fall back to a binary heap.
 inline constexpr std::uint32_t kMaxDialCost = 4096;
 
-// Dijkstra via dial queue. Preconditions: 1 <= every arc cost <= max_cost.
-// Appends routers to `order` in settle order. Tie order within one distance
-// differs from the heap's, which is unobservable: with positive costs no
-// equal-distance router can be another's predecessor, so the first-hop
-// sweep reads identical masks either way.
+// Dijkstra via dial queue into `dist` (pre-filled with kUnreachable).
+// Preconditions: 1 <= every arc cost <= max_cost. The bucket ring is
+// thread_local worker scratch: reused across columns, never across threads,
+// and drained when the queue empties.
 void dijkstra_dial(const topo::CsrAdjacency& csr, topo::RouterId src,
-                   const std::vector<bool>* link_down, std::uint32_t max_cost,
-                   std::vector<std::uint32_t>& dist,
-                   std::vector<topo::RouterId>& order) {
-  const std::uint32_t ring = max_cost + 1;
-  std::vector<std::vector<topo::RouterId>> buckets(ring);
+                   const std::vector<bool>* link_down,
+                   std::vector<std::uint32_t>& dist) {
+  const std::uint32_t ring = csr.max_cost() + 1;
+  thread_local std::vector<std::vector<topo::RouterId>> buckets;
+  if (buckets.size() < ring) buckets.resize(ring);
   dist[src] = 0;
   buckets[0].push_back(src);
   std::size_t pending = 1;
@@ -62,7 +50,6 @@ void dijkstra_dial(const topo::CsrAdjacency& csr, topo::RouterId src,
       bucket.pop_back();
       --pending;
       if (dist[u] != cur) continue;  // stale entry, improved meanwhile
-      order.push_back(u);
       for (const topo::CsrArc& arc : csr.out(u)) {
         if (link_down != nullptr && (*link_down)[arc.link]) continue;
         const std::uint32_t nd = cur + arc.cost;
@@ -79,8 +66,7 @@ void dijkstra_dial(const topo::CsrAdjacency& csr, topo::RouterId src,
 
 void dijkstra_heap(const topo::CsrAdjacency& csr, topo::RouterId src,
                    const std::vector<bool>* link_down,
-                   std::vector<std::uint32_t>& dist,
-                   std::vector<topo::RouterId>& order) {
+                   std::vector<std::uint32_t>& dist) {
   std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> pq;
   dist[src] = 0;
   pq.push({0, src});
@@ -88,7 +74,6 @@ void dijkstra_heap(const topo::CsrAdjacency& csr, topo::RouterId src,
     const auto [d, u] = pq.top();
     pq.pop();
     if (d > dist[u]) continue;  // stale entry
-    order.push_back(u);
     for (const topo::CsrArc& arc : csr.out(u)) {
       if (link_down != nullptr && (*link_down)[arc.link]) continue;
       const std::uint32_t nd = d + arc.cost;
@@ -100,213 +85,8 @@ void dijkstra_heap(const topo::CsrAdjacency& csr, topo::RouterId src,
   }
 }
 
-// Dijkstra from `src` over the CSR snapshot, then one distance-ordered sweep
-// over the shortest-path predecessor DAG that propagates the set of usable
-// first-hop links as a bitmask over `src`'s incident arcs. deg(src) <= 64
-// uses a single word per router; wider sources fall back to a multi-word
-// bitset. Bits decode in ascending position = ascending link id, matching
-// the sorted order the old per-destination reverse BFS produced.
-SourceRow spf_source(const topo::CsrAdjacency& csr, topo::RouterId src,
-                     const std::vector<bool>* link_down) {
-  const std::size_t n = csr.router_count();
-  SourceRow row;
-  row.dist.assign(n, kUnreachable);
-
-  const std::span<const topo::CsrArc> src_arcs = csr.out(src);
-  const std::size_t deg = src_arcs.size();
-
-  // Bit index of a link incident to src (arcs are in ascending link order).
-  const auto src_bit = [&src_arcs](topo::LinkId lid) {
-    const auto it = std::lower_bound(
-        src_arcs.begin(), src_arcs.end(), lid,
-        [](const topo::CsrArc& a, topo::LinkId l) { return a.link < l; });
-    return static_cast<std::size_t>(it - src_arcs.begin());
-  };
-
-  row.nh_begin.assign(n + 1, 0);
-  row.nh.reserve(n + n / 2);
-
-  const auto decode_word = [&](std::uint64_t word, std::size_t base) {
-    while (word != 0) {
-      const std::size_t bit =
-          base + static_cast<std::size_t>(std::countr_zero(word));
-      word &= word - 1;
-      row.nh.push_back(NextHop{src_arcs[bit].link, src_arcs[bit].to});
-    }
-  };
-
-  const bool dial_ok =
-      csr.max_cost() >= 1 && csr.max_cost() <= kMaxDialCost;
-
-  if (deg <= 64 && dial_ok) {
-    // Fast path: dial-queue Dijkstra with the first-hop masks (one u64 per
-    // router) computed inline at settle time. When `u` settles at distance
-    // `cur`, every tight predecessor has final distance < cur (costs >= 1)
-    // and was settled — and had its mask finalized — in an earlier bucket,
-    // so one pass over u's arcs both collects the mask and relaxes. Worker
-    // scratch is thread_local: reused across sources, never across threads.
-    const std::uint32_t ring = csr.max_cost() + 1;
-    thread_local std::vector<std::uint64_t> fh;
-    thread_local std::vector<std::vector<topo::RouterId>> buckets;
-    fh.assign(n, 0);
-    if (buckets.size() < ring) buckets.resize(ring);  // drained when done
-
-    std::uint32_t* dist = row.dist.data();
-    dist[src] = 0;
-    buckets[0].push_back(src);
-    std::size_t pending = 1;
-    std::uint32_t cur = 0;
-    while (pending > 0) {
-      std::vector<topo::RouterId>& bucket = buckets[cur % ring];
-      // Relaxations from `cur` land in (cur, cur + max_cost], never back
-      // into this bucket, so draining it is safe.
-      while (!bucket.empty()) {
-        const topo::RouterId u = bucket.back();
-        bucket.pop_back();
-        --pending;
-        if (dist[u] != cur) continue;  // stale entry, improved meanwhile
-        std::uint64_t mask = 0;
-        for (const topo::CsrArc& arc : csr.out(u)) {
-          if (link_down != nullptr && (*link_down)[arc.link]) continue;
-          const std::uint32_t dto = dist[arc.to];
-          const std::uint32_t nd = cur + arc.cost;
-          if (nd < dto) {
-            dist[arc.to] = nd;
-            buckets[nd % ring].push_back(arc.to);
-            ++pending;
-          } else if (dto != kUnreachable && dto + arc.cost == cur) {
-            mask |= arc.to == src
-                        ? (std::uint64_t{1} << src_bit(arc.link))
-                        : fh[arc.to];
-          }
-        }
-        if (u != src) fh[u] = mask;
-      }
-      ++cur;
-    }
-    for (topo::RouterId dst = 0; dst < n; ++dst) {
-      row.nh_begin[dst] = static_cast<std::uint32_t>(row.nh.size());
-      if (dst != src) decode_word(fh[dst], 0);
-    }
-    row.nh_begin[n] = static_cast<std::uint32_t>(row.nh.size());
-    return row;
-  }
-
-  // General path: settle order first (routers in nondecreasing final
-  // distance; with positive costs every tight predecessor settles strictly
-  // earlier), then a forward sweep propagating predecessor masks.
-  std::vector<topo::RouterId> order;
-  order.reserve(n);
-  if (dial_ok) {
-    dijkstra_dial(csr, src, link_down, csr.max_cost(), row.dist, order);
-  } else {
-    dijkstra_heap(csr, src, link_down, row.dist, order);
-  }
-
-  if (deg <= 64) {
-    // One u64 of first-hop links per router.
-    std::vector<std::uint64_t> fh(n, 0);
-    for (const topo::RouterId v : order) {
-      if (v == src) continue;
-      std::uint64_t mask = 0;
-      for (const topo::CsrArc& arc : csr.out(v)) {
-        if (link_down != nullptr && (*link_down)[arc.link]) continue;
-        const std::uint32_t du = row.dist[arc.to];
-        if (du == kUnreachable || du + arc.cost != row.dist[v]) continue;
-        mask |= arc.to == src ? (std::uint64_t{1} << src_bit(arc.link))
-                              : fh[arc.to];
-      }
-      fh[v] = mask;
-    }
-    for (topo::RouterId dst = 0; dst < n; ++dst) {
-      row.nh_begin[dst] = static_cast<std::uint32_t>(row.nh.size());
-      if (dst != src) decode_word(fh[dst], 0);
-    }
-  } else {
-    // Wide source: multi-word bitset per router, same sweep.
-    const std::size_t words = (deg + 63) / 64;
-    std::vector<std::uint64_t> fh(n * words, 0);
-    for (const topo::RouterId v : order) {
-      if (v == src) continue;
-      std::uint64_t* mv = fh.data() + static_cast<std::size_t>(v) * words;
-      for (const topo::CsrArc& arc : csr.out(v)) {
-        if (link_down != nullptr && (*link_down)[arc.link]) continue;
-        const std::uint32_t du = row.dist[arc.to];
-        if (du == kUnreachable || du + arc.cost != row.dist[v]) continue;
-        if (arc.to == src) {
-          const std::size_t bit = src_bit(arc.link);
-          mv[bit / 64] |= std::uint64_t{1} << (bit % 64);
-        } else {
-          const std::uint64_t* mu =
-              fh.data() + static_cast<std::size_t>(arc.to) * words;
-          for (std::size_t w = 0; w < words; ++w) mv[w] |= mu[w];
-        }
-      }
-    }
-    for (topo::RouterId dst = 0; dst < n; ++dst) {
-      row.nh_begin[dst] = static_cast<std::uint32_t>(row.nh.size());
-      if (dst == src) continue;
-      const std::uint64_t* m =
-          fh.data() + static_cast<std::size_t>(dst) * words;
-      for (std::size_t w = 0; w < words; ++w) decode_word(m[w], w * 64);
-    }
-  }
-  row.nh_begin[n] = static_cast<std::uint32_t>(row.nh.size());
-  return row;
-}
-
-}  // namespace
-
-IgpState IgpState::assemble(std::size_t n, std::vector<SourceRow>& fresh,
-                            const std::vector<std::uint8_t>* use_fresh,
-                            const IgpState* baseline) {
-  IgpState out;
-  out.n_ = n;
-  out.dist_.resize(n * n);
-  out.offsets_.resize(n * n + 1);
-
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    if (use_fresh == nullptr || (*use_fresh)[s]) {
-      total += fresh[s].nh.size();
-    } else {
-      total += static_cast<std::size_t>(baseline->offsets_[(s + 1) * n] -
-                                        baseline->offsets_[s * n]);
-    }
-  }
-  out.nh_.reserve(total);
-
-  out.offsets_[0] = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    const std::uint64_t base = out.nh_.size();
-    if (use_fresh == nullptr || (*use_fresh)[s]) {
-      SourceRow& row = fresh[s];
-      std::copy(row.dist.begin(), row.dist.end(), out.dist_.begin() + s * n);
-      for (std::size_t d = 0; d < n; ++d) {
-        out.offsets_[s * n + d + 1] = base + row.nh_begin[d + 1];
-      }
-      out.nh_.insert(out.nh_.end(), row.nh.begin(), row.nh.end());
-      row = SourceRow{};  // free per-source scratch early
-    } else {
-      std::copy(baseline->dist_.begin() + s * n,
-                baseline->dist_.begin() + (s + 1) * n,
-                out.dist_.begin() + s * n);
-      const std::uint64_t row_start = baseline->offsets_[s * n];
-      for (std::size_t d = 0; d < n; ++d) {
-        out.offsets_[s * n + d + 1] =
-            base + (baseline->offsets_[s * n + d + 1] - row_start);
-      }
-      out.nh_.insert(out.nh_.end(), baseline->nh_.begin() + row_start,
-                     baseline->nh_.begin() + baseline->offsets_[(s + 1) * n]);
-    }
-  }
-  return out;
-}
-
-namespace {
-
 // Union of the transient down set and the overlay's down links, as the mask
-// the per-source SPF consumes. Returns nullptr when nothing is down.
+// the column SPF consumes. Returns nullptr when nothing is down.
 const std::vector<bool>* merge_down(const std::vector<bool>* link_down,
                                     const LinkOverlay* overlay,
                                     std::vector<bool>& scratch) {
@@ -328,11 +108,78 @@ topo::CsrAdjacency make_overlay_csr(const topo::AsTopology& topo,
 
 }  // namespace
 
+void IgpState::solve_column(const topo::CsrAdjacency& csr,
+                            topo::RouterId egress,
+                            const std::vector<bool>* link_down,
+                            EgressColumn& col) {
+  const std::size_t n = csr.router_count();
+  col.dist_.assign(n, kUnreachable);
+  if (csr.max_cost() >= 1 && csr.max_cost() <= kMaxDialCost) {
+    dijkstra_dial(csr, egress, link_down, col.dist_);
+  } else {
+    dijkstra_heap(csr, egress, link_down, col.dist_);
+  }
+
+  // Costs are symmetric, so dist_ is every router's distance TO the egress,
+  // and an arc u->v starts a shortest path toward it iff it is up and
+  // dist[v] + cost == dist[u]. CSR arcs are in ascending link order, which
+  // is the next-hop order every reader (ecmp_pick indexes by position)
+  // depends on. Hops gather in thread_local scratch, then land in an
+  // exactly sized vector.
+  thread_local std::vector<NextHop> nh;
+  nh.clear();
+  col.off_.resize(n + 1);
+  const std::uint32_t* dist = col.dist_.data();
+  for (topo::RouterId u = 0; u < n; ++u) {
+    col.off_[u] = static_cast<std::uint32_t>(nh.size());
+    const std::uint32_t du = dist[u];
+    if (du == kUnreachable || u == egress) continue;
+    for (const topo::CsrArc& arc : csr.out(u)) {
+      if (link_down != nullptr && (*link_down)[arc.link]) continue;
+      const std::uint32_t dv = dist[arc.to];
+      if (dv != kUnreachable && dv + arc.cost == du) {
+        nh.push_back(NextHop{arc.link, arc.to});
+      }
+    }
+  }
+  col.off_[n] = static_cast<std::uint32_t>(nh.size());
+  col.nh_.assign(nh.begin(), nh.end());
+}
+
+void IgpState::solve_or_copy(const topo::AsTopology& topo,
+                             const IgpState& prev,
+                             std::span<const topo::RouterId> egresses,
+                             const std::vector<std::uint8_t>& rerun,
+                             const std::vector<bool>* link_down,
+                             const LinkOverlay* overlay,
+                             util::ThreadPool* pool) {
+  const bool any =
+      std::find(rerun.begin(), rerun.end(), 1) != rerun.end();
+  const topo::CsrAdjacency csr =
+      any ? make_overlay_csr(topo, overlay) : topo::CsrAdjacency{};
+  util::parallel_for(pool, egresses.size(), [&](std::size_t i) {
+    const topo::RouterId e = egresses[i];
+    if (rerun[i]) {
+      solve_column(csr, e, link_down, columns_[e]);
+    } else {
+      columns_[e] = prev.columns_[e];
+    }
+  });
+}
+
+const EgressColumn& IgpState::column(topo::RouterId egress) const {
+  if (egress >= n_ || columns_[egress].dist_.empty()) {
+    throw std::logic_error("igp: egress column " + std::to_string(egress) +
+                           " is not held by this state");
+  }
+  return columns_[egress];
+}
+
 IgpState IgpState::compute(const topo::AsTopology& topo,
                            const std::vector<bool>* link_down,
                            util::ThreadPool* pool,
                            const LinkOverlay* overlay) {
-  // Call-site wall clock: nested per-source parallelism joins before the
+  // Call-site wall clock: nested per-column parallelism joins before the
   // span ends, so the duration covers the whole computation. The stage
   // span attributes it as SPF work of whichever cycle is current (no-op
   // during the initial internet build, which runs outside any cycle).
@@ -347,19 +194,21 @@ IgpState IgpState::compute(const topo::AsTopology& topo,
   const topo::CsrAdjacency csr = make_overlay_csr(topo, overlay);
   std::vector<bool> merged;
   const std::vector<bool>* mask = merge_down(link_down, overlay, merged);
-  const std::size_t n = csr.router_count();
-  std::vector<SourceRow> rows(n);
-  util::parallel_for(pool, n, [&](std::size_t s) {
-    rows[s] = spf_source(csr, static_cast<topo::RouterId>(s), mask);
+  IgpState out;
+  out.n_ = csr.router_count();
+  out.columns_.resize(out.n_);
+  util::parallel_for(pool, out.n_, [&](std::size_t e) {
+    solve_column(csr, static_cast<topo::RouterId>(e), mask, out.columns_[e]);
   });
   computes.inc();
-  sources.add(n);
-  return assemble(n, rows, nullptr, nullptr);
+  sources.add(out.n_);
+  return out;
 }
 
 IgpState IgpState::reconverge(const topo::AsTopology& topo,
                               const IgpState& baseline,
                               const std::vector<bool>& link_down,
+                              std::span<const topo::RouterId> egresses,
                               util::ThreadPool* pool,
                               ReconvergeStats* stats,
                               const LinkOverlay* overlay) {
@@ -391,42 +240,37 @@ IgpState IgpState::reconverge(const topo::AsTopology& topo,
     downed.push_back(Down{link.a, link.b, cost});
   }
 
-  // A source is affected iff some downed link lies on one of its shortest
+  // A column is affected iff some downed link lies on one of its shortest
   // paths, i.e. is tight under its baseline distances in either direction.
-  std::vector<std::uint8_t> affected(n, 0);
-  std::size_t n_affected = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    const std::uint32_t* d = baseline.dist_.data() + s * n;
+  std::vector<std::uint8_t> rerun(egresses.size(), 0);
+  std::size_t n_rerun = 0;
+  for (std::size_t i = 0; i < egresses.size(); ++i) {
+    const EgressColumn& base = baseline.column(egresses[i]);
     for (const Down& l : downed) {
-      const std::uint32_t da = d[l.a];
-      const std::uint32_t db = d[l.b];
+      const std::uint32_t da = base.dist_[l.a];
+      const std::uint32_t db = base.dist_[l.b];
       if ((da != kUnreachable && da + l.cost == db) ||
           (db != kUnreachable && db + l.cost == da)) {
-        affected[s] = 1;
-        ++n_affected;
+        rerun[i] = 1;
+        ++n_rerun;
         break;
       }
     }
   }
   if (stats != nullptr) {
     stats->sources_total = n;
-    stats->sources_recomputed = n_affected;
+    stats->sources_recomputed = n_rerun;
   }
   reconverges.inc();
-  recomputed.add(n_affected);
-  skipped.add(n - n_affected);
+  recomputed.add(n_rerun);
+  skipped.add(n - n_rerun);
 
-  std::vector<SourceRow> rows(n);
-  if (n_affected > 0) {
-    const topo::CsrAdjacency csr = make_overlay_csr(topo, overlay);
-    util::parallel_for(pool, n, [&](std::size_t s) {
-      if (affected[s]) {
-        rows[s] =
-            spf_source(csr, static_cast<topo::RouterId>(s), &link_down);
-      }
-    });
-  }
-  return assemble(n, rows, &affected, &baseline);
+  IgpState out;
+  out.n_ = n;
+  out.columns_.resize(n);
+  out.solve_or_copy(topo, baseline, egresses, rerun, &link_down, overlay,
+                    pool);
+  return out;
 }
 
 IgpState IgpState::reconverge_delta(const topo::AsTopology& topo,
@@ -462,14 +306,16 @@ IgpState IgpState::reconverge_delta(const topo::AsTopology& topo,
     if (was != now) changes.push_back(Change{link.a, link.b, was, now});
   }
 
-  // A source is clean iff its previous row is still valid: no removed or
+  // A column is clean iff its previous state is still valid: no removed or
   // repriced link was tight under its old distances (case a), and no added
   // or cheapened link can reach an endpoint at <= its old distance (case
   // b — `<=` also catches new equal-cost ties joining an ECMP set).
-  std::vector<std::uint8_t> affected(n, 0);
-  std::size_t n_affected = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    const std::uint32_t* d = prev.dist_.data() + s * n;
+  std::vector<topo::RouterId> all(n);
+  std::vector<std::uint8_t> rerun(n, 0);
+  std::size_t n_rerun = 0;
+  for (topo::RouterId e = 0; e < n; ++e) {
+    all[e] = e;
+    const std::vector<std::uint32_t>& d = prev.column(e).dist_;
     for (const Change& c : changes) {
       const std::uint32_t da = d[c.a];
       const std::uint32_t db = d[c.b];
@@ -484,40 +330,34 @@ IgpState IgpState::reconverge_delta(const topo::AsTopology& topo,
                 (db != kUnreachable && (da == kUnreachable || db + c.now <= da));
       }
       if (dirty) {
-        affected[s] = 1;
-        ++n_affected;
+        rerun[e] = 1;
+        ++n_rerun;
         break;
       }
     }
   }
   if (stats != nullptr) {
     stats->sources_total = n;
-    stats->sources_recomputed = n_affected;
+    stats->sources_recomputed = n_rerun;
   }
   deltas.inc();
-  recomputed.add(n_affected);
-  skipped.add(n - n_affected);
+  recomputed.add(n_rerun);
+  skipped.add(n - n_rerun);
 
-  std::vector<SourceRow> rows(n);
-  if (n_affected > 0) {
-    const topo::CsrAdjacency csr = make_overlay_csr(topo, &now_overlay);
-    const std::vector<bool>* mask =
-        now_overlay.down.empty() ? nullptr : &now_overlay.down;
-    util::parallel_for(pool, n, [&](std::size_t s) {
-      if (affected[s]) {
-        rows[s] = spf_source(csr, static_cast<topo::RouterId>(s), mask);
-      }
-    });
-  }
-  return assemble(n, rows, &affected, &prev);
+  IgpState out;
+  out.n_ = n;
+  out.columns_.resize(n);
+  out.solve_or_copy(topo, prev, all, rerun,
+                    now_overlay.down.empty() ? nullptr : &now_overlay.down,
+                    &now_overlay, pool);
+  return out;
 }
 
 std::uint64_t IgpState::path_count(topo::RouterId src, topo::RouterId dst,
                                    std::uint64_t cap) const {
+  const EgressColumn& col = column(dst);
   if (src == dst) return 1;
-  if (dist_[static_cast<std::size_t>(src) * n_ + dst] == kUnreachable) {
-    return 0;
-  }
+  if (!col.reachable(src)) return 0;
   // Memoized DP over the next-hop DAG: memo[v] = min(#paths v->dst, cap).
   // kUnset must stay distinct from any legal value, so clamp cap below ~0.
   constexpr std::uint64_t kUnset = ~std::uint64_t{0};
@@ -534,7 +374,7 @@ std::uint64_t IgpState::path_count(topo::RouterId src, topo::RouterId dst,
       continue;
     }
     bool ready = true;
-    for (const NextHop& nh : rib(v).nexthops(dst)) {
+    for (const NextHop& nh : col.nexthops(v)) {
       if (memo[nh.neighbor] == kUnset) {
         stack.push_back(nh.neighbor);
         ready = false;
@@ -543,7 +383,7 @@ std::uint64_t IgpState::path_count(topo::RouterId src, topo::RouterId dst,
     if (!ready) continue;
     stack.pop_back();
     std::uint64_t total = 0;
-    for (const NextHop& nh : rib(v).nexthops(dst)) {
+    for (const NextHop& nh : col.nexthops(v)) {
       const std::uint64_t c = memo[nh.neighbor];
       total = c >= cap - total ? cap : total + c;
       if (total >= cap) break;

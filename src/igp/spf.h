@@ -1,19 +1,20 @@
 // Link-state IGP shortest-path computation with full ECMP support.
 //
-// For every (source, destination-router) pair we keep *all* equal-cost
-// next hops, each identified by the outgoing link (so two parallel links to
+// IGP forwarding is destination-based, and every reader of the routing
+// state — the forwarder, LDP reachability, RSVP-TE routes — asks about one
+// destination (an egress) at a time. So the state is stored as *egress
+// columns*: for an egress e, every router's distance to e and its ECMP next
+// hops toward e, each identified by the outgoing link (two parallel links to
 // the same neighbour are two distinct ECMP next hops, exactly the situation
-// behind the paper's "Parallel Links" subclass). LDP LSP-trees and the
-// forwarding plane both consume these next-hop sets.
+// behind the paper's "Parallel Links" subclass).
 //
-// Storage is flat: one contiguous distance matrix, one contiguous NextHop
-// pool, and a CSR offset table per (source, destination) — no per-pair
-// heap allocations. `rib(r)` returns a lightweight view into those arrays.
-// `compute` runs one Dijkstra per source over a CSR adjacency snapshot and
-// derives the ECMP first-hop sets with a single distance-ordered sweep over
-// the shortest-path predecessor DAG (O(V+E) per source, bitmask over the
-// source's incident links). Sources are independent, so the work spreads
-// over a thread pool with byte-identical output at any thread count.
+// Links are undirected with one cost, so a column is one Dijkstra from the
+// egress: the distance from e is the distance to e. A sweep over each
+// router's outgoing arcs then keeps every arc that is up and tight
+// (dist[to] + cost == dist[u]), in ascending link-id order. Columns are
+// independent, so the work spreads over a thread pool with byte-identical
+// output at any thread count. A state may hold only some columns (see
+// `reconverge`); reading one it does not hold throws.
 #pragma once
 
 #include <cstdint>
@@ -67,67 +68,60 @@ struct LinkOverlay {
   friend bool operator==(const LinkOverlay&, const LinkOverlay&) = default;
 };
 
-namespace detail {
-struct SourceRow;  // per-source SPF scratch (spf.cpp)
-}
-
-class IgpState;
-
-// Routing state of one router: distance and ECMP next-hop set toward every
-// other router of the AS (indexed by destination RouterId). Non-owning view
-// into the IgpState that produced it; valid while that state is alive.
-class RouterRib {
+// One egress column: every router's distance and ECMP next hops toward the
+// egress. Owned by the IgpState that produced it.
+class EgressColumn {
  public:
-  RouterRib() = default;
+  std::uint32_t distance(topo::RouterId r) const { return dist_[r]; }
+  bool reachable(topo::RouterId r) const {
+    return dist_[r] != kUnreachable;
+  }
+  // Next hops from `r` toward the egress, in ascending outgoing-link-id
+  // order (empty at the egress itself and where it is unreachable).
+  std::span<const NextHop> nexthops(topo::RouterId r) const {
+    return {nh_.data() + off_[r],
+            static_cast<std::size_t>(off_[r + 1] - off_[r])};
+  }
 
-  std::uint32_t distance(topo::RouterId dst) const { return dist_[dst]; }
-  bool reachable(topo::RouterId dst) const {
-    return dist_[dst] != kUnreachable;
-  }
-  // Next hops toward `dst`, in ascending outgoing-link-id order.
-  std::span<const NextHop> nexthops(topo::RouterId dst) const {
-    return {nh_ + off_[dst], static_cast<std::size_t>(off_[dst + 1] - off_[dst])};
-  }
+  friend bool operator==(const EgressColumn&, const EgressColumn&) = default;
 
  private:
   friend class IgpState;
-  RouterRib(const std::uint32_t* dist, const std::uint64_t* off,
-            const NextHop* nh)
-      : dist_(dist), off_(off), nh_(nh) {}
-
-  const std::uint32_t* dist_ = nullptr;
-  const std::uint64_t* off_ = nullptr;  // global offsets into nh_
-  const NextHop* nh_ = nullptr;
+  std::vector<std::uint32_t> dist_;  // by router; empty = column not held
+  std::vector<std::uint32_t> off_;   // router_count + 1, into nh_
+  std::vector<NextHop> nh_;          // grouped by router
 };
 
-// All-routers routing state for one AS.
+// Routing state of one AS: one egress column per held egress.
 class IgpState {
  public:
-  // What an incremental reconvergence actually did (see `reconverge`).
+  // What an incremental reconvergence actually did (see `reconverge`). A
+  // "source" is an egress column: column e's distances are the distances
+  // from e.
   struct ReconvergeStats {
-    std::size_t sources_total = 0;
-    std::size_t sources_recomputed = 0;  // rest copied from the baseline
+    std::size_t sources_total = 0;       // router count
+    std::size_t sources_recomputed = 0;  // columns whose Dijkstra re-ran
   };
 
-  // Runs Dijkstra from every router. O(R * (L log R)). When `link_down` is
-  // given (indexed by LinkId), those links are excluded — the state after an
-  // IGP reconvergence around failed links. When `overlay` is given, its
-  // down links are excluded too and its cost overrides replace base link
-  // metrics. When `pool` is given, sources are computed in parallel; output
-  // is byte-identical at any thread count.
+  // Runs one Dijkstra per egress: all columns. O(R * (L log R)). When
+  // `link_down` is given (indexed by LinkId), those links are excluded — the
+  // state after an IGP reconvergence around failed links. When `overlay` is
+  // given, its down links are excluded too and its cost overrides replace
+  // base link metrics. When `pool` is given, columns are computed in
+  // parallel; output is byte-identical at any thread count.
   static IgpState compute(const topo::AsTopology& topo,
                           const std::vector<bool>* link_down = nullptr,
                           util::ThreadPool* pool = nullptr,
                           const LinkOverlay* overlay = nullptr);
 
-  // Incremental reconvergence: equivalent to `compute(topo, &link_down)`
-  // given a `baseline` computed on the same topology with no links down,
-  // but only recomputes sources whose shortest-path DAG actually traverses
-  // a downed link (a link is on some shortest path from s iff it is "tight"
-  // under s's baseline distances); every other source's RIB row is copied
-  // from the baseline. Removing links that carry none of s's shortest paths
-  // changes neither s's distances nor its ECMP sets, so the result is
-  // byte-identical to a full recompute.
+  // Incremental, demand-driven reconvergence: the result holds exactly the
+  // (distinct) `egresses` columns, each equal to that column of
+  // `compute(topo, &link_down)` given a `baseline` computed on the same
+  // topology with no links down (the baseline must hold those columns).
+  // Column e re-runs only if a downed link lies on one of its shortest
+  // paths, i.e. is "tight" under e's baseline distances; otherwise it is
+  // copied from the baseline. Removing links that carry none of e's
+  // shortest paths changes neither its distances nor its ECMP sets.
   // When `overlay` is given, `baseline` must have been computed under that
   // same overlay (`compute(topo, nullptr, pool, overlay)`), and `link_down`
   // must be the *full* down set including the overlay's own down links; the
@@ -136,18 +130,19 @@ class IgpState {
   static IgpState reconverge(const topo::AsTopology& topo,
                              const IgpState& baseline,
                              const std::vector<bool>& link_down,
+                             std::span<const topo::RouterId> egresses,
                              util::ThreadPool* pool = nullptr,
                              ReconvergeStats* stats = nullptr,
                              const LinkOverlay* overlay = nullptr);
 
-  // Cross-cycle incremental reconvergence: given `prev` computed under
-  // `prev_overlay`, produce the state under `now_overlay`, recomputing only
-  // sources the overlay transition can affect. A source must be recomputed
-  // iff (a) a removed/worsened link was tight under its previous distances
-  // (it carried one of the source's shortest paths), or (b) an added/
-  // cheapened link could now reach a destination at <= its previous
-  // distance (shorter path or new ECMP tie). Every other source's row is
-  // byte-identical to a full recompute and is copied from `prev`.
+  // Cross-cycle incremental reconvergence: given `prev` (holding every
+  // column) computed under `prev_overlay`, produce all columns under
+  // `now_overlay`, recomputing only columns the overlay transition can
+  // affect. Column e must be recomputed iff (a) a removed/worsened link was
+  // tight under its previous distances (it carried one of e's shortest
+  // paths), or (b) an added/cheapened link could now reach a router at <=
+  // its previous distance (shorter path or new ECMP tie). Every other
+  // column is byte-identical to a full recompute and is copied from `prev`.
   static IgpState reconverge_delta(const topo::AsTopology& topo,
                                    const IgpState& prev,
                                    const LinkOverlay& prev_overlay,
@@ -155,15 +150,13 @@ class IgpState {
                                    util::ThreadPool* pool = nullptr,
                                    ReconvergeStats* stats = nullptr);
 
-  RouterRib rib(topo::RouterId r) const {
-    return RouterRib(dist_.data() + static_cast<std::size_t>(r) * n_,
-                     offsets_.data() + static_cast<std::size_t>(r) * n_,
-                     nh_.data());
-  }
+  // The column toward `egress`. Throws std::logic_error when this state
+  // does not hold it: a missing column is a demand bug, never "unreachable".
+  const EgressColumn& column(topo::RouterId egress) const;
   std::size_t router_count() const noexcept { return n_; }
 
   // Number of loop-free shortest paths from src to dst (counts distinct
-  // link sequences, saturating at `cap`). Memoized DP over the next-hop
+  // link sequences, saturating at `cap`). Memoized DP over dst's next-hop
   // DAG: O(V + E) regardless of how many paths the DAG encodes.
   std::uint64_t path_count(topo::RouterId src, topo::RouterId dst,
                            std::uint64_t cap = 1u << 20) const;
@@ -172,17 +165,21 @@ class IgpState {
   friend bool operator==(const IgpState&, const IgpState&) = default;
 
  private:
-  // Concatenates per-source rows (fresh, or copied from `baseline` where
-  // `use_fresh` is 0) into the flat arrays, in source order.
-  static IgpState assemble(std::size_t n,
-                           std::vector<detail::SourceRow>& rows,
-                           const std::vector<std::uint8_t>* use_fresh,
-                           const IgpState* baseline);
+  // One Dijkstra from `egress`, then the tight-arc sweep, into `col`.
+  static void solve_column(const topo::CsrAdjacency& csr,
+                           topo::RouterId egress,
+                           const std::vector<bool>* link_down,
+                           EgressColumn& col);
+  // Fills the (distinct) `egresses` columns: re-solved where `rerun[i]`,
+  // copied from `prev` otherwise.
+  void solve_or_copy(const topo::AsTopology& topo, const IgpState& prev,
+                     std::span<const topo::RouterId> egresses,
+                     const std::vector<std::uint8_t>& rerun,
+                     const std::vector<bool>* link_down,
+                     const LinkOverlay* overlay, util::ThreadPool* pool);
 
   std::size_t n_ = 0;
-  std::vector<std::uint32_t> dist_;    // n * n, row = source
-  std::vector<std::uint64_t> offsets_; // n * n + 1, into nh_
-  std::vector<NextHop> nh_;            // all next hops, grouped by (src, dst)
+  std::vector<EgressColumn> columns_;  // by egress RouterId
 };
 
 }  // namespace mum::igp

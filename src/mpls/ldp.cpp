@@ -15,11 +15,10 @@ LdpPlane LdpPlane::build(const topo::AsTopology& topo,
     candidate[fec] = config.fec_all_loopbacks || topo.router(fec).is_border;
   }
 
-  // Router-major order: one flat-RIB view per router, contiguous walks over
-  // its label row. Each per-router pool still allocates in ascending-FEC
-  // order, so the label assignment is identical to the FEC-major loop.
+  // Router-major order: contiguous walks over each router's label row. Each
+  // per-router pool allocates in ascending-FEC order, so the label
+  // assignment is identical to the FEC-major loop.
   for (topo::RouterId r = 0; r < plane.n_; ++r) {
-    const igp::RouterRib rib = igp.rib(r);
     for (topo::RouterId fec = 0; fec < plane.n_; ++fec) {
       if (!candidate[fec]) continue;
       if (r == fec) {
@@ -28,7 +27,7 @@ LdpPlane LdpPlane::build(const topo::AsTopology& topo,
                        : pools[r].allocate();
         continue;
       }
-      if (!rib.reachable(fec)) continue;
+      if (!igp.column(fec).reachable(r)) continue;
       // Downstream unsolicited, liberal retention: every reachable router
       // binds one label per FEC and advertises it to all neighbours.
       plane.labels_[r * plane.n_ + fec] = pools[r].allocate();

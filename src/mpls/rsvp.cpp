@@ -15,12 +15,12 @@ std::vector<topo::LinkId> RsvpTePlane::compute_route(
   // hops with a deterministic index derived from `variant`. variant==0
   // always takes the first next hop (the canonical IGP route); higher
   // variants spread over branches, yielding (possibly) diverse routes.
+  const igp::EgressColumn& toward = igp_->column(egress);
   std::vector<topo::LinkId> route;
   topo::RouterId at = ingress;
   std::uint32_t salt = variant;
   while (at != egress) {
-    const std::span<const igp::NextHop> nhs =
-        igp_->rib(at).nexthops(egress);
+    const std::span<const igp::NextHop> nhs = toward.nexthops(at);
     if (nhs.empty()) return {};  // unreachable
     const std::size_t pick =
         nhs.size() == 1 ? 0 : (salt % nhs.size());
@@ -152,13 +152,20 @@ bool RsvpTePlane::crosses_down_link(
   return false;
 }
 
-bool RsvpTePlane::activate_backup(LspId id,
-                                  const std::vector<bool>& link_down) {
-  TeLsp& lsp = lsps_.at(id);
+bool RsvpTePlane::backup_intact(LspId id,
+                                const std::vector<bool>& link_down) const {
+  const TeLsp& lsp = lsps_.at(id);
   if (lsp.backup_hops.empty()) return false;
   for (const TeHop& hop : lsp.backup_hops) {
     if (link_down[hop.in_link]) return false;  // backup broken too
   }
+  return true;
+}
+
+bool RsvpTePlane::activate_backup(LspId id,
+                                  const std::vector<bool>& link_down) {
+  if (!backup_intact(id, link_down)) return false;
+  TeLsp& lsp = lsps_.at(id);
   save_undo(lsp);
   lsp.on_backup = true;
   return true;

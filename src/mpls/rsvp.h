@@ -105,6 +105,8 @@ class RsvpTePlane {
   // True when the LSP's ACTIVE route traverses any link marked down.
   bool crosses_down_link(LspId id, const std::vector<bool>& link_down) const;
 
+  // True when the LSP has a pre-signalled backup that crosses no down link.
+  bool backup_intact(LspId id, const std::vector<bool>& link_down) const;
   // Fast reroute: switch the LSP onto its pre-signalled backup (no new
   // labels). Returns false when no backup exists or it is also broken.
   bool activate_backup(LspId id, const std::vector<bool>& link_down);

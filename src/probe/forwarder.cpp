@@ -30,7 +30,6 @@ bool walk_segment(const SegmentSpec& seg, net::Ipv4Addr dst,
                   std::uint64_t flow_hash, WalkResult& out) {
   const AsDataPlane& plane = *seg.plane;
   const topo::AsTopology& topo = *plane.topo;
-  const igp::IgpState& igp = *plane.igp;
 
   // Entry hop: the packet arrives from outside, unlabeled.
   {
@@ -111,13 +110,13 @@ bool walk_segment(const SegmentSpec& seg, net::Ipv4Addr dst,
       }
     }
   }
+  // Destination-based forwarding: every hop reads the egress's column.
+  const igp::EgressColumn& toward = plane.igp->column(seg.egress);
   // Bound the walk to avoid infinite loops on inconsistent FIBs.
   for (std::size_t budget = topo.router_count() + 4; at != seg.egress;
        --budget) {
     if (budget == 0) return false;
-    // Flat-RIB accessor: a contiguous slice of the AS-wide next-hop pool.
-    const std::span<const igp::NextHop> nhs =
-        igp.rib(at).nexthops(seg.egress);
+    const std::span<const igp::NextHop> nhs = toward.nexthops(at);
     if (nhs.empty()) return false;
     const auto& nh =
         nhs[ecmp_pick(flow_hash, at, plane.salt_for(at), nhs.size())];

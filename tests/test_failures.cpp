@@ -3,8 +3,14 @@
 // month-context failure application.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "dataset/warts_lite.h"
 #include "gen/campaign.h"
 #include "gen/internet.h"
+#include "gen/profiles.h"
 #include "igp/spf.h"
 #include "mpls/rsvp.h"
 #include "probe/forwarder.h"
@@ -41,10 +47,10 @@ TEST(SpfLinkDown, FailureRemovesEcmpBranch) {
   std::vector<bool> down(f.topo.link_count(), false);
   down[f.ab] = true;
   const auto igp = igp::IgpState::compute(f.topo, &down);
-  const auto& nhs = igp.rib(f.a).nexthops(f.d);
+  const auto& nhs = igp.column(f.d).nexthops(f.a);
   ASSERT_EQ(nhs.size(), 1u);
   EXPECT_EQ(nhs[0].neighbor, f.c);
-  EXPECT_EQ(igp.rib(f.a).distance(f.d), 2u);
+  EXPECT_EQ(igp.column(f.d).distance(f.a), 2u);
 }
 
 TEST(SpfLinkDown, FailureLengthensPath) {
@@ -53,7 +59,7 @@ TEST(SpfLinkDown, FailureLengthensPath) {
   down[f.ab] = true;
   down[f.ac] = true;
   const auto igp = igp::IgpState::compute(f.topo, &down);
-  EXPECT_FALSE(igp.rib(f.a).reachable(f.d));  // both arms cut
+  EXPECT_FALSE(igp.column(f.d).reachable(f.a));  // both arms cut
 }
 
 TEST(SpfLinkDown, NullFailureVectorMatchesBase) {
@@ -63,7 +69,7 @@ TEST(SpfLinkDown, NullFailureVectorMatchesBase) {
   const auto same = igp::IgpState::compute(f.topo, &none);
   for (RouterId s = 0; s < f.topo.router_count(); ++s) {
     for (RouterId t = 0; t < f.topo.router_count(); ++t) {
-      EXPECT_EQ(base.rib(s).distance(t), same.rib(s).distance(t));
+      EXPECT_EQ(base.column(t).distance(s), same.column(t).distance(s));
     }
   }
 }
@@ -213,6 +219,86 @@ TEST(MonthFailures, NoMaintenanceNoOverride) {
   for (const std::uint32_t asn : internet.modeled_asns()) {
     EXPECT_EQ(ctx.plane_of(asn)->igp, &internet.modeled(asn)->igp);
   }
+}
+
+// Per-AS RSVP state a failure snapshot leaves behind: every LSP's active
+// hops (routers, links, labels) and re-signal count.
+std::vector<std::vector<std::pair<std::vector<mpls::TeHop>, std::uint32_t>>>
+rsvp_state(const gen::Internet& internet, const gen::MonthContext& ctx) {
+  std::vector<std::vector<std::pair<std::vector<mpls::TeHop>, std::uint32_t>>>
+      out;
+  for (const std::uint32_t asn : internet.modeled_asns()) {
+    out.emplace_back();
+    const probe::AsDataPlane* plane = ctx.plane_of(asn);
+    if (plane == nullptr || plane->rsvp == nullptr) continue;
+    for (const mpls::TeLsp& lsp : plane->rsvp->lsps()) {
+      const auto hops = lsp.active_hops();
+      out.back().emplace_back(
+          std::vector<mpls::TeHop>(hops.begin(), hops.end()),
+          lsp.resignal_count);
+    }
+  }
+  return out;
+}
+
+// The runner reconverges failure snapshots only for the egress columns its
+// plans walk toward. A TE LSP re-signalled around a failure is routed on
+// the post-failure IGP toward ITS egress, which need not be a plan egress:
+// apply_flaps must add those egresses to the demand, or the re-signal reads
+// a column the state does not hold (and throws).
+TEST(MonthFailures, RunnerDemandCoversReSignalledEgresses) {
+  gen::GenConfig config = small_config();
+  config.as_maintenance_prob = 1.0;
+  config.link_fail_prob = 0.1;
+  const gen::Internet internet(config);
+  const dataset::Ip2As ip2as = internet.build_ip2as();
+  const gen::CampaignRunner runner(internet, ip2as);
+  const gen::EgressDemand& demand = runner.egress_demand();
+  ASSERT_EQ(demand.size(), internet.modeled_asns().size());
+  constexpr int kCycle = 50;
+  const double flap = config.ecmp_flap_prob;
+
+  // Premise: at some sub-index, an AS without fast reroute re-signals an
+  // LSP whose egress no plan segment ends at.
+  int sub = -1;
+  for (int s = 1; s <= 2 && sub < 0; ++s) {
+    gen::MonthContext ctx = internet.instantiate(kCycle);
+    const auto before = rsvp_state(internet, ctx);
+    ctx.apply_flaps(s, flap);
+    const auto after = rsvp_state(internet, ctx);
+    const auto asns = internet.modeled_asns();
+    for (std::size_t i = 0; i < asns.size() && sub < 0; ++i) {
+      const gen::ModeledAs& as = *internet.modeled(asns[i]);
+      if (gen::profile_at(asns[i], as.shape, kCycle, 1).te_frr) continue;
+      const mpls::RsvpTePlane* rsvp = ctx.plane_of(asns[i])->rsvp;
+      for (std::size_t l = 0; l < after[i].size(); ++l) {
+        const topo::RouterId egress = rsvp->lsp(l).egress;
+        if (after[i][l].second > before[i][l].second &&
+            !std::binary_search(demand[as.index].begin(),
+                                demand[as.index].end(), egress)) {
+          sub = s;
+          break;
+        }
+      }
+    }
+  }
+  ASSERT_GE(sub, 1) << "no re-signal toward a non-plan egress to test";
+
+  // The runner's demand leaves the same RSVP hops and labels as the
+  // all-router demand...
+  gen::MonthContext with_demand = internet.instantiate(kCycle);
+  gen::MonthContext with_all = internet.instantiate(kCycle);
+  with_demand.apply_flaps(sub, flap, demand);
+  with_all.apply_flaps(sub, flap);
+  EXPECT_EQ(rsvp_state(internet, with_demand), rsvp_state(internet, with_all));
+
+  // ...and the same snapshot: probing a context whose re-signal ran under
+  // the runner's demand (inside snapshot()) gives the bytes of one whose
+  // re-signal ran under the all-router demand beforehand.
+  gen::MonthContext fresh = internet.instantiate(kCycle);
+  EXPECT_EQ(dataset::serialize_snapshot(runner.snapshot(fresh, kCycle, sub)),
+            dataset::serialize_snapshot(
+                runner.snapshot(with_all, kCycle, sub)));
 }
 
 TEST(MonthFailures, CampaignSurvivesHeavyFailures) {

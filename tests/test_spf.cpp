@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <queue>
 #include <set>
+#include <stdexcept>
 
 #include "topo/builder.h"
 #include "util/rng.h"
@@ -34,16 +35,16 @@ AsTopology triangle() {
 TEST(Spf, ShortestDistances) {
   const auto topo = triangle();
   const IgpState igp = IgpState::compute(topo);
-  EXPECT_EQ(igp.rib(0).distance(0), 0u);
-  EXPECT_EQ(igp.rib(0).distance(1), 1u);
-  EXPECT_EQ(igp.rib(0).distance(2), 2u);  // via b, not the cost-3 direct link
-  EXPECT_EQ(igp.rib(2).distance(0), 2u);
+  EXPECT_EQ(igp.column(0).distance(0), 0u);
+  EXPECT_EQ(igp.column(1).distance(0), 1u);
+  EXPECT_EQ(igp.column(2).distance(0), 2u);  // via b, not the cost-3 direct link
+  EXPECT_EQ(igp.column(0).distance(2), 2u);
 }
 
 TEST(Spf, SingleNextHopOnUniquePath) {
   const auto topo = triangle();
   const IgpState igp = IgpState::compute(topo);
-  const auto& nhs = igp.rib(0).nexthops(2);
+  const auto& nhs = igp.column(2).nexthops(0);
   ASSERT_EQ(nhs.size(), 1u);
   EXPECT_EQ(nhs[0].neighbor, 1u);
 }
@@ -58,7 +59,7 @@ TEST(Spf, EqualCostDirectAndIndirect) {
   topo.add_link(b, c, ip(103), ip(104), 1);
   topo.add_link(a, c, ip(105), ip(106), 2);
   const IgpState igp = IgpState::compute(topo);
-  const auto& nhs = igp.rib(a).nexthops(c);
+  const auto& nhs = igp.column(c).nexthops(a);
   ASSERT_EQ(nhs.size(), 2u);
   std::set<RouterId> neighbors;
   for (const auto& nh : nhs) neighbors.insert(nh.neighbor);
@@ -72,7 +73,7 @@ TEST(Spf, ParallelLinksAreDistinctNextHops) {
   topo.add_link(a, b, ip(101), ip(102), 1);
   topo.add_link(a, b, ip(103), ip(104), 1);
   const IgpState igp = IgpState::compute(topo);
-  const auto& nhs = igp.rib(a).nexthops(b);
+  const auto& nhs = igp.column(b).nexthops(a);
   ASSERT_EQ(nhs.size(), 2u);
   EXPECT_NE(nhs[0].link, nhs[1].link);
   EXPECT_EQ(nhs[0].neighbor, b);
@@ -86,8 +87,8 @@ TEST(Spf, UnequalParallelLinksNotEcmp) {
   topo.add_link(a, b, ip(101), ip(102), 1);
   topo.add_link(a, b, ip(103), ip(104), 2);  // worse bundle member
   const IgpState igp = IgpState::compute(topo);
-  ASSERT_EQ(igp.rib(a).nexthops(b).size(), 1u);
-  EXPECT_EQ(igp.rib(a).nexthops(b)[0].link, 0u);
+  ASSERT_EQ(igp.column(b).nexthops(a).size(), 1u);
+  EXPECT_EQ(igp.column(b).nexthops(a)[0].link, 0u);
 }
 
 TEST(Spf, DisconnectedIsUnreachable) {
@@ -95,16 +96,16 @@ TEST(Spf, DisconnectedIsUnreachable) {
   topo.add_router(ip(1), Vendor::kCisco, false);
   topo.add_router(ip(2), Vendor::kCisco, false);
   const IgpState igp = IgpState::compute(topo);
-  EXPECT_FALSE(igp.rib(0).reachable(1));
-  EXPECT_EQ(igp.rib(0).distance(1), kUnreachable);
-  EXPECT_TRUE(igp.rib(0).nexthops(1).empty());
+  EXPECT_FALSE(igp.column(1).reachable(0));
+  EXPECT_EQ(igp.column(1).distance(0), kUnreachable);
+  EXPECT_TRUE(igp.column(1).nexthops(0).empty());
 }
 
 TEST(Spf, SelfDistanceZeroNoNextHops) {
   const auto topo = triangle();
   const IgpState igp = IgpState::compute(topo);
-  EXPECT_EQ(igp.rib(1).distance(1), 0u);
-  EXPECT_TRUE(igp.rib(1).nexthops(1).empty());
+  EXPECT_EQ(igp.column(1).distance(1), 0u);
+  EXPECT_TRUE(igp.column(1).nexthops(1).empty());
 }
 
 TEST(Spf, DiamondEcmp) {
@@ -123,10 +124,10 @@ TEST(Spf, DiamondEcmp) {
   topo.add_link(b, d, ip(105), ip(106), 1);
   topo.add_link(c, d, ip(107), ip(108), 1);
   const IgpState igp = IgpState::compute(topo);
-  EXPECT_EQ(igp.rib(a).nexthops(d).size(), 2u);
+  EXPECT_EQ(igp.column(d).nexthops(a).size(), 2u);
   EXPECT_EQ(igp.path_count(a, d), 2u);
   // Intermediate routers see a single next hop each.
-  EXPECT_EQ(igp.rib(b).nexthops(d).size(), 1u);
+  EXPECT_EQ(igp.column(d).nexthops(b).size(), 1u);
 }
 
 TEST(Spf, PathCountMultiplies) {
@@ -170,18 +171,18 @@ TEST_P(SpfProperty, InvariantsHold) {
     for (RouterId d = 0; d < topo.router_count(); ++d) {
       if (s == d) continue;
       // Connected builder output: everything reachable.
-      ASSERT_TRUE(igp.rib(s).reachable(d));
-      const auto dist = igp.rib(s).distance(d);
+      ASSERT_TRUE(igp.column(d).reachable(s));
+      const auto dist = igp.column(d).distance(s);
       // Symmetric distances (undirected links, symmetric costs).
-      EXPECT_EQ(dist, igp.rib(d).distance(s));
-      for (const NextHop& nh : igp.rib(s).nexthops(d)) {
+      EXPECT_EQ(dist, igp.column(s).distance(d));
+      for (const NextHop& nh : igp.column(d).nexthops(s)) {
         // Every next hop strictly decreases the remaining distance by the
         // traversed link's cost (the ECMP DAG property).
         const auto& link = topo.link(nh.link);
         EXPECT_EQ(link.other(s), nh.neighbor);
-        EXPECT_EQ(igp.rib(nh.neighbor).distance(d) + link.igp_cost, dist);
+        EXPECT_EQ(igp.column(d).distance(nh.neighbor) + link.igp_cost, dist);
       }
-      EXPECT_FALSE(igp.rib(s).nexthops(d).empty());
+      EXPECT_FALSE(igp.column(d).nexthops(s).empty());
     }
   }
 }
@@ -190,10 +191,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SpfProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
 
 // ---------------------------------------------------------------------------
-// Reference parity: the optimized one-pass SPF must reproduce, byte for
-// byte, what the original per-destination reverse-BFS implementation
+// Reference parity: the egress-column SPF must reproduce, byte for byte,
+// what the original per-source, per-destination reverse-BFS implementation
 // computed. The reference below is that original algorithm, kept verbatim
-// (modulo the return type) as the ground truth.
+// (modulo the return type) as the independent ground truth: it reads row
+// (source) s, the production state reads column (egress) d.
 // ---------------------------------------------------------------------------
 
 struct ReferenceRib {
@@ -275,11 +277,11 @@ void expect_matches_reference(const AsTopology& topo, const IgpState& igp,
                               const std::vector<bool>* link_down) {
   for (RouterId s = 0; s < topo.router_count(); ++s) {
     const ReferenceRib ref = reference_spf(topo, s, link_down);
-    const RouterRib rib = igp.rib(s);
     for (RouterId d = 0; d < topo.router_count(); ++d) {
-      ASSERT_EQ(rib.distance(d), ref.dist[d])
+      const EgressColumn& col = igp.column(d);
+      ASSERT_EQ(col.distance(s), ref.dist[d])
           << "dist mismatch src=" << s << " dst=" << d;
-      const auto nhs = rib.nexthops(d);
+      const auto nhs = col.nexthops(s);
       ASSERT_EQ(nhs.size(), ref.nexthops[d].size())
           << "ECMP width mismatch src=" << s << " dst=" << d;
       for (std::size_t i = 0; i < nhs.size(); ++i) {
@@ -288,6 +290,12 @@ void expect_matches_reference(const AsTopology& topo, const IgpState& igp,
       }
     }
   }
+}
+
+std::vector<RouterId> all_routers(const AsTopology& topo) {
+  std::vector<RouterId> all(topo.router_count());
+  for (RouterId r = 0; r < all.size(); ++r) all[r] = r;
+  return all;
 }
 
 AsTopology random_topology(std::uint64_t seed) {
@@ -333,8 +341,8 @@ TEST_P(SpfReferenceParity, ReconvergeMatchesFullRecompute) {
     down[l] = rng.below(12) == 0;
   }
   IgpState::ReconvergeStats stats;
-  const IgpState inc = IgpState::reconverge(topo, baseline, down, nullptr,
-                                            &stats);
+  const IgpState inc = IgpState::reconverge(
+      topo, baseline, down, all_routers(topo), nullptr, &stats);
   EXPECT_EQ(stats.sources_total, topo.router_count());
   EXPECT_LE(stats.sources_recomputed, stats.sources_total);
   expect_matches_reference(topo, inc, &down);
@@ -362,26 +370,67 @@ TEST(SpfReferenceParity, UnreachablePartition) {
   link(r[3], r[5], 2);
   const IgpState igp = IgpState::compute(topo);
   expect_matches_reference(topo, igp, nullptr);
-  EXPECT_FALSE(igp.rib(r[0]).reachable(r[3]));
-  EXPECT_TRUE(igp.rib(r[0]).nexthops(r[3]).empty());
+  EXPECT_FALSE(igp.column(r[3]).reachable(r[0]));
+  EXPECT_TRUE(igp.column(r[3]).nexthops(r[0]).empty());
+}
+
+TEST(SpfReferenceParity, RouterWithMoreThanSixtyFourLinks) {
+  // A hub with 80 incident links: 40 spokes, each over a two-link bundle,
+  // every spoke also tied to one far router, and the spokes ringed at cost
+  // 2. The hub reaches the far router over 80 equal-cost next hops — more
+  // first hops than one 64-bit word holds.
+  AsTopology topo(1);
+  std::uint32_t next_ip = 1;
+  auto router = [&] {
+    return topo.add_router(ip(next_ip++), Vendor::kCisco, false);
+  };
+  std::uint32_t link_ip = 100000;
+  auto link = [&](RouterId x, RouterId y, std::uint32_t cost) {
+    link_ip += 2;
+    topo.add_link(x, y, ip(link_ip - 2), ip(link_ip - 1), cost);
+  };
+  const RouterId hub = router();
+  const RouterId far = router();
+  std::vector<RouterId> spokes;
+  for (int i = 0; i < 40; ++i) spokes.push_back(router());
+  for (const RouterId s : spokes) {
+    link(hub, s, 1);
+    link(hub, s, 1);
+    link(s, far, 1);
+  }
+  for (std::size_t i = 0; i < spokes.size(); ++i) {
+    link(spokes[i], spokes[(i + 1) % spokes.size()], 2);
+  }
+  ASSERT_GT(topo.links_of(hub).size(), 64u);
+
+  const IgpState igp = IgpState::compute(topo);
+  EXPECT_EQ(igp.column(far).nexthops(hub).size(), 80u);
+  expect_matches_reference(topo, igp, nullptr);
+
+  std::vector<bool> down(topo.link_count(), false);
+  down[0] = true;                      // one hub--spoke bundle member
+  down[5] = true;                      // a spoke--far link
+  down[topo.link_count() - 1] = true;  // a ring link
+  expect_matches_reference(
+      topo, IgpState::reconverge(topo, igp, down, all_routers(topo)), &down);
 }
 
 // ---------------------------------------------------------------------------
-// Incremental reconvergence: only sources whose shortest-path DAG uses a
-// downed link may be recomputed.
+// Incremental reconvergence: only egress columns whose shortest-path DAG
+// uses a downed link may be recomputed.
 // ---------------------------------------------------------------------------
 
 TEST(SpfReconverge, UnusedLinkRecomputesNothing) {
   // triangle(): the a--c cost-3 link carries no shortest path from any
-  // source (a-b-c costs 2), so downing it must leave every RIB row as a
+  // router (a-b-c costs 2), so downing it must leave every column as a
   // baseline copy.
   const AsTopology topo = triangle();
   const IgpState baseline = IgpState::compute(topo);
   std::vector<bool> down(topo.link_count(), false);
   down[2] = true;  // the cost-3 a--c link
   IgpState::ReconvergeStats stats;
-  const IgpState inc = IgpState::reconverge(topo, baseline, down, nullptr,
-                                            &stats);
+  const IgpState inc = IgpState::reconverge(
+      topo, baseline, down, all_routers(topo), nullptr, &stats);
   EXPECT_EQ(stats.sources_total, 3u);
   EXPECT_EQ(stats.sources_recomputed, 0u);
   expect_matches_reference(topo, inc, &down);
@@ -411,11 +460,53 @@ TEST(SpfReconverge, FailureIsolatedToItsComponent) {
   std::vector<bool> down(topo.link_count(), false);
   down[0] = true;
   IgpState::ReconvergeStats stats;
-  const IgpState inc = IgpState::reconverge(topo, baseline, down, nullptr,
-                                            &stats);
+  const IgpState inc = IgpState::reconverge(
+      topo, baseline, down, all_routers(topo), nullptr, &stats);
   EXPECT_EQ(stats.sources_total, 6u);
   EXPECT_EQ(stats.sources_recomputed, 2u);  // r0 and r1 only
   expect_matches_reference(topo, inc, &down);
+}
+
+TEST(SpfReconverge, EgressSubsetEqualsComputeOnThoseColumns) {
+  const AsTopology topo = random_topology(16);
+  const IgpState baseline = IgpState::compute(topo);
+  util::Rng rng(99);
+  std::vector<bool> down(topo.link_count(), false);
+  for (std::size_t l = 0; l < topo.link_count(); ++l) {
+    down[l] = rng.below(8) == 0;
+  }
+  const IgpState full = IgpState::compute(topo, &down);
+  const RouterId last = static_cast<RouterId>(topo.router_count() - 1);
+  const std::vector<RouterId> egresses{0, 3, 5, last};
+  IgpState::ReconvergeStats stats;
+  const IgpState inc = IgpState::reconverge(topo, baseline, down, egresses,
+                                            nullptr, &stats);
+  EXPECT_EQ(stats.sources_total, topo.router_count());
+  EXPECT_LE(stats.sources_recomputed, egresses.size());
+  for (RouterId e = 0; e < topo.router_count(); ++e) {
+    if (std::find(egresses.begin(), egresses.end(), e) != egresses.end()) {
+      EXPECT_EQ(inc.column(e), full.column(e)) << "egress " << e;
+    } else {
+      EXPECT_THROW(inc.column(e), std::logic_error) << "egress " << e;
+    }
+  }
+}
+
+TEST(SpfReconverge, ColumnNotHeldThrows) {
+  const AsTopology topo = triangle();
+  const IgpState baseline = IgpState::compute(topo);
+  std::vector<bool> down(topo.link_count(), false);
+  down[0] = true;  // a--b
+  const std::vector<RouterId> only_c{2};
+  const IgpState inc = IgpState::reconverge(topo, baseline, down, only_c);
+  EXPECT_EQ(inc.column(2).distance(0), 3u);  // the direct cost-3 link
+  // A column the state does not hold is an error, never "unreachable".
+  EXPECT_THROW(inc.column(0), std::logic_error);
+  EXPECT_THROW(inc.column(1), std::logic_error);
+  EXPECT_THROW(inc.path_count(2, 1), std::logic_error);
+  EXPECT_THROW(baseline.column(3), std::logic_error);  // no such router
+  const IgpState none = IgpState::reconverge(topo, baseline, down, {});
+  EXPECT_THROW(none.column(2), std::logic_error);
 }
 
 TEST(SpfReconverge, ParallelOutputMatchesSerial) {
@@ -425,17 +516,20 @@ TEST(SpfReconverge, ParallelOutputMatchesSerial) {
   down[1] = true;
   down[topo.link_count() - 2] = true;
   util::ThreadPool pool(4);
-  const IgpState serial = IgpState::reconverge(topo, baseline, down);
+  const IgpState serial =
+      IgpState::reconverge(topo, baseline, down, all_routers(topo));
   const IgpState parallel =
-      IgpState::reconverge(topo, baseline, down, &pool);
+      IgpState::reconverge(topo, baseline, down, all_routers(topo), &pool);
   for (RouterId s = 0; s < topo.router_count(); ++s) {
     for (RouterId d = 0; d < topo.router_count(); ++d) {
-      ASSERT_EQ(serial.rib(s).distance(d), parallel.rib(s).distance(d));
-      const auto a = serial.rib(s).nexthops(d);
-      const auto b = parallel.rib(s).nexthops(d);
+      ASSERT_EQ(serial.column(d).distance(s), parallel.column(d).distance(s));
+      const auto a = serial.column(d).nexthops(s);
+      const auto b = parallel.column(d).nexthops(s);
       ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
     }
   }
+  EXPECT_TRUE(IgpState::compute(topo, &down, &pool) ==
+              IgpState::compute(topo, &down));
 }
 
 // ---------------------------------------------------------------------------
