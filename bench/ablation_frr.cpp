@@ -69,11 +69,13 @@ ArmResult run_arm(bool frr, int failure_rounds) {
   // the control plane react.
   util::Rng fail_rng(13);
   for (int round = 0; round < failure_rounds; ++round) {
-    std::vector<bool> down(topo.link_count(), false);
+    igp::LinkOverlay failed;
+    failed.down.assign(topo.link_count(), false);
     for (topo::LinkId l = 0; l < topo.link_count(); ++l) {
-      down[l] = fail_rng.chance(0.03);
+      failed.down[l] = fail_rng.chance(0.03);
     }
-    const auto igp_now = igp::IgpState::compute(topo, &down);
+    const std::vector<bool>& down = failed.down;
+    const auto igp_now = igp::IgpState::compute(topo, failed);
     for (const auto& lsp : plane.lsps()) {
       if (!plane.crosses_down_link(lsp.id, down)) continue;
       if (frr && plane.activate_backup(lsp.id, down)) {

@@ -120,7 +120,7 @@ void BM_IgpCompute(benchmark::State& state) {
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        igp::IgpState::compute(topo, nullptr, pool.get()));
+        igp::IgpState::compute(topo, {}, pool.get()));
   }
   state.SetLabel(std::to_string(topo.router_count()) + " routers, " +
                  std::to_string(topo.link_count()) + " links, " +
@@ -133,15 +133,16 @@ BENCHMARK(BM_IgpCompute)->Arg(1)->Arg(4);
 void BM_IgpReconverge(benchmark::State& state) {
   const auto topo = att_topology();
   const auto baseline = igp::IgpState::compute(topo);
-  std::vector<bool> down(topo.link_count(), false);
-  down[3] = true;
-  down[topo.link_count() / 2] = true;
+  igp::LinkOverlay down;
+  down.down.assign(topo.link_count(), false);
+  down.down[3] = true;
+  down.down[topo.link_count() / 2] = true;
   std::vector<topo::RouterId> all(topo.router_count());
   std::iota(all.begin(), all.end(), topo::RouterId{0});
   igp::IgpState::ReconvergeStats stats;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(igp::IgpState::reconverge(topo, baseline, down,
-                                                       all, nullptr, &stats));
+    benchmark::DoNotOptimize(igp::IgpState::reconverge(
+        topo, baseline, {}, down, all, nullptr, &stats));
   }
   state.SetLabel(std::to_string(stats.sources_recomputed) + "/" +
                  std::to_string(stats.sources_total) + " columns recomputed");

@@ -7,9 +7,12 @@
 # of that: a failpoint matrix (every io fault class injected at 2% must
 # leave a campaign contained) and a kill/resume torture loop (real process
 # kills at fixed io-op ordinals; resumed runs must be byte-identical to an
-# uninterrupted one). Last, a micro_probe smoke run: its corpus self-check
-# fails the gate if the bench-local heap reference behind the measurement
-# path gate (scripts/bench.sh) has drifted from the batch path.
+# uninterrupted one). Then perfbench's counter contract: a traced campaign
+# goes through perfbench's own per-layer reader, so a renamed counter or
+# manifest key fails here rather than at the next benchmark run. Last, a
+# micro_probe smoke run: its corpus self-check fails the gate if the
+# bench-local heap reference behind the measurement path gate
+# (scripts/bench.sh) has drifted from the batch path.
 #
 # Usage: scripts/tier1.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 set -euo pipefail
@@ -81,6 +84,34 @@ for k in 2 7 13 23 31; do
   fi
   echo "  kill at op $k -> exit 9, resume byte-identical"
 done
+
+echo "== tier-1: perfbench counter contract (per-layer split of a traced campaign) =="
+# perfbench/run.py reads its per-layer metrics from the campaign manifest and
+# the telemetry registry without defaults; run its own layer_sample on a
+# small traced campaign (imported read-only: -B writes no bytecode) and
+# require every per-layer metric that BENCHMARK.json declares.
+"$mum" campaign --small --cycles 3 --json --quiet --threads 2 \
+  --telemetry="$work/tel.json" > "$work/tel_campaign.json"
+python3 -B - "$repo" "$work/tel_campaign.json" "$work/tel.json" <<'PY'
+import json
+import sys
+import types
+from pathlib import Path
+
+repo, campaign, telemetry = (Path(a) for a in sys.argv[1:4])
+sys.path.insert(0, str(repo / "perfbench"))
+import run  # noqa: E402  perfbench/run.py
+
+doc = json.loads(campaign.read_text())
+inv = types.SimpleNamespace(manifest=doc["manifest"])
+sample = run.layer_sample(inv, len(doc["manifest"]["cycles"]), telemetry)
+declared = [m["name"] for m in
+            json.loads((repo / "BENCHMARK.json").read_text())["per_layer"]]
+missing = [name for name in declared if name not in sample]
+if missing:
+    sys.exit("FAIL: layer_sample lacks " + ", ".join(missing))
+print("  layer_sample: " + ", ".join(declared))
+PY
 
 echo "== tier-1: TSan pass over test_parallel + test_obs + test_evolve + test_batch + test_supervision + test_campaign + test_spf ($tsan_build) =="
 cmake -B "$tsan_build" -S "$repo" -DMUM_TSAN=ON

@@ -192,13 +192,14 @@ std::vector<dataset::SnapshotBatch> CampaignRunner::daily_month(
   std::vector<dataset::SnapshotBatch> out;
   out.reserve(static_cast<std::size_t>(days));
   // One standing context for the whole month: deployment ramps are
-  // day-resolved, but a day is a pristine rollback + profile re-evaluation
-  // away — byte-identical to the per-day re-instantiate this replaces.
-  MonthContext ctx = internet.instantiate(cycle, /*day_of_month=*/1, pool_);
+  // day-resolved, but a day is a same-cycle evolver step (pristine rollback
+  // + profile re-evaluation) away — byte-identical to the per-day
+  // re-instantiate this replaces, whose apply_flaps(0) and dynamics the
+  // later days replay.
+  DeltaEvolver evolver(internet, pool_);
   for (int day = 1; day <= days; ++day) {
+    MonthContext& ctx = evolver.evolve_to(cycle, day);
     if (day > 1) {
-      ctx.restore_pristine();
-      ctx.set_day(day);
       ctx.apply_flaps(/*sub_index=*/0, internet.config().ecmp_flap_prob);
       ctx.advance_dynamics();
     }

@@ -1,5 +1,6 @@
 #include "gen/evolve.h"
 
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -14,7 +15,6 @@ MonthContext& DeltaEvolver::evolve_to(int cycle, int day_of_month) {
     full_build(cycle, day_of_month);
     return *ctx_;
   }
-  if (cycle == ctx_->cycle() && day_of_month == day_) return *ctx_;
   try {
     step_to(cycle, day_of_month);
   } catch (...) {
@@ -26,7 +26,6 @@ MonthContext& DeltaEvolver::evolve_to(int cycle, int day_of_month) {
 
 void DeltaEvolver::full_build(int cycle, int day_of_month) {
   ctx_.emplace(internet_->instantiate(cycle, day_of_month, pool_));
-  day_ = day_of_month;
   poisoned_ = false;
   stats_ = CycleDeltaStats{};
   stats_.cycle = cycle;
@@ -37,6 +36,12 @@ void DeltaEvolver::full_build(int cycle, int day_of_month) {
 }
 
 void DeltaEvolver::step_to(int cycle, int day_of_month) {
+  static obs::Counter& recomputed =
+      obs::registry().counter("igp.delta_sources_recomputed");
+  static obs::Counter& skipped =
+      obs::registry().counter("igp.delta_sources_skipped");
+  static obs::Counter& deltas =
+      obs::registry().counter("igp.delta_reconverges");
   MonthContext& ctx = *ctx_;
   const GenConfig& config = internet_->config();
 
@@ -75,13 +80,18 @@ void DeltaEvolver::step_to(int cycle, int day_of_month) {
       } else {
         // Incremental SPF from the previous cycle's converged state: only
         // sources whose routing the overlay diff can affect are re-run.
+        std::vector<topo::RouterId> all(as.topo.router_count());
+        std::iota(all.begin(), all.end(), topo::RouterId{0});
         igp::IgpState::ReconvergeStats rs;
-        igp::IgpState next = igp::IgpState::reconverge_delta(
-            as.topo, planes->cycle_igp(as), planes->overlay, overlay, pool_,
-            &rs);
+        igp::IgpState next = igp::IgpState::reconverge(
+            as.topo, planes->cycle_igp(as), planes->overlay, overlay, all,
+            pool_, &rs);
         planes->igp_cycle = std::move(next);
         st.spf_sources_total += rs.sources_total;
         st.spf_sources_recomputed += rs.sources_recomputed;
+        deltas.inc();
+        recomputed.add(rs.sources_recomputed);
+        skipped.add(rs.sources_total - rs.sources_recomputed);
       }
       planes->overlay = std::move(overlay);
     }
@@ -120,8 +130,6 @@ void DeltaEvolver::step_to(int cycle, int day_of_month) {
     stats_.spf_sources_recomputed += st.spf_sources_recomputed;
     stats_.lsps_signalled += st.lsps_signalled;
   }
-
-  day_ = day_of_month;
 
   obs::registry().counter("evolve.delta_steps").add(1);
   obs::registry().counter("evolve.ases_restored").add(stats_.ases_restored);

@@ -7,8 +7,10 @@
 // Cycle 28 and Cycle 29"). The DeltaEvolver keeps ONE standing MonthContext
 // and advances it: per-cycle churn (link/metric/router deltas, TE
 // re-signalling epochs) routes through incremental SPF
-// (igp::IgpState::reconverge_delta) and TE-only re-signalling; untouched ASes
-// are merely rolled back to their pristine start-of-month state.
+// (igp::IgpState::reconverge from the previous cycle's overlay to this one's,
+// over every router's column) and TE-only re-signalling; untouched ASes are
+// merely rolled back to their pristine start-of-month state. A step to the
+// current (cycle, day) is that rollback alone: no SPF, no rebuild.
 //
 // Determinism contract (the oracle property, enforced by tests/test_evolve):
 // every per-cycle delta is a pure function of (seed, asn, cycle), so a
@@ -52,7 +54,10 @@ class DeltaEvolver {
   // Returns the context at (cycle, day_of_month), ready for its cycle
   // snapshot: CampaignRunner::snapshot applies the snapshot's flaps (ECMP
   // salts and failure reconvergence). Advancing from the current cycle
-  // applies deltas and leaves the flaps to that snapshot; the first call, a
+  // applies deltas and leaves the flaps to that snapshot. Asking for the
+  // current (cycle, day) again is a same-cycle step, a pristine rollback:
+  // a retried cycle never probes the world that a failed attempt's flaps,
+  // re-signals and dynamics mutated. The first call, a
   // backward jump, or a recovery after a failed step falls back to a full
   // instantiate (which applies sub-index 0's flaps itself; re-applying the
   // same sub-index changes nothing). Gaps are fine: intermediate cycles'
@@ -75,7 +80,6 @@ class DeltaEvolver {
   const Internet* internet_;
   util::ThreadPool* pool_;
   std::optional<MonthContext> ctx_;
-  int day_ = 1;
   // Set when a delta step threw mid-mutation: the standing context may be
   // inconsistent, so the next evolve_to() rebuilds from scratch.
   bool poisoned_ = false;

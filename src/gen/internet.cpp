@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "obs/telemetry.h"
+
 namespace mum::gen {
 
 namespace {
@@ -120,25 +122,15 @@ void MonthContext::restore_pristine() {
   }
 }
 
-void MonthContext::set_day(int day_of_month) {
-  for (auto& [asn, planes] : planes_) {
-    const ModeledAs* as = internet_->modeled(asn);
-    const ProfileSnapshot profile =
-        profile_at(asn, as->shape, cycle_, day_of_month);
-    if (ldp_structural_changed(planes->profile, profile)) {
-      internet_->build_as_planes(asn, *as, profile, *planes);
-    } else if (te_structural_changed(planes->profile, profile)) {
-      internet_->build_te_planes(asn, *as, profile, *planes);
-    } else {
-      Internet::apply_profile_scalars(profile, *planes);
-      planes->profile = profile;
-    }
-  }
-}
-
 void MonthContext::apply_flaps(int sub_index, double flap_prob,
                                const EgressDemand& demand) {
   const GenConfig& config = internet_->config();
+  static obs::Counter& recomputed =
+      obs::registry().counter("igp.reconverge_sources_recomputed");
+  static obs::Counter& skipped =
+      obs::registry().counter("igp.reconverge_sources_skipped");
+  static obs::Counter& reconverges =
+      obs::registry().counter("igp.reconverges");
   for (auto& [asn, planes] : planes_) {
     const ModeledAs* as = internet_->modeled(asn);
 
@@ -158,23 +150,15 @@ void MonthContext::apply_flaps(int sub_index, double flap_prob,
 
     // --- link failures + IGP reconvergence ------------------------------
     // The month's failures layer on top of this cycle's persistent link
-    // overlay: the reconvergence baseline is the overlay-converged state
-    // and the down mask is the union of both layers.
+    // overlay: `now` is that overlay with the failed links' down bits set,
+    // and the reconvergence starts from the overlay-converged state.
     const igp::IgpState& cycle_base = planes->cycle_igp(*as);
-    const igp::LinkOverlay* overlay =
-        planes->overlay.down.empty() && planes->overlay.cost.empty()
-            ? nullptr
-            : &planes->overlay;
     const bool maintenance =
         to01(util::hash_combine(asn, month_seed_ ^ 0x3A17ull)) <
         config.as_maintenance_prob;
     bool any_down = false;
-    std::vector<bool> down;
-    if (overlay != nullptr && !overlay->down.empty()) {
-      down = overlay->down;
-    } else {
-      down.assign(as->topo.link_count(), false);
-    }
+    igp::LinkOverlay now = planes->overlay;
+    if (now.down.empty()) now.down.assign(as->topo.link_count(), false);
     if (maintenance) {
       for (topo::LinkId l = 0; l < as->topo.link_count(); ++l) {
         const std::uint64_t h = util::hash_combine(
@@ -184,8 +168,8 @@ void MonthContext::apply_flaps(int sub_index, double flap_prob,
         // The link goes down at a uniform snapshot of the month and stays
         // down (maintenance windows outlive the probing run).
         const int onset = static_cast<int>(util::mix64(h) % 3);
-        if (sub_index >= onset && !down[l]) {
-          down[l] = true;
+        if (sub_index >= onset && !now.down[l]) {
+          now.down[l] = true;
           any_down = true;
         }
       }
@@ -204,8 +188,8 @@ void MonthContext::apply_flaps(int sub_index, double flap_prob,
         egresses = demand.at(as->index);
         if (planes->rsvp) {
           for (const mpls::TeLsp& lsp : planes->rsvp->lsps()) {
-            if (planes->rsvp->crosses_down_link(lsp.id, down) &&
-                !planes->rsvp->backup_intact(lsp.id, down)) {
+            if (planes->rsvp->crosses_down_link(lsp.id, now.down) &&
+                !planes->rsvp->backup_intact(lsp.id, now.down)) {
               egresses.push_back(lsp.egress);
             }
           }
@@ -214,16 +198,21 @@ void MonthContext::apply_flaps(int sub_index, double flap_prob,
                          egresses.end());
         }
       }
-      planes->igp_now = igp::IgpState::reconverge(
-          as->topo, cycle_base, down, egresses, pool_, nullptr, overlay);
+      igp::IgpState::ReconvergeStats rs;
+      planes->igp_now =
+          igp::IgpState::reconverge(as->topo, cycle_base, planes->overlay,
+                                    now, egresses, pool_, &rs);
+      reconverges.inc();
+      recomputed.add(rs.sources_recomputed);
+      skipped.add(rs.sources_total - rs.sources_recomputed);
       planes->plane.igp = &*planes->igp_now;
       // RSVP-TE reconverges too. With fast reroute, a broken LSP switches
       // to its pre-signalled backup (labels stable); otherwise it is
       // re-signalled over the post-failure route with fresh labels.
       if (planes->rsvp) {
         for (const mpls::TeLsp& lsp : planes->rsvp->lsps()) {
-          if (!planes->rsvp->crosses_down_link(lsp.id, down)) continue;
-          if (planes->rsvp->activate_backup(lsp.id, down)) continue;
+          if (!planes->rsvp->crosses_down_link(lsp.id, now.down)) continue;
+          if (planes->rsvp->activate_backup(lsp.id, now.down)) continue;
           planes->rsvp->resignal_over(
               lsp.id,
               route_on(*planes->igp_now, lsp.ingress, lsp.egress,
@@ -422,7 +411,7 @@ void Internet::build_topologies(util::Rng& rng_in, util::ThreadPool* pool) {
     shape.topo.router_response_prob = config_.router_response_prob;
 
     topo::AsTopology topo = topo::build_as_topology(shape.topo, rng);
-    igp::IgpState igp = igp::IgpState::compute(topo, nullptr, pool);
+    igp::IgpState igp = igp::IgpState::compute(topo, {}, pool);
     auto modeled =
         std::make_unique<ModeledAs>(std::move(shape), std::move(topo),
                                     std::move(igp));
@@ -888,8 +877,8 @@ MonthContext Internet::instantiate(int cycle, int day_of_month,
     if (!planes->overlay.trivial()) {
       // Nested parallel_for runs inline inside a pool worker, so this SPF
       // is effectively single-threaded here; AS-level fan-out saturates.
-      planes->igp_cycle = igp::IgpState::compute(as.topo, nullptr, pool,
-                                                 &planes->overlay);
+      planes->igp_cycle = igp::IgpState::compute(as.topo, planes->overlay,
+                                                 pool);
     }
     build_as_planes(asn, as, profile_at(asn, as.shape, cycle, day_of_month),
                     *planes);

@@ -129,10 +129,11 @@ struct AsPlanes {
   std::vector<mpls::LabelPool> pools;
   std::optional<mpls::LdpPlane> ldp;
   std::unique_ptr<mpls::RsvpTePlane> rsvp;
-  // IGP state after this snapshot's link failures, holding only the
-  // demanded egress columns (unset => no failures, plane.igp points at the
-  // cycle-converged state below, or the ModeledAs base state when this
-  // cycle's overlay is trivial).
+  // IGP state after this snapshot's link failures: reconverged from the
+  // cycle state below, from `overlay` to `overlay` plus the failed links,
+  // holding only the demanded egress columns (unset => no failures,
+  // plane.igp points at the cycle state, or the ModeledAs base state when
+  // this cycle's overlay is trivial).
   std::optional<igp::IgpState> igp_now;
   probe::AsDataPlane plane;  // pointers reference ModeledAs + this struct
 
@@ -177,10 +178,12 @@ class MonthContext {
   // Re-signals TE LSPs of dynamic-label ASes (between snapshots).
   void advance_dynamics();
   // Sets per-router ECMP salts for snapshot `sub_index` (0 = cycle run) and
-  // reconverges each AS around the snapshot's link failures. The failure
-  // state holds only the `demand` columns, plus the egress of every TE LSP
-  // it re-signals; walking toward any other egress throws until the next
-  // apply_flaps.
+  // reconverges each AS around the snapshot's link failures: the snapshot's
+  // link state is the cycle overlay with the failed links down, and the IGP
+  // reconverges to it from the cycle state. The failure state holds only
+  // the `demand` columns (empty demand = every router of every AS), plus
+  // the egress of every TE LSP it re-signals; walking toward any other
+  // egress throws until the next apply_flaps.
   void apply_flaps(int sub_index, double flap_prob,
                    const EgressDemand& demand = {});
 
@@ -191,21 +194,17 @@ class MonthContext {
 
   int cycle() const noexcept { return cycle_; }
 
-  // --- standing-world reuse (DeltaEvolver, daily_month) --------------------
+ private:
+  friend class Internet;
+  friend class DeltaEvolver;
   // Rolls every AS back to its pristine start-of-month control-plane state:
   // undoes flap re-signalling, dynamics re-optimization and failure state,
   // rewinds label-pool counters, and resets per-cycle scratch arenas. After
   // this, the context is byte-equivalent to a freshly instantiated month
-  // just before its initial apply_flaps(0).
+  // just before its initial apply_flaps(0). DeltaEvolver::step_to starts
+  // from it.
   void restore_pristine();
-  // Re-evaluates profiles at (cycle, day_of_month): ASes whose structural
-  // knobs changed are rebuilt (deployment ramps are day-resolved); cheap
-  // observation scalars are updated in place. Call on a pristine context.
-  void set_day(int day_of_month);
 
- private:
-  friend class Internet;
-  friend class DeltaEvolver;
   int cycle_ = 0;
   std::uint64_t month_seed_ = 0;
   std::map<std::uint32_t, std::unique_ptr<AsPlanes>> planes_;

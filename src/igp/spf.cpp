@@ -32,7 +32,7 @@ inline constexpr std::uint32_t kMaxDialCost = 4096;
 // thread_local worker scratch: reused across columns, never across threads,
 // and drained when the queue empties.
 void dijkstra_dial(const topo::CsrAdjacency& csr, topo::RouterId src,
-                   const std::vector<bool>* link_down,
+                   const std::vector<bool>* down,
                    std::vector<std::uint32_t>& dist) {
   const std::uint32_t ring = csr.max_cost() + 1;
   thread_local std::vector<std::vector<topo::RouterId>> buckets;
@@ -51,7 +51,7 @@ void dijkstra_dial(const topo::CsrAdjacency& csr, topo::RouterId src,
       --pending;
       if (dist[u] != cur) continue;  // stale entry, improved meanwhile
       for (const topo::CsrArc& arc : csr.out(u)) {
-        if (link_down != nullptr && (*link_down)[arc.link]) continue;
+        if (down != nullptr && (*down)[arc.link]) continue;
         const std::uint32_t nd = cur + arc.cost;
         if (nd < dist[arc.to]) {
           dist[arc.to] = nd;
@@ -65,7 +65,7 @@ void dijkstra_dial(const topo::CsrAdjacency& csr, topo::RouterId src,
 }
 
 void dijkstra_heap(const topo::CsrAdjacency& csr, topo::RouterId src,
-                   const std::vector<bool>* link_down,
+                   const std::vector<bool>* down,
                    std::vector<std::uint32_t>& dist) {
   std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> pq;
   dist[src] = 0;
@@ -75,7 +75,7 @@ void dijkstra_heap(const topo::CsrAdjacency& csr, topo::RouterId src,
     pq.pop();
     if (d > dist[u]) continue;  // stale entry
     for (const topo::CsrArc& arc : csr.out(u)) {
-      if (link_down != nullptr && (*link_down)[arc.link]) continue;
+      if (down != nullptr && (*down)[arc.link]) continue;
       const std::uint32_t nd = d + arc.cost;
       if (nd < dist[arc.to]) {
         dist[arc.to] = nd;
@@ -85,39 +85,28 @@ void dijkstra_heap(const topo::CsrAdjacency& csr, topo::RouterId src,
   }
 }
 
-// Union of the transient down set and the overlay's down links, as the mask
-// the column SPF consumes. Returns nullptr when nothing is down.
-const std::vector<bool>* merge_down(const std::vector<bool>* link_down,
-                                    const LinkOverlay* overlay,
-                                    std::vector<bool>& scratch) {
-  if (overlay == nullptr || overlay->down.empty()) return link_down;
-  if (link_down == nullptr) return &overlay->down;
-  scratch = *link_down;
-  for (std::size_t l = 0; l < scratch.size(); ++l) {
-    if (overlay->down[l]) scratch[l] = true;
-  }
-  return &scratch;
+topo::CsrAdjacency make_overlay_csr(const topo::AsTopology& topo,
+                                    const LinkOverlay& overlay) {
+  return overlay.cost.empty() ? topo.make_csr()
+                              : topo.make_csr(&overlay.cost);
 }
 
-topo::CsrAdjacency make_overlay_csr(const topo::AsTopology& topo,
-                                    const LinkOverlay* overlay) {
-  return overlay != nullptr && !overlay->cost.empty()
-             ? topo.make_csr(&overlay->cost)
-             : topo.make_csr();
+const std::vector<bool>* down_mask(const LinkOverlay& overlay) {
+  return overlay.down.empty() ? nullptr : &overlay.down;
 }
 
 }  // namespace
 
 void IgpState::solve_column(const topo::CsrAdjacency& csr,
                             topo::RouterId egress,
-                            const std::vector<bool>* link_down,
+                            const std::vector<bool>* down,
                             EgressColumn& col) {
   const std::size_t n = csr.router_count();
   col.dist_.assign(n, kUnreachable);
   if (csr.max_cost() >= 1 && csr.max_cost() <= kMaxDialCost) {
-    dijkstra_dial(csr, egress, link_down, col.dist_);
+    dijkstra_dial(csr, egress, down, col.dist_);
   } else {
-    dijkstra_heap(csr, egress, link_down, col.dist_);
+    dijkstra_heap(csr, egress, down, col.dist_);
   }
 
   // Costs are symmetric, so dist_ is every router's distance TO the egress,
@@ -135,7 +124,7 @@ void IgpState::solve_column(const topo::CsrAdjacency& csr,
     const std::uint32_t du = dist[u];
     if (du == kUnreachable || u == egress) continue;
     for (const topo::CsrArc& arc : csr.out(u)) {
-      if (link_down != nullptr && (*link_down)[arc.link]) continue;
+      if (down != nullptr && (*down)[arc.link]) continue;
       const std::uint32_t dv = dist[arc.to];
       if (dv != kUnreachable && dv + arc.cost == du) {
         nh.push_back(NextHop{arc.link, arc.to});
@@ -144,27 +133,6 @@ void IgpState::solve_column(const topo::CsrAdjacency& csr,
   }
   col.off_[n] = static_cast<std::uint32_t>(nh.size());
   col.nh_.assign(nh.begin(), nh.end());
-}
-
-void IgpState::solve_or_copy(const topo::AsTopology& topo,
-                             const IgpState& prev,
-                             std::span<const topo::RouterId> egresses,
-                             const std::vector<std::uint8_t>& rerun,
-                             const std::vector<bool>* link_down,
-                             const LinkOverlay* overlay,
-                             util::ThreadPool* pool) {
-  const bool any =
-      std::find(rerun.begin(), rerun.end(), 1) != rerun.end();
-  const topo::CsrAdjacency csr =
-      any ? make_overlay_csr(topo, overlay) : topo::CsrAdjacency{};
-  util::parallel_for(pool, egresses.size(), [&](std::size_t i) {
-    const topo::RouterId e = egresses[i];
-    if (rerun[i]) {
-      solve_column(csr, e, link_down, columns_[e]);
-    } else {
-      columns_[e] = prev.columns_[e];
-    }
-  });
 }
 
 const EgressColumn& IgpState::column(topo::RouterId egress) const {
@@ -176,9 +144,8 @@ const EgressColumn& IgpState::column(topo::RouterId egress) const {
 }
 
 IgpState IgpState::compute(const topo::AsTopology& topo,
-                           const std::vector<bool>* link_down,
-                           util::ThreadPool* pool,
-                           const LinkOverlay* overlay) {
+                           const LinkOverlay& overlay,
+                           util::ThreadPool* pool) {
   // Call-site wall clock: nested per-column parallelism joins before the
   // span ends, so the duration covers the whole computation. The stage
   // span attributes it as SPF work of whichever cycle is current (no-op
@@ -192,13 +159,12 @@ IgpState IgpState::compute(const topo::AsTopology& topo,
   const obs::ScopedTimer timer(duration);
 
   const topo::CsrAdjacency csr = make_overlay_csr(topo, overlay);
-  std::vector<bool> merged;
-  const std::vector<bool>* mask = merge_down(link_down, overlay, merged);
+  const std::vector<bool>* down = down_mask(overlay);
   IgpState out;
   out.n_ = csr.router_count();
   out.columns_.resize(out.n_);
   util::parallel_for(pool, out.n_, [&](std::size_t e) {
-    solve_column(csr, static_cast<topo::RouterId>(e), mask, out.columns_[e]);
+    solve_column(csr, static_cast<topo::RouterId>(e), down, out.columns_[e]);
   });
   computes.inc();
   sources.add(out.n_);
@@ -206,90 +172,17 @@ IgpState IgpState::compute(const topo::AsTopology& topo,
 }
 
 IgpState IgpState::reconverge(const topo::AsTopology& topo,
-                              const IgpState& baseline,
-                              const std::vector<bool>& link_down,
+                              const IgpState& prev,
+                              const LinkOverlay& prev_overlay,
+                              const LinkOverlay& now_overlay,
                               std::span<const topo::RouterId> egresses,
                               util::ThreadPool* pool,
-                              ReconvergeStats* stats,
-                              const LinkOverlay* overlay) {
+                              ReconvergeStats* stats) {
   const obs::StageSpan span(obs::Stage::kSpf);
-  static obs::Counter& recomputed =
-      obs::registry().counter("igp.reconverge_sources_recomputed");
-  static obs::Counter& skipped =
-      obs::registry().counter("igp.reconverge_sources_skipped");
-  static obs::Counter& reconverges =
-      obs::registry().counter("igp.reconverges");
   static obs::Histogram& duration =
       obs::registry().histogram("igp.reconverge_ns");
   const obs::ScopedTimer timer(duration);
 
-  const std::size_t n = baseline.n_;
-  struct Down {
-    topo::RouterId a, b;
-    std::uint32_t cost;
-  };
-  std::vector<Down> downed;
-  for (topo::LinkId l = 0; l < link_down.size(); ++l) {
-    if (!link_down[l]) continue;
-    // Overlay-down links are already absent from the baseline; only the
-    // transient failures on top of it can perturb baseline shortest paths.
-    if (overlay != nullptr && overlay->is_down(l)) continue;
-    const topo::Link& link = topo.link(l);
-    const std::uint32_t cost =
-        overlay != nullptr ? overlay->cost_of(link) : link.igp_cost;
-    downed.push_back(Down{link.a, link.b, cost});
-  }
-
-  // A column is affected iff some downed link lies on one of its shortest
-  // paths, i.e. is tight under its baseline distances in either direction.
-  std::vector<std::uint8_t> rerun(egresses.size(), 0);
-  std::size_t n_rerun = 0;
-  for (std::size_t i = 0; i < egresses.size(); ++i) {
-    const EgressColumn& base = baseline.column(egresses[i]);
-    for (const Down& l : downed) {
-      const std::uint32_t da = base.dist_[l.a];
-      const std::uint32_t db = base.dist_[l.b];
-      if ((da != kUnreachable && da + l.cost == db) ||
-          (db != kUnreachable && db + l.cost == da)) {
-        rerun[i] = 1;
-        ++n_rerun;
-        break;
-      }
-    }
-  }
-  if (stats != nullptr) {
-    stats->sources_total = n;
-    stats->sources_recomputed = n_rerun;
-  }
-  reconverges.inc();
-  recomputed.add(n_rerun);
-  skipped.add(n - n_rerun);
-
-  IgpState out;
-  out.n_ = n;
-  out.columns_.resize(n);
-  out.solve_or_copy(topo, baseline, egresses, rerun, &link_down, overlay,
-                    pool);
-  return out;
-}
-
-IgpState IgpState::reconverge_delta(const topo::AsTopology& topo,
-                                    const IgpState& prev,
-                                    const LinkOverlay& prev_overlay,
-                                    const LinkOverlay& now_overlay,
-                                    util::ThreadPool* pool,
-                                    ReconvergeStats* stats) {
-  const obs::StageSpan span(obs::Stage::kSpf);
-  static obs::Counter& recomputed =
-      obs::registry().counter("igp.delta_sources_recomputed");
-  static obs::Counter& skipped =
-      obs::registry().counter("igp.delta_sources_skipped");
-  static obs::Counter& deltas = obs::registry().counter("igp.delta_reconverges");
-  static obs::Histogram& duration =
-      obs::registry().histogram("igp.delta_reconverge_ns");
-  const obs::ScopedTimer timer(duration);
-
-  const std::size_t n = prev.n_;
   // Effective per-link state transition across the overlay change.
   struct Change {
     topo::RouterId a, b;
@@ -310,12 +203,10 @@ IgpState IgpState::reconverge_delta(const topo::AsTopology& topo,
   // repriced link was tight under its old distances (case a), and no added
   // or cheapened link can reach an endpoint at <= its old distance (case
   // b — `<=` also catches new equal-cost ties joining an ECMP set).
-  std::vector<topo::RouterId> all(n);
-  std::vector<std::uint8_t> rerun(n, 0);
+  std::vector<std::uint8_t> rerun(egresses.size(), 0);
   std::size_t n_rerun = 0;
-  for (topo::RouterId e = 0; e < n; ++e) {
-    all[e] = e;
-    const std::vector<std::uint32_t>& d = prev.column(e).dist_;
+  for (std::size_t i = 0; i < egresses.size(); ++i) {
+    const std::vector<std::uint32_t>& d = prev.column(egresses[i]).dist_;
     for (const Change& c : changes) {
       const std::uint32_t da = d[c.a];
       const std::uint32_t db = d[c.b];
@@ -330,26 +221,32 @@ IgpState IgpState::reconverge_delta(const topo::AsTopology& topo,
                 (db != kUnreachable && (da == kUnreachable || db + c.now <= da));
       }
       if (dirty) {
-        rerun[e] = 1;
+        rerun[i] = 1;
         ++n_rerun;
         break;
       }
     }
   }
   if (stats != nullptr) {
-    stats->sources_total = n;
+    stats->sources_total = prev.n_;
     stats->sources_recomputed = n_rerun;
   }
-  deltas.inc();
-  recomputed.add(n_rerun);
-  skipped.add(n - n_rerun);
 
   IgpState out;
-  out.n_ = n;
-  out.columns_.resize(n);
-  out.solve_or_copy(topo, prev, all, rerun,
-                    now_overlay.down.empty() ? nullptr : &now_overlay.down,
-                    &now_overlay, pool);
+  out.n_ = prev.n_;
+  out.columns_.resize(out.n_);
+  const topo::CsrAdjacency csr = n_rerun > 0
+                                     ? make_overlay_csr(topo, now_overlay)
+                                     : topo::CsrAdjacency{};
+  const std::vector<bool>* down = down_mask(now_overlay);
+  util::parallel_for(pool, egresses.size(), [&](std::size_t i) {
+    const topo::RouterId e = egresses[i];
+    if (rerun[i]) {
+      solve_column(csr, e, down, out.columns_[e]);
+    } else {
+      out.columns_[e] = prev.columns_[e];
+    }
+  });
   return out;
 }
 

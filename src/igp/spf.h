@@ -13,8 +13,11 @@
 // router's outgoing arcs then keeps every arc that is up and tight
 // (dist[to] + cost == dist[u]), in ascending link-id order. Columns are
 // independent, so the work spreads over a thread pool with byte-identical
-// output at any thread count. A state may hold only some columns (see
-// `reconverge`); reading one it does not hold throws.
+// output at any thread count. Link state (failures, metric overrides) is a
+// LinkOverlay; one `reconverge` moves a state from one overlay to another,
+// whether the change is a cycle's churn or a snapshot's failures. A state
+// may hold only some columns (see `reconverge`); reading one it does not
+// hold throws.
 #pragma once
 
 #include <cstdint>
@@ -38,11 +41,13 @@ struct NextHop {
 
 inline constexpr std::uint32_t kUnreachable = ~std::uint32_t{0};
 
-// Persistent per-cycle topology overlay: the long-lived link/router deltas
-// that distinguish one monthly cycle's world from the base topology (as
-// opposed to the transient intra-month failures `apply_flaps` layers on
-// top). Canonical form: each vector is either empty (no deltas of that
-// kind) or sized to the AS link count. `down[l]` removes link l entirely;
+// The link state of one AS relative to its base topology: which links are
+// down and which IGP metrics are overridden. It is the one description of
+// link state: a cycle's persistent deltas are an overlay, and a snapshot's
+// failures are that overlay with the failed links' `down` bits set. The IGP
+// reconverges from one overlay to another (`IgpState::reconverge`).
+// Canonical form: each vector is either empty (no deltas of that kind) or
+// sized to the AS link count. `down[l]` removes link l entirely;
 // `cost[l] != 0` overrides its IGP metric. Value-comparable so cycle
 // evolution can detect per-AS overlay changes cheaply.
 struct LinkOverlay {
@@ -103,52 +108,31 @@ class IgpState {
     std::size_t sources_recomputed = 0;  // columns whose Dijkstra re-ran
   };
 
-  // Runs one Dijkstra per egress: all columns. O(R * (L log R)). When
-  // `link_down` is given (indexed by LinkId), those links are excluded — the
-  // state after an IGP reconvergence around failed links. When `overlay` is
-  // given, its down links are excluded too and its cost overrides replace
-  // base link metrics. When `pool` is given, columns are computed in
-  // parallel; output is byte-identical at any thread count.
+  // Runs one Dijkstra per egress: all columns. O(R * (L log R)). The
+  // overlay's down links are excluded and its cost overrides replace base
+  // link metrics. When `pool` is given, columns are computed in parallel;
+  // output is byte-identical at any thread count.
   static IgpState compute(const topo::AsTopology& topo,
-                          const std::vector<bool>* link_down = nullptr,
-                          util::ThreadPool* pool = nullptr,
-                          const LinkOverlay* overlay = nullptr);
+                          const LinkOverlay& overlay = {},
+                          util::ThreadPool* pool = nullptr);
 
-  // Incremental, demand-driven reconvergence: the result holds exactly the
-  // (distinct) `egresses` columns, each equal to that column of
-  // `compute(topo, &link_down)` given a `baseline` computed on the same
-  // topology with no links down (the baseline must hold those columns).
-  // Column e re-runs only if a downed link lies on one of its shortest
-  // paths, i.e. is "tight" under e's baseline distances; otherwise it is
-  // copied from the baseline. Removing links that carry none of e's
-  // shortest paths changes neither its distances nor its ECMP sets.
-  // When `overlay` is given, `baseline` must have been computed under that
-  // same overlay (`compute(topo, nullptr, pool, overlay)`), and `link_down`
-  // must be the *full* down set including the overlay's own down links; the
-  // tight-link test then skips overlay-down links (already absent from the
-  // baseline) and prices the rest with the overlay's cost overrides.
+  // Incremental, demand-driven reconvergence across one link-state change:
+  // given `prev` computed under `prev_overlay` (holding every `egresses`
+  // column), the result holds exactly the (distinct) `egresses` columns,
+  // each equal to that column of `compute(topo, now_overlay)`. An empty
+  // list holds no columns. Column e re-runs iff (a) a removed or worsened
+  // link was tight under its previous distances (it carried one of e's
+  // shortest paths), or (b) an added or cheapened link could now reach a
+  // router at <= its previous distance (a shorter path or a new ECMP tie);
+  // every other column is copied from `prev`. A failure-only transition
+  // (`now_overlay` = `prev_overlay` plus down links) reduces to case (a).
   static IgpState reconverge(const topo::AsTopology& topo,
-                             const IgpState& baseline,
-                             const std::vector<bool>& link_down,
+                             const IgpState& prev,
+                             const LinkOverlay& prev_overlay,
+                             const LinkOverlay& now_overlay,
                              std::span<const topo::RouterId> egresses,
                              util::ThreadPool* pool = nullptr,
-                             ReconvergeStats* stats = nullptr,
-                             const LinkOverlay* overlay = nullptr);
-
-  // Cross-cycle incremental reconvergence: given `prev` (holding every
-  // column) computed under `prev_overlay`, produce all columns under
-  // `now_overlay`, recomputing only columns the overlay transition can
-  // affect. Column e must be recomputed iff (a) a removed/worsened link was
-  // tight under its previous distances (it carried one of e's shortest
-  // paths), or (b) an added/cheapened link could now reach a router at <=
-  // its previous distance (shorter path or new ECMP tie). Every other
-  // column is byte-identical to a full recompute and is copied from `prev`.
-  static IgpState reconverge_delta(const topo::AsTopology& topo,
-                                   const IgpState& prev,
-                                   const LinkOverlay& prev_overlay,
-                                   const LinkOverlay& now_overlay,
-                                   util::ThreadPool* pool = nullptr,
-                                   ReconvergeStats* stats = nullptr);
+                             ReconvergeStats* stats = nullptr);
 
   // The column toward `egress`. Throws std::logic_error when this state
   // does not hold it: a missing column is a demand bug, never "unreachable".
@@ -166,17 +150,10 @@ class IgpState {
 
  private:
   // One Dijkstra from `egress`, then the tight-arc sweep, into `col`.
+  // `down` is the overlay's down mask (nullptr when nothing is down).
   static void solve_column(const topo::CsrAdjacency& csr,
                            topo::RouterId egress,
-                           const std::vector<bool>* link_down,
-                           EgressColumn& col);
-  // Fills the (distinct) `egresses` columns: re-solved where `rerun[i]`,
-  // copied from `prev` otherwise.
-  void solve_or_copy(const topo::AsTopology& topo, const IgpState& prev,
-                     std::span<const topo::RouterId> egresses,
-                     const std::vector<std::uint8_t>& rerun,
-                     const std::vector<bool>* link_down,
-                     const LinkOverlay* overlay, util::ThreadPool* pool);
+                           const std::vector<bool>* down, EgressColumn& col);
 
   std::size_t n_ = 0;
   std::vector<EgressColumn> columns_;  // by egress RouterId

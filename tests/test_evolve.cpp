@@ -140,7 +140,7 @@ TEST(LabelPool, RestoreRewindsToTheExactDrawSequence) {
   for (int i = 0; i < 16; ++i) EXPECT_EQ(pool.allocate(), first[i]);
 }
 
-// --- igp::IgpState::reconverge_delta ---------------------------------------
+// --- igp::IgpState::reconverge across overlay transitions -------------------
 
 topo::AsTopology random_topology(std::uint64_t seed) {
   util::Rng rng(seed);
@@ -153,6 +153,12 @@ topo::AsTopology random_topology(std::uint64_t seed) {
   params.uniform_costs = (seed % 3 != 0);
   params.heavy_cost_share = 0.25;
   return topo::build_as_topology(params, rng);
+}
+
+std::vector<topo::RouterId> all_routers(const topo::AsTopology& topo) {
+  std::vector<topo::RouterId> all(topo.router_count());
+  for (topo::RouterId r = 0; r < all.size(); ++r) all[r] = r;
+  return all;
 }
 
 igp::LinkOverlay random_overlay(const topo::AsTopology& topo, util::Rng& rng) {
@@ -185,10 +191,9 @@ TEST(ReconvergeDelta, MatchesFullRecomputeAcrossOverlayTransitions) {
       igp::LinkOverlay now =
           step == 4 ? igp::LinkOverlay{} : random_overlay(topo, rng);
       igp::IgpState::ReconvergeStats stats;
-      const igp::IgpState delta = igp::IgpState::reconverge_delta(
-          topo, state, prev, now, nullptr, &stats);
-      const igp::IgpState full = igp::IgpState::compute(
-          topo, nullptr, nullptr, now.trivial() ? nullptr : &now);
+      const igp::IgpState delta = igp::IgpState::reconverge(
+          topo, state, prev, now, all_routers(topo), nullptr, &stats);
+      const igp::IgpState full = igp::IgpState::compute(topo, now);
       ASSERT_TRUE(delta == full) << "seed=" << seed << " step=" << step;
       EXPECT_EQ(stats.sources_total, topo.router_count());
       EXPECT_LE(stats.sources_recomputed, stats.sources_total);
@@ -202,12 +207,10 @@ TEST(ReconvergeDelta, IdenticalOverlayRecomputesNothing) {
   const topo::AsTopology topo = random_topology(3);
   util::Rng rng(99);
   const igp::LinkOverlay overlay = random_overlay(topo, rng);
-  const igp::IgpState base =
-      igp::IgpState::compute(topo, nullptr, nullptr,
-                             overlay.trivial() ? nullptr : &overlay);
+  const igp::IgpState base = igp::IgpState::compute(topo, overlay);
   igp::IgpState::ReconvergeStats stats;
-  const igp::IgpState same = igp::IgpState::reconverge_delta(
-      topo, base, overlay, overlay, nullptr, &stats);
+  const igp::IgpState same = igp::IgpState::reconverge(
+      topo, base, overlay, overlay, all_routers(topo), nullptr, &stats);
   EXPECT_TRUE(same == base);
   EXPECT_EQ(stats.sources_recomputed, 0u);
 }
@@ -375,6 +378,31 @@ TEST(DeltaEvolver, MonthDataMatchesFreshMonth) {
       EXPECT_EQ(dataset::serialize_snapshot(evolved.snapshots[i]),
                 dataset::serialize_snapshot(fresh.snapshots[i]))
           << "cycle=" << cycle << " snapshot=" << i;
+    }
+  }
+}
+
+// Asking for the current cycle again (a retried cycle) must not hand back
+// the world the previous month's flaps, re-signals and dynamics mutated: the
+// second month of the same cycle equals the fresh one, snapshot for snapshot.
+TEST(DeltaEvolver, SameCycleTwiceMatchesFreshMonth) {
+  const gen::GenConfig config = churny_config();
+  const gen::Internet internet(config);
+  const dataset::Ip2As ip2as = internet.build_ip2as();
+  const gen::CampaignRunner runner(internet, ip2as);
+
+  gen::DeltaEvolver evolver(internet);
+  for (const int cycle : {6, 30, 50}) {
+    const dataset::MonthData fresh = runner.month(cycle);
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      const dataset::MonthData evolved = runner.month(evolver, cycle);
+      ASSERT_EQ(evolved.snapshots.size(), fresh.snapshots.size());
+      for (std::size_t i = 0; i < fresh.snapshots.size(); ++i) {
+        EXPECT_EQ(dataset::serialize_snapshot(evolved.snapshots[i]),
+                  dataset::serialize_snapshot(fresh.snapshots[i]))
+            << "cycle=" << cycle << " attempt=" << attempt
+            << " snapshot=" << i;
+      }
     }
   }
 }

@@ -44,9 +44,10 @@ struct Diamond {
 
 TEST(SpfLinkDown, FailureRemovesEcmpBranch) {
   Diamond f;
-  std::vector<bool> down(f.topo.link_count(), false);
-  down[f.ab] = true;
-  const auto igp = igp::IgpState::compute(f.topo, &down);
+  igp::LinkOverlay down;
+  down.down.assign(f.topo.link_count(), false);
+  down.down[f.ab] = true;
+  const auto igp = igp::IgpState::compute(f.topo, down);
   const auto& nhs = igp.column(f.d).nexthops(f.a);
   ASSERT_EQ(nhs.size(), 1u);
   EXPECT_EQ(nhs[0].neighbor, f.c);
@@ -55,18 +56,20 @@ TEST(SpfLinkDown, FailureRemovesEcmpBranch) {
 
 TEST(SpfLinkDown, FailureLengthensPath) {
   Diamond f;
-  std::vector<bool> down(f.topo.link_count(), false);
-  down[f.ab] = true;
-  down[f.ac] = true;
-  const auto igp = igp::IgpState::compute(f.topo, &down);
+  igp::LinkOverlay down;
+  down.down.assign(f.topo.link_count(), false);
+  down.down[f.ab] = true;
+  down.down[f.ac] = true;
+  const auto igp = igp::IgpState::compute(f.topo, down);
   EXPECT_FALSE(igp.column(f.d).reachable(f.a));  // both arms cut
 }
 
 TEST(SpfLinkDown, NullFailureVectorMatchesBase) {
   Diamond f;
   const auto base = igp::IgpState::compute(f.topo);
-  std::vector<bool> none(f.topo.link_count(), false);
-  const auto same = igp::IgpState::compute(f.topo, &none);
+  igp::LinkOverlay none;
+  none.down.assign(f.topo.link_count(), false);
+  const auto same = igp::IgpState::compute(f.topo, none);
   for (RouterId s = 0; s < f.topo.router_count(); ++s) {
     for (RouterId t = 0; t < f.topo.router_count(); ++t) {
       EXPECT_EQ(base.column(t).distance(s), same.column(t).distance(s));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <queue>
 #include <set>
 #include <stdexcept>
@@ -194,8 +195,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SpfProperty,
 // Reference parity: the egress-column SPF must reproduce, byte for byte,
 // what the original per-source, per-destination reverse-BFS implementation
 // computed. The reference below is that original algorithm, kept verbatim
-// (modulo the return type) as the independent ground truth: it reads row
-// (source) s, the production state reads column (egress) d.
+// (modulo the return type, and link state read from a LinkOverlay: down
+// links skipped, overridden metrics priced) as the independent ground
+// truth: it reads row (source) s, the production state reads column
+// (egress) d.
 // ---------------------------------------------------------------------------
 
 struct ReferenceRib {
@@ -212,7 +215,7 @@ struct RefQueueItem {
 };
 
 ReferenceRib reference_spf(const AsTopology& topo, RouterId src,
-                           const std::vector<bool>* link_down) {
+                           const LinkOverlay& overlay) {
   const std::size_t n = topo.router_count();
   std::vector<std::uint32_t> dist(n, kUnreachable);
   std::vector<std::vector<topo::LinkId>> predecessors(n);
@@ -225,10 +228,10 @@ ReferenceRib reference_spf(const AsTopology& topo, RouterId src,
     pq.pop();
     if (d > dist[u]) continue;
     for (const topo::LinkId lid : topo.links_of(u)) {
-      if (link_down != nullptr && (*link_down)[lid]) continue;
+      if (overlay.is_down(lid)) continue;
       const topo::Link& l = topo.link(lid);
       const RouterId v = l.other(u);
-      const std::uint32_t nd = d + l.igp_cost;
+      const std::uint32_t nd = d + overlay.cost_of(l);
       if (nd < dist[v]) {
         dist[v] = nd;
         predecessors[v].clear();
@@ -272,12 +275,20 @@ ReferenceRib reference_spf(const AsTopology& topo, RouterId src,
   return ReferenceRib{std::move(dist), std::move(nexthops)};
 }
 
-// Asserts exact equality — distances AND next-hop sequences in order.
+std::vector<RouterId> all_routers(const AsTopology& topo) {
+  std::vector<RouterId> all(topo.router_count());
+  for (RouterId r = 0; r < all.size(); ++r) all[r] = r;
+  return all;
+}
+
+// Asserts exact equality on the `egresses` columns — distances AND next-hop
+// sequences in order.
 void expect_matches_reference(const AsTopology& topo, const IgpState& igp,
-                              const std::vector<bool>* link_down) {
+                              const LinkOverlay& overlay,
+                              const std::vector<RouterId>& egresses) {
   for (RouterId s = 0; s < topo.router_count(); ++s) {
-    const ReferenceRib ref = reference_spf(topo, s, link_down);
-    for (RouterId d = 0; d < topo.router_count(); ++d) {
+    const ReferenceRib ref = reference_spf(topo, s, overlay);
+    for (const RouterId d : egresses) {
       const EgressColumn& col = igp.column(d);
       ASSERT_EQ(col.distance(s), ref.dist[d])
           << "dist mismatch src=" << s << " dst=" << d;
@@ -292,10 +303,20 @@ void expect_matches_reference(const AsTopology& topo, const IgpState& igp,
   }
 }
 
-std::vector<RouterId> all_routers(const AsTopology& topo) {
-  std::vector<RouterId> all(topo.router_count());
-  for (RouterId r = 0; r < all.size(); ++r) all[r] = r;
-  return all;
+void expect_matches_reference(const AsTopology& topo, const IgpState& igp,
+                              const LinkOverlay& overlay = {}) {
+  expect_matches_reference(topo, igp, overlay, all_routers(topo));
+}
+
+// Each link goes down independently with probability 1/`one_in`.
+LinkOverlay random_down(const AsTopology& topo, util::Rng& rng,
+                        std::uint64_t one_in) {
+  LinkOverlay overlay;
+  overlay.down.assign(topo.link_count(), false);
+  for (std::size_t l = 0; l < topo.link_count(); ++l) {
+    overlay.down[l] = rng.below(one_in) == 0;
+  }
+  return overlay;
 }
 
 AsTopology random_topology(std::uint64_t seed) {
@@ -317,35 +338,29 @@ class SpfReferenceParity : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SpfReferenceParity, FullTopology) {
   const AsTopology topo = random_topology(GetParam());
-  expect_matches_reference(topo, IgpState::compute(topo), nullptr);
+  expect_matches_reference(topo, IgpState::compute(topo));
 }
 
 TEST_P(SpfReferenceParity, WithDownedLinks) {
   const AsTopology topo = random_topology(GetParam());
   util::Rng rng(GetParam() * 7919 + 1);
-  std::vector<bool> down(topo.link_count(), false);
   // Down ~10% of links: may partition the topology, which the parity check
   // must handle (unreachable destinations on both sides).
-  for (std::size_t l = 0; l < topo.link_count(); ++l) {
-    down[l] = rng.below(10) == 0;
-  }
-  expect_matches_reference(topo, IgpState::compute(topo, &down), &down);
+  const LinkOverlay down = random_down(topo, rng, 10);
+  expect_matches_reference(topo, IgpState::compute(topo, down), down);
 }
 
 TEST_P(SpfReferenceParity, ReconvergeMatchesFullRecompute) {
   const AsTopology topo = random_topology(GetParam());
   const IgpState baseline = IgpState::compute(topo);
   util::Rng rng(GetParam() * 104729 + 3);
-  std::vector<bool> down(topo.link_count(), false);
-  for (std::size_t l = 0; l < topo.link_count(); ++l) {
-    down[l] = rng.below(12) == 0;
-  }
+  const LinkOverlay down = random_down(topo, rng, 12);
   IgpState::ReconvergeStats stats;
   const IgpState inc = IgpState::reconverge(
-      topo, baseline, down, all_routers(topo), nullptr, &stats);
+      topo, baseline, {}, down, all_routers(topo), nullptr, &stats);
   EXPECT_EQ(stats.sources_total, topo.router_count());
   EXPECT_LE(stats.sources_recomputed, stats.sources_total);
-  expect_matches_reference(topo, inc, &down);
+  expect_matches_reference(topo, inc, down);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpfReferenceParity,
@@ -369,7 +384,7 @@ TEST(SpfReferenceParity, UnreachablePartition) {
   link(r[4], r[5], 1);
   link(r[3], r[5], 2);
   const IgpState igp = IgpState::compute(topo);
-  expect_matches_reference(topo, igp, nullptr);
+  expect_matches_reference(topo, igp);
   EXPECT_FALSE(igp.column(r[3]).reachable(r[0]));
   EXPECT_TRUE(igp.column(r[3]).nexthops(r[0]).empty());
 }
@@ -405,14 +420,16 @@ TEST(SpfReferenceParity, RouterWithMoreThanSixtyFourLinks) {
 
   const IgpState igp = IgpState::compute(topo);
   EXPECT_EQ(igp.column(far).nexthops(hub).size(), 80u);
-  expect_matches_reference(topo, igp, nullptr);
+  expect_matches_reference(topo, igp);
 
-  std::vector<bool> down(topo.link_count(), false);
-  down[0] = true;                      // one hub--spoke bundle member
-  down[5] = true;                      // a spoke--far link
-  down[topo.link_count() - 1] = true;  // a ring link
+  LinkOverlay down;
+  down.down.assign(topo.link_count(), false);
+  down.down[0] = true;                      // one hub--spoke bundle member
+  down.down[5] = true;                      // a spoke--far link
+  down.down[topo.link_count() - 1] = true;  // a ring link
   expect_matches_reference(
-      topo, IgpState::reconverge(topo, igp, down, all_routers(topo)), &down);
+      topo, IgpState::reconverge(topo, igp, {}, down, all_routers(topo)),
+      down);
 }
 
 // ---------------------------------------------------------------------------
@@ -420,20 +437,28 @@ TEST(SpfReferenceParity, RouterWithMoreThanSixtyFourLinks) {
 // uses a downed link may be recomputed.
 // ---------------------------------------------------------------------------
 
+// A failure-only transition: no overlay, `links` down.
+LinkOverlay down_links(const AsTopology& topo,
+                       std::initializer_list<topo::LinkId> links) {
+  LinkOverlay overlay;
+  overlay.down.assign(topo.link_count(), false);
+  for (const topo::LinkId l : links) overlay.down[l] = true;
+  return overlay;
+}
+
 TEST(SpfReconverge, UnusedLinkRecomputesNothing) {
   // triangle(): the a--c cost-3 link carries no shortest path from any
   // router (a-b-c costs 2), so downing it must leave every column as a
   // baseline copy.
   const AsTopology topo = triangle();
   const IgpState baseline = IgpState::compute(topo);
-  std::vector<bool> down(topo.link_count(), false);
-  down[2] = true;  // the cost-3 a--c link
+  const LinkOverlay down = down_links(topo, {2});  // the cost-3 a--c link
   IgpState::ReconvergeStats stats;
   const IgpState inc = IgpState::reconverge(
-      topo, baseline, down, all_routers(topo), nullptr, &stats);
+      topo, baseline, {}, down, all_routers(topo), nullptr, &stats);
   EXPECT_EQ(stats.sources_total, 3u);
   EXPECT_EQ(stats.sources_recomputed, 0u);
-  expect_matches_reference(topo, inc, &down);
+  expect_matches_reference(topo, inc, down);
 }
 
 TEST(SpfReconverge, FailureIsolatedToItsComponent) {
@@ -457,30 +482,26 @@ TEST(SpfReconverge, FailureIsolatedToItsComponent) {
   link(r[4], r[5]);
   link(r[3], r[5]);
   const IgpState baseline = IgpState::compute(topo);
-  std::vector<bool> down(topo.link_count(), false);
-  down[0] = true;
+  const LinkOverlay down = down_links(topo, {0});
   IgpState::ReconvergeStats stats;
   const IgpState inc = IgpState::reconverge(
-      topo, baseline, down, all_routers(topo), nullptr, &stats);
+      topo, baseline, {}, down, all_routers(topo), nullptr, &stats);
   EXPECT_EQ(stats.sources_total, 6u);
   EXPECT_EQ(stats.sources_recomputed, 2u);  // r0 and r1 only
-  expect_matches_reference(topo, inc, &down);
+  expect_matches_reference(topo, inc, down);
 }
 
 TEST(SpfReconverge, EgressSubsetEqualsComputeOnThoseColumns) {
   const AsTopology topo = random_topology(16);
   const IgpState baseline = IgpState::compute(topo);
   util::Rng rng(99);
-  std::vector<bool> down(topo.link_count(), false);
-  for (std::size_t l = 0; l < topo.link_count(); ++l) {
-    down[l] = rng.below(8) == 0;
-  }
-  const IgpState full = IgpState::compute(topo, &down);
+  const LinkOverlay down = random_down(topo, rng, 8);
+  const IgpState full = IgpState::compute(topo, down);
   const RouterId last = static_cast<RouterId>(topo.router_count() - 1);
   const std::vector<RouterId> egresses{0, 3, 5, last};
   IgpState::ReconvergeStats stats;
-  const IgpState inc = IgpState::reconverge(topo, baseline, down, egresses,
-                                            nullptr, &stats);
+  const IgpState inc = IgpState::reconverge(topo, baseline, {}, down,
+                                            egresses, nullptr, &stats);
   EXPECT_EQ(stats.sources_total, topo.router_count());
   EXPECT_LE(stats.sources_recomputed, egresses.size());
   for (RouterId e = 0; e < topo.router_count(); ++e) {
@@ -492,34 +513,89 @@ TEST(SpfReconverge, EgressSubsetEqualsComputeOnThoseColumns) {
   }
 }
 
+// One transition that mixes every kind of link-state change: from a cycle
+// overlay (one link down, some metrics overridden) to the next cycle's
+// overlay (other metrics, a second link down) plus snapshot failures, over
+// an egress subset. The held columns equal a full compute under the new
+// overlay and the independent reference; the rest are not held.
+TEST(SpfReconverge, MixedTransitionOverEgressSubset) {
+  const AsTopology topo = random_topology(17);
+  const std::size_t n_links = topo.link_count();
+  LinkOverlay prev;
+  prev.down.assign(n_links, false);
+  prev.cost.assign(n_links, 0);
+  prev.down[1] = true;
+  prev.cost[2] = 7;
+  prev.cost[n_links / 2] = 3;
+  const IgpState baseline = IgpState::compute(topo, prev);
+
+  LinkOverlay now = prev;
+  now.cost[2] = 0;               // metric back to base
+  now.cost[n_links / 2] = 1;     // metric cheapened
+  now.cost[n_links - 3] = 12;    // metric raised
+  now.down[n_links - 1] = true;  // overlay link-down
+  util::Rng rng(4242);           // snapshot failures on top
+  for (std::size_t l = 0; l < n_links; ++l) {
+    if (rng.below(9) == 0) now.down[l] = true;
+  }
+
+  const RouterId last = static_cast<RouterId>(topo.router_count() - 1);
+  const std::vector<RouterId> egresses{1, 2, 7, last};
+  IgpState::ReconvergeStats stats;
+  const IgpState inc = IgpState::reconverge(topo, baseline, prev, now,
+                                            egresses, nullptr, &stats);
+  EXPECT_EQ(stats.sources_total, topo.router_count());
+  EXPECT_LE(stats.sources_recomputed, egresses.size());
+  const IgpState full = IgpState::compute(topo, now);
+  for (const RouterId e : egresses) {
+    EXPECT_EQ(inc.column(e), full.column(e)) << "egress " << e;
+  }
+  expect_matches_reference(topo, inc, now, egresses);
+  EXPECT_THROW(inc.column(0), std::logic_error);
+}
+
+// An empty egress list holds no columns: it never means "every router".
+TEST(SpfReconverge, EmptyEgressListHoldsNoColumns) {
+  const AsTopology topo = random_topology(12);
+  const IgpState baseline = IgpState::compute(topo);
+  const LinkOverlay down = down_links(topo, {0, 1});
+  IgpState::ReconvergeStats stats;
+  const IgpState none = IgpState::reconverge(
+      topo, baseline, {}, down, std::vector<RouterId>{}, nullptr, &stats);
+  EXPECT_EQ(stats.sources_total, topo.router_count());
+  EXPECT_EQ(stats.sources_recomputed, 0u);
+  EXPECT_EQ(none.router_count(), topo.router_count());
+  for (RouterId e = 0; e < topo.router_count(); ++e) {
+    EXPECT_THROW(none.column(e), std::logic_error) << "egress " << e;
+  }
+}
+
 TEST(SpfReconverge, ColumnNotHeldThrows) {
   const AsTopology topo = triangle();
   const IgpState baseline = IgpState::compute(topo);
-  std::vector<bool> down(topo.link_count(), false);
-  down[0] = true;  // a--b
+  const LinkOverlay down = down_links(topo, {0});  // a--b
   const std::vector<RouterId> only_c{2};
-  const IgpState inc = IgpState::reconverge(topo, baseline, down, only_c);
+  const IgpState inc = IgpState::reconverge(topo, baseline, {}, down, only_c);
   EXPECT_EQ(inc.column(2).distance(0), 3u);  // the direct cost-3 link
   // A column the state does not hold is an error, never "unreachable".
   EXPECT_THROW(inc.column(0), std::logic_error);
   EXPECT_THROW(inc.column(1), std::logic_error);
   EXPECT_THROW(inc.path_count(2, 1), std::logic_error);
   EXPECT_THROW(baseline.column(3), std::logic_error);  // no such router
-  const IgpState none = IgpState::reconverge(topo, baseline, down, {});
+  const IgpState none = IgpState::reconverge(topo, baseline, {}, down, {});
   EXPECT_THROW(none.column(2), std::logic_error);
 }
 
 TEST(SpfReconverge, ParallelOutputMatchesSerial) {
   const AsTopology topo = random_topology(14);
   const IgpState baseline = IgpState::compute(topo);
-  std::vector<bool> down(topo.link_count(), false);
-  down[1] = true;
-  down[topo.link_count() - 2] = true;
+  const LinkOverlay down =
+      down_links(topo, {1, static_cast<topo::LinkId>(topo.link_count() - 2)});
   util::ThreadPool pool(4);
   const IgpState serial =
-      IgpState::reconverge(topo, baseline, down, all_routers(topo));
-  const IgpState parallel =
-      IgpState::reconverge(topo, baseline, down, all_routers(topo), &pool);
+      IgpState::reconverge(topo, baseline, {}, down, all_routers(topo));
+  const IgpState parallel = IgpState::reconverge(topo, baseline, {}, down,
+                                                 all_routers(topo), &pool);
   for (RouterId s = 0; s < topo.router_count(); ++s) {
     for (RouterId d = 0; d < topo.router_count(); ++d) {
       ASSERT_EQ(serial.column(d).distance(s), parallel.column(d).distance(s));
@@ -528,8 +604,8 @@ TEST(SpfReconverge, ParallelOutputMatchesSerial) {
       ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
     }
   }
-  EXPECT_TRUE(IgpState::compute(topo, &down, &pool) ==
-              IgpState::compute(topo, &down));
+  EXPECT_TRUE(IgpState::compute(topo, down, &pool) ==
+              IgpState::compute(topo, down));
 }
 
 // ---------------------------------------------------------------------------
