@@ -142,7 +142,7 @@ void BM_IgpReconverge(benchmark::State& state) {
   igp::IgpState::ReconvergeStats stats;
   for (auto _ : state) {
     benchmark::DoNotOptimize(igp::IgpState::reconverge(
-        topo, baseline, {}, down, all, nullptr, &stats));
+        topo, baseline, {}, down, all, &stats));
   }
   state.SetLabel(std::to_string(stats.sources_recomputed) + "/" +
                  std::to_string(stats.sources_total) + " columns recomputed");

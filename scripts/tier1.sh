@@ -113,30 +113,34 @@ if missing:
 print("  layer_sample: " + ", ".join(declared))
 PY
 
-echo "== tier-1: TSan pass over test_parallel + test_obs + test_evolve + test_batch + test_supervision + test_campaign + test_spf ($tsan_build) =="
+echo "== tier-1: TSan pass over test_parallel + test_obs + test_evolve + test_batch + test_supervision + test_campaign + test_spf + test_failures ($tsan_build) =="
 cmake -B "$tsan_build" -S "$repo" -DMUM_TSAN=ON
 # Only these targets — a full TSan tree is slow and adds nothing here.
 # test_obs runs with telemetry sinks installed, so the sharded metric and
 # trace paths get raced for real. test_evolve races the DeltaEvolver's
 # per-AS delta fan-out and the evolved runner at 16 threads. test_batch
-# races the arena-backed shard batches (one arena per monitor, merged in
-# monitor order) at 16 threads, checked against the recorded snapshot and
-# report digests. The
+# races the arena-backed shard batches (one arena and one AsnCache per
+# monitor, annotated inside the monitor fan-out, merged in monitor order by
+# blocks copying into disjoint column ranges) at 16 threads, checked
+# against the recorded snapshot and report digests. The
 # SupervisionRun cases run the campaign loop under io chaos at 1/4/16
 # threads; cycles run one at a time, so what they race is the inner pool
 # fan-outs: the shard source's decode/prefetch pair mapping files through
-# the shared failpoint plan on a worker, and the per-AS evolution,
-# per-monitor probe and classification fan-outs. The kill/resume loop
+# the shared failpoint plan on a worker, and the per-AS evolution and
+# flap, per-monitor probe, shard merge and classification fan-outs. The kill/resume loop
 # among them is left out (a minute of re-runs in Release, no new races).
 # test_campaign's ProbePlan and CampaignRunnerReuse cases race the probe
 # plans, which the runner routes in a per-monitor fan-out of their own
 # before its first snapshot's flaps, the monitor fan-out that then reads
 # them, and a runner reused across 60 cycles on a 4-thread pool. test_spf
-# races the IGP egress-column fan-out (compute and reconverge on a 4-thread
-# pool), whose Dijkstra bucket ring and next-hop scratch are thread_local.
+# races the IGP egress-column fan-out (compute on a 4-thread pool), whose
+# Dijkstra bucket ring and next-hop scratch are thread_local.
+# test_failures' MonthFailures cases race the per-AS flap fan-out
+# (apply_flaps on a 4-thread context: salts, failure reconvergence, RSVP
+# re-signals and label pools per AS) against a serial context.
 cmake --build "$tsan_build" -j --target test_parallel --target test_obs \
   --target test_evolve --target test_batch --target test_supervision \
-  --target test_campaign --target test_spf
+  --target test_campaign --target test_spf --target test_failures
 "$tsan_build/tests/test_parallel"
 "$tsan_build/tests/test_obs"
 "$tsan_build/tests/test_evolve"
@@ -146,6 +150,7 @@ cmake --build "$tsan_build" -j --target test_parallel --target test_obs \
 "$tsan_build/tests/test_campaign" \
   --gtest_filter='ProbePlan.*:CampaignRunnerReuse.*'
 "$tsan_build/tests/test_spf"
+"$tsan_build/tests/test_failures" --gtest_filter='MonthFailures.*'
 
 echo "== tier-1: ASan+UBSan pass over tolerant ingest ($asan_build) =="
 cmake -B "$asan_build" -S "$repo" -DMUM_ASAN=ON

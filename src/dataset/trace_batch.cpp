@@ -1,5 +1,9 @@
 #include "dataset/trace_batch.h"
 
+#include <algorithm>
+
+#include "util/thread_pool.h"
+
 namespace mum::dataset {
 
 namespace {
@@ -104,27 +108,55 @@ void TraceBatch::discard_trace() {
   lse_pool_.truncate(static_cast<std::size_t>(lse_off_.back()));
 }
 
-void TraceBatch::append(const TraceBatch& other) {
-  const std::uint64_t hop_base = hop_addr_.size();
-  const std::uint64_t lse_base = lse_pool_.size();
+void TraceBatch::append(std::span<const TraceBatch> blocks,
+                        util::ThreadPool* pool) {
+  // Where each block lands: its trace, hop and LSE starts in the merged
+  // columns (prefix sums over the blocks before it, after this batch's own).
+  struct Start {
+    std::size_t trace, hop, lse;
+  };
+  std::vector<Start> starts(blocks.size());
+  Start end{trace_count(), hop_count(), lse_count()};
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    starts[b] = end;
+    end.trace += blocks[b].trace_count();
+    end.hop += blocks[b].hop_count();
+    end.lse += blocks[b].lse_count();
+  }
 
-  monitor_.append(other.monitor_.span());
-  src_.append(other.src_.span());
-  dst_.append(other.dst_.span());
-  dst_asn_.append(other.dst_asn_.span());
-  reached_.append(other.reached_.span());
-  hop_addr_.append(other.hop_addr_.span());
-  hop_rtt_.append(other.hop_rtt_.span());
-  hop_asn_.append(other.hop_asn_.span());
-  lse_pool_.append(other.lse_pool_.span());
+  monitor_.grow_uninit(end.trace);
+  src_.grow_uninit(end.trace);
+  dst_.grow_uninit(end.trace);
+  dst_asn_.grow_uninit(end.trace);
+  reached_.grow_uninit(end.trace);
+  hop_off_.grow_uninit(end.trace + 1);
+  hop_addr_.grow_uninit(end.hop);
+  hop_rtt_.grow_uninit(end.hop);
+  hop_asn_.grow_uninit(end.hop);
+  lse_off_.grow_uninit(end.hop + 1);
+  lse_pool_.grow_uninit(end.lse);
 
-  // Offset columns: skip the leading zero, rebase into this batch's pools.
-  std::size_t at = hop_off_.size();
-  hop_off_.append(other.hop_off_.span().subspan(1));
-  for (; at < hop_off_.size(); ++at) hop_off_[at] += hop_base;
-  at = lse_off_.size();
-  lse_off_.append(other.lse_off_.span().subspan(1));
-  for (; at < lse_off_.size(); ++at) lse_off_[at] += lse_base;
+  // Each block fills only its own ranges, so blocks copy in parallel. The
+  // offset columns skip the block's leading zero and shift by its base.
+  util::parallel_for(pool, blocks.size(), [&](std::size_t b) {
+    const TraceBatch& block = blocks[b];
+    const Start at = starts[b];
+    std::ranges::copy(block.monitor_col(), monitor_.begin() + at.trace);
+    std::ranges::copy(block.src_col(), src_.begin() + at.trace);
+    std::ranges::copy(block.dst_col(), dst_.begin() + at.trace);
+    std::ranges::copy(block.dst_asn_col(), dst_asn_.begin() + at.trace);
+    std::ranges::copy(block.reached_col(), reached_.begin() + at.trace);
+    std::ranges::copy(block.hop_addr_col(), hop_addr_.begin() + at.hop);
+    std::ranges::copy(block.hop_rtt_col(), hop_rtt_.begin() + at.hop);
+    std::ranges::copy(block.hop_asn_col(), hop_asn_.begin() + at.hop);
+    std::ranges::copy(block.lse_pool_col(), lse_pool_.begin() + at.lse);
+    std::ranges::transform(block.hop_off_col().subspan(1),
+                           hop_off_.begin() + at.trace + 1,
+                           [&](std::uint64_t off) { return off + at.hop; });
+    std::ranges::transform(block.lse_off_col().subspan(1),
+                           lse_off_.begin() + at.hop + 1,
+                           [&](std::uint64_t off) { return off + at.lse; });
+  });
 }
 
 void TraceBatch::assign_columns(std::span<const std::uint32_t> monitor,

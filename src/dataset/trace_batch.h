@@ -41,6 +41,10 @@
 #include "net/lse.h"
 #include "util/arena.h"
 
+namespace mum::util {
+class ThreadPool;
+}
+
 namespace mum::dataset {
 
 class TraceBatch;
@@ -146,8 +150,12 @@ class TraceBatch {
   void end_trace(bool reached);
   void discard_trace();
 
-  // Column-wise merge: append every trace of `other`, rebasing offsets.
-  void append(const TraceBatch& other);
+  // Column-wise merge: append every trace of `blocks`, in block order. Each
+  // column grows once, to the summed block counts; then every block copies
+  // into its own prefix-sum range with its offsets rebased, in parallel on
+  // `pool` when given (nullable). The result is the same at any thread
+  // count.
+  void append(std::span<const TraceBatch> blocks, util::ThreadPool* pool);
 
   // Bulk load from raw (host-order) columns — the pack ingest path. The
   // offset columns include their leading zero; rtt arrives quantized

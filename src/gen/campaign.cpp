@@ -14,6 +14,9 @@ struct CampaignRunner::MonitorShard {
   util::Arena arena;
   probe::PathSpec path;
   probe::WalkResult walk;
+  // addr -> asn memo, warm for the runner's lifetime (the ip2as table is
+  // fixed).
+  dataset::AsnCache asn_cache;
 };
 
 CampaignRunner::CampaignRunner(const Internet& internet,
@@ -92,8 +95,9 @@ dataset::SnapshotBatch CampaignRunner::snapshot(
 
   // Each monitor probes its plan (Internet::probe_plan: the Ark-style split
   // of the destination list, stable across snapshots so the Persistence
-  // filter compares like with like) into its own shard batch; shards are
-  // merged in monitor order so the snapshot is identical to a serial run.
+  // filter compares like with like) into its own shard batch and annotates
+  // it through its own AsnCache; shards are merged in monitor order so the
+  // snapshot is identical to a serial run.
   //
   // Shard arenas are reset and lent to one TraceBatch each: after the first
   // snapshot every column re-carves the same chunks, so the probe loop's
@@ -118,20 +122,11 @@ dataset::SnapshotBatch CampaignRunner::snapshot(
       probe::observe_walk_into(monitor, shard.path.dst, config.trace, rng,
                                shard.walk, out);
     }
+    ip2as_->annotate(out, shard.asn_cache);
   });
 
-  // Column-wise merge in monitor order into the snapshot's private arena —
-  // one exact reserve, then bulk appends with offset rebasing.
-  std::size_t traces = 0, hops = 0, lses = 0;
-  for (const auto& block : blocks) {
-    traces += block.trace_count();
-    hops += block.hop_count();
-    lses += block.lse_count();
-  }
-  snap.traces.reserve(traces, hops, lses);
-  for (const auto& block : blocks) snap.traces.append(block);
-
-  ip2as_->annotate(snap.traces, asn_cache_);
+  // Column-wise merge in monitor order into the snapshot's private arena.
+  snap.traces.append(blocks, pool_);
 
   // Arena telemetry — observed state only (obs/telemetry.h contract); the
   // soak test asserts the high-water gauge stops climbing after warm-up.
@@ -154,8 +149,8 @@ dataset::SnapshotBatch CampaignRunner::snapshot(
   arena_capacity.max_of(static_cast<std::int64_t>(capacity));
   arena_high_water.max_of(static_cast<std::int64_t>(high_water));
   arena_resets.add(n_monitors);
-  batch_traces.add(traces);
-  batch_hops.add(hops);
+  batch_traces.add(snap.traces.trace_count());
+  batch_hops.add(snap.traces.hop_count());
 
   return snap;
 }

@@ -11,8 +11,8 @@
 // once and generates snapshots with the monitor fleet fanned out over an
 // optional thread pool. Everything it learns is kept for its lifetime: every
 // monitor's probe plan (all routed before the first snapshot's flaps), the
-// IGP egress demand those plans imply, the per-monitor shard arenas and walk
-// scratch, and the addr -> asn memo.
+// IGP egress demand those plans imply, and per monitor its shard arena, walk
+// scratch and addr -> asn memo.
 // A campaign that keeps one runner across its cycles routes every probe once
 // and probes from warm memory. Determinism contract: every monitor draws its
 // observation noise from an RNG stream keyed by (seed, cycle, sub_index,
@@ -62,14 +62,17 @@ class CampaignRunner {
   // internet.instantiate() or a DeltaEvolver; flaps for `sub_index` are
   // applied inside, reconverging only egress_demand() (plus the TE
   // re-signal egresses), so until the next apply_flaps `ctx` serves this
-  // runner's walks only. Each monitor resolves its probe plan against
-  // `ctx`'s data planes, walks and observes into its shard's arena batch
-  // (reset between snapshots, so the steady state allocates nothing in the
-  // probe loop); shards merge column-wise in monitor order and are
-  // ip2as-annotated.
+  // runner's walks only. The body is three fan-outs over the pool, one per
+  // phase: the per-AS flaps (MonthContext::apply_flaps); the per-monitor
+  // probe, where each monitor resolves its probe plan against `ctx`'s data
+  // planes, walks and observes into its shard's arena batch (reset between
+  // snapshots, so the steady state allocates nothing in the probe loop) and
+  // ip2as-annotates that batch through its shard's memo; and the merge,
+  // which copies every shard into its range of the snapshot's columns, in
+  // monitor order.
   //
   // Not safe to call concurrently on one runner: it mutates `ctx` and
-  // reuses the runner's plans, shard arenas and memo.
+  // reuses the runner's plans, shard arenas and memos.
   dataset::SnapshotBatch snapshot(MonthContext& ctx, int cycle,
                                   int sub_index) const;
   // Same, with a per-call config override (daily fleet-size wobble).
@@ -104,8 +107,8 @@ class CampaignRunner {
   // Per-monitor probe state, kept for the runner's lifetime: the monitor's
   // probe plan (see plan_all), the arena its shard TraceBatch carves from
   // (reset per snapshot, so arena high-water stabilizes after the first
-  // one; the soak test gates this via the probe.arena.* gauges) and
-  // path/walk scratch.
+  // one; the soak test gates this via the probe.arena.* gauges), path/walk
+  // scratch and the addr -> asn memo that annotates the shard.
   struct MonitorShard;
 
   const Internet* internet_;
@@ -121,9 +124,6 @@ class CampaignRunner {
   mutable bool planned_ = false;
   // The snapshot's data plane per modelled AS, by ModeledAs::index.
   mutable std::vector<const probe::AsDataPlane*> planes_;
-  // addr -> asn memo for annotation, warm for the runner's lifetime (the
-  // ip2as table is fixed).
-  mutable dataset::AsnCache asn_cache_;
 };
 
 }  // namespace mum::gen

@@ -85,7 +85,7 @@ void DeltaEvolver::step_to(int cycle, int day_of_month) {
         igp::IgpState::ReconvergeStats rs;
         igp::IgpState next = igp::IgpState::reconverge(
             as.topo, planes->cycle_igp(as), planes->overlay, overlay, all,
-            pool_, &rs);
+            &rs);
         planes->igp_cycle = std::move(next);
         st.spf_sources_total += rs.sources_total;
         st.spf_sources_recomputed += rs.sources_recomputed;

@@ -131,7 +131,14 @@ void MonthContext::apply_flaps(int sub_index, double flap_prob,
       obs::registry().counter("igp.reconverge_sources_skipped");
   static obs::Counter& reconverges =
       obs::registry().counter("igp.reconverges");
-  for (auto& [asn, planes] : planes_) {
+  // Per-AS flaps are independent: each task writes only its own AS's
+  // salts, IGP failure state, RSVP hops and label pools, so the ASes fan
+  // out over the pool (the reconvergence inside runs serially).
+  std::vector<std::pair<std::uint32_t, AsPlanes*>> ases;
+  ases.reserve(planes_.size());
+  for (auto& [asn, planes] : planes_) ases.emplace_back(asn, planes.get());
+  util::parallel_for(pool_, ases.size(), [&](std::size_t i) {
+    const auto [asn, planes] = ases[i];
     const ModeledAs* as = internet_->modeled(asn);
 
     // --- ECMP hash-salt flaps (cheap per-router churn) -------------------
@@ -201,7 +208,7 @@ void MonthContext::apply_flaps(int sub_index, double flap_prob,
       igp::IgpState::ReconvergeStats rs;
       planes->igp_now =
           igp::IgpState::reconverge(as->topo, cycle_base, planes->overlay,
-                                    now, egresses, pool_, &rs);
+                                    now, egresses, &rs);
       reconverges.inc();
       recomputed.add(rs.sources_recomputed);
       skipped.add(rs.sources_total - rs.sources_recomputed);
@@ -224,7 +231,7 @@ void MonthContext::apply_flaps(int sub_index, double flap_prob,
       planes->igp_now.reset();
       planes->plane.igp = &cycle_base;
     }
-  }
+  });
 }
 
 void MonthContext::advance_dynamics() {

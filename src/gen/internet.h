@@ -183,7 +183,11 @@ class MonthContext {
   // reconverges to it from the cycle state. The failure state holds only
   // the `demand` columns (empty demand = every router of every AS), plus
   // the egress of every TE LSP it re-signals; walking toward any other
-  // egress throws until the next apply_flaps.
+  // egress throws until the next apply_flaps. One fan-out over the
+  // context's pool, one task per AS: a task writes only its own AS's
+  // salts, failure IGP state, RSVP hops and label pools, and runs that
+  // AS's reconvergence serially. The result is the same at any thread
+  // count.
   void apply_flaps(int sub_index, double flap_prob,
                    const EgressDemand& demand = {});
 
@@ -209,7 +213,7 @@ class MonthContext {
   std::uint64_t month_seed_ = 0;
   std::map<std::uint32_t, std::unique_ptr<AsPlanes>> planes_;
   const Internet* internet_ = nullptr;
-  // Pool for per-column SPF parallelism inside reconvergence (nullable).
+  // Pool for the per-AS apply_flaps fan-out (nullable).
   util::ThreadPool* pool_ = nullptr;
 };
 
@@ -236,8 +240,8 @@ class Internet {
   dataset::Ip2As build_ip2as() const;
 
   // Materialize control planes for (cycle, day-of-month). `pool`, when
-  // given, parallelizes the IGP reconvergence SPFs triggered by link
-  // failures (output identical at any thread count).
+  // given, fans out the per-AS builds here and the per-AS flaps of every
+  // later apply_flaps (output identical at any thread count).
   MonthContext instantiate(int cycle, int day_of_month = 1,
                            util::ThreadPool* pool = nullptr) const;
 

@@ -176,7 +176,6 @@ IgpState IgpState::reconverge(const topo::AsTopology& topo,
                               const LinkOverlay& prev_overlay,
                               const LinkOverlay& now_overlay,
                               std::span<const topo::RouterId> egresses,
-                              util::ThreadPool* pool,
                               ReconvergeStats* stats) {
   const obs::StageSpan span(obs::Stage::kSpf);
   static obs::Histogram& duration =
@@ -239,14 +238,14 @@ IgpState IgpState::reconverge(const topo::AsTopology& topo,
                                      ? make_overlay_csr(topo, now_overlay)
                                      : topo::CsrAdjacency{};
   const std::vector<bool>* down = down_mask(now_overlay);
-  util::parallel_for(pool, egresses.size(), [&](std::size_t i) {
+  for (std::size_t i = 0; i < egresses.size(); ++i) {
     const topo::RouterId e = egresses[i];
     if (rerun[i]) {
       solve_column(csr, e, down, out.columns_[e]);
     } else {
       out.columns_[e] = prev.columns_[e];
     }
-  });
+  }
   return out;
 }
 

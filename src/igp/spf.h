@@ -12,12 +12,12 @@
 // egress: the distance from e is the distance to e. A sweep over each
 // router's outgoing arcs then keeps every arc that is up and tight
 // (dist[to] + cost == dist[u]), in ascending link-id order. Columns are
-// independent, so the work spreads over a thread pool with byte-identical
-// output at any thread count. Link state (failures, metric overrides) is a
-// LinkOverlay; one `reconverge` moves a state from one overlay to another,
-// whether the change is a cycle's churn or a snapshot's failures. A state
-// may hold only some columns (see `reconverge`); reading one it does not
-// hold throws.
+// independent, so `compute` spreads them over a thread pool with
+// byte-identical output at any thread count. Link state (failures, metric
+// overrides) is a LinkOverlay; one `reconverge` moves a state from one
+// overlay to another, whether the change is a cycle's churn or a snapshot's
+// failures. A state may hold only some columns (see `reconverge`); reading
+// one it does not hold throws.
 #pragma once
 
 #include <cstdint>
@@ -126,12 +126,12 @@ class IgpState {
   // router at <= its previous distance (a shorter path or a new ECMP tie);
   // every other column is copied from `prev`. A failure-only transition
   // (`now_overlay` = `prev_overlay` plus down links) reduces to case (a).
+  // Serial: its callers run it once per AS inside a per-AS fan-out.
   static IgpState reconverge(const topo::AsTopology& topo,
                              const IgpState& prev,
                              const LinkOverlay& prev_overlay,
                              const LinkOverlay& now_overlay,
                              std::span<const topo::RouterId> egresses,
-                             util::ThreadPool* pool = nullptr,
                              ReconvergeStats* stats = nullptr);
 
   // The column toward `egress`. Throws std::logic_error when this state

@@ -7,8 +7,11 @@
 // work buried inside generation). The accumulator pointer is thread_local
 // and set only on the campaign loop's thread, so at threads > 1 a span
 // opened on a pool worker inside an inner fan-out (the per-AS SPF of a
-// delta step) reaches the registry histogram and the trace but not the
-// cycle's StageTimings.
+// delta step, and of a snapshot's failure flaps) reaches the registry
+// histogram and the trace but not the cycle's StageTimings. The manifest's
+// `spf` stage then counts only the loop thread's share of SPF; take
+// per-stage splits from --threads 1 runs. The `igp.reconverge_ns` and
+// `igp.compute_ns` histograms stay all-thread totals.
 //
 // Stages may overlap: SPF reconvergence runs *inside* generation, so
 // spf <= generate and the stage array does not sum to the cycle duration.

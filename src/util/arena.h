@@ -177,6 +177,14 @@ class ArenaVector {
     size_ += src.size();
   }
 
+  // Grow to `n` elements (n >= size()) without writing the new ones, to a
+  // capacity of exactly `n` when it must grow: the caller fills them, e.g.
+  // several threads each memcpy-ing a disjoint range (the parallel merge).
+  void grow_uninit(std::size_t n) {
+    reserve(n);
+    size_ = n;
+  }
+
   T& operator[](std::size_t i) noexcept { return data_[i]; }
   const T& operator[](std::size_t i) const noexcept { return data_[i]; }
   T& back() noexcept { return data_[size_ - 1]; }

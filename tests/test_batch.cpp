@@ -30,6 +30,7 @@
 #include "run/checkpoint.h"
 #include "run/runner.h"
 #include "util/arena.h"
+#include "util/thread_pool.h"
 
 namespace mum {
 namespace {
@@ -237,29 +238,57 @@ TEST(AsnCache, AgreesWithTrieAcrossGrowthAndReuse) {
 }
 
 TEST(TraceBatch, ColumnMergeRebasesOffsets) {
-  const dataset::TraceBatch reference = reference_batch();
-  ASSERT_GT(reference.trace_count(), 100u);
-  const std::size_t half = reference.trace_count() / 2;
+  const std::size_t third = reference_batch().trace_count() / 3;
+  ASSERT_GT(third, 30u);
 
-  // The same stream split across two arena-borrowing batches.
+  // The reference stream in three parts: the first already in the
+  // destination (so rebasing starts from a non-zero base), the others in
+  // arena-borrowing blocks, with an empty block first, an empty block in
+  // the middle and a label-free hand-written block before the last part.
   util::Arena arena_a, arena_b;
-  dataset::TraceBatch a(arena_a), b(arena_b);
+  std::vector<dataset::TraceBatch> blocks;
+  blocks.reserve(5);
+  blocks.emplace_back();
+  blocks.emplace_back(arena_a);
+  blocks.emplace_back();
+  blocks.emplace_back();
+  blocks.emplace_back(arena_b);
+  const std::vector<testing::Hop> hops{testing::plain(0x0B000001),
+                                       testing::anonymous(),
+                                       testing::plain(0x0B000002)};
+  const auto add_plain = [&](dataset::TraceBatch& out) {
+    testing::add_trace(out, {7, 0x0B000009, 0x0B000002, true}, hops);
+    testing::add_trace(out, {7, 0x0B000009, 0x0B000003, false}, hops);
+  };
+  add_plain(blocks[3]);
+
+  dataset::TraceBatch serial, parallel, expected, rest;
   const dataset::Ip2As ip2as =
       observe_fixture([&](std::size_t i) -> dataset::TraceBatch& {
-        return i < half ? a : b;
+        return i < third ? serial : i < 2 * third ? blocks[1] : blocks[4];
       });
-  ip2as.annotate(a);
-  ip2as.annotate(b);
-  ASSERT_GT(a.lse_count(), 0u);
-  ASSERT_GT(b.lse_count(), 0u);
+  observe_fixture([&](std::size_t i) -> dataset::TraceBatch& {
+    return i < third ? parallel : rest;
+  });
+  observe_fixture([&](std::size_t i) -> dataset::TraceBatch& {
+    if (i == 2 * third) add_plain(expected);
+    return expected;
+  });
+  for (dataset::TraceBatch* batch : {&serial, &parallel, &expected}) {
+    ip2as.annotate(*batch);
+  }
+  for (dataset::TraceBatch& block : blocks) ip2as.annotate(block);
+  ASSERT_GT(serial.lse_count(), 0u);
+  ASSERT_GT(blocks[1].lse_count(), 0u);
+  ASSERT_GT(blocks[4].lse_count(), 0u);
+  ASSERT_GT(blocks[3].hop_count(), 0u);
+  ASSERT_EQ(blocks[3].lse_count(), 0u);
 
-  dataset::TraceBatch merged;
-  merged.reserve(a.trace_count() + b.trace_count(),
-                 a.hop_count() + b.hop_count(),
-                 a.lse_count() + b.lse_count());
-  merged.append(a);
-  merged.append(b);
-  expect_batches_equal(merged, reference);
+  serial.append(blocks, nullptr);
+  util::ThreadPool pool(4);
+  parallel.append(blocks, &pool);
+  expect_batches_equal(serial, expected);
+  expect_batches_equal(parallel, serial);
 }
 
 TEST(TraceBatch, DiscardDropsOnlyTheOpenTrace) {

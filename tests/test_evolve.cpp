@@ -192,7 +192,7 @@ TEST(ReconvergeDelta, MatchesFullRecomputeAcrossOverlayTransitions) {
           step == 4 ? igp::LinkOverlay{} : random_overlay(topo, rng);
       igp::IgpState::ReconvergeStats stats;
       const igp::IgpState delta = igp::IgpState::reconverge(
-          topo, state, prev, now, all_routers(topo), nullptr, &stats);
+          topo, state, prev, now, all_routers(topo), &stats);
       const igp::IgpState full = igp::IgpState::compute(topo, now);
       ASSERT_TRUE(delta == full) << "seed=" << seed << " step=" << step;
       EXPECT_EQ(stats.sources_total, topo.router_count());
@@ -210,7 +210,7 @@ TEST(ReconvergeDelta, IdenticalOverlayRecomputesNothing) {
   const igp::IgpState base = igp::IgpState::compute(topo, overlay);
   igp::IgpState::ReconvergeStats stats;
   const igp::IgpState same = igp::IgpState::reconverge(
-      topo, base, overlay, overlay, all_routers(topo), nullptr, &stats);
+      topo, base, overlay, overlay, all_routers(topo), &stats);
   EXPECT_TRUE(same == base);
   EXPECT_EQ(stats.sources_recomputed, 0u);
 }

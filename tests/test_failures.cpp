@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "mpls/rsvp.h"
 #include "probe/forwarder.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace mum {
 namespace {
@@ -302,6 +304,57 @@ TEST(MonthFailures, RunnerDemandCoversReSignalledEgresses) {
   EXPECT_EQ(dataset::serialize_snapshot(runner.snapshot(fresh, kCycle, sub)),
             dataset::serialize_snapshot(
                 runner.snapshot(with_all, kCycle, sub)));
+}
+
+// apply_flaps fans out one task per AS over the context's pool. Each task
+// writes only its own AS's state, so a 4-thread context must end every
+// failure snapshot exactly where a serial one does: the same RSVP hops,
+// labels and re-signal counts, the same ECMP salts, the same demanded IGP
+// columns, and the same snapshot bytes through a pooled runner.
+TEST(MonthFailures, FanOutMatchesSerial) {
+  gen::GenConfig config = small_config();
+  config.as_maintenance_prob = 1.0;
+  config.link_fail_prob = 0.3;
+  const gen::Internet internet(config);
+  const dataset::Ip2As ip2as = internet.build_ip2as();
+  util::ThreadPool pool4(4);
+  const gen::CampaignRunner serial_runner(internet, ip2as);
+  const gen::CampaignRunner pooled_runner(internet, ip2as, {}, &pool4);
+  constexpr int kCycle = 50;
+  const double flap = config.ecmp_flap_prob;
+
+  for (const bool all_routers : {false, true}) {
+    const gen::EgressDemand demand =
+        all_routers ? gen::EgressDemand{} : serial_runner.egress_demand();
+    for (int sub = 0; sub <= 2; ++sub) {
+      SCOPED_TRACE("all_routers=" + std::to_string(all_routers) +
+                   " sub=" + std::to_string(sub));
+      gen::MonthContext fanned = internet.instantiate(kCycle, 1, &pool4);
+      gen::MonthContext serial = internet.instantiate(kCycle);
+      fanned.apply_flaps(sub, flap, demand);
+      serial.apply_flaps(sub, flap, demand);
+      EXPECT_EQ(rsvp_state(internet, fanned), rsvp_state(internet, serial));
+      for (const std::uint32_t asn : internet.modeled_asns()) {
+        const gen::ModeledAs& as = *internet.modeled(asn);
+        const probe::AsDataPlane& a = *fanned.plane_of(asn);
+        const probe::AsDataPlane& b = *serial.plane_of(asn);
+        EXPECT_EQ(a.ecmp_salts, b.ecmp_salts) << "AS" << asn;
+        for (topo::RouterId e = 0; e < as.topo.router_count(); ++e) {
+          if (!all_routers &&
+              !std::binary_search(demand[as.index].begin(),
+                                  demand[as.index].end(), e)) {
+            continue;
+          }
+          EXPECT_TRUE(a.igp->column(e) == b.igp->column(e))
+              << "AS" << asn << " egress " << e;
+        }
+      }
+      EXPECT_EQ(dataset::serialize_snapshot(
+                    pooled_runner.snapshot(fanned, kCycle, sub)),
+                dataset::serialize_snapshot(
+                    serial_runner.snapshot(serial, kCycle, sub)));
+    }
+  }
 }
 
 TEST(MonthFailures, CampaignSurvivesHeavyFailures) {
