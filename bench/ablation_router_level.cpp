@@ -24,14 +24,9 @@ int main() {
             << cycle + 1 << "\n\n";
 
   const auto month = study.month_data(cycle);
-  const auto extracted = lpr::extract_lsps(month.cycle(), study.ip2as());
-  std::vector<lpr::ExtractedSnapshot> following;
-  for (std::size_t i = 1; i < month.snapshots.size(); ++i) {
-    following.push_back(lpr::extract_lsps(month.snapshots[i],
-                                          study.ip2as()));
-  }
-  const auto filtered =
-      lpr::apply_filters(extracted, following, lpr::FilterConfig{});
+  lpr::ExtractedMonth extracted = lpr::extract_month(month, study.ip2as());
+  const auto filtered = lpr::apply_filters(
+      std::move(extracted.cycle), extracted.following, lpr::FilterConfig{});
 
   // Passive alias inference (label rule + /31 alignment rule).
   const lpr::LabelAliasResolver resolver(filtered.observations,

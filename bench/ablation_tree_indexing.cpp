@@ -25,14 +25,9 @@ int main() {
 
   // Run the filter half of the pipeline once; group both ways.
   const auto month = study.month_data(cycle);
-  const auto extracted = lpr::extract_lsps(month.cycle(), study.ip2as());
-  std::vector<lpr::ExtractedSnapshot> following;
-  for (std::size_t i = 1; i < month.snapshots.size(); ++i) {
-    following.push_back(lpr::extract_lsps(month.snapshots[i],
-                                          study.ip2as()));
-  }
-  const auto filtered =
-      lpr::apply_filters(extracted, following, lpr::FilterConfig{});
+  lpr::ExtractedMonth extracted = lpr::extract_month(month, study.ip2as());
+  const auto filtered = lpr::apply_filters(
+      std::move(extracted.cycle), extracted.following, lpr::FilterConfig{});
 
   auto iotps = lpr::group_iotps(filtered.observations);
   const auto iotp_counts = lpr::classify_all(iotps);

@@ -30,15 +30,15 @@ int main() {
       gen::CampaignRunner(study.internet(), study.ip2as(), config.campaign)
           .daily_month(december_2014, kDays);
 
-  // Extract once; sweep filter configurations over the fixed data.
-  std::vector<lpr::ExtractedSnapshot> extracted;
-  extracted.reserve(snapshots.size());
-  for (const auto& snap : snapshots) {
-    extracted.push_back(lpr::extract_lsps(snap, study.ip2as()));
+  // Extract once; sweep filter configurations over the fixed data (each
+  // run_pipeline call consumes a copy of the cycle snapshot).
+  const lpr::ExtractedSnapshot cycle =
+      lpr::extract_lsps(snapshots.front(), study.ip2as());
+  std::vector<lpr::PersistenceSet> following;
+  following.reserve(snapshots.size() - 1);
+  for (std::size_t i = 1; i < snapshots.size(); ++i) {
+    following.push_back(lpr::persistence_set(snapshots[i]));
   }
-  const lpr::ExtractedSnapshot& cycle = extracted.front();
-  const std::vector<lpr::ExtractedSnapshot> following(extracted.begin() + 1,
-                                                      extracted.end());
 
   util::TextTable table({"j", "LSPs kept", "IOTPs", "Mono-LSP", "Multi-FEC",
                          "Mono-FEC", "Unclass."});

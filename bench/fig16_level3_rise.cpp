@@ -41,7 +41,7 @@ int main() {
 
   for (int day = 1; day <= kDays; ++day) {
     const auto& snap = days[static_cast<std::size_t>(day - 1)];
-    const auto extracted = lpr::extract_lsps(snap, study.ip2as());
+    auto extracted = lpr::extract_lsps(snap, study.ip2as());
 
     // "Before filtering": complete Level3 LSP observations and their IOTPs.
     std::uint64_t lsps_before = 0;
@@ -55,7 +55,7 @@ int main() {
 
     // "After filtering": run the (persistence-less) pipeline, then count.
     const lpr::CycleReport report =
-        lpr::run_pipeline(extracted, {}, pipeline);
+        lpr::run_pipeline(std::move(extracted), {}, pipeline);
     std::uint64_t lsps_after = 0;
     std::uint64_t iotps_after = 0;
     for (const auto& rec : report.iotps) {

@@ -207,24 +207,61 @@ void BM_FullPipelineMonth(benchmark::State& state) {
 }
 BENCHMARK(BM_FullPipelineMonth)->Unit(benchmark::kMillisecond);
 
+// One annotated cycle snapshot (~4.8k traces) of a small synthetic
+// internet, shared by the extraction benches.
+struct ExtractFixture {
+  ExtractFixture() : internet(config()), ip2as(internet.build_ip2as()) {
+    auto ctx = internet.instantiate(50);
+    snap = gen::CampaignRunner(internet, ip2as).snapshot(ctx, 50, 0);
+  }
+  static gen::GenConfig config() {
+    gen::GenConfig config;
+    config.background_transit = 6;
+    config.stub_ases = 10;
+    config.monitors = 8;
+    config.dests_per_monitor = 600;
+    return config;
+  }
+  gen::Internet internet;
+  dataset::Ip2As ip2as;
+  dataset::SnapshotBatch snap;
+};
+
+const ExtractFixture& extract_fixture() {
+  static const ExtractFixture fixture;
+  return fixture;
+}
+
+// Full extraction of the cycle snapshot: trace chunks + census partitions,
+// on a pool of arg threads (1 = serial).
 void BM_ExtractLsps(benchmark::State& state) {
-  gen::GenConfig config;
-  config.background_transit = 6;
-  config.stub_ases = 10;
-  config.monitors = 4;
-  config.dests_per_monitor = 120;
-  const gen::Internet internet(config);
-  const auto ip2as = internet.build_ip2as();
-  auto ctx = internet.instantiate(50);
-  const auto snap =
-      gen::CampaignRunner(internet, ip2as).snapshot(ctx, 50, 0);
+  const ExtractFixture& f = extract_fixture();
+  const unsigned threads = static_cast<unsigned>(state.range(0));
+  util::ThreadPool pool(threads);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lpr::extract_lsps(snap, ip2as));
+    benchmark::DoNotOptimize(
+        lpr::extract_lsps(f.snap, f.ip2as, threads > 1 ? &pool : nullptr));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(snap.trace_count()));
+                          static_cast<std::int64_t>(f.snap.trace_count()));
 }
-BENCHMARK(BM_ExtractLsps)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ExtractLsps)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// What Persistence reads from a following snapshot: run hashes only, no
+// Lsp and no census.
+void BM_PersistenceSet(benchmark::State& state) {
+  const ExtractFixture& f = extract_fixture();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lpr::persistence_set(f.snap));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(f.snap.trace_count()));
+}
+BENCHMARK(BM_PersistenceSet)->Unit(benchmark::kMillisecond);
 
 // Thread scaling of the parallel execution layer: one paper-sized month
 // generated + classified at 1/2/4/8 threads. Output is bit-identical across

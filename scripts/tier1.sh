@@ -113,7 +113,7 @@ if missing:
 print("  layer_sample: " + ", ".join(declared))
 PY
 
-echo "== tier-1: TSan pass over test_parallel + test_obs + test_evolve + test_batch + test_supervision + test_campaign + test_spf + test_failures ($tsan_build) =="
+echo "== tier-1: TSan pass over test_parallel + test_obs + test_evolve + test_batch + test_supervision + test_campaign + test_spf + test_failures + test_extract ($tsan_build) =="
 cmake -B "$tsan_build" -S "$repo" -DMUM_TSAN=ON
 # Only these targets — a full TSan tree is slow and adds nothing here.
 # test_obs runs with telemetry sinks installed, so the sharded metric and
@@ -138,9 +138,13 @@ cmake -B "$tsan_build" -S "$repo" -DMUM_TSAN=ON
 # test_failures' MonthFailures cases race the per-AS flap fan-out
 # (apply_flaps on a 4-thread context: salts, failure reconvergence, RSVP
 # re-signals and label pools per AS) against a serial context.
+# test_extract's ExtractChunks cases race the month's extraction fan-out
+# (trace chunks, census partitions and persistence sets on a 4-thread
+# pool, each task writing only its own slot) against the serial run.
 cmake --build "$tsan_build" -j --target test_parallel --target test_obs \
   --target test_evolve --target test_batch --target test_supervision \
-  --target test_campaign --target test_spf --target test_failures
+  --target test_campaign --target test_spf --target test_failures \
+  --target test_extract
 "$tsan_build/tests/test_parallel"
 "$tsan_build/tests/test_obs"
 "$tsan_build/tests/test_evolve"
@@ -151,6 +155,7 @@ cmake --build "$tsan_build" -j --target test_parallel --target test_obs \
   --gtest_filter='ProbePlan.*:CampaignRunnerReuse.*'
 "$tsan_build/tests/test_spf"
 "$tsan_build/tests/test_failures" --gtest_filter='MonthFailures.*'
+"$tsan_build/tests/test_extract" --gtest_filter='ExtractChunks.*'
 
 echo "== tier-1: ASan+UBSan pass over tolerant ingest ($asan_build) =="
 cmake -B "$asan_build" -S "$repo" -DMUM_ASAN=ON

@@ -13,6 +13,10 @@
 //
 // A run is *incomplete* — and dropped, counted — when the run or either
 // endpoint hop is anonymous, or when the run touches the ends of the trace.
+//
+// One run scanner (extract.cpp) implements these rules for both consumers:
+// extract_lsps, which builds the cycle snapshot's observations, and
+// persistence_set, which only hashes the runs of a following snapshot.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +26,10 @@
 #include "core/model.h"
 #include "dataset/ip2as.h"
 #include "dataset/trace_batch.h"
+
+namespace mum::util {
+class ThreadPool;
+}
 
 namespace mum::lpr {
 
@@ -61,10 +69,14 @@ struct ExtractStats {
   std::uint64_t mpls_ips = 0;
   std::uint64_t non_mpls_ips = 0;
 
-  // Deterministic accumulation across workers / snapshots: every counter is
-  // summed. Note the ip counters are unique *within* each operand only —
-  // merged totals over shards that may share addresses are upper bounds.
+  // Deterministic accumulation: every counter is summed. The ip counters
+  // are unique within each operand only, so summing operands that share
+  // addresses (the snapshots of a month) overstates them. extract_lsps does
+  // not merge a census this way: its trace chunks carry no ip counts, and
+  // the disjoint address partitions add up to the exact census.
   ExtractStats& merge(const ExtractStats& other) noexcept;
+
+  friend bool operator==(const ExtractStats&, const ExtractStats&) = default;
 };
 
 struct ExtractedSnapshot {
@@ -75,12 +87,50 @@ struct ExtractedSnapshot {
   ExtractStats stats;
 };
 
+// Extraction splits a snapshot's traces into kExtractChunks contiguous
+// ranges (fixed, so the split never depends on the thread count; the
+// ranges concatenate in trace order) and its address census into
+// kCensusParts disjoint address partitions, each counted exactly by its
+// own AddrSet pair.
+inline constexpr std::size_t kExtractChunks = 16;
+inline constexpr std::size_t kCensusParts = 4;
+
 // Extract all complete explicit LSPs from an annotated snapshot, reading
-// the batch columns through TraceView/HopView. Traces must have been
-// annotated with Ip2As first (hop ASNs are consumed here); the `ip2as`
-// reference is used for endpoint resolution of unmapped destinations.
+// the batch columns. Traces must have been annotated with Ip2As first (hop
+// ASNs are consumed here); the `ip2as` reference is used for endpoint
+// resolution of unmapped destinations. With a pool, the trace chunks and
+// census partitions run as one fan-out; the result is identical to the
+// serial run, observation for observation and counter for counter.
 ExtractedSnapshot extract_lsps(const dataset::SnapshotBatch& snapshot,
-                               const dataset::Ip2As& ip2as);
+                               const dataset::Ip2As& ip2as,
+                               util::ThreadPool* pool = nullptr);
+
+// What Persistence needs from a following snapshot: the sorted, unique
+// content hashes (Lsp::content_hash) of its complete LSPs. Collisions are
+// astronomically unlikely at our scales.
+using PersistenceSet = std::vector<std::uint64_t>;
+
+// Straight from the hop columns, through the same run scanner and hash
+// routine as extract_lsps, without building an Lsp or a census: equal to
+// persistence_set(extract_lsps(snapshot, ...)).
+PersistenceSet persistence_set(const dataset::SnapshotBatch& snapshot);
+// From already-extracted observations (hand-built lab inputs).
+PersistenceSet persistence_set(const ExtractedSnapshot& snapshot);
+
+// A month ready for the filters: the extracted cycle snapshot plus one
+// PersistenceSet per following snapshot, in order.
+struct ExtractedMonth {
+  ExtractedSnapshot cycle;
+  std::vector<PersistenceSet> following;
+};
+
+// The month's whole extraction as one pool job: every following snapshot's
+// persistence_set, the cycle snapshot's census partitions and its trace
+// chunks are the indices of a single parallel_for (a nested loop would run
+// inline on its worker). Identical to the serial run at any thread count.
+ExtractedMonth extract_month(const dataset::MonthData& month,
+                             const dataset::Ip2As& ip2as,
+                             util::ThreadPool* pool = nullptr);
 
 // Per-AS unique-address census over one snapshot (Table 2 rows): for each
 // ASN, how many distinct responding addresses were seen inside labeled runs

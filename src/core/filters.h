@@ -10,12 +10,17 @@
 // Plus the "dynamic AS" rule: when Persistence would wipe out (nearly) all
 // LSPs of an AS, the whole set is reinjected and the AS is tagged dynamic —
 // frequent label churn is itself a TE signal (Sec. 4.5), not noise.
+//
+// Persistence reads a following snapshot only as its PersistenceSet
+// (extract.h): the sorted content hashes of its complete LSPs. The sets of
+// X+1 ... X+j are merged into one sorted vector, and each surviving LSP is
+// hashed once and looked up there. The filters track survivors as indices
+// into the cycle snapshot and move only the final survivors out.
 #pragma once
 
 #include <cstdint>
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/extract.h"
@@ -49,28 +54,26 @@ struct FilterStats {
 struct FilteredCycle {
   std::uint32_t cycle_id = 0;
   std::string date;
+  // Survivors, moved out of the cycle snapshot in its order.
   std::vector<LspObservation> observations;
-  std::unordered_set<std::uint32_t> dynamic_asns;  // tagged by reinjection
+  std::vector<std::uint32_t> dynamic_asns;  // tagged by reinjection; sorted
   FilterStats stats;
 };
 
-// Content-hash set of the LSPs present in a snapshot (what Persistence
-// compares against). Collisions are astronomically unlikely at our scales.
-std::unordered_set<std::uint64_t> lsp_content_set(
-    const ExtractedSnapshot& snapshot);
-
-// Apply the full filter pipeline to the cycle snapshot of a month.
-// `following` are the extracted snapshots X+1 ... X+j of the same month (any
-// extra entries beyond persistence_j are ignored; fewer entries simply relax
-// nothing — an LSP must appear in at least one of them, so an empty list with
-// persistence enabled erases everything and triggers reinjection per AS).
-FilteredCycle apply_filters(const ExtractedSnapshot& cycle,
-                            const std::vector<ExtractedSnapshot>& following,
+// Apply the full filter pipeline to the cycle snapshot of a month (taken by
+// value: survivors move into the result, so callers that reuse a snapshot
+// pass a copy). `following` holds the persistence sets of snapshots
+// X+1 ... X+j of the same month (extract.h); entries beyond persistence_j
+// are ignored, and fewer entries simply relax nothing — an LSP must appear
+// in at least one of them, so an empty list with persistence enabled
+// erases everything and triggers reinjection per AS.
+FilteredCycle apply_filters(ExtractedSnapshot cycle,
+                            std::span<const PersistenceSet> following,
                             const FilterConfig& config);
 
-// Group filtered observations into IOTPs (variants deduplicated, destination
-// ASes accumulated). Classification runs on this.
-std::vector<IotpRecord> group_iotps(
-    const std::vector<LspObservation>& observations);
+// Group filtered observations into IOTPs (variants deduplicated in order of
+// first appearance and moved in, destination ASes accumulated), ordered by
+// IotpKey. Classification runs on this.
+std::vector<IotpRecord> group_iotps(std::vector<LspObservation> observations);
 
 }  // namespace mum::lpr

@@ -5,16 +5,13 @@
 namespace mum::lpr {
 
 std::uint64_t Lsp::content_hash() const {
-  std::uint64_t h = util::hash_combine(asn, ingress.value());
-  h = util::hash_combine(h, egress.value());
+  LspHasher h(asn, ingress.value(), egress.value());
   for (const LsrHop& hop : lsrs) {
-    h = util::hash_combine(h, hop.addr.value());
-    for (const std::uint32_t label : hop.labels) {
-      h = util::hash_combine(h, label);
-    }
-    h = util::hash_combine(h, 0xfeedULL);  // hop delimiter
+    h.hop_addr(hop.addr.value());
+    for (const std::uint32_t label : hop.labels) h.label(label);
+    h.end_hop();
   }
-  return h;
+  return h.value();
 }
 
 std::string Lsp::to_string() const {
@@ -31,11 +28,6 @@ std::string Lsp::to_string() const {
   }
   out += "] -> " + egress.to_string();
   return out;
-}
-
-std::size_t IotpKeyHash::operator()(const IotpKey& k) const noexcept {
-  return static_cast<std::size_t>(util::hash_combine(
-      util::hash_combine(k.asn, k.ingress.value()), k.egress.value()));
 }
 
 const char* to_cstring(TunnelClass c) noexcept {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "net/ipv4.h"
+#include "util/rng.h"
 
 namespace mum::lpr {
 
@@ -27,6 +28,23 @@ struct LsrHop {
 
   friend bool operator==(const LsrHop&, const LsrHop&) = default;
   friend auto operator<=>(const LsrHop&, const LsrHop&) = default;
+};
+
+// Incremental form of Lsp::content_hash: seed with the endpoints, then per
+// labeled hop its address, its label values (top first) and end_hop(). The
+// column pass behind persistence_set (extract.h) hashes runs straight from a
+// batch through the same routine, so the two cannot drift.
+class LspHasher {
+ public:
+  LspHasher(std::uint32_t asn, std::uint32_t ingress, std::uint32_t egress)
+      : h_(util::hash_combine(util::hash_combine(asn, ingress), egress)) {}
+  void hop_addr(std::uint32_t addr) { h_ = util::hash_combine(h_, addr); }
+  void label(std::uint32_t label) { h_ = util::hash_combine(h_, label); }
+  void end_hop() { h_ = util::hash_combine(h_, 0xfeedULL); }  // delimiter
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_;
 };
 
 // One observed LSP. Equality covers everything the Persistence filter and
@@ -74,10 +92,6 @@ struct IotpKey {
 
   friend bool operator==(const IotpKey&, const IotpKey&) = default;
   friend auto operator<=>(const IotpKey&, const IotpKey&) = default;
-};
-
-struct IotpKeyHash {
-  std::size_t operator()(const IotpKey& k) const noexcept;
 };
 
 // The paper's four tunnel classes (Fig. 3 / Algorithm 1).

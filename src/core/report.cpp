@@ -1,6 +1,7 @@
 #include "core/report.h"
 
 #include <ostream>
+#include <utility>
 
 #include "core/metrics.h"
 #include "obs/telemetry.h"
@@ -77,8 +78,8 @@ void LongitudinalReport::to_table(std::ostream& os) const {
   os << table;
 }
 
-CycleReport run_pipeline(const ExtractedSnapshot& cycle,
-                         const std::vector<ExtractedSnapshot>& following,
+CycleReport run_pipeline(ExtractedSnapshot cycle,
+                         std::span<const PersistenceSet> following,
                          const PipelineConfig& config,
                          util::ThreadPool* pool) {
   static obs::Counter& pipeline_runs =
@@ -94,10 +95,11 @@ CycleReport run_pipeline(const ExtractedSnapshot& cycle,
   report.date = cycle.date;
   report.extract_stats = cycle.stats;
 
-  FilteredCycle filtered = apply_filters(cycle, following, config.filter);
+  FilteredCycle filtered =
+      apply_filters(std::move(cycle), following, config.filter);
   report.filter_stats = filtered.stats;
 
-  report.iotps = group_iotps(filtered.observations);
+  report.iotps = group_iotps(std::move(filtered.observations));
   report.global = classify_all(report.iotps, config.classify, pool);
 
   for (const IotpRecord& rec : report.iotps) {
@@ -113,17 +115,9 @@ CycleReport run_pipeline(const dataset::MonthData& month,
                          const dataset::Ip2As& ip2as,
                          const PipelineConfig& config,
                          util::ThreadPool* pool) {
-  // Extract the cycle snapshot and every following snapshot of the month —
-  // each snapshot extracts independently, so they fan out over the pool.
-  std::vector<ExtractedSnapshot> extracted(month.snapshots.size());
-  util::parallel_for(pool, month.snapshots.size(), [&](std::size_t i) {
-    extracted[i] = extract_lsps(month.snapshots[i], ip2as);
-  });
-  const ExtractedSnapshot cycle = std::move(extracted.front());
-  std::vector<ExtractedSnapshot> following(
-      std::make_move_iterator(extracted.begin() + 1),
-      std::make_move_iterator(extracted.end()));
-  return run_pipeline(cycle, following, config, pool);
+  ExtractedMonth extracted = extract_month(month, ip2as, pool);
+  return run_pipeline(std::move(extracted.cycle), extracted.following,
+                      config, pool);
 }
 
 std::vector<LongitudinalReport::AsSeriesPoint>

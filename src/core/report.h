@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,17 +67,19 @@ struct PipelineConfig {
 
 // Run the full LPR pipeline on one month of data (cycle snapshot + the
 // following snapshots used by Persistence). With a pool, the month's
-// snapshots are extracted in parallel and classification is sharded; output
-// is identical to the serial run.
+// extraction is one fan-out (extract_month) and classification is sharded;
+// output is identical to the serial run.
 CycleReport run_pipeline(const dataset::MonthData& month,
                          const dataset::Ip2As& ip2as,
                          const PipelineConfig& config = {},
                          util::ThreadPool* pool = nullptr);
 
-// Same, starting from already-extracted snapshots (lets callers extract once
-// and sweep filter configurations, as the Fig. 6 bench does).
-CycleReport run_pipeline(const ExtractedSnapshot& cycle,
-                         const std::vector<ExtractedSnapshot>& following,
+// Same, starting from an extracted cycle snapshot and the following
+// snapshots' persistence sets (lets callers extract once and sweep filter
+// configurations, as the Fig. 6 bench does). The snapshot is consumed, as
+// by apply_filters.
+CycleReport run_pipeline(ExtractedSnapshot cycle,
+                         std::span<const PersistenceSet> following,
                          const PipelineConfig& config = {},
                          util::ThreadPool* pool = nullptr);
 

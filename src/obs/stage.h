@@ -33,7 +33,9 @@ enum class Stage : std::uint8_t {
   kGenerate = 0,  // synthetic month generation (probing, evolution)
   kIngest,        // chaos round-trip / shard decode / re-annotation
   kSpf,           // IGP (re)computation, wherever it runs (inside generate)
-  kClassify,      // LPR pipeline: extract + filter + group + classify
+  kClassify,      // LPR pipeline: the month's one extraction fan-out
+                  // (cycle chunks, census partitions, Persistence hash
+                  // sets), then filter + group + classify
   kReport,        // checkpoint/report serialization and write-out
 };
 inline constexpr std::size_t kStageCount = 5;

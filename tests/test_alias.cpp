@@ -196,12 +196,9 @@ TEST(AliasEndToEnd, RouterLevelReducesIotpCount) {
   gen::Internet internet(config);
   const auto ip2as = internet.build_ip2as();
   const auto month = gen::CampaignRunner(internet, ip2as).month(50);
-  const auto extracted = extract_lsps(month.cycle(), ip2as);
-  std::vector<ExtractedSnapshot> following;
-  for (std::size_t i = 1; i < month.snapshots.size(); ++i) {
-    following.push_back(extract_lsps(month.snapshots[i], ip2as));
-  }
-  const auto filtered = apply_filters(extracted, following, FilterConfig{});
+  ExtractedMonth extracted = extract_month(month, ip2as);
+  const auto filtered = apply_filters(std::move(extracted.cycle),
+                                      extracted.following, FilterConfig{});
 
   auto ip_level = group_iotps(filtered.observations);
   const LabelAliasResolver resolver(filtered.observations,

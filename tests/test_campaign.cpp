@@ -6,6 +6,7 @@
 #include "dataset/warts_lite.h"
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <set>
 
 namespace mum::gen {
@@ -112,14 +113,13 @@ TEST_F(CampaignTest, MostLspContentPersistsAcrossSnapshots) {
   // month's snapshots.
   const auto month = runner.month(50);
   const auto c0 = ::mum::lpr::extract_lsps(month.snapshots[0], ip2as);
-  const auto c1 = ::mum::lpr::extract_lsps(month.snapshots[1], ip2as);
-  const auto set1 = ::mum::lpr::lsp_content_set(c1);
+  const auto set1 = ::mum::lpr::persistence_set(month.snapshots[1]);
   std::size_t kept = 0;
   std::size_t total = 0;
   for (const auto& obs : c0.observations) {
     if (obs.lsp.asn == kAsnVodafone) continue;  // dynamic labels churn
     ++total;
-    kept += set1.contains(obs.lsp.content_hash()) ? 1 : 0;
+    kept += std::ranges::binary_search(set1, obs.lsp.content_hash()) ? 1 : 0;
   }
   ASSERT_GT(total, 50u);
   const double share = static_cast<double>(kept) / static_cast<double>(total);
@@ -130,13 +130,12 @@ TEST_F(CampaignTest, MostLspContentPersistsAcrossSnapshots) {
 TEST_F(CampaignTest, VodafoneLabelsChurnBetweenSnapshots) {
   const auto month = runner.month(50);
   const auto c0 = ::mum::lpr::extract_lsps(month.snapshots[0], ip2as);
-  const auto c1 = ::mum::lpr::extract_lsps(month.snapshots[1], ip2as);
-  const auto set1 = ::mum::lpr::lsp_content_set(c1);
+  const auto set1 = ::mum::lpr::persistence_set(month.snapshots[1]);
   std::size_t kept = 0, total = 0;
   for (const auto& obs : c0.observations) {
     if (obs.lsp.asn != kAsnVodafone) continue;
     ++total;
-    kept += set1.contains(obs.lsp.content_hash()) ? 1 : 0;
+    kept += std::ranges::binary_search(set1, obs.lsp.content_hash()) ? 1 : 0;
   }
   if (total > 0) {
     EXPECT_LT(static_cast<double>(kept) / static_cast<double>(total), 0.2);

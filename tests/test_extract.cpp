@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
 #include "batch_testing.h"
+#include "lpr_reference.h"
 #include "chaos/chaos.h"
 #include "run/runner.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace mum::lpr {
 namespace {
@@ -220,6 +223,155 @@ TEST(Extract, CensusAddressNeverDoubleCounted) {
   EXPECT_EQ(census.at(65001).non_mpls_ips, 2u);
 }
 
+// --- persistence_set: the hash-only column pass ---------------------------
+
+// The column pass must hash exactly the complete LSPs extraction builds.
+void expect_sets_agree(const dataset::SnapshotBatch& snap) {
+  EXPECT_EQ(persistence_set(snap),
+            persistence_set(extract_lsps(snap, test_ip2as())));
+}
+
+TEST(PersistenceSet, BridgedRunIsIncompleteAndNotHashed) {
+  const auto snap = snapshot_of({{plain(0x10000001),
+                                  labeled(0x10000002, 100),
+                                  anonymous(),
+                                  labeled(0x10000004, 300),
+                                  plain(0x10000005),
+                                  plain(0x90000001)}});
+  EXPECT_TRUE(persistence_set(snap).empty());
+  expect_sets_agree(snap);
+}
+
+TEST(PersistenceSet, RunsAtEitherEndOfTheTraceAreNotHashed) {
+  const auto snap = snapshot_of({{labeled(0x10000002, 100),
+                                  plain(0x10000003),
+                                  plain(0x10000004),
+                                  labeled(0x10000005, 200)},
+                                 {labeled(0x10000002, 100)}});
+  EXPECT_TRUE(persistence_set(snap).empty());
+  expect_sets_agree(snap);
+}
+
+TEST(PersistenceSet, MultiAsRunHashedWithAsnZero) {
+  const auto snap = snapshot_of({{plain(0x10000001),
+                                  labeled(0x10000002, 100),
+                                  labeled(0x20000002, 200),
+                                  plain(0x20000003),
+                                  plain(0x90000001)}});
+  Lsp lsp;  // asn 0, so no PHP: the last labeled hop is the egress
+  lsp.ingress = ip(0x10000001);
+  lsp.egress = ip(0x20000002);
+  lsp.lsrs = {LsrHop{ip(0x10000002), {100}}, LsrHop{ip(0x20000002), {200}}};
+  EXPECT_EQ(persistence_set(snap), PersistenceSet{lsp.content_hash()});
+  expect_sets_agree(snap);
+}
+
+TEST(PersistenceSet, NonPhpEgressHashedAsLastLabeledHop) {
+  Hop stacked{0x10000003};
+  stacked.labels.push(700, 0, 1);
+  stacked.labels.push(200, 0, 1);
+  const auto snap = snapshot_of({{plain(0x10000001),
+                                  labeled(0x10000002, 100),
+                                  stacked,
+                                  plain(0x20000001),
+                                  plain(0x90000001)},
+                                 {plain(0x10000001),
+                                  labeled(0x10000002, 100),
+                                  stacked,
+                                  plain(0x20000001),
+                                  plain(0x90000001)}});
+  Lsp lsp;
+  lsp.asn = 65001;
+  lsp.ingress = ip(0x10000001);
+  lsp.egress = ip(0x10000003);
+  lsp.lsrs = {LsrHop{ip(0x10000002), {100}},
+              LsrHop{ip(0x10000003), {200, 700}}};
+  // Two traces, one LSP: one entry.
+  EXPECT_EQ(persistence_set(snap), PersistenceSet{lsp.content_hash()});
+  expect_sets_agree(snap);
+}
+
+TEST(PersistenceSet, SortedAndUniqueOverMixedTraces) {
+  const auto snap = snapshot_of({{plain(0x10000001),
+                                  labeled(0x10000002, 100),
+                                  plain(0x10000003),
+                                  plain(0x20000001),
+                                  labeled(0x20000002, 500),
+                                  plain(0x20000003),
+                                  plain(0x90000001)},
+                                 {plain(0x10000001),
+                                  labeled(0x10000002, 100),
+                                  plain(0x10000003),
+                                  plain(0x90000001)},
+                                 {plain(0x10000001),
+                                  labeled(0x10000002, 101),
+                                  plain(0x10000003),
+                                  plain(0x90000001)}});
+  const PersistenceSet set = persistence_set(snap);
+  EXPECT_EQ(set.size(), 3u);
+  EXPECT_TRUE(std::ranges::is_sorted(set));
+  expect_sets_agree(snap);
+}
+
+// --- chunked extraction ------------------------------------------------------
+
+// `n` traces, each with a complete, an incomplete and a multi-AS run whose
+// addresses and labels depend on the trace index, so every chunk boundary
+// shows in the output order.
+dataset::SnapshotBatch varied_snapshot(std::size_t n) {
+  std::vector<std::vector<Hop>> traces;
+  for (std::uint32_t t = 0; t < n; ++t) {
+    const std::uint32_t a = 0x10000000 + 16 * (t % 7);
+    const std::uint32_t b = 0x20000000 + 16 * (t % 5);
+    traces.push_back({plain(a + 1), labeled(a + 2, 100 + t),
+                      labeled(a + 3, 200), plain(a + 4),
+                      labeled(b + 1, 300 + t % 3), plain(b + 2),
+                      anonymous(), labeled(b + 3, 400), plain(0x90000001)});
+  }
+  return snapshot_of(traces);
+}
+
+TEST(ExtractChunks, PoolMatchesSerialAroundTheChunkCount) {
+  util::ThreadPool pool(4);
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, kExtractChunks - 1, kExtractChunks,
+        kExtractChunks + 1, 5 * kExtractChunks + 3}) {
+    SCOPED_TRACE(std::to_string(n) + " traces");
+    const auto snap = varied_snapshot(n);
+    const ExtractedSnapshot serial = extract_lsps(snap, test_ip2as());
+    EXPECT_EQ(serial.stats.traces_total, n);
+    EXPECT_EQ(serial.observations.size(), 2 * n);  // the bridged run drops
+    reference::expect_same_extraction(serial,
+                                      extract_lsps(snap, test_ip2as(), &pool));
+    reference::expect_same_extraction(reference::extract(snap, test_ip2as()),
+                                      serial);
+  }
+}
+
+TEST(ExtractChunks, MonthFanOutMatchesSerialOnCampaignMonth) {
+  run::RunnerConfig config;
+  config.gen.background_transit = 8;
+  config.gen.stub_ases = 12;
+  config.gen.monitors = 6;
+  config.gen.dests_per_monitor = 150;
+  config.threads = 1;
+  const run::Runner runner(config);
+  util::ThreadPool pool(4);
+  const dataset::MonthData month = runner.month_data(30);
+  // The month's single fan-out: the same cycle extraction and, per
+  // following snapshot, its own persistence set.
+  const ExtractedMonth serial = extract_month(month, runner.ip2as());
+  const ExtractedMonth pooled = extract_month(month, runner.ip2as(), &pool);
+  reference::expect_same_extraction(serial.cycle, pooled.cycle);
+  reference::expect_same_extraction(
+      extract_lsps(month.cycle(), runner.ip2as()), pooled.cycle);
+  ASSERT_EQ(pooled.following.size(), month.snapshots.size() - 1);
+  for (std::size_t i = 0; i < pooled.following.size(); ++i) {
+    EXPECT_EQ(pooled.following[i], serial.following[i]);
+    EXPECT_EQ(pooled.following[i], persistence_set(month.snapshots[i + 1]));
+  }
+}
+
 // --- flat address set vs a std::set reference -----------------------------
 
 TEST(AddrSet, AgreesWithStdSetAcrossForcedGrowth) {
@@ -314,9 +466,11 @@ TEST(AddrSet, CensusMatchesNaiveReferenceOnCampaignSnapshots) {
     for (dataset::SnapshotBatch& snap : month.snapshots) {
       const std::string where = "cycle " + std::to_string(cycle) + " sub " +
                                 std::to_string(snap.sub_index);
-      // Past the set's half-load mark, so extraction grows it.
+      // Past the half-load mark of the census partitions' sets (on
+      // average), so extraction grows them.
       const NaiveCensus naive = naive_census(snap);
-      ASSERT_GT(naive.mpls_ips + naive.non_mpls_ips, AddrSet().capacity() / 2)
+      ASSERT_GT(naive.mpls_ips + naive.non_mpls_ips,
+                kCensusParts * AddrSet().capacity() / 2)
           << where;
       expect_census_matches(snap, runner.ip2as(), where);
       chaos::Corruptor corruptor(faults);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
+
 namespace mum::lpr {
 namespace {
 
@@ -29,6 +32,20 @@ ExtractedSnapshot snap_of(std::vector<LspObservation> observations,
   s.observations = std::move(observations);
   s.stats.lsps_observed = s.observations.size();
   return s;
+}
+
+// Persistence sets of hand-built following snapshots.
+std::vector<PersistenceSet> sets_of(
+    std::initializer_list<ExtractedSnapshot> snapshots) {
+  std::vector<PersistenceSet> out;
+  for (const ExtractedSnapshot& snap : snapshots) {
+    out.push_back(persistence_set(snap));
+  }
+  return out;
+}
+
+bool is_dynamic(const FilteredCycle& result, std::uint32_t asn) {
+  return std::ranges::binary_search(result.dynamic_asns, asn);
 }
 
 FilterConfig no_persistence() {
@@ -101,7 +118,7 @@ TEST(Filters, PersistenceKeepsLspSeenInNextSnapshot) {
   const auto next2 = snap_of({});
   FilterConfig config;
   config.persistence_j = 2;
-  const auto result = apply_filters(cycle, {next1, next2}, config);
+  const auto result = apply_filters(cycle, sets_of({next1, next2}), config);
   EXPECT_EQ(result.stats.after_transit_diversity, 3u);
   EXPECT_EQ(result.stats.after_persistence, 2u);
   for (const auto& o : result.observations) {
@@ -114,7 +131,8 @@ TEST(Filters, PersistenceSeenOnlyInSecondFollowUpStillKept) {
   auto cycle = snap_of({o1, obs(65001, 1, 2, {100}, 10)});
   const auto next1 = snap_of({});
   const auto next2 = snap_of({o1});
-  const auto result = apply_filters(cycle, {next1, next2}, FilterConfig{});
+  const auto result =
+      apply_filters(cycle, sets_of({next1, next2}), FilterConfig{});
   EXPECT_EQ(result.observations.size(), 2u);
 }
 
@@ -127,7 +145,7 @@ TEST(Filters, PersistenceJLimitsSnapshotsConsulted) {
   config.persistence_j = 1;
   config.dynamic_threshold = 2.0;  // disable reinjection for this test
   // LSP reappears only in snapshot X+2, but j=1 only looks at X+1.
-  const auto result = apply_filters(cycle, {empty, with_lsp}, config);
+  const auto result = apply_filters(cycle, sets_of({empty, with_lsp}), config);
   EXPECT_EQ(result.stats.after_persistence, 0u);
 }
 
@@ -140,9 +158,9 @@ TEST(Filters, DynamicAsReinjectedAndTagged) {
                         obs(65002, 5, 6, {300}, 10)});
   const auto next1 = snap_of({obs(65001, 1, 2, {200}, 9),   // new labels
                               obs(65002, 5, 6, {300}, 9)}); // stable
-  const auto result = apply_filters(cycle, {next1}, FilterConfig{});
-  EXPECT_TRUE(result.dynamic_asns.contains(65001));
-  EXPECT_FALSE(result.dynamic_asns.contains(65002));
+  const auto result = apply_filters(cycle, sets_of({next1}), FilterConfig{});
+  EXPECT_TRUE(is_dynamic(result, 65001));
+  EXPECT_FALSE(is_dynamic(result, 65002));
   EXPECT_EQ(result.stats.after_persistence, 4u);  // everything kept
 }
 
@@ -151,8 +169,8 @@ TEST(Filters, PartialChurnIsNotDynamic) {
   auto cycle = snap_of({obs(65001, 1, 2, {100}, 9),
                         obs(65001, 1, 2, {101}, 10)});
   const auto next1 = snap_of({obs(65001, 1, 2, {100}, 9)});
-  const auto result = apply_filters(cycle, {next1}, FilterConfig{});
-  EXPECT_FALSE(result.dynamic_asns.contains(65001));
+  const auto result = apply_filters(cycle, sets_of({next1}), FilterConfig{});
+  EXPECT_FALSE(is_dynamic(result, 65001));
   EXPECT_EQ(result.stats.after_persistence, 1u);
 }
 
@@ -161,7 +179,7 @@ TEST(Filters, NoFollowUpsWithPersistenceTriggersReinjection) {
                         obs(65001, 1, 2, {101}, 10)});
   const auto result = apply_filters(cycle, {}, FilterConfig{});
   // Nothing can persist => whole AS wiped => reinjected as dynamic.
-  EXPECT_TRUE(result.dynamic_asns.contains(65001));
+  EXPECT_TRUE(is_dynamic(result, 65001));
   EXPECT_EQ(result.observations.size(), 2u);
 }
 
@@ -171,20 +189,22 @@ TEST(Filters, StatsChainMonotone) {
                         obs(65001, 3, 4, {3}, 9),
                         obs(65001, 3, 4, {3}, 10),
                         obs(65001, 7, 8, {4}, 9)});
-  const auto result = apply_filters(cycle, {snap_of({})}, FilterConfig{});
+  const auto result =
+      apply_filters(cycle, sets_of({snap_of({})}), FilterConfig{});
   const auto& s = result.stats;
   EXPECT_GE(s.complete, s.after_intra_as);
   EXPECT_GE(s.after_intra_as, s.after_target_as);
   EXPECT_GE(s.after_target_as, s.after_transit_diversity);
 }
 
-TEST(Filters, LspContentSetMatchesHashes) {
+TEST(Filters, PersistenceSetMatchesHashes) {
   const auto o1 = obs(65001, 1, 2, {100}, 9);
   const auto o2 = obs(65001, 1, 2, {101}, 9);
-  const auto set = lsp_content_set(snap_of({o1, o2}));
-  EXPECT_EQ(set.size(), 2u);
-  EXPECT_TRUE(set.contains(o1.lsp.content_hash()));
-  EXPECT_TRUE(set.contains(o2.lsp.content_hash()));
+  const auto o1_again = obs(65001, 1, 2, {100}, 10);
+  const auto set = persistence_set(snap_of({o1, o2, o1_again}));
+  PersistenceSet expected{o1.lsp.content_hash(), o2.lsp.content_hash()};
+  std::ranges::sort(expected);
+  EXPECT_EQ(set, expected);  // sorted, one entry per distinct LSP
 }
 
 // --- group_iotps --------------------------------------------------------

@@ -107,8 +107,9 @@ class Lab {
     ip2as_.annotate(snap.traces);
 
     // Every router answers in the lab; Persistence sees a stable network.
-    const auto extracted = lpr::extract_lsps(snap, ip2as_);
-    return lpr::run_pipeline(extracted, {extracted}, {});
+    const lpr::PersistenceSet self = lpr::persistence_set(snap);
+    return lpr::run_pipeline(lpr::extract_lsps(snap, ip2as_), {&self, 1},
+                             {});
   }
 
   topo::BuildParams lab_params() const;

@@ -82,8 +82,8 @@ TEST(Report, PipelineFromExtractedSnapshots) {
                         obs(65002, 5, 300, 9), obs(65002, 5, 300, 10)};
   cycle.stats.lsps_observed = 5;
 
-  ExtractedSnapshot next = cycle;  // everything persists
-  const CycleReport report = run_pipeline(cycle, {next}, {});
+  const PersistenceSet next = persistence_set(cycle);  // all persists
+  const CycleReport report = run_pipeline(cycle, {&next, 1}, {});
 
   EXPECT_EQ(report.cycle_id, 7u);
   EXPECT_EQ(report.date, "2012-08");
@@ -102,7 +102,8 @@ TEST(Report, DynamicTagSurfacesInReport) {
   cycle.observations = {obs(65001, 1, 100, 9), obs(65001, 1, 101, 10)};
   ExtractedSnapshot next;  // labels churned away entirely
   next.observations = {obs(65001, 1, 500, 9)};
-  const CycleReport report = run_pipeline(cycle, {next}, {});
+  const PersistenceSet next_set = persistence_set(next);
+  const CycleReport report = run_pipeline(cycle, {&next_set, 1}, {});
   ASSERT_TRUE(report.dynamic_as.contains(65001));
   EXPECT_TRUE(report.dynamic_as.at(65001));
 }
@@ -116,8 +117,8 @@ TEST(Report, AsSeriesTracksCycles) {
       cycle.observations = {obs(65001, 1, 100, 9),
                             obs(65001, 1, 100, 10)};
     }
-    ExtractedSnapshot next = cycle;
-    longitudinal.cycles.push_back(run_pipeline(cycle, {next}, {}));
+    const PersistenceSet next = persistence_set(cycle);
+    longitudinal.cycles.push_back(run_pipeline(cycle, {&next, 1}, {}));
   }
   const auto series = longitudinal.as_series(65001);
   ASSERT_EQ(series.size(), 3u);
@@ -140,15 +141,15 @@ TEST(Report, AliasHeuristicConfigPlumbsThrough) {
 
   ExtractedSnapshot cycle;
   cycle.observations = {o1, o2};
-  const ExtractedSnapshot next = cycle;
+  const PersistenceSet next = persistence_set(cycle);
 
   PipelineConfig plain;
-  const auto without = run_pipeline(cycle, {next}, plain);
+  const auto without = run_pipeline(cycle, {&next, 1}, plain);
   EXPECT_EQ(without.global.unclassified, 1u);
 
   PipelineConfig with_alias;
   with_alias.classify.alias_resolution_heuristic = true;
-  const auto with = run_pipeline(cycle, {next}, with_alias);
+  const auto with = run_pipeline(cycle, {&next, 1}, with_alias);
   EXPECT_EQ(with.global.unclassified, 0u);
   EXPECT_EQ(with.global.mono_fec, 1u);
 }

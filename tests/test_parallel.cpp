@@ -16,6 +16,7 @@
 #include "dataset/warts_lite.h"
 #include "gen/campaign.h"
 #include "gen/internet.h"
+#include "lpr_reference.h"
 #include "run/runner.h"
 
 namespace mum {
@@ -174,19 +175,13 @@ TEST(Determinism, ExtractedSnapshotIdenticalAcrossThreadCounts) {
       gen::CampaignRunner(internet, ip2as, gen::CampaignConfig{}, &pool)
           .month(50);
 
+  // A month generated and extracted serially vs one generated and
+  // extracted (chunks + census partitions) on the pool.
   ASSERT_EQ(serial.snapshots.size(), parallel.snapshots.size());
   for (std::size_t i = 0; i < serial.snapshots.size(); ++i) {
-    const auto es = lpr::extract_lsps(serial.snapshots[i], ip2as);
-    const auto ep = lpr::extract_lsps(parallel.snapshots[i], ip2as);
-    EXPECT_EQ(es.stats.traces_total, ep.stats.traces_total);
-    EXPECT_EQ(es.stats.lsps_observed, ep.stats.lsps_observed);
-    EXPECT_EQ(es.stats.lsps_incomplete, ep.stats.lsps_incomplete);
-    EXPECT_EQ(es.stats.mpls_ips, ep.stats.mpls_ips);
-    ASSERT_EQ(es.observations.size(), ep.observations.size());
-    for (std::size_t o = 0; o < es.observations.size(); ++o) {
-      EXPECT_EQ(es.observations[o].lsp.content_hash(),
-                ep.observations[o].lsp.content_hash());
-    }
+    lpr::reference::expect_same_extraction(
+        lpr::extract_lsps(serial.snapshots[i], ip2as),
+        lpr::extract_lsps(parallel.snapshots[i], ip2as, &pool));
   }
 }
 

@@ -132,9 +132,10 @@ TEST_P(PropertySweep, ExtractionNeverInventsLabels) {
 }
 
 TEST_P(PropertySweep, FilterChainMonotone) {
-  const auto extracted = lpr::extract_lsps(snapshot, ip2as);
-  const auto filtered = lpr::apply_filters(extracted, {extracted},
-                                           lpr::FilterConfig{});
+  // Every LSP persists: the snapshot is its own following snapshot.
+  const lpr::PersistenceSet self = lpr::persistence_set(snapshot);
+  const auto filtered = lpr::apply_filters(lpr::extract_lsps(snapshot, ip2as),
+                                           {&self, 1}, lpr::FilterConfig{});
   const auto& s = filtered.stats;
   EXPECT_LE(s.complete, s.observed);
   EXPECT_LE(s.after_intra_as, s.complete);
@@ -144,9 +145,10 @@ TEST_P(PropertySweep, FilterChainMonotone) {
 }
 
 TEST_P(PropertySweep, ClassifiedIotpInvariants) {
-  const auto extracted = lpr::extract_lsps(snapshot, ip2as);
-  const auto filtered = lpr::apply_filters(extracted, {extracted},
-                                           lpr::FilterConfig{});
+  // Every LSP persists: the snapshot is its own following snapshot.
+  const lpr::PersistenceSet self = lpr::persistence_set(snapshot);
+  const auto filtered = lpr::apply_filters(lpr::extract_lsps(snapshot, ip2as),
+                                           {&self, 1}, lpr::FilterConfig{});
   auto iotps = lpr::group_iotps(filtered.observations);
   lpr::classify_all(iotps);
   for (const auto& rec : iotps) {

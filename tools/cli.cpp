@@ -473,15 +473,10 @@ int run_classify(Args& args, std::ostream& out, std::ostream& err) {
     // Re-group at router granularity (Sec.-5 extension): passive alias
     // inference over the cycle data, endpoints canonicalized, classes
     // recomputed.
-    const auto extracted =
-        lpr::extract_lsps(month.cycle(), data.ip2as);
-    std::vector<lpr::ExtractedSnapshot> following;
-    for (std::size_t i = 1; i < month.snapshots.size(); ++i) {
-      following.push_back(
-          lpr::extract_lsps(month.snapshots[i], data.ip2as));
-    }
-    const auto filtered =
-        lpr::apply_filters(extracted, following, pipeline.filter);
+    lpr::ExtractedMonth extracted =
+        lpr::extract_month(month, data.ip2as, &pool);
+    const auto filtered = lpr::apply_filters(
+        std::move(extracted.cycle), extracted.following, pipeline.filter);
     const lpr::LabelAliasResolver resolver(filtered.observations,
                                            month.cycle().traces);
     auto iotps = lpr::group_iotps(
@@ -522,15 +517,11 @@ int run_trees(Args& args, std::ostream& out, std::ostream& err) {
   // Same filtering as classify, without Persistence when only one file.
   dataset::MonthData month;
   month.snapshots = std::move(data.snapshots);
-  const auto extracted =
-      lpr::extract_lsps(month.snapshots.front(), data.ip2as);
-  std::vector<lpr::ExtractedSnapshot> following;
-  for (std::size_t i = 1; i < month.snapshots.size(); ++i) {
-    following.push_back(lpr::extract_lsps(month.snapshots[i], data.ip2as));
-  }
+  lpr::ExtractedMonth extracted = lpr::extract_month(month, data.ip2as);
   lpr::FilterConfig filter;
-  filter.enable_persistence = !following.empty();
-  const auto filtered = lpr::apply_filters(extracted, following, filter);
+  filter.enable_persistence = !extracted.following.empty();
+  const auto filtered = lpr::apply_filters(std::move(extracted.cycle),
+                                           extracted.following, filter);
 
   const auto trees = lpr::build_egress_trees(filtered.observations);
   const auto stats = lpr::summarize(trees);
