@@ -25,8 +25,8 @@ int main() {
 
   const auto month = study.month_data(cycle);
   lpr::ExtractedMonth extracted = lpr::extract_month(month, study.ip2as());
-  const auto filtered = lpr::apply_filters(
-      std::move(extracted.cycle), extracted.following, lpr::FilterConfig{});
+  lpr::FilteredCycle filtered = lpr::apply_filters(
+      std::move(extracted.cycle), extracted.following, {});
 
   // Passive alias inference (label rule + /31 alignment rule).
   const lpr::LabelAliasResolver resolver(filtered.observations,
@@ -47,12 +47,14 @@ int main() {
             << util::TextTable::fmt(accuracy.precision(), 3)
             << " (vs simulator ground truth)\n\n";
 
-  // Classify at both granularities.
-  auto ip_level = lpr::group_iotps(filtered.observations);
-  const auto ip_counts = lpr::classify_all(ip_level);
-  auto router_level = lpr::group_iotps(
-      lpr::to_router_level(filtered.observations, resolver));
-  const auto router_counts = lpr::classify_all(router_level);
+  // Classify at both granularities: the router-level view is the same
+  // filtered cycle with its observations rewritten.
+  lpr::FilteredCycle router_level = filtered;
+  router_level.observations =
+      lpr::to_router_level(std::move(router_level.observations), resolver);
+  const auto ip_counts = lpr::classify_cycle(std::move(filtered), {}).global;
+  const auto router_counts =
+      lpr::classify_cycle(std::move(router_level), {}).global;
 
   util::TextTable table({"metric", "IP level", "router level"});
   auto row = [&](const char* name, std::uint64_t a, std::uint64_t b) {

@@ -26,13 +26,12 @@ int main() {
   // Run the filter half of the pipeline once; group both ways.
   const auto month = study.month_data(cycle);
   lpr::ExtractedMonth extracted = lpr::extract_month(month, study.ip2as());
-  const auto filtered = lpr::apply_filters(
-      std::move(extracted.cycle), extracted.following, lpr::FilterConfig{});
+  lpr::FilteredCycle filtered = lpr::apply_filters(
+      std::move(extracted.cycle), extracted.following, {});
 
-  auto iotps = lpr::group_iotps(filtered.observations);
-  const auto iotp_counts = lpr::classify_all(iotps);
   const auto trees = lpr::build_egress_trees(filtered.observations);
   const auto tree_stats = lpr::summarize(trees);
+  const auto iotp_counts = lpr::classify_cycle(std::move(filtered), {}).global;
 
   util::TextTable table({"metric", "IOTP indexing", "tree indexing"});
   table.add_row({"groups",

@@ -31,7 +31,7 @@ int main() {
           .daily_month(december_2014, kDays);
 
   // Extract once; sweep filter configurations over the fixed data (each
-  // run_pipeline call consumes a copy of the cycle snapshot).
+  // apply_filters call consumes a copy of the cycle snapshot).
   const lpr::ExtractedSnapshot cycle =
       lpr::extract_lsps(snapshots.front(), study.ip2as());
   std::vector<lpr::PersistenceSet> following;
@@ -39,15 +39,16 @@ int main() {
   for (std::size_t i = 1; i < snapshots.size(); ++i) {
     following.push_back(lpr::persistence_set(snapshots[i]));
   }
+  const auto run = [&](int j, bool alias_heuristic) {
+    return lpr::classify_cycle(
+        lpr::apply_filters(cycle, following, {.persistence_j = j}),
+        {.alias_resolution_heuristic = alias_heuristic});
+  };
 
   util::TextTable table({"j", "LSPs kept", "IOTPs", "Mono-LSP", "Multi-FEC",
                          "Mono-FEC", "Unclass."});
   for (int j = 0; j <= kDays; ++j) {
-    lpr::PipelineConfig pipeline;
-    pipeline.filter.persistence_j = j;
-    pipeline.filter.enable_persistence = (j > 0);
-    const lpr::CycleReport report =
-        lpr::run_pipeline(cycle, following, pipeline);
+    const lpr::CycleReport report = run(j, false);
     const auto& g = report.global;
     const double total = static_cast<double>(g.total());
     auto pct = [&](std::uint64_t n) {
@@ -65,11 +66,8 @@ int main() {
 
   // Stability check, as in the paper: j >= 2 should barely move the mix.
   {
-    lpr::PipelineConfig p2, p8;
-    p2.filter.persistence_j = 2;
-    p8.filter.persistence_j = 8;
-    const auto r2 = lpr::run_pipeline(cycle, following, p2);
-    const auto r8 = lpr::run_pipeline(cycle, following, p8);
+    const auto r2 = run(2, false);
+    const auto r8 = run(8, false);
     const auto share = [](const lpr::ClassCounts& c, std::uint64_t n) {
       return c.total() ? static_cast<double>(n) /
                              static_cast<double>(c.total())
@@ -88,10 +86,8 @@ int main() {
   // Ablation (paper Sec. 5): alias-resolution heuristic for PHP-converged
   // IOTPs — should empty the Unclassified class without disturbing the
   // Mono-FEC / Multi-FEC balance much.
-  lpr::PipelineConfig with_alias;
-  with_alias.classify.alias_resolution_heuristic = true;
-  const auto base = lpr::run_pipeline(cycle, following, {});
-  const auto alias = lpr::run_pipeline(cycle, following, with_alias);
+  const auto base = run(2, false);
+  const auto alias = run(2, true);
   std::cout << "Ablation - Sec. 5 alias-resolution heuristic:\n"
             << "  without: " << bench::class_shares_line(base.global) << '\n'
             << "  with:    " << bench::class_shares_line(alias.global) << '\n'

@@ -31,9 +31,6 @@ int main() {
       gen::CampaignRunner(study.internet(), study.ip2as(), config.campaign)
           .daily_month(april_2012, kDays);
 
-  lpr::PipelineConfig pipeline;
-  pipeline.filter.enable_persistence = false;
-
   util::TextTable table({"day", "LSPs before", "LSPs after", "IOTPs before",
                          "IOTPs after", ""});
   std::uint64_t first_half_lsps = 0, second_half_lsps = 0;
@@ -53,9 +50,11 @@ int main() {
           lpr::IotpKey{obs.lsp.asn, obs.lsp.ingress, obs.lsp.egress});
     }
 
-    // "After filtering": run the (persistence-less) pipeline, then count.
+    // "After filtering": with no following snapshot Persistence does not
+    // run; classify the survivors, then count.
     const lpr::CycleReport report =
-        lpr::run_pipeline(std::move(extracted), {}, pipeline);
+        lpr::classify_cycle(lpr::apply_filters(std::move(extracted), {}, {}),
+                            {});
     std::uint64_t lsps_after = 0;
     std::uint64_t iotps_after = 0;
     for (const auto& rec : report.iotps) {

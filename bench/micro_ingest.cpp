@@ -146,7 +146,7 @@ void BM_IngestFileSource(benchmark::State& state) {
   for (auto _ : state) {
     auto source = dataset::make_file_source(paths);
     std::uint64_t traces = 0;
-    while (const auto snap = source->next()) traces += snap->trace_count();
+    while (const auto snap = source.next()) traces += snap->trace_count();
     if (traces != c.traces) state.SkipWithError("source lost traces");
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

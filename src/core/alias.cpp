@@ -96,32 +96,24 @@ LabelAliasResolver::LabelAliasResolver(
   }
 }
 
-net::Ipv4Addr LabelAliasResolver::canonical(net::Ipv4Addr addr) const {
-  return uf_.find(addr);
-}
-
 // ----------------------------------------------------------------------
 // router-level rewriting & evaluation
 // ----------------------------------------------------------------------
 
 std::vector<LspObservation> to_router_level(
-    const std::vector<LspObservation>& observations,
-    const AliasResolver& resolver) {
-  std::vector<LspObservation> out;
-  out.reserve(observations.size());
-  for (const LspObservation& obs : observations) {
-    LspObservation rewritten = obs;
+    std::vector<LspObservation> observations,
+    const LabelAliasResolver& resolver) {
+  for (LspObservation& obs : observations) {
     // Canonicalize ONLY the IOTP endpoints. Interior LSR addresses must
     // stay raw: collapsing bundle interfaces to one router address would
     // dedupe physically distinct branches and erase exactly the Parallel
     // Links diversity the classification is supposed to see. The paper's
     // point is coarser *grouping* (<Ingress router; Egress router>), not a
     // coarser view of the paths themselves.
-    rewritten.lsp.ingress = resolver.canonical(obs.lsp.ingress);
-    rewritten.lsp.egress = resolver.canonical(obs.lsp.egress);
-    out.push_back(std::move(rewritten));
+    obs.lsp.ingress = resolver.canonical(obs.lsp.ingress);
+    obs.lsp.egress = resolver.canonical(obs.lsp.egress);
   }
-  return out;
+  return observations;
 }
 
 AliasAccuracy evaluate_aliases(

@@ -41,16 +41,6 @@ class AddressUnionFind {
   mutable std::map<net::Ipv4Addr, net::Ipv4Addr> parent_;
 };
 
-// An alias resolver maps an interface address to a canonical router
-// representative. The identity resolver leaves everything at IP level.
-class AliasResolver {
- public:
-  virtual ~AliasResolver() = default;
-  virtual net::Ipv4Addr canonical(net::Ipv4Addr addr) const {
-    return addr;
-  }
-};
-
 // Passive alias inference over extracted LSP observations, with two rules:
 //
 //  1. label rule — addresses observed inside the same (asn, tunnel exit)
@@ -61,7 +51,7 @@ class AliasResolver {
 //     are allocated as /31 point-to-point pairs, so for two consecutive
 //     responding hops P -> C inside ONE AS, C's /31 mate (C xor 1) sits on
 //     P's router: merge(P, C^1).
-class LabelAliasResolver final : public AliasResolver {
+class LabelAliasResolver {
  public:
   explicit LabelAliasResolver(
       const std::vector<LspObservation>& observations);
@@ -69,7 +59,9 @@ class LabelAliasResolver final : public AliasResolver {
   LabelAliasResolver(const std::vector<LspObservation>& observations,
                      const dataset::TraceBatch& traces);
 
-  net::Ipv4Addr canonical(net::Ipv4Addr addr) const override;
+  // The canonical router representative of an interface address (the
+  // address itself when no alias was inferred).
+  net::Ipv4Addr canonical(net::Ipv4Addr addr) const { return uf_.find(addr); }
 
   // Inferred alias sets with >= 2 members (for accuracy evaluation).
   std::vector<std::set<net::Ipv4Addr>> alias_sets() const {
@@ -80,14 +72,15 @@ class LabelAliasResolver final : public AliasResolver {
   AddressUnionFind uf_;
 };
 
-// Rewrite observations to router level: the IOTP ENDPOINTS are replaced by
-// their canonical representatives (interior LSR addresses stay raw so the
-// physical branch structure — including Parallel Links — survives). The
-// result feeds the ordinary group_iotps/classify_all pipeline, which then
-// operates on <Ingress router; Egress router> IOTPs.
+// Rewrite observations to router level, in place: the IOTP ENDPOINTS are
+// replaced by their canonical representatives (interior LSR addresses stay
+// raw so the physical branch structure — including Parallel Links —
+// survives). Put back into FilteredCycle::observations, the result feeds
+// the ordinary classify_cycle tail (report.h), which then operates on
+// <Ingress router; Egress router> IOTPs.
 std::vector<LspObservation> to_router_level(
-    const std::vector<LspObservation>& observations,
-    const AliasResolver& resolver);
+    std::vector<LspObservation> observations,
+    const LabelAliasResolver& resolver);
 
 // Accuracy of an inference against ground truth (the simulator knows the
 // real address->router mapping): precision = share of inferred alias PAIRS

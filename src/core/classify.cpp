@@ -57,17 +57,12 @@ void fill_metrics(IotpRecord& rec) {
 // Label-sequence identity across branches: true when every branch shows the
 // exact same ordered sequence of label stacks.
 bool identical_label_sequences(const IotpRecord& rec) {
-  const auto sequence = [](const Lsp& lsp) {
-    std::vector<std::vector<std::uint32_t>> seq;
-    seq.reserve(lsp.lsrs.size());
-    for (const LsrHop& hop : lsp.lsrs) seq.push_back(hop.labels);
-    return seq;
-  };
-  const auto reference = sequence(rec.variants.front());
-  for (std::size_t i = 1; i < rec.variants.size(); ++i) {
-    if (sequence(rec.variants[i]) != reference) return false;
-  }
-  return true;
+  const std::vector<LsrHop>& reference = rec.variants.front().lsrs;
+  return std::all_of(
+      rec.variants.begin() + 1, rec.variants.end(), [&](const Lsp& lsp) {
+        return std::ranges::equal(lsp.lsrs, reference, {}, &LsrHop::labels,
+                                  &LsrHop::labels);
+      });
 }
 
 // Sec. 5 alias heuristic: with point-to-point links, the hop *upstream* of
@@ -99,16 +94,6 @@ void ClassCounts::add(const IotpRecord& rec) noexcept {
       break;
     case TunnelClass::kUnclassified: ++unclassified; break;
   }
-}
-
-ClassCounts& ClassCounts::merge(const ClassCounts& other) noexcept {
-  mono_lsp += other.mono_lsp;
-  multi_fec += other.multi_fec;
-  mono_fec += other.mono_fec;
-  unclassified += other.unclassified;
-  parallel_links += other.parallel_links;
-  routers_disjoint += other.routers_disjoint;
-  return *this;
 }
 
 std::set<net::Ipv4Addr> common_ips(const IotpRecord& rec) {
@@ -188,39 +173,13 @@ void classify_iotp(IotpRecord& rec, const ClassifyConfig& config) {
 }
 
 ClassCounts classify_all(std::vector<IotpRecord>& records,
-                         const ClassifyConfig& config) {
-  ClassCounts counts;
-  for (IotpRecord& rec : records) {
-    classify_iotp(rec, config);
-    counts.add(rec);
-  }
-  return counts;
-}
-
-ClassCounts classify_all(std::vector<IotpRecord>& records,
                          const ClassifyConfig& config,
                          util::ThreadPool* pool) {
   const std::uint64_t t0 = obs::monotonic_ns();
+  util::parallel_for(pool, records.size(),
+                     [&](std::size_t i) { classify_iotp(records[i], config); });
   ClassCounts counts;
-  if (pool == nullptr || pool->size() <= 1 || records.size() < 2) {
-    counts = classify_all(records, config);
-  } else {
-    // Fixed shards, one partial ClassCounts each, merged in shard order.
-    const std::size_t shards =
-        std::min<std::size_t>(records.size(),
-                              static_cast<std::size_t>(pool->size()) * 4);
-    const std::size_t per = (records.size() + shards - 1) / shards;
-    std::vector<ClassCounts> partial(shards);
-    pool->for_each_index(shards, [&](std::size_t s) {
-      const std::size_t begin = s * per;
-      const std::size_t end = std::min(records.size(), begin + per);
-      for (std::size_t i = begin; i < end; ++i) {
-        classify_iotp(records[i], config);
-        partial[s].add(records[i]);
-      }
-    });
-    for (const ClassCounts& p : partial) counts.merge(p);
-  }
+  for (const IotpRecord& rec : records) counts.add(rec);
   publish_classify(counts, records.size(), obs::monotonic_ns() - t0);
   return counts;
 }

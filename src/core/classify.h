@@ -49,8 +49,6 @@ struct ClassCounts {
     return mono_lsp + multi_fec + mono_fec + unclassified;
   }
   void add(const IotpRecord& rec) noexcept;
-  // Deterministic accumulation of a worker's partial counts (plain sums).
-  ClassCounts& merge(const ClassCounts& other) noexcept;
 };
 
 // The common-IP set of an IOTP: addresses of LSRs traversed by at least two
@@ -65,15 +63,11 @@ std::set<std::uint32_t> labels_at(const IotpRecord& rec, net::Ipv4Addr addr);
 // classified_by_alias_heuristic and the length/width/symmetry metrics).
 void classify_iotp(IotpRecord& rec, const ClassifyConfig& config = {});
 
-// Classify a whole cycle's IOTPs; returns aggregate counts.
+// Classify a whole cycle's IOTPs in place and return the aggregate counts.
+// Each IOTP classifies independently, one pool index per record (serial
+// without a pool); the counts are tallied afterwards in record order.
 ClassCounts classify_all(std::vector<IotpRecord>& records,
-                         const ClassifyConfig& config = {});
-
-// Same, sharding the records across `pool` workers (each IOTP classifies
-// independently); per-shard counts merge in shard order, so the result is
-// identical to the serial run. Null pool falls back to serial.
-ClassCounts classify_all(std::vector<IotpRecord>& records,
-                         const ClassifyConfig& config,
-                         util::ThreadPool* pool);
+                         const ClassifyConfig& config = {},
+                         util::ThreadPool* pool = nullptr);
 
 }  // namespace mum::lpr

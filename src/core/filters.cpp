@@ -44,6 +44,7 @@ FilteredCycle apply_filters(ExtractedSnapshot cycle,
   FilteredCycle out;
   out.cycle_id = cycle.cycle_id;
   out.date = std::move(cycle.date);
+  out.extract = cycle.stats;
   out.stats.observed = cycle.stats.lsps_observed;
   out.stats.complete = all.size();
 
@@ -53,54 +54,49 @@ FilteredCycle apply_filters(ExtractedSnapshot cycle,
 
   // --- IntraAS: extraction marked multi-AS runs with asn == 0. -----------
   for (std::uint32_t i = 0; i < all.size(); ++i) {
-    if (config.enable_intra_as && all[i].lsp.asn == 0) continue;
-    kept.push_back(i);
+    if (all[i].lsp.asn != 0) kept.push_back(i);
   }
   out.stats.after_intra_as = kept.size();
 
   // --- TargetAS: destination must sit outside the tunnel's AS. -----------
-  if (config.enable_target_as) {
-    std::erase_if(kept, [&](std::uint32_t i) {
-      return all[i].dst_asn == all[i].lsp.asn;
-    });
-  }
+  std::erase_if(kept, [&](std::uint32_t i) {
+    return all[i].dst_asn == all[i].lsp.asn;
+  });
   out.stats.after_target_as = kept.size();
 
   // --- TransitDiversity: IOTP must serve >= 2 destination ASes. ----------
-  if (config.enable_transit_diversity) {
-    // Sorted (IOTP, destination AS) pairs: each IOTP is one stretch, and
-    // it reaches >= 2 destination ASes when the stretch's ends differ.
-    struct Entry {
-      SortKey key;  // payload: the destination AS
-      std::uint32_t index;
-    };
-    std::vector<Entry> entries;
-    entries.reserve(kept.size());
-    for (const std::uint32_t i : kept) {
-      entries.push_back({iotp_key(all[i].lsp, all[i].dst_asn), i});
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) { return a.key < b.key; });
-    std::vector<char> diverse(all.size(), 0);
-    for (std::size_t b = 0; b < entries.size();) {
-      std::size_t e = b + 1;
-      while (e < entries.size() && same_iotp(entries[b].key, entries[e].key)) {
-        ++e;
-      }
-      if (entries[b].key != entries[e - 1].key) {
-        for (std::size_t k = b; k < e; ++k) diverse[entries[k].index] = 1;
-      }
-      b = e;
-    }
-    std::erase_if(kept, [&](std::uint32_t i) { return !diverse[i]; });
+  // Sorted (IOTP, destination AS) pairs: each IOTP is one stretch, and
+  // it reaches >= 2 destination ASes when the stretch's ends differ.
+  struct Entry {
+    SortKey key;  // payload: the destination AS
+    std::uint32_t index;
+  };
+  std::vector<Entry> entries;
+  entries.reserve(kept.size());
+  for (const std::uint32_t i : kept) {
+    entries.push_back({iotp_key(all[i].lsp, all[i].dst_asn), i});
   }
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) { return a.key < b.key; });
+  std::vector<char> diverse(all.size(), 0);
+  for (std::size_t b = 0; b < entries.size();) {
+    std::size_t e = b + 1;
+    while (e < entries.size() && same_iotp(entries[b].key, entries[e].key)) {
+      ++e;
+    }
+    if (entries[b].key != entries[e - 1].key) {
+      for (std::size_t k = b; k < e; ++k) diverse[entries[k].index] = 1;
+    }
+    b = e;
+  }
+  std::erase_if(kept, [&](std::uint32_t i) { return !diverse[i]; });
   out.stats.after_transit_diversity = kept.size();
 
   // --- Persistence: reappear within the next j snapshots of the month. ---
-  if (config.enable_persistence) {
-    const std::size_t j = std::min<std::size_t>(
-        static_cast<std::size_t>(std::max(config.persistence_j, 0)),
-        following.size());
+  const std::size_t j = std::min<std::size_t>(
+      static_cast<std::size_t>(std::max(config.persistence_j, 0)),
+      following.size());
+  if (j > 0) {
     const PersistenceSet persistent = merge_sets(following.first(j));
 
     // Per-AS attrition as flat tallies over the survivors' sorted ASNs,
@@ -130,7 +126,7 @@ FilteredCycle apply_filters(ExtractedSnapshot cycle,
           static_cast<double>(still[a]) / static_cast<double>(total[a]);
       // Reinjection applies when the filter deletes (essentially) the whole
       // set: churn that fast is label dynamics, not routing noise.
-      if (surviving <= 1.0 - config.dynamic_threshold) {
+      if (surviving <= 1.0 - kDynamicThreshold) {
         dynamic[a] = 1;
         out.dynamic_asns.push_back(asns[a]);
       }

@@ -30,15 +30,13 @@ namespace mum::lpr {
 
 struct FilterConfig {
   // Number of subsequent snapshots consulted by Persistence (paper: j = 2).
+  // Persistence runs iff j > 0 and at least one following set is given.
   int persistence_j = 2;
-  // Share of an AS's LSPs that must vanish for the AS to count as dynamic
-  // ("the vast majority"); reinjection then restores the whole set.
-  double dynamic_threshold = 0.85;
-  bool enable_intra_as = true;
-  bool enable_target_as = true;
-  bool enable_transit_diversity = true;
-  bool enable_persistence = true;
 };
+
+// Share of an AS's LSPs that must vanish for the AS to count as dynamic
+// ("the vast majority"); reinjection then restores the whole set.
+inline constexpr double kDynamicThreshold = 0.85;
 
 // LSP counts surviving each stage (Table 1 numerators; the denominator is
 // `observed`, i.e. the count before the Incomplete rejection).
@@ -54,19 +52,22 @@ struct FilterStats {
 struct FilteredCycle {
   std::uint32_t cycle_id = 0;
   std::string date;
+  ExtractStats extract;  // the cycle snapshot's, moved in by apply_filters
   // Survivors, moved out of the cycle snapshot in its order.
   std::vector<LspObservation> observations;
   std::vector<std::uint32_t> dynamic_asns;  // tagged by reinjection; sorted
   FilterStats stats;
 };
 
-// Apply the full filter pipeline to the cycle snapshot of a month (taken by
-// value: survivors move into the result, so callers that reuse a snapshot
-// pass a copy). `following` holds the persistence sets of snapshots
-// X+1 ... X+j of the same month (extract.h); entries beyond persistence_j
-// are ignored, and fewer entries simply relax nothing — an LSP must appear
-// in at least one of them, so an empty list with persistence enabled
-// erases everything and triggers reinjection per AS.
+// The second stage of the LPR back end (extract_month -> apply_filters ->
+// classify_cycle, report.h): apply the full filter pipeline to the cycle
+// snapshot of a month (taken by value: survivors move into the result, so
+// callers that reuse a snapshot pass a copy). `following` holds the
+// persistence sets of snapshots X+1 ... X+j of the same month (extract.h);
+// entries beyond persistence_j are ignored. An LSP persists when it appears
+// in at least one of them. With no following set (or j = 0) Persistence
+// does not run: no AS is tagged dynamic and after_persistence equals
+// after_transit_diversity.
 FilteredCycle apply_filters(ExtractedSnapshot cycle,
                             std::span<const PersistenceSet> following,
                             const FilterConfig& config);

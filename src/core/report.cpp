@@ -78,34 +78,27 @@ void LongitudinalReport::to_table(std::ostream& os) const {
   os << table;
 }
 
-CycleReport run_pipeline(ExtractedSnapshot cycle,
-                         std::span<const PersistenceSet> following,
-                         const PipelineConfig& config,
-                         util::ThreadPool* pool) {
+CycleReport classify_cycle(FilteredCycle cycle, const ClassifyConfig& config,
+                           util::ThreadPool* pool) {
   static obs::Counter& pipeline_runs =
       obs::registry().counter("lpr.pipeline_runs");
   static obs::Counter& traces = obs::registry().counter("lpr.traces");
   static obs::Counter& lsps = obs::registry().counter("lpr.lsps_observed");
   pipeline_runs.inc();
-  traces.add(cycle.stats.traces_total);
-  lsps.add(cycle.stats.lsps_observed);
+  traces.add(cycle.extract.traces_total);
+  lsps.add(cycle.extract.lsps_observed);
 
   CycleReport report;
   report.cycle_id = cycle.cycle_id;
-  report.date = cycle.date;
-  report.extract_stats = cycle.stats;
-
-  FilteredCycle filtered =
-      apply_filters(std::move(cycle), following, config.filter);
-  report.filter_stats = filtered.stats;
-
-  report.iotps = group_iotps(std::move(filtered.observations));
-  report.global = classify_all(report.iotps, config.classify, pool);
-
+  report.date = std::move(cycle.date);
+  report.extract_stats = cycle.extract;
+  report.filter_stats = cycle.stats;
+  report.iotps = group_iotps(std::move(cycle.observations));
+  report.global = classify_all(report.iotps, config, pool);
   for (const IotpRecord& rec : report.iotps) {
     report.per_as[rec.key.asn].add(rec);
   }
-  for (const std::uint32_t asn : filtered.dynamic_asns) {
+  for (const std::uint32_t asn : cycle.dynamic_asns) {
     report.dynamic_as[asn] = true;
   }
   return report;
@@ -116,8 +109,9 @@ CycleReport run_pipeline(const dataset::MonthData& month,
                          const PipelineConfig& config,
                          util::ThreadPool* pool) {
   ExtractedMonth extracted = extract_month(month, ip2as, pool);
-  return run_pipeline(std::move(extracted.cycle), extracted.following,
-                      config, pool);
+  return classify_cycle(apply_filters(std::move(extracted.cycle),
+                                      extracted.following, config.filter),
+                        config.classify, pool);
 }
 
 std::vector<LongitudinalReport::AsSeriesPoint>
@@ -135,8 +129,8 @@ LongitudinalReport::as_series(std::uint32_t asn) const {
   return out;
 }
 
-// --- JSON half of the Report interface: the machine-readable counterpart
-// of the text tables, for external plotting of the paper's figures. ---
+// --- JSON forms: the machine-readable counterpart of the text tables, for
+// external plotting of the paper's figures. ---
 
 namespace {
 

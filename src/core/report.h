@@ -1,16 +1,19 @@
-// Report layer: the end-to-end LPR pipeline (extract -> filter -> group ->
-// classify) applied per cycle, with per-AS breakdowns and longitudinal
-// aggregation — the data behind Figs. 6, 10-16 and Tables 1-2.
+// Report layer: the end-to-end LPR pipeline applied per cycle, with per-AS
+// breakdowns and longitudinal aggregation — the data behind Figs. 6, 10-16
+// and Tables 1-2.
 //
-// Every report type implements the Report interface: `to_table` renders the
-// fixed-width text form for terminals, `to_json` the machine-readable form
-// for external plotting.
+// The back end is one chain of three stages, each taking the previous
+// stage's output: extract_month (extract.h) -> apply_filters (filters.h) ->
+// classify_cycle (here). Views of the filtered cycle (router-level IOTPs,
+// a filter sweep) edit FilteredCycle::observations or re-run apply_filters,
+// then call the same classify_cycle. Both report types render as
+// `to_table` (fixed-width text for terminals) and `to_json` (the
+// machine-readable form for external plotting).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -24,21 +27,13 @@
 
 namespace mum::lpr {
 
-// Uniform rendering interface for all report types.
-class Report {
- public:
-  virtual ~Report() = default;
-  virtual void to_table(std::ostream& os) const = 0;
-  virtual std::string to_json() const = 0;
-};
-
 // Render one ClassCounts as the standard class table (text or CSV) — the
 // shared body of every report's table form.
 void write_class_table(std::ostream& os, const ClassCounts& counts,
                        bool csv = false);
 
 // Classification of one cycle, with per-AS detail.
-struct CycleReport : Report {
+struct CycleReport {
   std::uint32_t cycle_id = 0;
   std::string date;
   ExtractStats extract_stats;
@@ -55,9 +50,8 @@ struct CycleReport : Report {
   ClassCounts as_counts(std::uint32_t asn) const;
 
   // Summary line + global class table + per-AS table.
-  void to_table(std::ostream& os) const override;
-  std::string to_json() const override { return to_json(false); }
-  std::string to_json(bool include_iotps) const;
+  void to_table(std::ostream& os) const;
+  std::string to_json(bool include_iotps = false) const;
 };
 
 struct PipelineConfig {
@@ -65,26 +59,23 @@ struct PipelineConfig {
   ClassifyConfig classify;
 };
 
-// Run the full LPR pipeline on one month of data (cycle snapshot + the
-// following snapshots used by Persistence). With a pool, the month's
-// extraction is one fan-out (extract_month) and classification is sharded;
-// output is identical to the serial run.
+// The last stage and the only report tail: group the survivors into
+// IOTPs, classify them (over `pool` when given; identical to the serial
+// run), tally per AS, tag the dynamic ASes, and bump the lpr.* counters.
+CycleReport classify_cycle(FilteredCycle cycle, const ClassifyConfig& config,
+                           util::ThreadPool* pool = nullptr);
+
+// The whole chain on one month of data (cycle snapshot + the following
+// snapshots used by Persistence): classify_cycle(apply_filters(
+// extract_month(month))). With a pool, the month's extraction is one
+// fan-out and classification runs over the pool.
 CycleReport run_pipeline(const dataset::MonthData& month,
                          const dataset::Ip2As& ip2as,
                          const PipelineConfig& config = {},
                          util::ThreadPool* pool = nullptr);
 
-// Same, starting from an extracted cycle snapshot and the following
-// snapshots' persistence sets (lets callers extract once and sweep filter
-// configurations, as the Fig. 6 bench does). The snapshot is consumed, as
-// by apply_filters.
-CycleReport run_pipeline(ExtractedSnapshot cycle,
-                         std::span<const PersistenceSet> following,
-                         const PipelineConfig& config = {},
-                         util::ThreadPool* pool = nullptr);
-
 // Longitudinal container: one report per cycle.
-struct LongitudinalReport : Report {
+struct LongitudinalReport {
   std::vector<CycleReport> cycles;
 
   // PDF of a class for one AS across cycles (the upper panes of Figs 10-15).
@@ -96,8 +87,8 @@ struct LongitudinalReport : Report {
   std::vector<AsSeriesPoint> as_series(std::uint32_t asn) const;
 
   // One row per cycle: date, IOTP count, global class shares.
-  void to_table(std::ostream& os) const override;
-  std::string to_json() const override;
+  void to_table(std::ostream& os) const;
+  std::string to_json() const;
 };
 
 }  // namespace mum::lpr

@@ -87,105 +87,67 @@ std::optional<SnapshotBatch> read_snapshot(std::istream& is,
   return parse_snapshot(std::move(buffer).str(), options, diagnostics);
 }
 
-// --- sources -----------------------------------------------------------
+// --- the file source ---------------------------------------------------
 
-namespace {
+SnapshotSource::SnapshotSource(std::vector<std::string> paths,
+                               const DecodeOptions& options,
+                               util::ThreadPool* pool)
+    : paths_(std::move(paths)),
+      options_(options),
+      pool_(pool),
+      // Mappings may run on pool workers that lack the caller's
+      // CycleScope, so capture its (cycle, attempt) lineage here and key
+      // every map op explicitly — fault draws are then identical no
+      // matter which thread performs the map.
+      context_(util::io::capture_context()) {}
 
-
-class FileSource final : public SnapshotSource {
- public:
-  FileSource(std::vector<std::string> paths, const DecodeOptions& options,
-             util::ThreadPool* pool)
-      : paths_(std::move(paths)),
-        options_(options),
-        pool_(pool),
-        // Mappings may run on pool workers that lack the caller's
-        // CycleScope, so capture its (cycle, attempt) lineage here and key
-        // every map op explicitly — fault draws are then identical no
-        // matter which thread performs the map.
-        context_(util::io::capture_context()) {}
-
-  std::optional<SnapshotBatch> next() override {
-    if (!error_.empty() || index_ >= paths_.size()) return std::nullopt;
-    // A failed prefetch retries here once before declaring the shard dead
-    // (a fresh ordinal, so an injected fault does not deterministically
-    // recur on the retry).
-    if (!staged_) {
-      staged_ =
-          util::io::env().map_file(paths_[index_], context_, map_ordinal_++);
-    }
-    std::optional<util::MmapFile> current = std::move(staged_);
-    staged_.reset();
-    const std::size_t i = index_++;
-    last_path_ = paths_[i];
-    last_diag_ = DecodeDiagnostics{};
-    if (!current) {
-      error_ = last_path_ + ": cannot read";
-      kind_ = SourceErrorKind::kUnreadable;
-      return std::nullopt;
-    }
-
-    std::optional<SnapshotBatch> snap;
-    if (index_ < paths_.size() && pool_ != nullptr) {
-      // Overlap: decode shard i here while a worker maps shard i+1. Both
-      // indices write disjoint state; parallel_for joins before we read it.
-      // The ordinal is drawn before dispatch so the fault key never depends
-      // on pool scheduling.
-      const std::uint64_t ordinal = map_ordinal_++;
-      std::optional<util::MmapFile> prefetched;
-      util::parallel_for(pool_, 2, [&](std::size_t k) {
-        if (k == 0) {
-          snap = parse_snapshot(current->view(), options_, &last_diag_);
-        } else {
-          prefetched =
-              util::io::env().map_file(paths_[index_], context_, ordinal);
-        }
-      });
-      staged_ = std::move(prefetched);
-    } else {
-      snap = parse_snapshot(current->view(), options_, &last_diag_);
-    }
-    diag_.merge(last_diag_);
-    if (!snap) {
-      error_ = last_path_ + ": not a warts-lite snapshot";
-      kind_ = SourceErrorKind::kUndecodable;
-      return std::nullopt;
-    }
-    return snap;
+std::optional<SnapshotBatch> SnapshotSource::next() {
+  if (!error_.empty() || index_ >= paths_.size()) return std::nullopt;
+  // A failed prefetch retries here once before declaring the shard dead
+  // (a fresh ordinal, so an injected fault does not deterministically
+  // recur on the retry).
+  if (!staged_) {
+    staged_ =
+        util::io::env().map_file(paths_[index_], context_, map_ordinal_++);
   }
-  const DecodeDiagnostics& diagnostics() const noexcept override {
-    return diag_;
+  std::optional<util::MmapFile> current = std::move(staged_);
+  staged_.reset();
+  const std::size_t i = index_++;
+  last_path_ = paths_[i];
+  last_diag_ = DecodeDiagnostics{};
+  if (!current) {
+    error_ = last_path_ + ": cannot read";
+    kind_ = SourceErrorKind::kUnreadable;
+    return std::nullopt;
   }
-  const DecodeDiagnostics& last_diagnostics() const noexcept override {
-    return last_diag_;
+
+  std::optional<SnapshotBatch> snap;
+  if (index_ < paths_.size() && pool_ != nullptr) {
+    // Overlap: decode shard i here while a worker maps shard i+1. Both
+    // indices write disjoint state; parallel_for joins before we read it.
+    // The ordinal is drawn before dispatch so the fault key never depends
+    // on pool scheduling.
+    const std::uint64_t ordinal = map_ordinal_++;
+    std::optional<util::MmapFile> prefetched;
+    util::parallel_for(pool_, 2, [&](std::size_t k) {
+      if (k == 0) {
+        snap = parse_snapshot(current->view(), options_, &last_diag_);
+      } else {
+        prefetched =
+            util::io::env().map_file(paths_[index_], context_, ordinal);
+      }
+    });
+    staged_ = std::move(prefetched);
+  } else {
+    snap = parse_snapshot(current->view(), options_, &last_diag_);
   }
-  const std::string& last_path() const noexcept override {
-    return last_path_;
+  diag_.merge(last_diag_);
+  if (!snap) {
+    error_ = last_path_ + ": not a warts-lite snapshot";
+    kind_ = SourceErrorKind::kUndecodable;
+    return std::nullopt;
   }
-  const std::string& error() const noexcept override { return error_; }
-  SourceErrorKind error_kind() const noexcept override { return kind_; }
-
- private:
-  std::vector<std::string> paths_;
-  DecodeOptions options_;
-  util::ThreadPool* pool_;
-  util::io::OpContext context_;
-  std::uint64_t map_ordinal_ = 0;
-  std::size_t index_ = 0;
-  std::optional<util::MmapFile> staged_;  // mapping for paths_[index_]
-  DecodeDiagnostics diag_;
-  DecodeDiagnostics last_diag_;
-  std::string last_path_;
-  std::string error_;
-  SourceErrorKind kind_ = SourceErrorKind::kNone;
-};
-
-}  // namespace
-
-std::unique_ptr<SnapshotSource> make_file_source(std::vector<std::string> paths,
-                                                 const DecodeOptions& options,
-                                                 util::ThreadPool* pool) {
-  return std::make_unique<FileSource>(std::move(paths), options, pool);
+  return snap;
 }
 
 }  // namespace mum::dataset

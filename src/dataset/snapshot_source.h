@@ -1,4 +1,4 @@
-// SnapshotSource: the pull interface over on-disk shard sets (v2 .mumw
+// SnapshotSource: the pull stream over on-disk shard sets (v2 .mumw
 // streams and v3 .mump packs, freely mixed) — what checkpoint resume and
 // the CLI ingest through.
 //
@@ -16,14 +16,18 @@
 // a cold ingest streams at decode speed rather than decode + load speed.
 #pragma once
 
-#include <memory>
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "dataset/decode.h"
 #include "dataset/trace_batch.h"
+#include "util/io.h"
+#include "util/mmap_file.h"
 
 namespace mum::util {
 class ThreadPool;
@@ -40,33 +44,54 @@ enum class SourceErrorKind : std::uint8_t {
   kUndecodable,   // bytes read but not a warts-lite container
 };
 
+// Maps/reads each file (any format) in order. With a pool, loading shard
+// N+1 overlaps decoding shard N.
 class SnapshotSource {
  public:
-  virtual ~SnapshotSource() = default;
+  SnapshotSource(std::vector<std::string> paths,
+                 const DecodeOptions& options = {},
+                 util::ThreadPool* pool = nullptr);
 
   // The next snapshot, or nullopt when the stream is exhausted — or broken;
   // distinguish with error().
-  virtual std::optional<SnapshotBatch> next() = 0;
+  std::optional<SnapshotBatch> next();
 
   // Decode faults accumulated over everything next() has consumed.
-  virtual const DecodeDiagnostics& diagnostics() const noexcept = 0;
+  const DecodeDiagnostics& diagnostics() const noexcept { return diag_; }
   // Faults from only the most recent next() (per-shard reporting).
-  virtual const DecodeDiagnostics& last_diagnostics() const noexcept = 0;
-  // Path of the shard the most recent next() consumed ("" when sourceless).
-  virtual const std::string& last_path() const noexcept = 0;
+  const DecodeDiagnostics& last_diagnostics() const noexcept {
+    return last_diag_;
+  }
+  // Path of the shard the most recent next() consumed ("" before the first).
+  const std::string& last_path() const noexcept { return last_path_; }
 
   // Non-empty once a shard could not be read or recognized; next() has
   // returned nullopt and will keep doing so.
-  virtual const std::string& error() const noexcept = 0;
+  const std::string& error() const noexcept { return error_; }
   // Classifies error() (kNone while the stream is healthy).
-  virtual SourceErrorKind error_kind() const noexcept = 0;
-  bool failed() const noexcept { return !error().empty(); }
+  SourceErrorKind error_kind() const noexcept { return kind_; }
+  bool failed() const noexcept { return !error_.empty(); }
+
+ private:
+  std::vector<std::string> paths_;
+  DecodeOptions options_;
+  util::ThreadPool* pool_;
+  util::io::OpContext context_;
+  std::uint64_t map_ordinal_ = 0;
+  std::size_t index_ = 0;
+  std::optional<util::MmapFile> staged_;  // mapping for paths_[index_]
+  DecodeDiagnostics diag_;
+  DecodeDiagnostics last_diag_;
+  std::string last_path_;
+  std::string error_;
+  SourceErrorKind kind_ = SourceErrorKind::kNone;
 };
 
-// Maps/reads each file (any format) in order. With a pool, loading shard
-// N+1 overlaps decoding shard N.
-std::unique_ptr<SnapshotSource> make_file_source(
-    std::vector<std::string> paths, const DecodeOptions& options = {},
-    util::ThreadPool* pool = nullptr);
+// The source over `paths`, as constructed above.
+inline SnapshotSource make_file_source(std::vector<std::string> paths,
+                                       const DecodeOptions& options = {},
+                                       util::ThreadPool* pool = nullptr) {
+  return SnapshotSource(std::move(paths), options, pool);
+}
 
 }  // namespace mum::dataset

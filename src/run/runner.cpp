@@ -189,7 +189,7 @@ std::optional<lpr::CycleReport> Runner::run_cycle_from_data(
   }
   // Strict decode: these shards were written by a previous run; damage
   // means the cycle should be regenerated, not silently thinned.
-  const auto source = dataset::make_file_source(
+  auto source = dataset::make_file_source(
       paths, dataset::DecodeOptions{}, pool_.get());
   dataset::MonthData month;
   month.cycle_id = static_cast<std::uint32_t>(cycle);
@@ -197,23 +197,23 @@ std::optional<lpr::CycleReport> Runner::run_cycle_from_data(
   {
     const obs::StageSpan span(obs::Stage::kIngest, cycle);
     dataset::AsnCache asn_cache;
-    while (auto snapshot = source->next()) {
+    while (auto snapshot = source.next()) {
       // Annotations are not persisted in either container format.
       ip2as_.annotate(snapshot->traces, asn_cache);
       month.snapshots.push_back(std::move(*snapshot));
     }
   }
-  if (source->failed() || month.snapshots.empty()) {
+  if (source.failed() || month.snapshots.empty()) {
     // A shard whose *bytes* are bad is evidence of torn persistence —
     // quarantine it so the recompute can write a fresh one. An unreadable
     // shard proves nothing about the bytes; leave it alone.
-    if (source->error_kind() == dataset::SourceErrorKind::kUndecodable) {
-      quarantine_file(source->last_path(), "undecodable shard", status);
+    if (source.error_kind() == dataset::SourceErrorKind::kUndecodable) {
+      quarantine_file(source.last_path(), "undecodable shard", status);
     }
     return std::nullopt;
   }
   util::io::check_deadline();
-  return classify(cycle, month, source->diagnostics());
+  return classify(cycle, month, source.diagnostics());
 }
 
 RunOutcome Runner::run_all_contained() const {

@@ -1,21 +1,26 @@
-// Reference LPR front end for tests: extraction, the address census, the
-// four Sec. 3.1 filters with dynamic-AS reinjection, and IOTP grouping,
-// written straight from the definitions in extract.h and filters.h.
+// Reference LPR for tests: extraction, the address census, the four
+// Sec. 3.1 filters with dynamic-AS reinjection, IOTP grouping, and
+// Algorithm 1 with the Mono-FEC split and the Sec. 5 alias heuristic,
+// written straight from the definitions in extract.h, filters.h and
+// classify.h.
 //
 // Naive on purpose: it reads traces through TraceView/HopView, keeps every
 // set in std::set/std::map, runs on one thread, and identifies an LSP for
 // Persistence by its full content rather than by a hash. Production must
-// agree with it on every field compared by expect_matches_reference.
+// agree with it on every field compared by expect_matches_reference and
+// expect_same_classes.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 #include <tuple>
 #include <vector>
 
+#include "core/classify.h"
 #include "core/extract.h"
 #include "core/filters.h"
 #include "core/report.h"
@@ -129,29 +134,26 @@ inline Result run(const dataset::MonthData& month, const dataset::Ip2As& ip2as,
 
   std::vector<LspObservation> kept;
   for (const LspObservation& obs : cycle.observations) {
-    if (!(config.enable_intra_as && obs.lsp.asn == 0)) kept.push_back(obs);
+    if (obs.lsp.asn != 0) kept.push_back(obs);
   }
   stats.after_intra_as = kept.size();
 
-  if (config.enable_target_as) {
-    std::erase_if(kept, [](const LspObservation& obs) {
-      return obs.dst_asn == obs.lsp.asn;
-    });
-  }
+  std::erase_if(kept, [](const LspObservation& obs) {
+    return obs.dst_asn == obs.lsp.asn;
+  });
   stats.after_target_as = kept.size();
 
-  if (config.enable_transit_diversity) {
-    std::map<IotpKey, std::set<std::uint32_t>> dsts;
-    for (const LspObservation& obs : kept) {
-      dsts[{obs.lsp.asn, obs.lsp.ingress, obs.lsp.egress}].insert(obs.dst_asn);
-    }
-    std::erase_if(kept, [&](const LspObservation& obs) {
-      return dsts[{obs.lsp.asn, obs.lsp.ingress, obs.lsp.egress}].size() < 2;
-    });
+  std::map<IotpKey, std::set<std::uint32_t>> dsts;
+  for (const LspObservation& obs : kept) {
+    dsts[{obs.lsp.asn, obs.lsp.ingress, obs.lsp.egress}].insert(obs.dst_asn);
   }
+  std::erase_if(kept, [&](const LspObservation& obs) {
+    return dsts[{obs.lsp.asn, obs.lsp.ingress, obs.lsp.egress}].size() < 2;
+  });
   stats.after_transit_diversity = kept.size();
 
-  if (config.enable_persistence) {
+  // Persistence runs only with j > 0 and at least one following snapshot.
+  if (config.persistence_j > 0 && month.snapshots.size() > 1) {
     std::set<LspId> seen;
     for (std::size_t s = 1; s < month.snapshots.size() &&
                             static_cast<int>(s) <= config.persistence_j;
@@ -168,7 +170,7 @@ inline Result run(const dataset::MonthData& month, const dataset::Ip2As& ip2as,
       still += seen.contains(id_of(obs.lsp)) ? 1 : 0;
     }
     for (const auto& [asn, tally] : per_as) {
-      if (tally.second / tally.first <= 1.0 - config.dynamic_threshold) {
+      if (tally.second / tally.first <= 1.0 - kDynamicThreshold) {
         out.dynamic_asns.push_back(asn);
       }
     }
@@ -196,6 +198,143 @@ inline Result run(const dataset::MonthData& month, const dataset::Ip2As& ip2as,
     rec.dst_asns.assign(group.second.begin(), group.second.end());
   }
   return out;
+}
+
+// What Algorithm 1 (plus the Mono-FEC split, the Sec. 5 heuristic and the
+// Sec. 4.3 metrics) says about one IOTP.
+struct Classified {
+  TunnelClass tunnel_class = TunnelClass::kUnclassified;
+  MonoFecKind mono_fec_kind = MonoFecKind::kNotApplicable;
+  bool by_alias_heuristic = false;
+  int length = 0;
+  int width = 0;
+  int symmetry = 0;
+};
+
+// Algorithm 1, lines 10-28, over an IOTP's branches.
+inline Classified classify(const std::vector<Lsp>& branches,
+                           bool alias_heuristic) {
+  Classified out;
+  std::multiset<int> lengths;  // intermediate LSRs per branch
+  for (const Lsp& lsp : branches) {
+    lengths.insert(lsp.intermediate_lsr_count());
+  }
+  out.width = static_cast<int>(branches.size());
+  if (!lengths.empty()) {
+    out.length = *lengths.rbegin();
+    out.symmetry = *lengths.rbegin() - *lengths.begin();
+  }
+  // Line 10: one branch is a Mono-LSP.
+  if (branches.size() <= 1) {
+    out.tunnel_class = TunnelClass::kMonoLsp;
+    return out;
+  }
+  // Mono-FEC split: Parallel Links when every branch shows the same
+  // sequence of label stacks, Routers Disjoint otherwise.
+  std::set<std::vector<std::vector<std::uint32_t>>> sequences;
+  for (const Lsp& lsp : branches) {
+    std::vector<std::vector<std::uint32_t>> sequence;
+    for (const LsrHop& hop : lsp.lsrs) sequence.push_back(hop.labels);
+    sequences.insert(sequence);
+  }
+  const MonoFecKind split = sequences.size() == 1
+                                ? MonoFecKind::kParallelLinks
+                                : MonoFecKind::kRoutersDisjoint;
+  // Lines 12-14: the common IPs, addresses seen on >= 2 branches.
+  std::map<net::Ipv4Addr, std::set<std::size_t>> branches_at;
+  for (std::size_t b = 0; b < branches.size(); ++b) {
+    for (const LsrHop& hop : branches[b].lsrs) branches_at[hop.addr].insert(b);
+  }
+  std::set<net::Ipv4Addr> common;
+  for (const auto& [addr, seen] : branches_at) {
+    if (seen.size() >= 2) common.insert(addr);
+  }
+  // Lines 16-18: no common IP. The Sec. 5 heuristic compares the labels of
+  // every branch's last LSR; it cannot decide when a branch has none.
+  if (common.empty()) {
+    const bool decidable = std::ranges::none_of(
+        branches, [](const Lsp& lsp) { return lsp.lsrs.empty(); });
+    if (alias_heuristic && decidable) {
+      std::set<std::vector<std::uint32_t>> last_labels;
+      for (const Lsp& lsp : branches) last_labels.insert(lsp.lsrs.back().labels);
+      out.by_alias_heuristic = true;
+      if (last_labels.size() > 1) {
+        out.tunnel_class = TunnelClass::kMultiFec;
+      } else {
+        out.tunnel_class = TunnelClass::kMonoFec;
+        out.mono_fec_kind = split;
+      }
+    }
+    return out;
+  }
+  // Lines 20-25: a common IP showing more than one (top) label.
+  for (const net::Ipv4Addr addr : common) {
+    std::set<std::uint32_t> labels;
+    for (const Lsp& lsp : branches) {
+      for (const LsrHop& hop : lsp.lsrs) {
+        if (hop.addr == addr && !hop.labels.empty()) {
+          labels.insert(hop.labels.front());
+        }
+      }
+    }
+    if (labels.size() > 1) {
+      out.tunnel_class = TunnelClass::kMultiFec;
+      return out;
+    }
+  }
+  // Lines 26-28: one label at every common IP.
+  out.tunnel_class = TunnelClass::kMonoFec;
+  out.mono_fec_kind = split;
+  return out;
+}
+
+// Every classified field of `got` against the reference on its branches.
+inline void expect_same_classes(const std::vector<IotpRecord>& got,
+                                bool alias_heuristic) {
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const IotpRecord& rec = got[i];
+    const Classified want = classify(rec.variants, alias_heuristic);
+    EXPECT_EQ(std::tie(want.tunnel_class, want.mono_fec_kind,
+                       want.by_alias_heuristic, want.length, want.width,
+                       want.symmetry),
+              std::tie(rec.tunnel_class, rec.mono_fec_kind,
+                       rec.classified_by_alias_heuristic, rec.length,
+                       rec.width, rec.symmetry))
+        << "IOTP " << i << ": " << to_cstring(want.tunnel_class) << " vs "
+        << to_cstring(rec.tunnel_class);
+  }
+}
+
+// The six class tallies of a report, as (Mono-LSP, Multi-FEC, Mono-FEC,
+// Unclassified, Parallel Links, Routers Disjoint).
+using Tallies = std::array<std::uint64_t, 6>;
+inline Tallies tallies_of(const ClassCounts& c) {
+  return {c.mono_lsp,     c.multi_fec,      c.mono_fec,
+          c.unclassified, c.parallel_links, c.routers_disjoint};
+}
+inline void count(Tallies& t, const Classified& c) {
+  ++t[static_cast<std::size_t>(c.tunnel_class)];
+  if (c.mono_fec_kind == MonoFecKind::kParallelLinks) ++t[4];
+  if (c.mono_fec_kind == MonoFecKind::kRoutersDisjoint) ++t[5];
+}
+
+// A production report's global and per-AS tallies against the reference
+// classes of the reference IOTPs.
+inline void expect_same_tallies(const Result& want, const CycleReport& got,
+                                bool alias_heuristic) {
+  Tallies global{};
+  std::map<std::uint32_t, Tallies> per_as;
+  for (const IotpRecord& rec : want.iotps) {
+    const Classified c = classify(rec.variants, alias_heuristic);
+    count(global, c);
+    count(per_as[rec.key.asn], c);
+  }
+  EXPECT_EQ(global, tallies_of(got.global));
+  std::map<std::uint32_t, Tallies> got_per_as;
+  for (const auto& [asn, counts] : got.per_as) {
+    got_per_as[asn] = tallies_of(counts);
+  }
+  EXPECT_EQ(per_as, got_per_as);
 }
 
 // Full equality of two extractions: every counter, and every observation in

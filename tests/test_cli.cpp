@@ -7,9 +7,14 @@
 
 #include <filesystem>
 #include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 
+#include "core/alias.h"
+#include "core/report.h"
 #include "dataset/ip2as.h"
+#include "dataset/snapshot_source.h"
 
 namespace mum::cli {
 namespace {
@@ -192,6 +197,100 @@ TEST_F(CliPipeline, GenerateClassifyTreesStats) {
 
   ASSERT_EQ(run_cmd({"trees", "--ip2as", table, files[0]}, &out), 0) << out;
   EXPECT_NE(out.find("egress-rooted trees"), std::string::npos);
+}
+
+// The JSON object that follows `"key":` (no nested braces inside).
+std::string json_object(const std::string& json, const std::string& key) {
+  const std::size_t at = json.find("\"" + key + "\":{");
+  if (at == std::string::npos) return "";
+  return json.substr(at, json.find('}', at) - at + 1);
+}
+
+// The ASNs a report's per_as array tags dynamic.
+std::set<std::string> dynamic_tags(const std::string& json) {
+  static const std::regex tag("\"asn\":([0-9]+),\"dynamic\":true");
+  std::set<std::string> out;
+  for (std::sregex_iterator it(json.begin(), json.end(), tag), end;
+       it != end; ++it) {
+    out.insert((*it)[1]);
+  }
+  return out;
+}
+
+TEST_F(CliPipeline, RouterLevelMatchesLibraryBuiltReport) {
+  std::string out;
+  ASSERT_EQ(run_cmd({"generate", "--out", dir_.string(), "--cycle", "50",
+                     "--small"},
+                    &out),
+            0)
+      << out;
+  const auto files = snapshot_files();
+  ASSERT_EQ(files.size(), 3u);
+  const std::string table = (dir_ / "ip2as.txt").string();
+
+  std::string router_level;
+  ASSERT_EQ(run_cmd({"classify", "--router-level", "--json-iotps", "--ip2as",
+                     table, files[0], files[1], files[2]},
+                    &router_level),
+            0)
+      << router_level;
+  std::string ip_level;
+  ASSERT_EQ(run_cmd({"classify", "--json", "--ip2as", table, files[0],
+                     files[1], files[2]},
+                    &ip_level),
+            0)
+      << ip_level;
+
+  // The same report, built by hand through the library.
+  std::ifstream table_in(table);
+  std::stringstream table_text;
+  table_text << table_in.rdbuf();
+  const auto ip2as = dataset::ip2as_from_text(table_text.str());
+  ASSERT_TRUE(ip2as.has_value());
+  dataset::MonthData month;
+  auto source = dataset::make_file_source(files);
+  dataset::AsnCache asn_cache;
+  while (auto snap = source.next()) {
+    ip2as->annotate(snap->traces, asn_cache);
+    month.snapshots.push_back(std::move(*snap));
+  }
+  ASSERT_EQ(month.snapshots.size(), 3u);
+  lpr::ExtractedMonth extracted = lpr::extract_month(month, *ip2as);
+  const lpr::FilteredCycle filtered = lpr::apply_filters(
+      std::move(extracted.cycle), extracted.following, {});
+  const lpr::LabelAliasResolver resolver(filtered.observations,
+                                         month.cycle().traces);
+  lpr::CycleReport want;
+  want.cycle_id = filtered.cycle_id;
+  want.date = filtered.date;
+  want.extract_stats = filtered.extract;
+  want.filter_stats = filtered.stats;
+  want.iotps =
+      lpr::group_iotps(lpr::to_router_level(filtered.observations, resolver));
+  want.global = lpr::classify_all(want.iotps);
+  for (const lpr::IotpRecord& rec : want.iotps) {
+    want.per_as[rec.key.asn].add(rec);
+  }
+  for (const std::uint32_t asn : filtered.dynamic_asns) {
+    want.dynamic_as[asn] = true;
+  }
+  ASSERT_FALSE(filtered.dynamic_asns.empty());
+  EXPECT_EQ(router_level, "(router-level IOTPs: " +
+                              std::to_string(resolver.alias_sets().size()) +
+                              " alias sets inferred)\n" +
+                              want.to_json(true) + "\n");
+
+  // Router level regroups the one filtered cycle: extraction, filter
+  // stats and dynamic tags are the IP-level run's.
+  for (const char* key : {"extract", "filters"}) {
+    EXPECT_FALSE(json_object(ip_level, key).empty()) << key;
+    EXPECT_EQ(json_object(router_level, key), json_object(ip_level, key))
+        << key;
+  }
+  EXPECT_FALSE(dynamic_tags(ip_level).empty());
+  EXPECT_EQ(dynamic_tags(router_level), dynamic_tags(ip_level));
+  EXPECT_NE(json_object(router_level, "global"),
+            json_object(ip_level, "global"));
 }
 
 TEST_F(CliPipeline, DeterministicAcrossRuns) {

@@ -48,44 +48,36 @@ bool is_dynamic(const FilteredCycle& result, std::uint32_t asn) {
   return std::ranges::binary_search(result.dynamic_asns, asn);
 }
 
-FilterConfig no_persistence() {
-  FilterConfig c;
-  c.enable_persistence = false;
-  return c;
-}
+// Each filter test isolates its filter by its FilterStats stage counter:
+// the other inputs pass every other filter, and without following sets
+// Persistence does not run.
 
 TEST(Filters, IntraAsDropsAsnZero) {
   auto cycle = snap_of({obs(0, 1, 2, {100}, 9),      // inter-domain
-                        obs(65001, 1, 2, {100}, 9)});
-  FilterConfig config = no_persistence();
-  config.enable_target_as = false;
-  config.enable_transit_diversity = false;
-  const auto result = apply_filters(cycle, {}, config);
-  EXPECT_EQ(result.stats.complete, 2u);
-  EXPECT_EQ(result.stats.after_intra_as, 1u);
-  ASSERT_EQ(result.observations.size(), 1u);
-  EXPECT_EQ(result.observations[0].lsp.asn, 65001u);
-}
-
-TEST(Filters, IntraAsCanBeDisabled) {
-  auto cycle = snap_of({obs(0, 1, 2, {100}, 9)});
-  FilterConfig config = no_persistence();
-  config.enable_intra_as = false;
-  config.enable_target_as = false;
-  config.enable_transit_diversity = false;
-  const auto result = apply_filters(cycle, {}, config);
-  EXPECT_EQ(result.observations.size(), 1u);
+                        obs(65001, 1, 2, {100}, 9),
+                        obs(65001, 1, 2, {100}, 10)});
+  const auto result = apply_filters(cycle, {}, {});
+  EXPECT_EQ(result.stats.complete, 3u);
+  EXPECT_EQ(result.stats.after_intra_as, 2u);
+  EXPECT_EQ(result.stats.after_target_as, 2u);
+  EXPECT_EQ(result.stats.after_transit_diversity, 2u);
+  EXPECT_EQ(result.stats.after_persistence, 2u);
+  ASSERT_EQ(result.observations.size(), 2u);
+  for (const auto& o : result.observations) EXPECT_EQ(o.lsp.asn, 65001u);
 }
 
 TEST(Filters, TargetAsDropsTunnelsTowardOwnAs) {
   auto cycle = snap_of({obs(65001, 1, 2, {100}, 65001),   // dst inside
-                        obs(65001, 1, 2, {100}, 65099)}); // dst outside
-  FilterConfig config = no_persistence();
-  config.enable_transit_diversity = false;
-  const auto result = apply_filters(cycle, {}, config);
-  EXPECT_EQ(result.stats.after_intra_as, 2u);
-  EXPECT_EQ(result.stats.after_target_as, 1u);
+                        obs(65001, 1, 2, {100}, 65099),   // dst outside
+                        obs(65001, 1, 2, {100}, 65098)}); // dst outside
+  const auto result = apply_filters(cycle, {}, {});
+  EXPECT_EQ(result.stats.after_intra_as, 3u);
+  EXPECT_EQ(result.stats.after_target_as, 2u);
+  EXPECT_EQ(result.stats.after_transit_diversity, 2u);
+  EXPECT_EQ(result.stats.after_persistence, 2u);
+  ASSERT_EQ(result.observations.size(), 2u);
   EXPECT_EQ(result.observations[0].dst_asn, 65099u);
+  EXPECT_EQ(result.observations[1].dst_asn, 65098u);
 }
 
 TEST(Filters, TransitDiversityNeedsTwoDestAses) {
@@ -93,8 +85,10 @@ TEST(Filters, TransitDiversityNeedsTwoDestAses) {
                         obs(65001, 1, 2, {100}, 9),     // same dst AS
                         obs(65001, 5, 6, {200}, 9),
                         obs(65001, 5, 6, {200}, 10)});  // two dst ASes
-  const auto result = apply_filters(cycle, {}, no_persistence());
+  const auto result = apply_filters(cycle, {}, {});
+  EXPECT_EQ(result.stats.after_target_as, 4u);
   EXPECT_EQ(result.stats.after_transit_diversity, 2u);
+  EXPECT_EQ(result.stats.after_persistence, 2u);
   for (const auto& o : result.observations) {
     EXPECT_EQ(o.lsp.ingress, ip(5));
   }
@@ -105,7 +99,9 @@ TEST(Filters, TransitDiversityIsPerIotpNotPerLsp) {
   // IOTP overall reaches two => both kept.
   auto cycle = snap_of({obs(65001, 1, 2, {100}, 9),
                         obs(65001, 1, 2, {101}, 10)});
-  const auto result = apply_filters(cycle, {}, no_persistence());
+  const auto result = apply_filters(cycle, {}, {});
+  EXPECT_EQ(result.stats.after_target_as, 2u);
+  EXPECT_EQ(result.stats.after_transit_diversity, 2u);
   EXPECT_EQ(result.observations.size(), 2u);
 }
 
@@ -138,15 +134,31 @@ TEST(Filters, PersistenceSeenOnlyInSecondFollowUpStillKept) {
 
 TEST(Filters, PersistenceJLimitsSnapshotsConsulted) {
   const auto o1 = obs(65001, 1, 2, {100}, 9);
-  auto cycle = snap_of({o1, obs(65001, 1, 2, {100}, 10)});
+  const auto stable = obs(65001, 3, 4, {300}, 9);
+  auto cycle = snap_of({o1, obs(65001, 1, 2, {100}, 10),
+                        stable, obs(65001, 3, 4, {300}, 10)});
   const auto empty = snap_of({});
   const auto with_lsp = snap_of({o1});
+  const auto with_stable = snap_of({stable});
+  // o1 reappears only in snapshot X+2, but j=1 only looks at X+1. Half of
+  // the AS's LSPs persist there, so reinjection does not fire.
   FilterConfig config;
   config.persistence_j = 1;
-  config.dynamic_threshold = 2.0;  // disable reinjection for this test
-  // LSP reappears only in snapshot X+2, but j=1 only looks at X+1.
-  const auto result = apply_filters(cycle, sets_of({empty, with_lsp}), config);
-  EXPECT_EQ(result.stats.after_persistence, 0u);
+  const auto result =
+      apply_filters(cycle, sets_of({with_stable, with_lsp}), config);
+  EXPECT_EQ(result.stats.after_transit_diversity, 4u);
+  EXPECT_EQ(result.stats.after_persistence, 2u);
+  EXPECT_FALSE(is_dynamic(result, 65001));
+  for (const auto& o : result.observations) EXPECT_EQ(o.lsp, stable.lsp);
+  // j=2 also consults X+2, where o1 reappears.
+  config.persistence_j = 2;
+  EXPECT_EQ(apply_filters(cycle, sets_of({with_stable, with_lsp}), config)
+                .stats.after_persistence,
+            4u);
+  // With X+1 empty, j=1 would leave nothing of the AS: reinjection.
+  config.persistence_j = 1;
+  EXPECT_TRUE(is_dynamic(
+      apply_filters(cycle, sets_of({empty, with_lsp}), config), 65001));
 }
 
 TEST(Filters, DynamicAsReinjectedAndTagged) {
@@ -174,13 +186,22 @@ TEST(Filters, PartialChurnIsNotDynamic) {
   EXPECT_EQ(result.stats.after_persistence, 1u);
 }
 
-TEST(Filters, NoFollowUpsWithPersistenceTriggersReinjection) {
+TEST(Filters, PersistenceNeedsFollowUpsAndPositiveJ) {
+  // Persistence runs only with j > 0 and at least one following set; else
+  // nothing is dropped and no AS is tagged dynamic.
   auto cycle = snap_of({obs(65001, 1, 2, {100}, 9),
                         obs(65001, 1, 2, {101}, 10)});
-  const auto result = apply_filters(cycle, {}, FilterConfig{});
-  // Nothing can persist => whole AS wiped => reinjected as dynamic.
-  EXPECT_TRUE(is_dynamic(result, 65001));
-  EXPECT_EQ(result.observations.size(), 2u);
+  const auto no_follow_ups = apply_filters(cycle, {}, FilterConfig{});
+  FilterConfig j0;
+  j0.persistence_j = 0;
+  const auto zero_j = apply_filters(cycle, sets_of({snap_of({})}), j0);
+  for (const FilteredCycle* result : {&no_follow_ups, &zero_j}) {
+    EXPECT_TRUE(result->dynamic_asns.empty());
+    EXPECT_EQ(result->stats.after_transit_diversity, 2u);
+    EXPECT_EQ(result->stats.after_persistence,
+              result->stats.after_transit_diversity);
+    EXPECT_EQ(result->observations.size(), 2u);
+  }
 }
 
 TEST(Filters, StatsChainMonotone) {

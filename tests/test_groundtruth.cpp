@@ -108,8 +108,9 @@ class Lab {
 
     // Every router answers in the lab; Persistence sees a stable network.
     const lpr::PersistenceSet self = lpr::persistence_set(snap);
-    return lpr::run_pipeline(lpr::extract_lsps(snap, ip2as_), {&self, 1},
-                             {});
+    return lpr::classify_cycle(
+        lpr::apply_filters(lpr::extract_lsps(snap, ip2as_), {&self, 1}, {}),
+        {});
   }
 
   topo::BuildParams lab_params() const;

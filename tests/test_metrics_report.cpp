@@ -83,7 +83,8 @@ TEST(Report, PipelineFromExtractedSnapshots) {
   cycle.stats.lsps_observed = 5;
 
   const PersistenceSet next = persistence_set(cycle);  // all persists
-  const CycleReport report = run_pipeline(cycle, {&next, 1}, {});
+  const CycleReport report =
+      classify_cycle(apply_filters(cycle, {&next, 1}, {}), {});
 
   EXPECT_EQ(report.cycle_id, 7u);
   EXPECT_EQ(report.date, "2012-08");
@@ -103,7 +104,8 @@ TEST(Report, DynamicTagSurfacesInReport) {
   ExtractedSnapshot next;  // labels churned away entirely
   next.observations = {obs(65001, 1, 500, 9)};
   const PersistenceSet next_set = persistence_set(next);
-  const CycleReport report = run_pipeline(cycle, {&next_set, 1}, {});
+  const CycleReport report =
+      classify_cycle(apply_filters(cycle, {&next_set, 1}, {}), {});
   ASSERT_TRUE(report.dynamic_as.contains(65001));
   EXPECT_TRUE(report.dynamic_as.at(65001));
 }
@@ -118,7 +120,8 @@ TEST(Report, AsSeriesTracksCycles) {
                             obs(65001, 1, 100, 10)};
     }
     const PersistenceSet next = persistence_set(cycle);
-    longitudinal.cycles.push_back(run_pipeline(cycle, {&next, 1}, {}));
+    longitudinal.cycles.push_back(
+        classify_cycle(apply_filters(cycle, {&next, 1}, {}), {}));
   }
   const auto series = longitudinal.as_series(65001);
   ASSERT_EQ(series.size(), 3u);
@@ -143,13 +146,12 @@ TEST(Report, AliasHeuristicConfigPlumbsThrough) {
   cycle.observations = {o1, o2};
   const PersistenceSet next = persistence_set(cycle);
 
-  PipelineConfig plain;
-  const auto without = run_pipeline(cycle, {&next, 1}, plain);
+  const auto without =
+      classify_cycle(apply_filters(cycle, {&next, 1}, {}), {});
   EXPECT_EQ(without.global.unclassified, 1u);
 
-  PipelineConfig with_alias;
-  with_alias.classify.alias_resolution_heuristic = true;
-  const auto with = run_pipeline(cycle, {&next, 1}, with_alias);
+  const auto with = classify_cycle(apply_filters(cycle, {&next, 1}, {}),
+                                   {.alias_resolution_heuristic = true});
   EXPECT_EQ(with.global.unclassified, 0u);
   EXPECT_EQ(with.global.mono_fec, 1u);
 }

@@ -349,28 +349,28 @@ TEST(SnapshotSourceTest, FileSourceStreamsMixedFormats) {
   for (const bool pooled : {false, true}) {
     util::ThreadPool pool(2);
     auto source = make_file_source(paths, {}, pooled ? &pool : nullptr);
-    const auto first = source->next();
+    const auto first = source.next();
     ASSERT_TRUE(first.has_value());
     EXPECT_EQ(first->sub_index, 1u);
-    EXPECT_EQ(source->last_path(), paths[0]);
-    const auto second = source->next();
+    EXPECT_EQ(source.last_path(), paths[0]);
+    const auto second = source.next();
     ASSERT_TRUE(second.has_value());
     EXPECT_EQ(second->sub_index, 2u);
-    EXPECT_EQ(source->last_path(), paths[1]);
-    EXPECT_FALSE(source->next().has_value());
-    EXPECT_FALSE(source->failed());
-    EXPECT_TRUE(source->diagnostics().clean());
+    EXPECT_EQ(source.last_path(), paths[1]);
+    EXPECT_FALSE(source.next().has_value());
+    EXPECT_FALSE(source.failed());
+    EXPECT_TRUE(source.diagnostics().clean());
   }
 
   // Missing and undecodable files fail with the path in the error.
   auto missing = make_file_source({(dir / "nope.mumw").string()}, {}, nullptr);
-  EXPECT_FALSE(missing->next().has_value());
-  EXPECT_NE(missing->error().find("cannot read"), std::string::npos);
+  EXPECT_FALSE(missing.next().has_value());
+  EXPECT_NE(missing.error().find("cannot read"), std::string::npos);
   std::ofstream(dir / "junk.mump", std::ios::binary) << "not a container";
   auto junk = make_file_source({(dir / "junk.mump").string()}, {}, nullptr);
-  EXPECT_FALSE(junk->next().has_value());
-  EXPECT_TRUE(junk->failed());
-  EXPECT_NE(junk->error().find("junk.mump"), std::string::npos);
+  EXPECT_FALSE(junk.next().has_value());
+  EXPECT_TRUE(junk.failed());
+  EXPECT_NE(junk.error().find("junk.mump"), std::string::npos);
 
   fs::remove_all(dir);
 }

@@ -118,30 +118,6 @@ TEST(Merge, ExtractStatsSumsAllCounters) {
   EXPECT_EQ(a.non_mpls_ips, 11u);
 }
 
-TEST(Merge, ClassCountsSumsAllClasses) {
-  lpr::ClassCounts a, b;
-  a.mono_lsp = 1;
-  a.multi_fec = 2;
-  a.mono_fec = 3;
-  a.unclassified = 4;
-  a.parallel_links = 1;
-  a.routers_disjoint = 2;
-  b.mono_lsp = 10;
-  b.multi_fec = 20;
-  b.mono_fec = 30;
-  b.unclassified = 40;
-  b.parallel_links = 11;
-  b.routers_disjoint = 19;
-  a.merge(b);
-  EXPECT_EQ(a.mono_lsp, 11u);
-  EXPECT_EQ(a.multi_fec, 22u);
-  EXPECT_EQ(a.mono_fec, 33u);
-  EXPECT_EQ(a.unclassified, 44u);
-  EXPECT_EQ(a.parallel_links, 12u);
-  EXPECT_EQ(a.routers_disjoint, 21u);
-  EXPECT_EQ(a.total(), 110u);
-}
-
 // --- serial vs parallel bit-identity -----------------------------------------
 
 std::string snapshot_bytes(const dataset::SnapshotBatch& snap) {

@@ -295,22 +295,22 @@ LoadResult load_inputs(Args& args, std::ostream& err, bool need_ip2as,
     err << "no snapshot files given\n";
     return {std::nullopt, kExitUsage};
   }
-  const auto source = dataset::make_file_source(
+  auto source = dataset::make_file_source(
       files, dataset::DecodeOptions{.tolerant = tolerant}, pool);
   dataset::AsnCache asn_cache;
-  while (auto snap = source->next()) {
-    const dataset::DecodeDiagnostics& diag = source->last_diagnostics();
+  while (auto snap = source.next()) {
+    const dataset::DecodeDiagnostics& diag = source.last_diagnostics();
     if (!diag.clean()) {
-      err << source->last_path() << ": salvaged " << diag.records_decoded
+      err << source.last_path() << ": salvaged " << diag.records_decoded
           << " records, skipped " << diag.records_skipped << " ("
           << diag.faults_total() << " faults)\n";
     }
     data.ip2as.annotate(snap->traces, asn_cache);
     data.snapshots.push_back(std::move(*snap));
   }
-  if (source->failed()) {
-    err << source->error();
-    const dataset::DecodeDiagnostics& diag = source->last_diagnostics();
+  if (source.failed()) {
+    err << source.error();
+    const dataset::DecodeDiagnostics& diag = source.last_diagnostics();
     if (!diag.samples.empty()) {
       const dataset::DecodeFault& first = diag.samples.front();
       err << " (" << dataset::to_cstring(first.fault) << " at offset "
@@ -319,7 +319,7 @@ LoadResult load_inputs(Args& args, std::ostream& err, bool need_ip2as,
     err << '\n';
     return {std::nullopt, kExitFatal};
   }
-  data.decode = source->diagnostics();
+  data.decode = source.diagnostics();
   return {std::move(data), kExitOk};
 }
 
@@ -461,34 +461,25 @@ int run_classify(Args& args, std::ostream& out, std::ostream& err) {
   month.date = data.snapshots.front().date;
   month.snapshots = std::move(data.snapshots);
 
-  lpr::PipelineConfig pipeline;
-  pipeline.filter.persistence_j = j;
-  pipeline.filter.enable_persistence = j > 0 && month.snapshots.size() > 1;
-  pipeline.classify.alias_resolution_heuristic = alias;
-  lpr::CycleReport report =
-      lpr::run_pipeline(month, data.ip2as, pipeline, &pool);
-  report.decode = std::move(data.decode);
-
+  // One pass: extract and filter once; --router-level only rewrites the
+  // filtered observations (Sec.-5 extension: passive alias inference over
+  // the cycle data, endpoints canonicalized) before the one classify tail.
+  lpr::ExtractedMonth extracted = lpr::extract_month(month, data.ip2as, &pool);
+  lpr::FilteredCycle filtered = lpr::apply_filters(
+      std::move(extracted.cycle), extracted.following, {.persistence_j = j});
+  std::size_t alias_sets = 0;
   if (router_level) {
-    // Re-group at router granularity (Sec.-5 extension): passive alias
-    // inference over the cycle data, endpoints canonicalized, classes
-    // recomputed.
-    lpr::ExtractedMonth extracted =
-        lpr::extract_month(month, data.ip2as, &pool);
-    const auto filtered = lpr::apply_filters(
-        std::move(extracted.cycle), extracted.following, pipeline.filter);
     const lpr::LabelAliasResolver resolver(filtered.observations,
                                            month.cycle().traces);
-    auto iotps = lpr::group_iotps(
-        lpr::to_router_level(filtered.observations, resolver));
-    report.global = lpr::classify_all(iotps, pipeline.classify);
-    report.per_as.clear();
-    for (const auto& rec : iotps) report.per_as[rec.key.asn].add(rec);
-    report.iotps = std::move(iotps);
-    if (!csv) {
-      out << "(router-level IOTPs: " << resolver.alias_sets().size()
-          << " alias sets inferred)\n";
-    }
+    alias_sets = resolver.alias_sets().size();
+    filtered.observations =
+        lpr::to_router_level(std::move(filtered.observations), resolver);
+  }
+  lpr::CycleReport report = lpr::classify_cycle(
+      std::move(filtered), {.alias_resolution_heuristic = alias}, &pool);
+  report.decode = std::move(data.decode);
+  if (router_level && !csv) {
+    out << "(router-level IOTPs: " << alias_sets << " alias sets inferred)\n";
   }
 
   if (json || json_iotps) {
@@ -514,14 +505,13 @@ int run_trees(Args& args, std::ostream& out, std::ostream& err) {
   if (!loaded.data) return loaded.fail_code;
   LoadedData& data = *loaded.data;
 
-  // Same filtering as classify, without Persistence when only one file.
+  // Same filtering as classify (Persistence runs only with following
+  // snapshots), grouped by egress instead of by IOTP.
   dataset::MonthData month;
   month.snapshots = std::move(data.snapshots);
   lpr::ExtractedMonth extracted = lpr::extract_month(month, data.ip2as);
-  lpr::FilterConfig filter;
-  filter.enable_persistence = !extracted.following.empty();
   const auto filtered = lpr::apply_filters(std::move(extracted.cycle),
-                                           extracted.following, filter);
+                                           extracted.following, {});
 
   const auto trees = lpr::build_egress_trees(filtered.observations);
   const auto stats = lpr::summarize(trees);
