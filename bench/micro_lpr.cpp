@@ -149,6 +149,39 @@ void BM_IgpReconverge(benchmark::State& state) {
 }
 BENCHMARK(BM_IgpReconverge);
 
+// The same reconvergence at the shape `--scale` runs per snapshot: one
+// scaled background AS (32 core + 224 PoP routers, half the PoPs borders)
+// with 5% of its links down, every column demanded.
+void BM_IgpReconvergeScale(benchmark::State& state) {
+  topo::BuildParams params;
+  params.asn = 1;
+  params.block = net::Ipv4Prefix(net::Ipv4Addr(16, 0, 0, 0), 12);
+  params.core_routers = 32;
+  params.pop_routers = 224;
+  params.border_share = 0.5;
+  params.parallel_link_prob = 0.2;
+  params.heavy_cost_share = 0.25;
+  util::Rng rng(4);
+  const auto topo = topo::build_as_topology(params, rng);
+  const auto baseline = igp::IgpState::compute(topo);
+  igp::LinkOverlay down;
+  down.down.assign(topo.link_count(), false);
+  for (std::size_t l = 0; l < topo.link_count(); ++l) {
+    down.down[l] = rng.below(20) == 0;
+  }
+  std::vector<topo::RouterId> all(topo.router_count());
+  std::iota(all.begin(), all.end(), topo::RouterId{0});
+  igp::IgpState::ReconvergeStats stats;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(igp::IgpState::reconverge(
+        topo, baseline, {}, down, all, &stats));
+  }
+  state.SetLabel(std::to_string(topo.link_count()) + " links, " +
+                 std::to_string(stats.sources_recomputed) + "/" +
+                 std::to_string(stats.sources_total) + " columns recomputed");
+}
+BENCHMARK(BM_IgpReconvergeScale)->Unit(benchmark::kMillisecond);
+
 void BM_Spf(benchmark::State& state) {
   topo::BuildParams params;
   params.asn = 1;

@@ -134,7 +134,7 @@ cmake -B "$tsan_build" -S "$repo" -DMUM_TSAN=ON
 # before its first snapshot's flaps, the monitor fan-out that then reads
 # them, and a runner reused across 60 cycles on a 4-thread pool. test_spf
 # races the IGP egress-column fan-out (compute on a 4-thread pool), whose
-# Dijkstra bucket ring and next-hop scratch are thread_local.
+# Dijkstra bucket ring and next-hop slots are thread_local.
 # test_failures' MonthFailures cases race the per-AS flap fan-out
 # (apply_flaps on a 4-thread context: salts, failure reconvergence, RSVP
 # re-signals and label pools per AS) against a serial context.

@@ -182,6 +182,18 @@ void MonthContext::apply_flaps(int sub_index, double flap_prob,
       }
     }
     if (any_down) {
+      // The TE LSPs whose active path crosses a downed link: the only ones
+      // the RSVP loop below touches. Re-signalling one LSP never moves
+      // another's hops, so this one scan serves both that loop and the
+      // egress pre-scan.
+      std::vector<mpls::LspId> broken;
+      if (planes->rsvp) {
+        for (const mpls::TeLsp& lsp : planes->rsvp->lsps()) {
+          if (planes->rsvp->crosses_down_link(lsp.id, now.down)) {
+            broken.push_back(lsp.id);
+          }
+        }
+      }
       // Demand-driven reconvergence: only the columns this snapshot reads,
       // i.e. the demanded egresses plus the egress of every TE LSP the
       // RSVP loop below re-signals (a read-only pre-scan of its decisions).
@@ -194,10 +206,9 @@ void MonthContext::apply_flaps(int sub_index, double flap_prob,
       } else {
         egresses = demand.at(as->index);
         if (planes->rsvp) {
-          for (const mpls::TeLsp& lsp : planes->rsvp->lsps()) {
-            if (planes->rsvp->crosses_down_link(lsp.id, now.down) &&
-                !planes->rsvp->backup_intact(lsp.id, now.down)) {
-              egresses.push_back(lsp.egress);
+          for (const mpls::LspId id : broken) {
+            if (!planes->rsvp->backup_intact(id, now.down)) {
+              egresses.push_back(planes->rsvp->lsp(id).egress);
             }
           }
           std::sort(egresses.begin(), egresses.end());
@@ -216,16 +227,14 @@ void MonthContext::apply_flaps(int sub_index, double flap_prob,
       // RSVP-TE reconverges too. With fast reroute, a broken LSP switches
       // to its pre-signalled backup (labels stable); otherwise it is
       // re-signalled over the post-failure route with fresh labels.
-      if (planes->rsvp) {
-        for (const mpls::TeLsp& lsp : planes->rsvp->lsps()) {
-          if (!planes->rsvp->crosses_down_link(lsp.id, now.down)) continue;
-          if (planes->rsvp->activate_backup(lsp.id, now.down)) continue;
-          planes->rsvp->resignal_over(
-              lsp.id,
-              route_on(*planes->igp_now, lsp.ingress, lsp.egress,
-                       as->topo.router_count()),
-              planes->pools);
-        }
+      for (const mpls::LspId id : broken) {
+        if (planes->rsvp->activate_backup(id, now.down)) continue;
+        const mpls::TeLsp& lsp = planes->rsvp->lsp(id);
+        planes->rsvp->resignal_over(
+            id,
+            route_on(*planes->igp_now, lsp.ingress, lsp.egress,
+                     as->topo.router_count()),
+            planes->pools);
       }
     } else {
       planes->igp_now.reset();

@@ -1,9 +1,12 @@
 #include "igp/spf.h"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 #include <queue>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/stage.h"
 #include "obs/telemetry.h"
@@ -13,126 +16,112 @@ namespace mum::igp {
 
 namespace {
 
-struct QueueItem {
-  std::uint32_t dist;
-  topo::RouterId router;
-  friend bool operator>(const QueueItem& a, const QueueItem& b) {
-    return a.dist > b.dist;
-  }
-};
-
 // IGP costs are small integers, so the pending Dijkstra frontier spans at
 // most max_cost distinct distances: a cyclic bucket ("dial") queue settles
 // routers in O(V + E + max_dist) with no heap. Above this cost bound the
 // bucket ring would outgrow its benefit and we fall back to a binary heap.
 inline constexpr std::uint32_t kMaxDialCost = 4096;
 
-// Dijkstra via dial queue into `dist` (pre-filled with kUnreachable).
-// Preconditions: 1 <= every arc cost <= max_cost. The bucket ring is
-// thread_local worker scratch: reused across columns, never across threads,
-// and drained when the queue empties.
-void dijkstra_dial(const topo::CsrAdjacency& csr, topo::RouterId src,
-                   const std::vector<bool>* down,
-                   std::vector<std::uint32_t>& dist) {
-  const std::uint32_t ring = csr.max_cost() + 1;
+// The one pass over a router's arcs, run when it settles. Arcs cost >= 1
+// (`AsTopology::add_link`), so when `u` settles at `cur` every neighbour
+// closer to the source is final: the scan relaxes the arcs and records the
+// tight ones (dist[v] + cost == cur), in ascending link-id order, into u's
+// own arc range of `slots`, and their number into `count[u]`.
+struct Settler {
+  const topo::CsrAdjacency& csr;
+  std::uint32_t* dist;
+  std::uint32_t* count;
+  NextHop* slots;
+
+  template <typename Push>
+  void settle(topo::RouterId u, std::uint32_t cur, Push&& push) const {
+    NextHop* const hops = slots + csr.arc_offset(u);
+    std::uint32_t k = 0;
+    for (const topo::CsrArc& arc : csr.out(u)) {
+      const std::uint32_t nd = cur + arc.cost;
+      const std::uint32_t dv = dist[arc.to];
+      if (nd < dv) {
+        dist[arc.to] = nd;
+        push(nd, arc.to);
+      }
+      // Branch-free: every arc is written, only a tight one is kept. The
+      // 64-bit sum keeps an unreached dv (kUnreachable) from wrapping.
+      hops[k] = NextHop{arc.link, arc.to};
+      k += std::uint64_t{dv} + arc.cost == cur;
+    }
+    count[u] = k;
+  }
+};
+
+// Dijkstra via dial queue. The ring is max_cost + 1 rounded up to a power
+// of two, so a bucket index is a mask. The buckets are thread_local worker
+// scratch: reused across columns, never across threads, and drained when
+// the queue empties.
+void dijkstra_dial(const Settler& s, topo::RouterId src) {
+  const std::uint32_t mask = std::bit_ceil(s.csr.max_cost() + 1) - 1;
   thread_local std::vector<std::vector<topo::RouterId>> buckets;
-  if (buckets.size() < ring) buckets.resize(ring);
-  dist[src] = 0;
+  if (buckets.size() <= mask) buckets.resize(mask + 1);
+  s.dist[src] = 0;
   buckets[0].push_back(src);
   std::size_t pending = 1;
-  std::uint32_t cur = 0;
-  while (pending > 0) {
-    std::vector<topo::RouterId>& bucket = buckets[cur % ring];
+  const auto push = [&](std::uint32_t d, topo::RouterId v) {
+    buckets[d & mask].push_back(v);
+    ++pending;
+  };
+  for (std::uint32_t cur = 0; pending > 0; ++cur) {
+    std::vector<topo::RouterId>& bucket = buckets[cur & mask];
     // Relaxations from distance `cur` land in (cur, cur + max_cost], never
     // back into this bucket, so draining it is safe.
     while (!bucket.empty()) {
       const topo::RouterId u = bucket.back();
       bucket.pop_back();
       --pending;
-      if (dist[u] != cur) continue;  // stale entry, improved meanwhile
-      for (const topo::CsrArc& arc : csr.out(u)) {
-        if (down != nullptr && (*down)[arc.link]) continue;
-        const std::uint32_t nd = cur + arc.cost;
-        if (nd < dist[arc.to]) {
-          dist[arc.to] = nd;
-          buckets[nd % ring].push_back(arc.to);
-          ++pending;
-        }
-      }
+      if (s.dist[u] == cur) s.settle(u, cur, push);  // else stale
     }
-    ++cur;
   }
 }
 
-void dijkstra_heap(const topo::CsrAdjacency& csr, topo::RouterId src,
-                   const std::vector<bool>* down,
-                   std::vector<std::uint32_t>& dist) {
-  std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> pq;
-  dist[src] = 0;
+void dijkstra_heap(const Settler& s, topo::RouterId src) {
+  using Item = std::pair<std::uint32_t, topo::RouterId>;  // (dist, router)
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+  s.dist[src] = 0;
   pq.push({0, src});
+  const auto push = [&](std::uint32_t d, topo::RouterId v) {
+    pq.push({d, v});
+  };
   while (!pq.empty()) {
     const auto [d, u] = pq.top();
     pq.pop();
-    if (d > dist[u]) continue;  // stale entry
-    for (const topo::CsrArc& arc : csr.out(u)) {
-      if (down != nullptr && (*down)[arc.link]) continue;
-      const std::uint32_t nd = d + arc.cost;
-      if (nd < dist[arc.to]) {
-        dist[arc.to] = nd;
-        pq.push({nd, arc.to});
-      }
-    }
+    if (d == s.dist[u]) s.settle(u, d, push);  // else stale
   }
-}
-
-topo::CsrAdjacency make_overlay_csr(const topo::AsTopology& topo,
-                                    const LinkOverlay& overlay) {
-  return overlay.cost.empty() ? topo.make_csr()
-                              : topo.make_csr(&overlay.cost);
-}
-
-const std::vector<bool>* down_mask(const LinkOverlay& overlay) {
-  return overlay.down.empty() ? nullptr : &overlay.down;
 }
 
 }  // namespace
 
 void IgpState::solve_column(const topo::CsrAdjacency& csr,
-                            topo::RouterId egress,
-                            const std::vector<bool>* down,
-                            EgressColumn& col) {
+                            topo::RouterId egress, EgressColumn& col) {
+  // Costs are symmetric: the Dijkstra from the egress yields distances TO
+  // it, and its tight arcs are next hops toward it. Hops land in
+  // thread_local slots by arc index, counts in off_; the prefix pass below
+  // compacts them in router order into an exactly sized vector.
   const std::size_t n = csr.router_count();
   col.dist_.assign(n, kUnreachable);
-  if (csr.max_cost() >= 1 && csr.max_cost() <= kMaxDialCost) {
-    dijkstra_dial(csr, egress, down, col.dist_);
+  col.off_.assign(n + 1, 0);
+  thread_local std::vector<NextHop> slots;
+  if (slots.size() < csr.arc_count()) slots.resize(csr.arc_count());
+  const Settler settler{csr, col.dist_.data(), col.off_.data(), slots.data()};
+  if (csr.max_cost() <= kMaxDialCost) {
+    dijkstra_dial(settler, egress);
   } else {
-    dijkstra_heap(csr, egress, down, col.dist_);
+    dijkstra_heap(settler, egress);
   }
-
-  // Costs are symmetric, so dist_ is every router's distance TO the egress,
-  // and an arc u->v starts a shortest path toward it iff it is up and
-  // dist[v] + cost == dist[u]. CSR arcs are in ascending link order, which
-  // is the next-hop order every reader (ecmp_pick indexes by position)
-  // depends on. Hops gather in thread_local scratch, then land in an
-  // exactly sized vector.
-  thread_local std::vector<NextHop> nh;
-  nh.clear();
-  col.off_.resize(n + 1);
-  const std::uint32_t* dist = col.dist_.data();
+  std::exclusive_scan(col.off_.begin(), col.off_.end(), col.off_.begin(),
+                      std::uint32_t{0});
+  col.nh_.resize(col.off_[n]);
   for (topo::RouterId u = 0; u < n; ++u) {
-    col.off_[u] = static_cast<std::uint32_t>(nh.size());
-    const std::uint32_t du = dist[u];
-    if (du == kUnreachable || u == egress) continue;
-    for (const topo::CsrArc& arc : csr.out(u)) {
-      if (down != nullptr && (*down)[arc.link]) continue;
-      const std::uint32_t dv = dist[arc.to];
-      if (dv != kUnreachable && dv + arc.cost == du) {
-        nh.push_back(NextHop{arc.link, arc.to});
-      }
-    }
+    std::copy_n(slots.data() + csr.arc_offset(u), col.off_[u + 1] - col.off_[u],
+                col.nh_.data() + col.off_[u]);
   }
-  col.off_[n] = static_cast<std::uint32_t>(nh.size());
-  col.nh_.assign(nh.begin(), nh.end());
 }
 
 const EgressColumn& IgpState::column(topo::RouterId egress) const {
@@ -158,13 +147,12 @@ IgpState IgpState::compute(const topo::AsTopology& topo,
       obs::registry().histogram("igp.compute_ns");
   const obs::ScopedTimer timer(duration);
 
-  const topo::CsrAdjacency csr = make_overlay_csr(topo, overlay);
-  const std::vector<bool>* down = down_mask(overlay);
+  const topo::CsrAdjacency csr = topo.make_csr(overlay.cost, overlay.down);
   IgpState out;
   out.n_ = csr.router_count();
   out.columns_.resize(out.n_);
   util::parallel_for(pool, out.n_, [&](std::size_t e) {
-    solve_column(csr, static_cast<topo::RouterId>(e), down, out.columns_[e]);
+    solve_column(csr, static_cast<topo::RouterId>(e), out.columns_[e]);
   });
   computes.inc();
   sources.add(out.n_);
@@ -234,14 +222,13 @@ IgpState IgpState::reconverge(const topo::AsTopology& topo,
   IgpState out;
   out.n_ = prev.n_;
   out.columns_.resize(out.n_);
-  const topo::CsrAdjacency csr = n_rerun > 0
-                                     ? make_overlay_csr(topo, now_overlay)
-                                     : topo::CsrAdjacency{};
-  const std::vector<bool>* down = down_mask(now_overlay);
+  const topo::CsrAdjacency csr =
+      n_rerun > 0 ? topo.make_csr(now_overlay.cost, now_overlay.down)
+                  : topo::CsrAdjacency{};
   for (std::size_t i = 0; i < egresses.size(); ++i) {
     const topo::RouterId e = egresses[i];
     if (rerun[i]) {
-      solve_column(csr, e, down, out.columns_[e]);
+      solve_column(csr, e, out.columns_[e]);
     } else {
       out.columns_[e] = prev.columns_[e];
     }

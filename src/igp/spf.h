@@ -9,9 +9,10 @@
 // behind the paper's "Parallel Links" subclass).
 //
 // Links are undirected with one cost, so a column is one Dijkstra from the
-// egress: the distance from e is the distance to e. A sweep over each
-// router's outgoing arcs then keeps every arc that is up and tight
-// (dist[to] + cost == dist[u]), in ascending link-id order. Columns are
+// egress: the distance from e is the distance to e. It runs over a CSR that
+// leaves the down links out, and as each router u settles, the same scan of
+// its arcs that relaxes them keeps the tight ones (dist[to] + cost ==
+// dist[u]) as u's next hops, in ascending link-id order. Columns are
 // independent, so `compute` spreads them over a thread pool with
 // byte-identical output at any thread count. Link state (failures, metric
 // overrides) is a LinkOverlay; one `reconverge` moves a state from one
@@ -149,11 +150,10 @@ class IgpState {
   friend bool operator==(const IgpState&, const IgpState&) = default;
 
  private:
-  // One Dijkstra from `egress`, then the tight-arc sweep, into `col`.
-  // `down` is the overlay's down mask (nullptr when nothing is down).
+  // One Dijkstra from `egress` over `csr` (down links already left out),
+  // recording next hops as routers settle, into `col`.
   static void solve_column(const topo::CsrAdjacency& csr,
-                           topo::RouterId egress,
-                           const std::vector<bool>* down, EgressColumn& col);
+                           topo::RouterId egress, EgressColumn& col);
 
   std::size_t n_ = 0;
   std::vector<EgressColumn> columns_;  // by egress RouterId

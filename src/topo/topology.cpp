@@ -1,6 +1,7 @@
 #include "topo/topology.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 namespace mum::topo {
@@ -23,6 +24,7 @@ RouterId AsTopology::add_router(net::Ipv4Addr loopback, Vendor vendor,
 LinkId AsTopology::add_link(RouterId a, RouterId b, net::Ipv4Addr a_iface,
                             net::Ipv4Addr b_iface, std::uint32_t igp_cost,
                             double latency_ms) {
+  if (igp_cost == 0) throw std::invalid_argument("topo: IGP metric 0");
   const LinkId id = static_cast<LinkId>(links_.size());
   Link l;
   l.id = id;
@@ -54,7 +56,8 @@ RouterId AsTopology::router_of_addr(net::Ipv4Addr addr) const {
 }
 
 CsrAdjacency AsTopology::make_csr(
-    const std::vector<std::uint32_t>* cost_override) const {
+    const std::vector<std::uint32_t>& cost_override,
+    const std::vector<bool>& down) const {
   CsrAdjacency csr;
   csr.offsets_.resize(routers_.size() + 1);
   csr.arcs_.reserve(links_.size() * 2);
@@ -62,11 +65,10 @@ CsrAdjacency AsTopology::make_csr(
     csr.offsets_[r] = static_cast<std::uint32_t>(csr.arcs_.size());
     // adjacency_ lists are filled in add_link order, i.e. ascending LinkId.
     for (const LinkId lid : adjacency_[r]) {
+      if (!down.empty() && down[lid]) continue;
       const Link& l = links_[lid];
-      std::uint32_t cost = l.igp_cost;
-      if (cost_override != nullptr && (*cost_override)[lid] != 0) {
-        cost = (*cost_override)[lid];
-      }
+      const std::uint32_t over = cost_override.empty() ? 0 : cost_override[lid];
+      const std::uint32_t cost = over != 0 ? over : l.igp_cost;
       csr.arcs_.push_back(CsrArc{lid, l.other(r), cost});
       csr.max_cost_ = std::max(csr.max_cost_, cost);
     }

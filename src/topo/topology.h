@@ -67,21 +67,23 @@ struct CsrArc {
   std::uint32_t cost = 1;
 };
 
-// Compressed-sparse-row adjacency snapshot of a topology: every router's
-// outgoing arcs stored contiguously, in ascending link-id order. SPF inner
-// loops walk this instead of the pointer-chasing `links_of` + `link(lid)`
-// pair. A snapshot is immutable and independent of the AsTopology that
-// produced it (safe to share read-only across threads); rebuild after
-// mutating the topology.
+// Compressed-sparse-row adjacency snapshot of a topology's up links: every
+// router's outgoing arcs stored contiguously, in ascending link-id order.
+// SPF inner loops walk this instead of the pointer-chasing `links_of` +
+// `link(lid)` pair. A snapshot is immutable and independent of the
+// AsTopology that produced it (safe to share read-only across threads);
+// rebuild after mutating the topology.
 class CsrAdjacency {
  public:
   std::size_t router_count() const noexcept { return offsets_.size() - 1; }
   std::size_t arc_count() const noexcept { return arcs_.size(); }
 
+  // `r`'s arcs are [arc_offset(r), arc_offset(r + 1)) of the arc array.
+  std::uint32_t arc_offset(RouterId r) const { return offsets_[r]; }
   std::span<const CsrArc> out(RouterId r) const {
     return {arcs_.data() + offsets_[r], arcs_.data() + offsets_[r + 1]};
   }
-  // Largest single-arc cost (0 when there are no arcs). Bounds the distance
+  // Largest cost among the arcs (0 when there are none). Bounds the distance
   // spread of a Dijkstra frontier, letting the SPF run a cyclic bucket
   // queue instead of a binary heap.
   std::uint32_t max_cost() const noexcept { return max_cost_; }
@@ -89,7 +91,7 @@ class CsrAdjacency {
  private:
   friend class AsTopology;
   std::vector<std::uint32_t> offsets_;  // router_count() + 1
-  std::vector<CsrArc> arcs_;            // 2 * link_count()
+  std::vector<CsrArc> arcs_;            // 2 per up link
   std::uint32_t max_cost_ = 0;
 };
 
@@ -101,6 +103,8 @@ class AsTopology {
 
   RouterId add_router(net::Ipv4Addr loopback, Vendor vendor, bool is_border,
                       std::string name = {});
+  // Throws std::invalid_argument for an IGP metric of 0: the SPF relies on
+  // every arc costing at least 1.
   LinkId add_link(RouterId a, RouterId b, net::Ipv4Addr a_iface,
                   net::Ipv4Addr b_iface, std::uint32_t igp_cost = 1,
                   double latency_ms = 1.0);
@@ -126,11 +130,12 @@ class AsTopology {
   // Router owning `addr` (loopback or interface); kInvalidRouter if none.
   RouterId router_of_addr(net::Ipv4Addr addr) const;
 
-  // CSR adjacency snapshot of the current link set (see CsrAdjacency).
-  // `cost_override` (indexed by LinkId; 0 = keep base metric) prices arcs
-  // with per-cycle metric overrides without mutating the topology.
-  CsrAdjacency make_csr(
-      const std::vector<std::uint32_t>* cost_override = nullptr) const;
+  // CSR adjacency snapshot of the current link set (see CsrAdjacency),
+  // without mutating the topology. Both vectors are indexed by LinkId and
+  // empty means none: `cost_override` prices arcs with metric overrides
+  // (0 = keep the base metric), and links set in `down` get no arcs.
+  CsrAdjacency make_csr(const std::vector<std::uint32_t>& cost_override = {},
+                        const std::vector<bool>& down = {}) const;
 
   // Number of distinct links between a and b (parallel-link width).
   std::size_t parallel_degree(RouterId a, RouterId b) const;

@@ -363,6 +363,32 @@ TEST_P(SpfReferenceParity, ReconvergeMatchesFullRecompute) {
   expect_matches_reference(topo, inc, down);
 }
 
+TEST_P(SpfReferenceParity, MetricOverridesOnHeapPath) {
+  // Overrides above the dial queue's cost bound (4096) send every column
+  // to the binary-heap queue. 8194 = 2 * 4097, so paths over the heavy
+  // links still tie and form ECMP sets.
+  const AsTopology topo = random_topology(GetParam());
+  util::Rng rng(GetParam() * 6151 + 5);
+  LinkOverlay priced;
+  priced.cost.assign(topo.link_count(), 0);
+  for (std::size_t l = 0; l < topo.link_count(); ++l) {
+    const std::uint32_t pick[] = {0, 4097, 8194};
+    priced.cost[l] = pick[rng.below(3)];
+  }
+  priced.cost[0] = 8194;
+  const IgpState full = IgpState::compute(topo, priced);
+  expect_matches_reference(topo, full, priced);
+
+  LinkOverlay failed = priced;
+  failed.down = random_down(topo, rng, 10).down;
+  failed.down[0] = false;  // keeps an arc above the bound
+  expect_matches_reference(topo, IgpState::compute(topo, failed), failed);
+  expect_matches_reference(
+      topo,
+      IgpState::reconverge(topo, full, priced, failed, all_routers(topo)),
+      failed);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SpfReferenceParity,
                          ::testing::Values(11, 12, 13, 14, 15, 16, 17, 18));
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "topo/builder.h"
 #include "util/rng.h"
 
@@ -87,6 +90,63 @@ TEST(AsTopology, ConnectedDetection) {
 TEST(AsTopology, EmptyTopologyIsConnected) {
   const AsTopology topo(1);
   EXPECT_TRUE(topo.connected());
+}
+
+TEST(AsTopology, ZeroIgpMetricRejected) {
+  AsTopology topo = two_router_pair();
+  EXPECT_THROW(topo.add_link(0, 1, net::Ipv4Addr(10, 0, 1, 2),
+                             net::Ipv4Addr(10, 0, 1, 3), 0),
+               std::invalid_argument);
+  EXPECT_EQ(topo.link_count(), 1u);
+  EXPECT_EQ(topo.links_of(0).size(), 1u);
+}
+
+TEST(AsTopology, CsrLeavesDownLinksOut) {
+  // A triangle plus a bundle member: links 0 (a-b, 1), 1 (b-c, 7),
+  // 2 (a-c, 3), 3 (a-b, 9).
+  AsTopology topo(1);
+  for (std::uint32_t i = 1; i <= 3; ++i) {
+    topo.add_router(net::Ipv4Addr(1, 0, 0, i), Vendor::kCisco, false);
+  }
+  const std::uint32_t cost[] = {1, 7, 3, 9};
+  const RouterId ends[][2] = {{0, 1}, {1, 2}, {0, 2}, {0, 1}};
+  for (std::uint32_t l = 0; l < 4; ++l) {
+    topo.add_link(ends[l][0], ends[l][1], net::Ipv4Addr(1, 0, 1, 2 * l),
+                  net::Ipv4Addr(1, 0, 1, 2 * l + 1), cost[l]);
+  }
+  const auto links_out = [](const CsrAdjacency& csr, RouterId r) {
+    std::vector<LinkId> out;
+    for (const CsrArc& arc : csr.out(r)) out.push_back(arc.link);
+    return out;
+  };
+
+  const CsrAdjacency all = topo.make_csr();
+  EXPECT_EQ(all.arc_count(), 8u);
+  EXPECT_EQ(all.max_cost(), 9u);
+  EXPECT_EQ(links_out(all, 0), (std::vector<LinkId>{0, 2, 3}));
+
+  // Down 1 and 3: exactly their arcs go, the rest keep ascending link
+  // order, and max_cost is taken over what remains (9 and 7 are gone).
+  const std::vector<bool> down = {false, true, false, true};
+  const CsrAdjacency pruned = topo.make_csr({}, down);
+  EXPECT_EQ(pruned.arc_count(), 4u);
+  EXPECT_EQ(pruned.max_cost(), 3u);
+  EXPECT_EQ(links_out(pruned, 0), (std::vector<LinkId>{0, 2}));
+  EXPECT_EQ(links_out(pruned, 1), (std::vector<LinkId>{0}));
+  EXPECT_EQ(links_out(pruned, 2), (std::vector<LinkId>{2}));
+  EXPECT_EQ(pruned.arc_offset(1), 2u);
+
+  // An override on an up link prices it; one on a down link is moot.
+  const std::vector<std::uint32_t> over = {0, 50, 5, 0};
+  const CsrAdjacency priced = topo.make_csr(over, down);
+  EXPECT_EQ(priced.max_cost(), 5u);
+  EXPECT_EQ(priced.out(2)[0].cost, 5u);
+
+  // Everything down: no arcs, max_cost 0.
+  const CsrAdjacency none = topo.make_csr({}, std::vector<bool>(4, true));
+  EXPECT_EQ(none.arc_count(), 0u);
+  EXPECT_EQ(none.max_cost(), 0u);
+  EXPECT_TRUE(none.out(0).empty());
 }
 
 // --- builder ------------------------------------------------------------
