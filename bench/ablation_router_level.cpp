@@ -30,7 +30,7 @@ int main() {
 
   // Passive alias inference (label rule + /31 alignment rule).
   const lpr::LabelAliasResolver resolver(filtered.observations,
-                                         month.cycle().traces);
+                                         month.cycle());
 
   // Precision against the simulator's ground truth.
   std::map<net::Ipv4Addr, net::Ipv4Addr> truth;

@@ -50,8 +50,8 @@ int main() {
     probe::observe_walk_into(
         monitor, path->dst, options, rng,
         probe::walk_path(*path, probe::paris_flow_id(monitor, path->dst)),
-        snap.traces);
-    study.ip2as().annotate(snap.traces);
+        snap.blocks.emplace_back());
+    study.ip2as().annotate(snap);
     const auto extracted = lpr::extract_lsps(snap, study.ip2as());
     for (const auto& obs : extracted.observations) {
       if (obs.lsp.asn == gen::kAsnVodafone && obs.lsp.lsrs.size() >= 2) {

@@ -26,7 +26,6 @@
 #include "gen/campaign.h"
 #include "gen/internet.h"
 #include "probe/traceroute.h"
-#include "util/arena.h"
 
 // --- allocation-count hook -------------------------------------------------
 // Counts every global operator new (scalar, array, aligned). Relaxed atomic:
@@ -117,8 +116,8 @@ struct Corpus {
       }
       traces += by_monitor[mi].size();
     }
-    // Hop/LSE counts for exact batch reserves (what the campaign's merge
-    // step knows from its shard counts).
+    // Hop/LSE counts for an exactly sized batch (what the campaign knows
+    // from each monitor's previous block).
     for (const auto& block : by_monitor) {
       for (const auto& probe : block) {
         for (const auto& hop : probe.walk.hops) {
@@ -127,16 +126,14 @@ struct Corpus {
         }
       }
     }
-    util::Arena arena;
     dataset::AsnCache asn_cache;
-    paths_agree = heap_pack() == batch_pack(arena, asn_cache);
+    paths_agree = heap_pack() == batch_pack(asn_cache);
   }
 
   // Observation -> storage -> annotate -> pack serialization, one snapshot,
   // through the bench-local heap reference and through the batch path.
   std::string heap_pack() const;
-  std::string batch_pack(util::Arena& arena,
-                         dataset::AsnCache& asn_cache) const;
+  std::string batch_pack(dataset::AsnCache& asn_cache) const;
 };
 
 const Corpus& corpus() {
@@ -258,31 +255,30 @@ std::string Corpus::heap_pack() const {
   dataset::SnapshotBatch snap;
   snap.cycle_id = 50;
   snap.date = "2010-03";
-  for (const HeapTrace& trace : all) append_heap(trace, snap.traces);
+  dataset::TraceBatch& out = snap.blocks.emplace_back();
+  for (const HeapTrace& trace : all) append_heap(trace, out);
   return dataset::serialize_pack(snap);
 }
 
-// Batch measurement path: traces land as SoA columns in one reused arena
-// (steady state allocates nothing), memoized column annotate, column-memcpy
-// pack serialization.
-std::string Corpus::batch_pack(util::Arena& arena,
-                               dataset::AsnCache& asn_cache) const {
+// Batch measurement path: traces land as SoA columns in one arena chunk
+// sized up front (one allocation per snapshot), memoized column annotate,
+// column-memcpy pack serialization.
+std::string Corpus::batch_pack(dataset::AsnCache& asn_cache) const {
   const auto& monitors = internet.monitors();
   const probe::TraceOptions options;
   const util::Rng noise_base(0xBEEF);
   dataset::SnapshotBatch snap;
   snap.cycle_id = 50;
   snap.date = "2010-03";
-  snap.traces = dataset::TraceBatch(arena);
-  snap.traces.reserve(traces, hops, lses);
+  dataset::TraceBatch& out = snap.blocks.emplace_back(traces, hops, lses);
   for (std::size_t mi = 0; mi < monitors.size(); ++mi) {
     util::Rng rng = noise_base.fork(mi);
     for (const ProbeInput& probe : by_monitor[mi]) {
       probe::observe_walk_into(monitors[mi], probe.dst, options, rng,
-                               probe.walk, snap.traces);
+                               probe.walk, out);
     }
   }
-  ip2as.annotate(snap.traces, asn_cache);
+  ip2as.annotate(out, asn_cache);
   return dataset::serialize_pack(snap);
 }
 
@@ -321,8 +317,8 @@ void BM_MeasurementPathLegacy(benchmark::State& state) {
     const dataset::SnapshotBatch ingested = view->to_snapshot_batch();
     std::vector<HeapTrace> back;
     back.reserve(ingested.trace_count());
-    for (std::size_t i = 0; i < ingested.trace_count(); ++i) {
-      back.push_back(to_heap_trace(ingested.traces.view(i)));
+    for (const dataset::TraceView trace : ingested) {
+      back.push_back(to_heap_trace(trace));
     }
     if (back.size() != c.traces) {
       state.SkipWithError("heap round-trip lost traces");
@@ -341,14 +337,12 @@ void BM_MeasurementPathBatch(benchmark::State& state) {
     state.SkipWithError("heap reference and batch path pack bytes differ");
     return;
   }
-  util::Arena arena;
-  dataset::AsnCache asn_cache;  // campaign-persistent, like the arena
+  dataset::AsnCache asn_cache;  // campaign-persistent
 
   const std::uint64_t allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    arena.reset();
-    const std::string bytes = c.batch_pack(arena, asn_cache);
+    const std::string bytes = c.batch_pack(asn_cache);
     const auto view = dataset::PackView::open(bytes, {}, nullptr);
     if (!view) {
       state.SkipWithError("batch pack failed to open");
@@ -359,7 +353,7 @@ void BM_MeasurementPathBatch(benchmark::State& state) {
       state.SkipWithError("batch round-trip lost traces");
       break;
     }
-    benchmark::DoNotOptimize(back.traces.hop_addr_col().data());
+    benchmark::DoNotOptimize(back.blocks.front().hop_addr_col().data());
   }
   report_throughput(state, c, allocs_before);
 }
@@ -377,7 +371,7 @@ void BM_CampaignSnapshot(benchmark::State& state) {
   for (auto _ : state) {
     const dataset::SnapshotBatch snap = campaign.snapshot(ctx, 50, 0);
     traces = snap.trace_count();
-    benchmark::DoNotOptimize(snap.traces.hop_addr_col().data());
+    benchmark::DoNotOptimize(snap.blocks.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(traces));

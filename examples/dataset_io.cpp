@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
       std::cerr << "failed to parse " << file << '\n';
       return 1;
     }
-    ip2as.annotate(snap->traces);
+    ip2as.annotate(*snap);
     reloaded.snapshots.push_back(std::move(*snap));
   }
 

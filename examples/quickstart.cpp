@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
             << month.snapshots.size() << " snapshots\n";
 
   // Show one trace crossing an MPLS tunnel.
-  for (const dataset::TraceView trace : month.cycle().traces) {
+  for (const dataset::TraceView trace : month.cycle()) {
     if (trace.crosses_explicit_tunnel() && trace.reached()) {
       std::cout << "\nSample trace with an explicit MPLS tunnel:\n"
                 << dataset::to_text(trace) << '\n';

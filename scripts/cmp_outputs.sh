@@ -8,6 +8,10 @@
 # one `mum generate --small` month. The month is generated once, by the
 # first build, so both builds read the same files.
 #
+# The writers are compared too: each build generates the same --small
+# month in --format v2 and in --format v3, and every data file (snapshots
+# and ip2as table) is `cmp`-ed against the other build's.
+#
 # Build both trees first (Release: the benches run at the default study
 # size). Exits 1 when any output differs.
 #
@@ -52,6 +56,19 @@ outputs() {
 
 outputs "$parent" "$work/parent"
 outputs "$change" "$work/change"
+for format in v2 v3; do
+  for side in parent change; do
+    build="$parent"
+    [ "$side" = change ] && build="$change"
+    "$build/tools/mum" generate --out "$work/gen-$side-$format" --small \
+      --format "$format" > /dev/null
+  done
+  for file in "$work/gen-parent-$format"/*; do
+    name="$(basename "$file")"
+    cp "$file" "$work/parent/data-$format-$name"
+    cp "$work/gen-change-$format/$name" "$work/change/data-$format-$name"
+  done
+done
 
 status=0
 for file in "$work/parent"/*; do

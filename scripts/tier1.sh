@@ -119,15 +119,16 @@ cmake -B "$tsan_build" -S "$repo" -DMUM_TSAN=ON
 # test_obs runs with telemetry sinks installed, so the sharded metric and
 # trace paths get raced for real. test_evolve races the DeltaEvolver's
 # per-AS delta fan-out and the evolved runner at 16 threads. test_batch
-# races the arena-backed shard batches (one arena and one AsnCache per
-# monitor, annotated inside the monitor fan-out, merged in monitor order by
-# blocks copying into disjoint column ranges) at 16 threads, checked
-# against the recorded snapshot and report digests. The
+# races the probe fan-out into the snapshot's blocks (one private arena and
+# one AsnCache per monitor, each block annotated inside its monitor task;
+# its CampaignBatch cases compare a 4-thread runner with a serial one) and
+# campaigns at 16 threads, checked against the recorded snapshot and report
+# digests. The
 # SupervisionRun cases run the campaign loop under io chaos at 1/4/16
 # threads; cycles run one at a time, so what they race is the inner pool
 # fan-outs: the shard source's decode/prefetch pair mapping files through
 # the shared failpoint plan on a worker, and the per-AS evolution and
-# flap, per-monitor probe, shard merge and classification fan-outs. The kill/resume loop
+# flap, per-monitor probe and classification fan-outs. The kill/resume loop
 # among them is left out (a minute of re-runs in Release, no new races).
 # test_campaign's ProbePlan and CampaignRunnerReuse cases race the probe
 # plans, which the runner routes in a per-monitor fan-out of their own
@@ -140,7 +141,8 @@ cmake -B "$tsan_build" -S "$repo" -DMUM_TSAN=ON
 # re-signals and label pools per AS) against a serial context.
 # test_extract's ExtractChunks cases race the month's extraction fan-out
 # (trace chunks, census partitions and persistence sets on a 4-thread
-# pool, each task writing only its own slot) against the serial run.
+# pool, each task writing only its own slot) against the serial run, over
+# one-block snapshots and over a campaign month's monitor blocks.
 cmake --build "$tsan_build" -j --target test_parallel --target test_obs \
   --target test_evolve --target test_batch --target test_supervision \
   --target test_campaign --target test_spf --target test_failures \

@@ -198,7 +198,6 @@ void Corruptor::corrupt(dataset::SnapshotBatch& snapshot) {
       util::hash_combine(kStructuralTag,
                          util::hash_combine(snapshot.cycle_id,
                                             snapshot.sub_index))));
-  const dataset::TraceBatch& in = snapshot.traces;
 
   // Monitor blackouts first: a dead monitor contributes nothing, so its
   // traces must not consume per-trace draws (keeps the surviving traces'
@@ -206,8 +205,11 @@ void Corruptor::corrupt(dataset::SnapshotBatch& snapshot) {
   // present, in ascending monitor order.
   std::vector<std::uint32_t> dead;
   if (config_.monitor_blackout > 0) {
-    std::vector<std::uint32_t> fleet(in.monitor_col().begin(),
-                                     in.monitor_col().end());
+    std::vector<std::uint32_t> fleet;
+    for (const dataset::TraceBatch& block : snapshot.blocks) {
+      fleet.insert(fleet.end(), block.monitor_col().begin(),
+                   block.monitor_col().end());
+    }
     std::sort(fleet.begin(), fleet.end());
     fleet.erase(std::unique(fleet.begin(), fleet.end()), fleet.end());
     for (const std::uint32_t monitor : fleet) {
@@ -216,68 +218,72 @@ void Corruptor::corrupt(dataset::SnapshotBatch& snapshot) {
     stats_.monitors_blacked_out += dead.size();
   }
 
-  // Rebuild the batch through the append protocol. Per surviving trace the
-  // draws run: duplicate, reorder, then per hop of the mutated sequence
-  // drop-extension/truncate and bogus ASN. `order` is that sequence as hop
-  // indices into `in`, so a duplicated hop is emitted (and drawn for) twice.
-  dataset::TraceBatch out;
-  out.reserve(in.trace_count(), in.hop_count() + in.trace_count(),
-              in.lse_count());
+  // Rebuild the blocks, in order, into one block through the append
+  // protocol. Per surviving trace the draws run: duplicate, reorder, then
+  // per hop of the mutated sequence drop-extension/truncate and bogus ASN.
+  // `order` is that sequence as hop indices into the trace's block, so a
+  // duplicated hop is emitted (and drawn for) twice.
+  const std::size_t traces = snapshot.trace_count();
+  dataset::TraceBatch out(traces, snapshot.hop_count() + traces,
+                          snapshot.lse_count());
   std::vector<std::size_t> order;
-  for (const dataset::TraceView trace : in) {
-    if (std::binary_search(dead.begin(), dead.end(), trace.monitor_id())) {
-      ++stats_.traces_dropped;
-      continue;
-    }
-    order.resize(trace.hop_count());
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      order[k] = trace.first_hop() + k;
-    }
-    if (config_.duplicate_ttl > 0 && !order.empty() &&
-        rng.chance(config_.duplicate_ttl)) {
-      const auto at = static_cast<std::size_t>(rng.below(order.size()));
-      const std::size_t hop = order[at];
-      order.insert(order.begin() + static_cast<std::ptrdiff_t>(at), hop);
-      ++stats_.hops_duplicated;
-    }
-    if (config_.reorder_ttl > 0 && order.size() >= 2 &&
-        rng.chance(config_.reorder_ttl)) {
-      const auto at = static_cast<std::size_t>(rng.below(order.size() - 1));
-      std::swap(order[at], order[at + 1]);
-      ++stats_.hops_reordered;
-    }
+  for (const dataset::TraceBatch& in : snapshot.blocks) {
+    for (const dataset::TraceView trace : in) {
+      if (std::binary_search(dead.begin(), dead.end(), trace.monitor_id())) {
+        ++stats_.traces_dropped;
+        continue;
+      }
+      order.resize(trace.hop_count());
+      for (std::size_t k = 0; k < order.size(); ++k) {
+        order[k] = trace.first_hop() + k;
+      }
+      if (config_.duplicate_ttl > 0 && !order.empty() &&
+          rng.chance(config_.duplicate_ttl)) {
+        const auto at = static_cast<std::size_t>(rng.below(order.size()));
+        const std::size_t hop = order[at];
+        order.insert(order.begin() + static_cast<std::ptrdiff_t>(at), hop);
+        ++stats_.hops_duplicated;
+      }
+      if (config_.reorder_ttl > 0 && order.size() >= 2 &&
+          rng.chance(config_.reorder_ttl)) {
+        const auto at = static_cast<std::size_t>(rng.below(order.size() - 1));
+        std::swap(order[at], order[at + 1]);
+        ++stats_.hops_reordered;
+      }
 
-    out.begin_trace(trace.monitor_id(), trace.src(), trace.dst(),
-                    trace.dst_asn());
-    for (const std::size_t h : order) {
-      const dataset::HopView hop(&in, h);
-      const auto words = hop.lse_words();
-      std::size_t keep = words.size();
-      if (keep > 0) {
-        if (config_.drop_extension > 0 &&
-            rng.chance(config_.drop_extension)) {
-          keep = 0;
-          ++stats_.extensions_dropped;
-        } else if (config_.truncate_stack > 0 &&
-                   rng.chance(config_.truncate_stack)) {
-          // Keep a strict prefix of the stack (possibly empty).
-          keep = static_cast<std::size_t>(rng.below(words.size()));
-          ++stats_.stacks_truncated;
+      out.begin_trace(trace.monitor_id(), trace.src(), trace.dst(),
+                      trace.dst_asn());
+      for (const std::size_t h : order) {
+        const dataset::HopView hop(&in, h);
+        const auto words = hop.lse_words();
+        std::size_t keep = words.size();
+        if (keep > 0) {
+          if (config_.drop_extension > 0 &&
+              rng.chance(config_.drop_extension)) {
+            keep = 0;
+            ++stats_.extensions_dropped;
+          } else if (config_.truncate_stack > 0 &&
+                     rng.chance(config_.truncate_stack)) {
+            // Keep a strict prefix of the stack (possibly empty).
+            keep = static_cast<std::size_t>(rng.below(words.size()));
+            ++stats_.stacks_truncated;
+          }
         }
+        std::uint32_t asn = hop.asn();
+        if (config_.bogus_ip2as > 0 && !hop.anonymous() && asn != 0 &&
+            rng.chance(config_.bogus_ip2as)) {
+          // Remap into a private-use ASN no generated AS occupies.
+          asn = 64512 + static_cast<std::uint32_t>(rng.below(1024));
+          ++stats_.asns_scrambled;
+        }
+        out.add_hop(hop.addr(), hop.rtt_ms(), asn);
+        for (std::size_t k = 0; k < keep; ++k) out.add_label(words[k]);
       }
-      std::uint32_t asn = hop.asn();
-      if (config_.bogus_ip2as > 0 && !hop.anonymous() && asn != 0 &&
-          rng.chance(config_.bogus_ip2as)) {
-        // Remap into a private-use ASN no generated AS occupies.
-        asn = 64512 + static_cast<std::uint32_t>(rng.below(1024));
-        ++stats_.asns_scrambled;
-      }
-      out.add_hop(hop.addr(), hop.rtt_ms(), asn);
-      for (std::size_t k = 0; k < keep; ++k) out.add_label(words[k]);
+      out.end_trace(trace.reached());
     }
-    out.end_trace(trace.reached());
   }
-  snapshot.traces = std::move(out);
+  snapshot.blocks.clear();
+  snapshot.blocks.push_back(std::move(out));
 }
 
 void Corruptor::corrupt_bytes(std::string& bytes, std::uint64_t key) {

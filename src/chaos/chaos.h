@@ -119,8 +119,8 @@ class Corruptor {
   const ChaosConfig& config() const noexcept { return config_; }
   const ChaosStats& stats() const noexcept { return stats_; }
 
-  // Apply the structural faults to a decoded snapshot, rebuilding its
-  // columns through the TraceBatch append protocol. Keyed by
+  // Apply the structural faults to a snapshot, rebuilding its blocks, in
+  // order, into one block through the TraceBatch append protocol. Keyed by
   // (seed, snapshot.cycle_id, snapshot.sub_index).
   void corrupt(dataset::SnapshotBatch& snapshot);
 

@@ -79,7 +79,7 @@ LabelAliasResolver::LabelAliasResolver(
 
 LabelAliasResolver::LabelAliasResolver(
     const std::vector<LspObservation>& observations,
-    const dataset::TraceBatch& traces)
+    const dataset::SnapshotBatch& traces)
     : LabelAliasResolver(observations) {
   // Subnet-alignment rule: P -> C adjacency inside one AS implies C's /31
   // mate is an interface of P's router.

@@ -57,7 +57,7 @@ class LabelAliasResolver {
       const std::vector<LspObservation>& observations);
   // Same, plus the subnet-alignment rule over the raw (annotated) traces.
   LabelAliasResolver(const std::vector<LspObservation>& observations,
-                     const dataset::TraceBatch& traces);
+                     const dataset::SnapshotBatch& traces);
 
   // The canonical router representative of an interface address (the
   // address itself when no alias was inferred).

@@ -218,25 +218,28 @@ struct CensusPart {
   AddrSet mpls;
 };
 
-void census_partition(const HopColumns& c, std::size_t part,
+void census_partition(std::span<const HopColumns> blocks, std::size_t part,
                       CensusPart& out) {
   // Whether a hop belongs to this partition is a coin flip, too random to
-  // branch on: compact each block's members without branches, then insert.
-  constexpr std::size_t kBlock = 512;
-  std::array<std::uint32_t, kBlock> addrs;
-  std::array<bool, kBlock> labeled;
-  for (std::size_t base = 0; base < c.addr.size(); base += kBlock) {
-    const std::size_t end = std::min(base + kBlock, c.addr.size());
-    std::size_t n = 0;
-    for (std::size_t h = base; h < end; ++h) {
-      const std::uint32_t addr = c.addr[h];
-      addrs[n] = addr;
-      labeled[n] = c.labeled(h);
-      n += static_cast<std::size_t>((addr != 0) & (census_part(addr) == part));
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      out.all.insert(addrs[i]);
-      if (labeled[i]) out.mpls.insert(addrs[i]);
+  // branch on: compact each stretch's members without branches, then insert.
+  constexpr std::size_t kStretch = 512;
+  std::array<std::uint32_t, kStretch> addrs;
+  std::array<bool, kStretch> labeled;
+  for (const HopColumns& c : blocks) {
+    for (std::size_t base = 0; base < c.addr.size(); base += kStretch) {
+      const std::size_t end = std::min(base + kStretch, c.addr.size());
+      std::size_t n = 0;
+      for (std::size_t h = base; h < end; ++h) {
+        const std::uint32_t addr = c.addr[h];
+        addrs[n] = addr;
+        labeled[n] = c.labeled(h);
+        n += static_cast<std::size_t>((addr != 0) &
+                                      (census_part(addr) == part));
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        out.all.insert(addrs[i]);
+        if (labeled[i]) out.mpls.insert(addrs[i]);
+      }
     }
   }
 }
@@ -244,6 +247,32 @@ void census_partition(const HopColumns& c, std::size_t part,
 void sort_unique(PersistenceSet& set) {
   std::sort(set.begin(), set.end());
   set.erase(std::unique(set.begin(), set.end()), set.end());
+}
+
+// One trace range of one block.
+struct TraceRange {
+  std::size_t block = 0;
+  std::size_t first = 0;
+  std::size_t end = 0;
+};
+
+// The cycle snapshot's trace chunks, in trace order: each non-empty block
+// splits into kExtractChunks / blocks ranges (at least one). The split
+// depends on the block count only, never on the thread count.
+std::vector<TraceRange> trace_chunks(
+    std::span<const dataset::TraceBatch> blocks) {
+  const std::size_t splits =
+      std::max<std::size_t>(1, kExtractChunks / std::max<std::size_t>(
+                                                    1, blocks.size()));
+  std::vector<TraceRange> out;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const std::size_t traces = blocks[b].trace_count();
+    if (traces == 0) continue;
+    for (std::size_t s = 0; s < splits; ++s) {
+      out.push_back({b, traces * s / splits, traces * (s + 1) / splits});
+    }
+  }
+  return out;
 }
 
 // The cycle snapshot's extraction (chunks + census partitions) plus the
@@ -257,21 +286,22 @@ ExtractedMonth extract_all(const dataset::SnapshotBatch& cycle,
   ExtractedMonth out;
   out.following.resize(following.size());
   std::vector<CensusPart> census(kCensusParts);
-  std::vector<Chunk> chunks(kExtractChunks);
+  const std::vector<HopColumns> columns(cycle.blocks.begin(),
+                                        cycle.blocks.end());
+  const std::vector<TraceRange> ranges = trace_chunks(cycle.blocks);
+  std::vector<Chunk> chunks(ranges.size());
 
-  const HopColumns columns(cycle.traces);
-  const std::size_t traces = cycle.traces.trace_count();
   const std::size_t census_base = following.size();
   const std::size_t chunk_base = census_base + kCensusParts;
-  util::parallel_for(pool, chunk_base + kExtractChunks, [&](std::size_t i) {
+  util::parallel_for(pool, chunk_base + ranges.size(), [&](std::size_t i) {
     if (i < census_base) {
       out.following[i] = persistence_set(following[i]);
     } else if (i < chunk_base) {
       census_partition(columns, i - census_base, census[i - census_base]);
     } else {
-      const std::size_t c = i - chunk_base;
-      extract_traces(cycle.traces, columns, ip2as, traces * c / kExtractChunks,
-                     traces * (c + 1) / kExtractChunks, chunks[c]);
+      const TraceRange& r = ranges[i - chunk_base];
+      extract_traces(cycle.blocks[r.block], columns[r.block], ip2as, r.first,
+                     r.end, chunks[i - chunk_base]);
     }
   });
 
@@ -314,20 +344,22 @@ ExtractedSnapshot extract_lsps(const dataset::SnapshotBatch& snapshot,
 }
 
 PersistenceSet persistence_set(const dataset::SnapshotBatch& snapshot) {
-  const HopColumns c(snapshot.traces);
   PersistenceSet out;
-  for (std::size_t t = 0; t < snapshot.traces.trace_count(); ++t) {
-    scan_runs(c, c.hop_off[t], c.hop_off[t + 1], [&](const Run& run) {
-      if (!run.complete) return;
-      LspHasher hash(run.asn, c.addr[run.first - 1], c.addr[run.egress]);
-      for (std::size_t k = run.first; k <= run.last; ++k) {
-        if (c.anonymous(k)) continue;
-        hash.hop_addr(c.addr[k]);
-        c.for_each_label(k, [&](std::uint32_t l) { hash.label(l); });
-        hash.end_hop();
-      }
-      out.push_back(hash.value());
-    });
+  for (const dataset::TraceBatch& block : snapshot.blocks) {
+    const HopColumns c(block);
+    for (std::size_t t = 0; t < block.trace_count(); ++t) {
+      scan_runs(c, c.hop_off[t], c.hop_off[t + 1], [&](const Run& run) {
+        if (!run.complete) return;
+        LspHasher hash(run.asn, c.addr[run.first - 1], c.addr[run.egress]);
+        for (std::size_t k = run.first; k <= run.last; ++k) {
+          if (c.anonymous(k)) continue;
+          hash.hop_addr(c.addr[k]);
+          c.for_each_label(k, [&](std::uint32_t l) { hash.label(l); });
+          hash.end_hop();
+        }
+        out.push_back(hash.value());
+      });
+    }
   }
   sort_unique(out);
   return out;
@@ -359,15 +391,16 @@ std::unordered_map<std::uint32_t, AsIpCensus> census_by_as(
     AddrSet mpls{64};
   };
   std::unordered_map<std::uint32_t, Sets> by_as;
-  const dataset::TraceBatch& traces = snapshot.traces;
-  const auto asns = traces.hop_asn_col();
-  const auto addrs = traces.hop_addr_col();
-  const auto lse_off = traces.lse_off_col();
-  for (std::size_t h = 0; h < addrs.size(); ++h) {
-    if (addrs[h] == 0 || asns[h] == dataset::kUnknownAsn) continue;
-    Sets& sets = by_as[asns[h]];
-    sets.all.insert(addrs[h]);
-    if (lse_off[h + 1] != lse_off[h]) sets.mpls.insert(addrs[h]);
+  for (const dataset::TraceBatch& block : snapshot.blocks) {
+    const auto asns = block.hop_asn_col();
+    const auto addrs = block.hop_addr_col();
+    const auto lse_off = block.lse_off_col();
+    for (std::size_t h = 0; h < addrs.size(); ++h) {
+      if (addrs[h] == 0 || asns[h] == dataset::kUnknownAsn) continue;
+      Sets& sets = by_as[asns[h]];
+      sets.all.insert(addrs[h]);
+      if (lse_off[h + 1] != lse_off[h]) sets.mpls.insert(addrs[h]);
+    }
   }
   std::unordered_map<std::uint32_t, AsIpCensus> out;
   for (const auto& [asn, sets] : by_as) {

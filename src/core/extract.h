@@ -87,11 +87,13 @@ struct ExtractedSnapshot {
   ExtractStats stats;
 };
 
-// Extraction splits a snapshot's traces into kExtractChunks contiguous
-// ranges (fixed, so the split never depends on the thread count; the
-// ranges concatenate in trace order) and its address census into
-// kCensusParts disjoint address partitions, each counted exactly by its
-// own AddrSet pair.
+// Extraction splits each block of a snapshot's traces into
+// kExtractChunks / blocks contiguous ranges, at least one (fixed by the
+// block count, so the split never depends on the thread count; the ranges
+// concatenate in trace order): a decoded one-block snapshot into
+// kExtractChunks ranges, a campaign snapshot into its monitor blocks. The
+// address census splits into kCensusParts disjoint address partitions,
+// each counted exactly by its own AddrSet pair.
 inline constexpr std::size_t kExtractChunks = 16;
 inline constexpr std::size_t kCensusParts = 4;
 

@@ -58,6 +58,15 @@ void Ip2As::annotate(TraceBatch& batch, AsnCache& memo) const {
   }
 }
 
+void Ip2As::annotate(SnapshotBatch& snapshot) const {
+  AsnCache memo;
+  annotate(snapshot, memo);
+}
+
+void Ip2As::annotate(SnapshotBatch& snapshot, AsnCache& memo) const {
+  for (TraceBatch& block : snapshot.blocks) annotate(block, memo);
+}
+
 std::string to_table_text(const Ip2As& table) {
   std::string out;
   for (const auto& [prefix, asn] : table.entries()) {

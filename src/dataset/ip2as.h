@@ -80,6 +80,9 @@ class Ip2As {
   // memoizes within the call only.
   void annotate(TraceBatch& batch) const;
   void annotate(TraceBatch& batch, AsnCache& cache) const;
+  // Every block of the snapshot, through one memo.
+  void annotate(SnapshotBatch& snapshot) const;
+  void annotate(SnapshotBatch& snapshot, AsnCache& cache) const;
 
   std::size_t prefix_count() const noexcept { return trie_.size(); }
   std::vector<std::pair<net::Ipv4Prefix, std::uint32_t>> entries() const {

@@ -65,6 +65,19 @@ std::size_t section_index(PackSection s) noexcept {
   return static_cast<std::size_t>(s);
 }
 
+// One host-order value -> little-endian wire bytes at `out`.
+template <class T>
+void store_le(char* out, T v) noexcept {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  std::memcpy(out, &v, sizeof(T));
+#else
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out[i] = static_cast<char>((static_cast<std::uint64_t>(v) >> (8 * i)) &
+                               0xff);
+  }
+#endif
+}
+
 // Host-order column -> little-endian wire bytes. On LE hosts a straight
 // memcpy; the generic path keeps BE hosts byte-identical.
 template <class T>
@@ -74,12 +87,19 @@ void copy_le(char* out, std::span<const T> src) {
   std::memcpy(out, src.data(), src.size_bytes());
 #else
   for (const T v : src) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      *out++ = static_cast<char>((static_cast<std::uint64_t>(v) >> (8 * i)) &
-                                 0xff);
-    }
+    store_le(out, v);
+    out += sizeof(T);
   }
 #endif
+}
+
+// A block's offset column past its leading zero, shifted by `base` (the
+// hops or LSE words of the blocks before it) -> wire bytes.
+void copy_rebased_le(char* out, std::span<const std::uint64_t> off,
+                     std::uint64_t base) {
+  for (std::size_t i = 1; i < off.size(); ++i) {
+    store_le(out + (i - 1) * 8, off[i] + base);
+  }
 }
 
 }  // namespace
@@ -113,10 +133,9 @@ std::uint64_t pack_checksum(std::string_view bytes) noexcept {
 }
 
 std::string serialize_pack(const SnapshotBatch& snapshot) {
-  const TraceBatch& b = snapshot.traces;
-  const std::size_t n_traces = b.trace_count();
-  const std::size_t n_hops = b.hop_count();
-  const std::size_t n_lses = b.lse_count();
+  const std::size_t n_traces = snapshot.trace_count();
+  const std::size_t n_hops = snapshot.hop_count();
+  const std::size_t n_lses = snapshot.lse_count();
 
   // Column payload sizes, indexed by PackSection — the batch columns map
   // 1:1 onto the sections (including the leading-zero offset entries).
@@ -145,37 +164,35 @@ std::string serialize_pack(const SnapshotBatch& snapshot) {
   std::string out(total, '\0');
   char* base = out.data();
 
-  // Payloads first (the section table wants their checksums).
+  // Payloads first (the section table wants their checksums). The blocks
+  // stream into their ranges of each section, in order. The offset
+  // sections' leading zero is the zero fill; each block's entries after
+  // its own leading zero shift by the hops and LSE words before it.
   const auto at = [&](PackSection s) { return base + offsets[section_index(s)]; };
   std::memcpy(at(PackSection::kDate), snapshot.date.data(),
               snapshot.date.size());
-  copy_le(at(PackSection::kTraceMonitor), b.monitor_col());
-  copy_le(at(PackSection::kTraceSrc), b.src_col());
-  copy_le(at(PackSection::kTraceDst), b.dst_col());
-  if (n_traces > 0) {
-    std::memcpy(at(PackSection::kTraceReached), b.reached_col().data(),
-                n_traces);
-  }
-  copy_le(at(PackSection::kHopOffset), b.hop_off_col());
-  copy_le(at(PackSection::kHopAddr), b.hop_addr_col());
-  copy_le(at(PackSection::kHopLseOffset), b.lse_off_col());
-  copy_le(at(PackSection::kLsePool), b.lse_pool_col());
-  {
+  std::size_t trace_at = 0, hop_at = 0, lse_at = 0;
+  for (const TraceBatch& b : snapshot.blocks) {
+    copy_le(at(PackSection::kTraceMonitor) + trace_at * 4, b.monitor_col());
+    copy_le(at(PackSection::kTraceSrc) + trace_at * 4, b.src_col());
+    copy_le(at(PackSection::kTraceDst) + trace_at * 4, b.dst_col());
+    copy_le(at(PackSection::kTraceReached) + trace_at, b.reached_col());
+    copy_rebased_le(at(PackSection::kHopOffset) + (trace_at + 1) * 8,
+                    b.hop_off_col(), hop_at);
+    copy_le(at(PackSection::kHopAddr) + hop_at * 4, b.hop_addr_col());
+    copy_rebased_le(at(PackSection::kHopLseOffset) + (hop_at + 1) * 8,
+                    b.lse_off_col(), lse_at);
+    copy_le(at(PackSection::kLsePool) + lse_at * 4, b.lse_pool_col());
     // The one per-element column: quantize RTT doubles to ms*1000 exactly
     // as the per-record writer does.
-    char* rtt_out = at(PackSection::kHopRtt);
-    const auto rtts = b.hop_rtt_col();
-    for (std::size_t h = 0; h < n_hops; ++h) {
-      const auto q =
-          static_cast<std::uint32_t>(std::lround(rtts[h] * 1000.0));
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-      std::memcpy(rtt_out + h * 4, &q, 4);
-#else
-      for (int i = 0; i < 4; ++i) {
-        rtt_out[h * 4 + i] = static_cast<char>((q >> (8 * i)) & 0xff);
-      }
-#endif
+    char* rtt_out = at(PackSection::kHopRtt) + hop_at * 4;
+    for (const double rtt : b.hop_rtt_col()) {
+      store_le(rtt_out, static_cast<std::uint32_t>(std::lround(rtt * 1000.0)));
+      rtt_out += 4;
     }
+    trace_at += b.trace_count();
+    hop_at += b.hop_count();
+    lse_at += b.lse_count();
   }
 
   // Header + section table over the zero-filled prefix.
@@ -501,7 +518,10 @@ SnapshotBatch PackView::to_snapshot_batch() const {
   out.cycle_id = cycle_id_;
   out.sub_index = sub_index_;
   out.date.assign(date_);
-  if (n_traces_ == 0) return out;
+  if (n_traces_ == 0) {
+    out.blocks.emplace_back(0, 0, 0);
+    return out;
+  }
 
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
   // Fast path: every record valid and the hop/LSE sections structurally
@@ -532,7 +552,8 @@ SnapshotBatch PackView::to_snapshot_batch() const {
       return std::span<const std::uint64_t>(
           reinterpret_cast<const std::uint64_t*>(sec_ptr(s)), n);
     };
-    out.traces.assign_columns(
+    out.blocks.emplace_back(n_traces_, n_hops_, n_lses_)
+        .assign_columns(
         u32s(PackSection::kTraceMonitor, n_traces_),
         u32s(PackSection::kTraceSrc, n_traces_),
         u32s(PackSection::kTraceDst, n_traces_),
@@ -550,8 +571,9 @@ SnapshotBatch PackView::to_snapshot_batch() const {
 #endif
 
   // Damaged (or exotic-host) path: append valid records one by one.
+  TraceBatch& block = out.blocks.emplace_back();
   for (std::size_t i = 0; i < n_traces_; ++i) {
-    if (trace_valid(i)) append_trace(i, out.traces);
+    if (trace_valid(i)) append_trace(i, block);
   }
   return out;
 }

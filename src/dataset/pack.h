@@ -73,8 +73,10 @@ std::uint64_t pack_checksum(std::string_view bytes) noexcept;
 
 // Serialize a snapshot as a v3 pack (always succeeds; deterministic bytes).
 // A TraceBatch's columns ARE the pack sections, so this is section-table
-// bookkeeping plus one memcpy per column (the RTT column is the only
-// per-element pass — quantization to ms*1000).
+// bookkeeping plus one memcpy per column of each block; the offset columns
+// are rebased per block on the way out, so the bytes do not depend on the
+// block boundaries (the RTT column is the other per-element pass —
+// quantization to ms*1000).
 std::string serialize_pack(const SnapshotBatch& snapshot);
 
 // Zero-copy validated view over pack bytes (an mmap or any buffer). The
@@ -107,9 +109,10 @@ class PackView {
   // Append record i (requires trace_valid(i)) to `out`. AS annotations are
   // not persisted — re-annotate via Ip2As, as with every warts-lite form.
   void append_trace(std::size_t i, TraceBatch& out) const;
-  // Ingest every valid record: when every record is valid this is a column
-  // copy into the batch arena (no per-record slicing); damaged packs fall
-  // back to append_trace for each valid record.
+  // Ingest every valid record into one block: when every record is valid
+  // this is a column copy into an exactly sized block (no per-record
+  // slicing); damaged packs fall back to append_trace for each valid
+  // record.
   SnapshotBatch to_snapshot_batch() const;
 
  private:

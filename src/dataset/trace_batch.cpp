@@ -1,70 +1,75 @@
 #include "dataset/trace_batch.h"
 
-#include <algorithm>
-
-#include "util/thread_pool.h"
+#include <utility>
 
 namespace mum::dataset {
 
 namespace {
-// A shard's worth of traces runs a few hundred KB of columns; start the
-// private arena there so single-batch users reach steady state in one chunk.
-constexpr std::size_t kOwnedArenaChunk = 256 * 1024;
+// A monitor's block of traces runs a few hundred KB of columns; start an
+// unsized arena there so it reaches its size in a few chunks.
+constexpr std::size_t kGrowingArenaChunk = 256 * 1024;
+
+// Arena bytes the columns of a batch with these counts take, each column
+// rounded up to 8-byte alignment (an upper bound on the padding the arena
+// inserts between them).
+std::size_t column_bytes(std::size_t traces, std::size_t hops,
+                         std::size_t lses) noexcept {
+  const auto col = [](std::size_t n, std::size_t elem) {
+    return (n * elem + 7) & ~std::size_t{7};
+  };
+  // monitor, src, dst, dst_asn; reached; hop_off; hop_addr, hop_asn;
+  // hop_rtt; lse_off; lse_pool.
+  return 4 * col(traces, 4) + col(traces, 1) + col(traces + 1, 8) +
+         2 * col(hops, 4) + col(hops, 8) + col(hops + 1, 8) + col(lses, 4);
+}
 }  // namespace
 
 TraceBatch::TraceBatch()
-    : owned_(std::make_unique<util::Arena>(kOwnedArenaChunk)),
-      arena_(owned_.get()) {
-  init_columns();
+    : TraceBatch(std::make_unique<util::Arena>(kGrowingArenaChunk), 0, 0, 0) {
 }
 
-TraceBatch::TraceBatch(util::Arena& arena) : arena_(&arena) { init_columns(); }
+TraceBatch::TraceBatch(std::size_t traces, std::size_t hops,
+                       std::size_t lses)
+    : TraceBatch(std::make_unique<util::Arena>(
+                     column_bytes(traces, hops, lses)),
+                 traces, hops, lses) {}
 
-void TraceBatch::init_columns() {
-  monitor_ = util::ArenaVector<std::uint32_t>(*arena_);
-  src_ = util::ArenaVector<std::uint32_t>(*arena_);
-  dst_ = util::ArenaVector<std::uint32_t>(*arena_);
-  dst_asn_ = util::ArenaVector<std::uint32_t>(*arena_);
-  reached_ = util::ArenaVector<std::uint8_t>(*arena_);
-  hop_off_ = util::ArenaVector<std::uint64_t>(*arena_);
-  hop_addr_ = util::ArenaVector<std::uint32_t>(*arena_);
-  hop_rtt_ = util::ArenaVector<double>(*arena_);
-  hop_asn_ = util::ArenaVector<std::uint32_t>(*arena_);
-  lse_off_ = util::ArenaVector<std::uint64_t>(*arena_);
-  lse_pool_ = util::ArenaVector<std::uint32_t>(*arena_);
+TraceBatch::TraceBatch(std::unique_ptr<util::Arena> arena,
+                       std::size_t traces, std::size_t hops,
+                       std::size_t lses)
+    : arena_(std::move(arena)),
+      monitor_(*arena_, traces),
+      src_(*arena_, traces),
+      dst_(*arena_, traces),
+      dst_asn_(*arena_, traces),
+      reached_(*arena_, traces),
+      hop_off_(*arena_, traces + 1),
+      hop_addr_(*arena_, hops),
+      hop_rtt_(*arena_, hops),
+      hop_asn_(*arena_, hops),
+      lse_off_(*arena_, hops + 1),
+      lse_pool_(*arena_, lses) {
   hop_off_.push_back(0);
   lse_off_.push_back(0);
 }
 
-void TraceBatch::reserve(std::size_t traces, std::size_t hops,
-                         std::size_t lses) {
-  monitor_.reserve(traces);
-  src_.reserve(traces);
-  dst_.reserve(traces);
-  dst_asn_.reserve(traces);
-  reached_.reserve(traces);
-  hop_off_.reserve(traces + 1);
-  hop_addr_.reserve(hops);
-  hop_rtt_.reserve(hops);
-  hop_asn_.reserve(hops);
-  lse_off_.reserve(hops + 1);
-  lse_pool_.reserve(lses);
-}
-
-void TraceBatch::clear() {
-  monitor_.clear();
-  src_.clear();
-  dst_.clear();
-  dst_asn_.clear();
-  reached_.clear();
-  hop_off_.clear();
-  hop_addr_.clear();
-  hop_rtt_.clear();
-  hop_asn_.clear();
-  lse_off_.clear();
-  lse_pool_.clear();
-  hop_off_.push_back(0);
-  lse_off_.push_back(0);
+void TraceBatch::rehome(std::size_t traces, std::size_t hops,
+                        std::size_t lses) {
+  TraceBatch out(traces, hops, lses);
+  out.monitor_.append(monitor_.span());
+  out.src_.append(src_.span());
+  out.dst_.append(dst_.span());
+  out.dst_asn_.append(dst_asn_.span());
+  out.reached_.append(reached_.span());
+  out.hop_addr_.append(hop_addr_.span());
+  out.hop_rtt_.append(hop_rtt_.span());
+  out.hop_asn_.append(hop_asn_.span());
+  out.lse_pool_.append(lse_pool_.span());
+  out.hop_off_.clear();
+  out.hop_off_.append(hop_off_.span());
+  out.lse_off_.clear();
+  out.lse_off_.append(lse_off_.span());
+  *this = std::move(out);
 }
 
 void TraceBatch::begin_trace(std::uint32_t monitor_id, net::Ipv4Addr src,
@@ -108,57 +113,6 @@ void TraceBatch::discard_trace() {
   lse_pool_.truncate(static_cast<std::size_t>(lse_off_.back()));
 }
 
-void TraceBatch::append(std::span<const TraceBatch> blocks,
-                        util::ThreadPool* pool) {
-  // Where each block lands: its trace, hop and LSE starts in the merged
-  // columns (prefix sums over the blocks before it, after this batch's own).
-  struct Start {
-    std::size_t trace, hop, lse;
-  };
-  std::vector<Start> starts(blocks.size());
-  Start end{trace_count(), hop_count(), lse_count()};
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    starts[b] = end;
-    end.trace += blocks[b].trace_count();
-    end.hop += blocks[b].hop_count();
-    end.lse += blocks[b].lse_count();
-  }
-
-  monitor_.grow_uninit(end.trace);
-  src_.grow_uninit(end.trace);
-  dst_.grow_uninit(end.trace);
-  dst_asn_.grow_uninit(end.trace);
-  reached_.grow_uninit(end.trace);
-  hop_off_.grow_uninit(end.trace + 1);
-  hop_addr_.grow_uninit(end.hop);
-  hop_rtt_.grow_uninit(end.hop);
-  hop_asn_.grow_uninit(end.hop);
-  lse_off_.grow_uninit(end.hop + 1);
-  lse_pool_.grow_uninit(end.lse);
-
-  // Each block fills only its own ranges, so blocks copy in parallel. The
-  // offset columns skip the block's leading zero and shift by its base.
-  util::parallel_for(pool, blocks.size(), [&](std::size_t b) {
-    const TraceBatch& block = blocks[b];
-    const Start at = starts[b];
-    std::ranges::copy(block.monitor_col(), monitor_.begin() + at.trace);
-    std::ranges::copy(block.src_col(), src_.begin() + at.trace);
-    std::ranges::copy(block.dst_col(), dst_.begin() + at.trace);
-    std::ranges::copy(block.dst_asn_col(), dst_asn_.begin() + at.trace);
-    std::ranges::copy(block.reached_col(), reached_.begin() + at.trace);
-    std::ranges::copy(block.hop_addr_col(), hop_addr_.begin() + at.hop);
-    std::ranges::copy(block.hop_rtt_col(), hop_rtt_.begin() + at.hop);
-    std::ranges::copy(block.hop_asn_col(), hop_asn_.begin() + at.hop);
-    std::ranges::copy(block.lse_pool_col(), lse_pool_.begin() + at.lse);
-    std::ranges::transform(block.hop_off_col().subspan(1),
-                           hop_off_.begin() + at.trace + 1,
-                           [&](std::uint64_t off) { return off + at.hop; });
-    std::ranges::transform(block.lse_off_col().subspan(1),
-                           lse_off_.begin() + at.hop + 1,
-                           [&](std::uint64_t off) { return off + at.lse; });
-  });
-}
-
 void TraceBatch::assign_columns(std::span<const std::uint32_t> monitor,
                                 std::span<const std::uint32_t> src,
                                 std::span<const std::uint32_t> dst,
@@ -168,8 +122,6 @@ void TraceBatch::assign_columns(std::span<const std::uint32_t> monitor,
                                 std::span<const std::uint32_t> hop_rtt_q,
                                 std::span<const std::uint64_t> lse_off,
                                 std::span<const std::uint32_t> lse_pool) {
-  clear();
-  reserve(monitor.size(), hop_addr.size(), lse_pool.size());
   monitor_.append(monitor);
   src_.append(src);
   dst_.append(dst);
@@ -186,6 +138,24 @@ void TraceBatch::assign_columns(std::span<const std::uint32_t> monitor,
     hop_asn_.push_back(0);
     hop_rtt_.push_back(static_cast<double>(hop_rtt_q[h]) / 1000.0);
   }
+}
+
+std::size_t SnapshotBatch::trace_count() const noexcept {
+  std::size_t n = 0;
+  for (const TraceBatch& block : blocks) n += block.trace_count();
+  return n;
+}
+
+std::size_t SnapshotBatch::hop_count() const noexcept {
+  std::size_t n = 0;
+  for (const TraceBatch& block : blocks) n += block.hop_count();
+  return n;
+}
+
+std::size_t SnapshotBatch::lse_count() const noexcept {
+  std::size_t n = 0;
+  for (const TraceBatch& block : blocks) n += block.lse_count();
+  return n;
 }
 
 std::vector<std::uint32_t> HopView::labels() const {

@@ -1,14 +1,15 @@
 // Arena-backed structure-of-arrays trace storage — the measurement-plane
 // mirror of the v3 pack layout (pack.h).
 //
-// A TraceBatch holds one snapshot's traces as contiguous columns carved from
-// a util::Arena: fixed per-trace fields (monitor, src, dst, dst_asn,
+// A TraceBatch holds a block of traces as contiguous columns carved from
+// its own util::Arena: fixed per-trace fields (monitor, src, dst, dst_asn,
 // reached), a prefix-sum hop-offset column, per-hop columns (addr, rtt,
 // asn), a prefix-sum LSE-offset column, and one shared pool of RFC 3032
 // label-stack words replacing per-hop heap-owning LabelStack vectors. The
-// column set and ordering deliberately match PackSection, so serializing a
-// batch to a .mump pack is a column memcpy (pack.cpp) and ingesting a pack
-// is the inverse — no per-record re-encoding on either side.
+// column set and ordering deliberately match PackSection, so a block
+// serializes into a .mump pack as one memcpy per column (pack.cpp) and
+// ingesting a pack is the inverse — no per-record re-encoding on either
+// side.
 //
 // Offsets are ends-exclusive prefix sums with a leading zero (trace i owns
 // hops [hop_off[i], hop_off[i+1]); hop h owns LSE words [lse_off[h],
@@ -18,17 +19,19 @@
 // pack's millisecond-quantized u32s: quantization is a serialization
 // concern (serialize_pack and the v2 writer both round on the way out).
 //
-// This is the only in-memory form of a snapshot: generation writes it,
-// the chaos corruptor rebuilds it, both decoders append into it, and LPR
-// extraction reads its columns. Hand-built lab inputs go through the same
-// append protocol (begin_trace / add_hop / add_label / end_trace).
+// A SnapshotBatch is a list of these blocks and the only in-memory form of
+// a snapshot: each campaign monitor probes into its own block, the chaos
+// corruptor and both decoders write one block, and LPR extraction and the
+// writers walk the blocks in order. Hand-built lab inputs go through the
+// same append protocol (begin_trace / add_hop / add_label / end_trace).
 //
-// Arena ownership: a default-constructed batch owns a private arena; the
-// borrowing constructor carves from a caller-owned arena that the caller
-// resets between uses (the per-monitor shard pattern in
-// gen::CampaignRunner::snapshot — steady state allocates nothing).
-// Only trivially-copyable column data lives in the arena, so moving a batch
-// is a pointer copy and dropping one runs no per-trace destructors.
+// Arena ownership: every batch owns a private arena. A batch of unknown
+// size grows it by geometric chunks; a batch constructed from counts gets
+// one chunk laid out for exactly those columns (the campaign sizes each
+// monitor's block from that monitor's previous one). Only
+// trivially-copyable column data lives in the arena, so moving a batch is
+// a pointer copy and dropping one frees its chunks without running
+// per-trace destructors.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +43,6 @@
 #include "net/ipv4.h"
 #include "net/lse.h"
 #include "util/arena.h"
-
-namespace mum::util {
-class ThreadPool;
-}
 
 namespace mum::dataset {
 
@@ -116,10 +115,12 @@ class TraceIterator {
 
 class TraceBatch {
  public:
-  // Owns a private arena sized for a monitor-shard's worth of traces.
+  // A private arena of geometric chunks: for batches of unknown size.
   TraceBatch();
-  // Borrows `arena`; the caller resets it between batch lifetimes.
-  explicit TraceBatch(util::Arena& arena);
+  // A private arena of one chunk laid out for exactly these counts, with
+  // every column reserved to them. Appending past a count still works; it
+  // costs the arena a second chunk.
+  TraceBatch(std::size_t traces, std::size_t hops, std::size_t lses);
 
   TraceBatch(TraceBatch&&) noexcept = default;
   TraceBatch& operator=(TraceBatch&&) noexcept = default;
@@ -131,12 +132,10 @@ class TraceBatch {
   std::size_t lse_count() const noexcept { return lse_pool_.size(); }
   bool empty() const noexcept { return monitor_.empty(); }
 
-  // Pre-size every column (counts, not bytes). The offset columns get one
-  // extra slot for the leading zero.
-  void reserve(std::size_t traces, std::size_t hops, std::size_t lses);
-  // Drop all records, keep column capacity (pair with Arena::reset only
-  // when the arena is private to this batch).
-  void clear();
+  // Move the records into a fresh arena of one chunk laid out for `traces`,
+  // `hops` and `lses` (each at least the current count), freeing the old
+  // arena.
+  void rehome(std::size_t traces, std::size_t hops, std::size_t lses);
 
   // --- append protocol (no interleaving between traces) ------------------
   // begin_trace, then per hop: add_hop followed by its add_label calls,
@@ -150,16 +149,9 @@ class TraceBatch {
   void end_trace(bool reached);
   void discard_trace();
 
-  // Column-wise merge: append every trace of `blocks`, in block order. Each
-  // column grows once, to the summed block counts; then every block copies
-  // into its own prefix-sum range with its offsets rebased, in parallel on
-  // `pool` when given (nullable). The result is the same at any thread
-  // count.
-  void append(std::span<const TraceBatch> blocks, util::ThreadPool* pool);
-
-  // Bulk load from raw (host-order) columns — the pack ingest path. The
-  // offset columns include their leading zero; rtt arrives quantized
-  // (milliseconds * 1000) exactly as the pack stores it.
+  // Bulk load from raw (host-order) columns into an empty batch — the pack
+  // ingest path. The offset columns include their leading zero; rtt arrives
+  // quantized (milliseconds * 1000) exactly as the pack stores it.
   void assign_columns(std::span<const std::uint32_t> monitor,
                       std::span<const std::uint32_t> src,
                       std::span<const std::uint32_t> dst,
@@ -223,10 +215,11 @@ class TraceBatch {
   const util::Arena& arena() const noexcept { return *arena_; }
 
  private:
-  void init_columns();
+  TraceBatch(std::unique_ptr<util::Arena> arena, std::size_t traces,
+             std::size_t hops, std::size_t lses);
 
-  std::unique_ptr<util::Arena> owned_;  // null when borrowing
-  util::Arena* arena_ = nullptr;
+  // Heap-held so the columns' arena pointer survives a move of the batch.
+  std::unique_ptr<util::Arena> arena_;
 
   util::ArenaVector<std::uint32_t> monitor_;
   util::ArenaVector<std::uint32_t> src_;
@@ -241,15 +234,57 @@ class TraceBatch {
   util::ArenaVector<std::uint32_t> lse_pool_;
 };
 
+// Forward iteration over a snapshot's traces as TraceViews, block after
+// block (range-for over a SnapshotBatch).
+class SnapshotIterator {
+ public:
+  SnapshotIterator(std::span<const TraceBatch> blocks,
+                   std::size_t block) noexcept
+      : blocks_(blocks), block_(block) {
+    skip_empty();
+  }
+  TraceView operator*() const noexcept {
+    return blocks_[block_].view(index_);
+  }
+  SnapshotIterator& operator++() noexcept {
+    if (++index_ == blocks_[block_].trace_count()) {
+      index_ = 0;
+      ++block_;
+      skip_empty();
+    }
+    return *this;
+  }
+  bool operator==(const SnapshotIterator& other) const noexcept {
+    return block_ == other.block_ && index_ == other.index_;
+  }
+
+ private:
+  void skip_empty() noexcept {
+    while (block_ < blocks_.size() && blocks_[block_].empty()) ++block_;
+  }
+
+  std::span<const TraceBatch> blocks_;
+  std::size_t block_;
+  std::size_t index_ = 0;
+};
+
 // One probing run of the whole monitor fleet ("team run" / daily
-// snapshot), stored columnar.
+// snapshot), stored columnar. Its traces are the blocks' traces, in block
+// order: one block per monitor as the campaign probed them (monitor
+// order), one block once decoded or rebuilt by the chaos corruptor. No
+// reader or writer depends on where the block boundaries fall.
 struct SnapshotBatch {
   std::uint32_t cycle_id = 0;   // global cycle index (0-based)
   std::uint32_t sub_index = 0;  // snapshot index within the month (0 = cycle)
   std::string date;             // "YYYY-MM" or "YYYY-MM-DD"
-  TraceBatch traces;
+  std::vector<TraceBatch> blocks;
 
-  std::size_t trace_count() const noexcept { return traces.trace_count(); }
+  std::size_t trace_count() const noexcept;
+  std::size_t hop_count() const noexcept;
+  std::size_t lse_count() const noexcept;
+
+  SnapshotIterator begin() const noexcept { return {blocks, 0}; }
+  SnapshotIterator end() const noexcept { return {blocks, blocks.size()}; }
 };
 
 // A month of data (the paper's unit: "the first run of each team" in a

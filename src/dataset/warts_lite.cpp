@@ -158,7 +158,7 @@ std::string serialize_snapshot(const SnapshotBatch& snapshot,
   put_string(out, snapshot.date);
   put_varint(out, snapshot.trace_count());
   std::string record;
-  for (const TraceView t : snapshot.traces) {
+  for (const TraceView t : snapshot) {
     std::string& sink = version >= 2 ? record : out;
     if (version >= 2) record.clear();
     put_varint(sink, t.monitor_id());
@@ -214,7 +214,9 @@ std::optional<SnapshotBatch> parse_snapshot_v2(
   }
   const bool framed = version >= 2;
 
+  // A decoded snapshot is one block, sized once the header bounds it.
   SnapshotBatch snap;
+  TraceBatch& block = snap.blocks.emplace_back(0, 0, 0);
   std::size_t field = pos;
   const auto cycle_id = get_varint(bytes, pos);
   const auto sub_index = get_varint(bytes, pos);
@@ -259,12 +261,13 @@ std::optional<SnapshotBatch> parse_snapshot_v2(
     if (!options.tolerant) return std::nullopt;
   }
   // Column capacity: the trace count is bounded by the claim check; hop
-  // and label counts by the bytes left (a minimum-size hop, a minimum-size
-  // label word), so a hostile claim cannot inflate the reservation.
-  snap.traces.reserve(
+  // and label counts by the bytes left (a minimum-size hop, a label word),
+  // so a hostile claim cannot inflate the reservation, and the block never
+  // grows. Capacity the records do not fill is never touched.
+  block = TraceBatch(
       static_cast<std::size_t>(std::min<std::uint64_t>(*n_traces,
                                                        max_traces)),
-      (size - pos) / kMinHopBytes, 0);
+      (size - pos) / kMinHopBytes, (size - pos) / 4);
 
   for (std::uint64_t i = 0; i < *n_traces; ++i) {
     if (pos >= size) {
@@ -297,7 +300,7 @@ std::optional<SnapshotBatch> parse_snapshot_v2(
     DecodeDiagnostics attempt;
     std::size_t trace_pos = pos;
     auto reached =
-        decode_trace(bytes, trace_pos, limit, i, attempt, snap.traces);
+        decode_trace(bytes, trace_pos, limit, i, attempt, block);
     if (reached && framed && trace_pos != record_end) {
       attempt.add_fault(FaultClass::kTrailingBytes, trace_pos, i,
                         std::to_string(record_end - trace_pos) +
@@ -307,7 +310,7 @@ std::optional<SnapshotBatch> parse_snapshot_v2(
     diag.merge(attempt);
 
     if (!reached) {
-      snap.traces.discard_trace();
+      block.discard_trace();
       if (!options.tolerant) return std::nullopt;
       if (!framed) {
         // v1 has no framing: nothing downstream of a fault can be trusted.
@@ -318,7 +321,7 @@ std::optional<SnapshotBatch> parse_snapshot_v2(
       pos = record_end;
       continue;
     }
-    snap.traces.end_trace(*reached);
+    block.end_trace(*reached);
     ++diag.records_decoded;
     pos = framed ? record_end : trace_pos;
   }
@@ -356,7 +359,7 @@ std::string to_text(const SnapshotBatch& snapshot) {
   os << "snapshot cycle=" << snapshot.cycle_id
      << " sub=" << snapshot.sub_index << " date=" << snapshot.date
      << " traces=" << snapshot.trace_count() << "\n\n";
-  for (const TraceView trace : snapshot.traces) os << to_text(trace) << '\n';
+  for (const TraceView trace : snapshot) os << to_text(trace) << '\n';
   return os.str();
 }
 

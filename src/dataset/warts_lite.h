@@ -47,7 +47,7 @@ inline constexpr char kWartsLiteMagic[4] = {'M', 'U', 'M', 'W'};
 
 // --- binary -----------------------------------------------------------
 
-// Encode straight off the batch's TraceView/HopView spans.
+// Encode straight off the blocks' TraceView/HopView spans, in order.
 std::string serialize_snapshot(const SnapshotBatch& snapshot);
 // Serialize at an explicit format version: 1 or 2 for the stream (v1 for
 // compatibility tests and for archives older readers understand), 3 for
@@ -77,8 +77,9 @@ std::optional<SnapshotBatch> read_snapshot(
     DecodeDiagnostics* diagnostics = nullptr);
 
 // The v1/v2 stream decoder itself, no sniffing: bytes must start "MUMW".
-// Records append straight into the batch columns (begin/add_hop/add_label/
-// end); a malformed record is discarded before the next one starts.
+// Records append straight into the columns of the snapshot's one block
+// (begin/add_hop/add_label/end); a malformed record is discarded before
+// the next one starts.
 std::optional<SnapshotBatch> parse_snapshot_v2(
     std::string_view bytes, const DecodeOptions& options = {},
     DecodeDiagnostics* diagnostics = nullptr);

@@ -11,14 +11,14 @@
 // once and generates snapshots with the monitor fleet fanned out over an
 // optional thread pool. Everything it learns is kept for its lifetime: every
 // monitor's probe plan (all routed before the first snapshot's flaps), the
-// IGP egress demand those plans imply, and per monitor its shard arena, walk
-// scratch and addr -> asn memo.
+// IGP egress demand those plans imply, and per monitor its walk scratch,
+// addr -> asn memo and the size of its last trace block.
 // A campaign that keeps one runner across its cycles routes every probe once
 // and probes from warm memory. Determinism contract: every monitor draws its
 // observation noise from an RNG stream keyed by (seed, cycle, sub_index,
-// monitor), and per-monitor trace blocks are concatenated in monitor order —
-// so output is bit-identical no matter how many threads execute it, and no
-// matter how many snapshots the runner generated before.
+// monitor) into its own trace block, and a snapshot is those blocks in
+// monitor order — so output is bit-identical no matter how many threads
+// execute it, and no matter how many snapshots the runner generated before.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +47,7 @@ class CampaignRunner {
   CampaignRunner(const Internet& internet, const dataset::Ip2As& ip2as,
                  CampaignConfig config = {},
                  util::ThreadPool* pool = nullptr);
-  ~CampaignRunner();  // out-of-line: MonitorShard is incomplete here
+  ~CampaignRunner();  // out-of-line: MonitorState is incomplete here
   CampaignRunner(CampaignRunner&&) noexcept;
   CampaignRunner& operator=(CampaignRunner&&) noexcept;
 
@@ -62,17 +62,16 @@ class CampaignRunner {
   // internet.instantiate() or a DeltaEvolver; flaps for `sub_index` are
   // applied inside, reconverging only egress_demand() (plus the TE
   // re-signal egresses), so until the next apply_flaps `ctx` serves this
-  // runner's walks only. The body is three fan-outs over the pool, one per
-  // phase: the per-AS flaps (MonthContext::apply_flaps); the per-monitor
-  // probe, where each monitor resolves its probe plan against `ctx`'s data
-  // planes, walks and observes into its shard's arena batch (reset between
-  // snapshots, so the steady state allocates nothing in the probe loop) and
-  // ip2as-annotates that batch through its shard's memo; and the merge,
-  // which copies every shard into its range of the snapshot's columns, in
-  // monitor order.
+  // runner's walks only. The body is two fan-outs over the pool, one per
+  // phase: the per-AS flaps (MonthContext::apply_flaps), and the
+  // per-monitor probe, where each monitor resolves its probe plan against
+  // `ctx`'s data planes, walks and observes into its own block of the
+  // snapshot (one arena chunk, sized from the monitor's previous block) and
+  // ip2as-annotates that block through its own memo. The blocks are the
+  // snapshot, in monitor order; nothing is copied after the probe.
   //
   // Not safe to call concurrently on one runner: it mutates `ctx` and
-  // reuses the runner's plans, shard arenas and memos.
+  // reuses the runner's plans, memos and block sizes.
   dataset::SnapshotBatch snapshot(MonthContext& ctx, int cycle,
                                   int sub_index) const;
   // Same, with a per-call config override (daily fleet-size wobble).
@@ -105,11 +104,11 @@ class CampaignRunner {
   void plan_all() const;
 
   // Per-monitor probe state, kept for the runner's lifetime: the monitor's
-  // probe plan (see plan_all), the arena its shard TraceBatch carves from
-  // (reset per snapshot, so arena high-water stabilizes after the first
-  // one; the soak test gates this via the probe.arena.* gauges), path/walk
-  // scratch and the addr -> asn memo that annotates the shard.
-  struct MonitorShard;
+  // probe plan (see plan_all), the column counts of its last block (which
+  // size its next block's arena; the soak test gates this via the
+  // probe.arena.* gauges), path/walk scratch and the addr -> asn memo that
+  // annotates its blocks.
+  struct MonitorState;
 
   const Internet* internet_;
   const dataset::Ip2As* ip2as_;
@@ -117,7 +116,7 @@ class CampaignRunner {
   util::ThreadPool* pool_;
   // One snapshot at a time per runner (see snapshot()): these are mutated
   // by the const generation calls.
-  mutable std::vector<std::unique_ptr<MonitorShard>> shards_;
+  mutable std::vector<std::unique_ptr<MonitorState>> states_;
   // Sorted, unique segment egresses of all plans, by ModeledAs::index: the
   // IGP columns a snapshot's walks read. Set with the plans.
   mutable EgressDemand demand_;

@@ -126,10 +126,10 @@ dataset::MonthData Runner::prepare_month(
           salvaged->date = snapshot.date;
           // Serialization carries no ip2as annotations: re-annotate the
           // survivors before the pipeline consumes them.
-          ip2as_.annotate(salvaged->traces, asn_cache);
+          ip2as_.annotate(*salvaged, asn_cache);
           snapshot = std::move(*salvaged);
         } else {
-          snapshot.traces.clear();  // container unreadable: total loss
+          snapshot.blocks.clear();  // container unreadable: total loss
         }
       }
       corruptor->corrupt(snapshot);
@@ -199,7 +199,7 @@ std::optional<lpr::CycleReport> Runner::run_cycle_from_data(
     dataset::AsnCache asn_cache;
     while (auto snapshot = source.next()) {
       // Annotations are not persisted in either container format.
-      ip2as_.annotate(snapshot->traces, asn_cache);
+      ip2as_.annotate(*snapshot, asn_cache);
       month.snapshots.push_back(std::move(*snapshot));
     }
   }
@@ -272,7 +272,7 @@ RunOutcome Runner::run_all_contained() const {
   // world; inner stages (monitor fan-out, SPF, classification) use the pool.
   // Checkpoint-restored cycles skip generation entirely and the evolver
   // jumps the gap when the next computed cycle asks for it. One probe runner
-  // serves every cycle: probe plans, shard arenas, walk scratch and the asn
+  // serves every cycle: probe plans, block sizes, walk scratch and the asn
   // memo stay warm. Both are torn down inside the loop's wall time.
   std::optional<gen::DeltaEvolver> evolver(std::in_place, internet_,
                                            pool_.get());

@@ -165,7 +165,7 @@ class ArenaVector {
     capacity_ = want;
   }
 
-  // Bulk append (the batch-merge hot path): one growth decision, one memcpy.
+  // Bulk append: one growth decision, one memcpy.
   void append(std::span<const T> src) {
     if (src.empty()) return;
     if (size_ + src.size() > capacity_) {
@@ -175,14 +175,6 @@ class ArenaVector {
     }
     std::memcpy(data_ + size_, src.data(), src.size_bytes());
     size_ += src.size();
-  }
-
-  // Grow to `n` elements (n >= size()) without writing the new ones, to a
-  // capacity of exactly `n` when it must grow: the caller fills them, e.g.
-  // several threads each memcpy-ing a disjoint range (the parallel merge).
-  void grow_uninit(std::size_t n) {
-    reserve(n);
-    size_ = n;
   }
 
   T& operator[](std::size_t i) noexcept { return data_[i]; }

@@ -1,6 +1,8 @@
 // Test helpers for the columnar trace form every library path consumes:
 // hand-written lab traces appended through the TraceBatch protocol, one
-// traceroute into a batch, and a column-by-column batch comparison.
+// traceroute into a batch, and a column-by-column comparison of two batches
+// or snapshots. The SnapshotBatch overloads append into the snapshot's
+// last block, made on first use.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -53,6 +55,16 @@ inline void add_trace(dataset::TraceBatch& batch, const TraceHead& head,
   batch.end_trace(head.reached);
 }
 
+inline dataset::TraceBatch& last_block(dataset::SnapshotBatch& snap) {
+  if (snap.blocks.empty()) snap.blocks.emplace_back();
+  return snap.blocks.back();
+}
+
+inline void add_trace(dataset::SnapshotBatch& snap, const TraceHead& head,
+                      const std::vector<Hop>& hops) {
+  add_trace(last_block(snap), head, hops);
+}
+
 // One traceroute over `path` into `out`: walk_path + observe_walk_into.
 inline void trace_into(const probe::Monitor& monitor,
                        const probe::PathSpec& path,
@@ -63,18 +75,27 @@ inline void trace_into(const probe::Monitor& monitor,
   probe::observe_walk_into(monitor, path.dst, options, rng, walk, out);
 }
 
-// Every column field of every trace of `a` equals `b`'s: monitor, src, dst,
-// dst_asn, reached, and per hop addr, rtt, asn and the quoted LSE words.
-// RTTs compare to within `rtt_tolerance` (0 = exact; wire forms quantize to
-// microseconds).
-inline void expect_batches_equal(const dataset::TraceBatch& a,
-                                 const dataset::TraceBatch& b,
-                                 double rtt_tolerance = 0.0) {
+inline void trace_into(const probe::Monitor& monitor,
+                       const probe::PathSpec& path,
+                       const probe::TraceOptions& options, util::Rng& rng,
+                       dataset::SnapshotBatch& out) {
+  trace_into(monitor, path, options, rng, last_block(out));
+}
+
+// Every column field of every trace of `a` equals `b`'s, in trace order:
+// monitor, src, dst, dst_asn, reached, and per hop addr, rtt, asn and the
+// quoted LSE words. Either side is a TraceBatch or a SnapshotBatch (where
+// its block boundaries fall does not matter). RTTs compare to within
+// `rtt_tolerance` (0 = exact; wire forms quantize to microseconds).
+template <class A, class B>
+void expect_batches_equal(const A& a, const B& b, double rtt_tolerance = 0.0) {
   ASSERT_EQ(a.trace_count(), b.trace_count());
-  for (std::size_t i = 0; i < a.trace_count(); ++i) {
-    SCOPED_TRACE("trace " + std::to_string(i));
-    const dataset::TraceView ta = a.view(i);
-    const dataset::TraceView tb = b.view(i);
+  auto next_b = b.begin();
+  std::size_t i = 0;
+  for (const dataset::TraceView ta : a) {
+    SCOPED_TRACE("trace " + std::to_string(i++));
+    const dataset::TraceView tb = *next_b;
+    ++next_b;
     EXPECT_EQ(ta.monitor_id(), tb.monitor_id());
     EXPECT_EQ(ta.src(), tb.src());
     EXPECT_EQ(ta.dst(), tb.dst());

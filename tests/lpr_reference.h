@@ -36,7 +36,7 @@ inline ExtractedSnapshot extract(const dataset::SnapshotBatch& snap,
   out.sub_index = snap.sub_index;
   out.date = snap.date;
   std::set<std::uint32_t> all, mpls;
-  for (const dataset::TraceView trace : snap.traces) {
+  for (const dataset::TraceView trace : snap) {
     ++out.stats.traces_total;
     const std::size_t n = trace.hop_count();
     const auto labeled = [&](std::size_t k) {

@@ -167,7 +167,7 @@ TEST(AliasEndToEnd, LabelInferencePrecisionHighOnSyntheticInternet) {
   const auto snap = gen::CampaignRunner(internet, ip2as).snapshot(ctx, 50, 0);
   const auto extracted = extract_lsps(snap, ip2as);
 
-  const LabelAliasResolver resolver(extracted.observations, snap.traces);
+  const LabelAliasResolver resolver(extracted.observations, snap);
   const auto sets = resolver.alias_sets();
 
   // Ground truth from the simulator: every interface address -> loopback
@@ -202,7 +202,7 @@ TEST(AliasEndToEnd, RouterLevelReducesIotpCount) {
 
   auto ip_level = group_iotps(filtered.observations);
   const LabelAliasResolver resolver(filtered.observations,
-                                    month.cycle().traces);
+                                    month.cycle());
   auto router_level =
       group_iotps(to_router_level(filtered.observations, resolver));
 

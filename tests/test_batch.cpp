@@ -237,22 +237,19 @@ TEST(AsnCache, AgreesWithTrieAcrossGrowthAndReuse) {
   EXPECT_EQ(cache.get((17u << 24) + 5, table), dataset::kUnknownAsn);
 }
 
-TEST(TraceBatch, ColumnMergeRebasesOffsets) {
-  const std::size_t third = reference_batch().trace_count() / 3;
-  ASSERT_GT(third, 30u);
+// The writers stream a snapshot's blocks and rebase each block's offset
+// columns on the way out, so where the block boundaries fall never shows in
+// the bytes: here an empty block first and in the middle, a label-free
+// block with hops, and two parts of the reference stream.
+TEST(SnapshotBlocks, WritersRebaseOffsetsAcrossBlocks) {
+  const std::size_t half = reference_batch().trace_count() / 2;
+  ASSERT_GT(half, 30u);
 
-  // The reference stream in three parts: the first already in the
-  // destination (so rebasing starts from a non-zero base), the others in
-  // arena-borrowing blocks, with an empty block first, an empty block in
-  // the middle and a label-free hand-written block before the last part.
-  util::Arena arena_a, arena_b;
-  std::vector<dataset::TraceBatch> blocks;
-  blocks.reserve(5);
-  blocks.emplace_back();
-  blocks.emplace_back(arena_a);
-  blocks.emplace_back();
-  blocks.emplace_back();
-  blocks.emplace_back(arena_b);
+  dataset::SnapshotBatch blocks, single;
+  blocks.cycle_id = single.cycle_id = 50;
+  blocks.date = single.date = "2010-03";
+  blocks.blocks.resize(5);
+  dataset::TraceBatch& one = single.blocks.emplace_back();
   const std::vector<testing::Hop> hops{testing::plain(0x0B000001),
                                        testing::anonymous(),
                                        testing::plain(0x0B000002)};
@@ -260,35 +257,41 @@ TEST(TraceBatch, ColumnMergeRebasesOffsets) {
     testing::add_trace(out, {7, 0x0B000009, 0x0B000002, true}, hops);
     testing::add_trace(out, {7, 0x0B000009, 0x0B000003, false}, hops);
   };
-  add_plain(blocks[3]);
-
-  dataset::TraceBatch serial, parallel, expected, rest;
-  const dataset::Ip2As ip2as =
-      observe_fixture([&](std::size_t i) -> dataset::TraceBatch& {
-        return i < third ? serial : i < 2 * third ? blocks[1] : blocks[4];
-      });
+  add_plain(blocks.blocks[3]);
   observe_fixture([&](std::size_t i) -> dataset::TraceBatch& {
-    return i < third ? parallel : rest;
+    return blocks.blocks[i < half ? 1 : 4];
   });
   observe_fixture([&](std::size_t i) -> dataset::TraceBatch& {
-    if (i == 2 * third) add_plain(expected);
-    return expected;
+    if (i == half) add_plain(one);
+    return one;
   });
-  for (dataset::TraceBatch* batch : {&serial, &parallel, &expected}) {
-    ip2as.annotate(*batch);
-  }
-  for (dataset::TraceBatch& block : blocks) ip2as.annotate(block);
-  ASSERT_GT(serial.lse_count(), 0u);
-  ASSERT_GT(blocks[1].lse_count(), 0u);
-  ASSERT_GT(blocks[4].lse_count(), 0u);
-  ASSERT_GT(blocks[3].hop_count(), 0u);
-  ASSERT_EQ(blocks[3].lse_count(), 0u);
+  ASSERT_TRUE(blocks.blocks[0].empty());
+  ASSERT_TRUE(blocks.blocks[2].empty());
+  ASSERT_GT(blocks.blocks[1].lse_count(), 0u);
+  ASSERT_GT(blocks.blocks[4].lse_count(), 0u);
+  ASSERT_GT(blocks.blocks[3].hop_count(), 0u);
+  ASSERT_EQ(blocks.blocks[3].lse_count(), 0u);
+  expect_batches_equal(blocks, one);
 
-  serial.append(blocks, nullptr);
-  util::ThreadPool pool(4);
-  parallel.append(blocks, &pool);
-  expect_batches_equal(serial, expected);
-  expect_batches_equal(parallel, serial);
+  EXPECT_EQ(dataset::serialize_snapshot(blocks, 2),
+            dataset::serialize_snapshot(single, 2));
+  const std::string pack = dataset::serialize_pack(blocks);
+  EXPECT_EQ(pack, dataset::serialize_pack(single));
+
+  // v3 ingest gives the traces back as one block with the same columns.
+  const auto back = dataset::parse_pack(pack);
+  ASSERT_TRUE(back.has_value());
+  ASSERT_EQ(back->blocks.size(), 1u);
+  const dataset::TraceBatch& got = back->blocks.front();
+  EXPECT_TRUE(std::ranges::equal(got.monitor_col(), one.monitor_col()));
+  EXPECT_TRUE(std::ranges::equal(got.src_col(), one.src_col()));
+  EXPECT_TRUE(std::ranges::equal(got.dst_col(), one.dst_col()));
+  EXPECT_TRUE(std::ranges::equal(got.reached_col(), one.reached_col()));
+  EXPECT_TRUE(std::ranges::equal(got.hop_off_col(), one.hop_off_col()));
+  EXPECT_TRUE(std::ranges::equal(got.hop_addr_col(), one.hop_addr_col()));
+  EXPECT_TRUE(std::ranges::equal(got.lse_off_col(), one.lse_off_col()));
+  EXPECT_TRUE(std::ranges::equal(got.lse_pool_col(), one.lse_pool_col()));
+  expect_batches_equal(got, one, 1e-3);
 }
 
 TEST(TraceBatch, DiscardDropsOnlyTheOpenTrace) {
@@ -322,14 +325,15 @@ TEST(TraceBatch, PackViewRoundTripIsByteStable) {
   // after ingest), so the reference stays unannotated.
   dataset::SnapshotBatch snap;
   snap.cycle_id = 50;
-  observe_fixture(
-      [&](std::size_t) -> dataset::TraceBatch& { return snap.traces; });
+  observe_fixture([&](std::size_t) -> dataset::TraceBatch& {
+    return testing::last_block(snap);
+  });
   const std::string bytes = dataset::serialize_pack(snap);
 
   const auto view = dataset::PackView::open(bytes, {}, nullptr);
   ASSERT_TRUE(view.has_value());
   const dataset::SnapshotBatch batch = view->to_snapshot_batch();
-  expect_batches_equal(batch.traces, snap.traces, 1e-3);
+  expect_batches_equal(batch, snap, 1e-3);
   EXPECT_EQ(dataset::serialize_pack(batch), bytes);
 }
 
@@ -351,7 +355,8 @@ TEST(TraceBatch, DamagedPackIngestsTolerantlyOrRejects) {
       continue;
     }
     const dataset::SnapshotBatch salvaged = view->to_snapshot_batch();
-    const auto& traces = salvaged.traces;
+    ASSERT_EQ(salvaged.blocks.size(), 1u);
+    const auto& traces = salvaged.blocks.front();
     for (std::size_t i = 0; i < traces.trace_count(); ++i) {
       ASSERT_LE(traces.view(i).first_hop() + traces.view(i).hop_count(),
                 traces.hop_count());
@@ -406,10 +411,36 @@ TEST(CampaignBatch, ArenaTelemetryGaugesExported) {
   EXPECT_GE(capacity, high_water);
 }
 
+// The probe fan-out: each monitor task writes only its own block (and its
+// own arena), so a pooled runner's snapshots equal a serial runner's byte
+// for byte — the first one (blocks grown by chunks, then moved) and the
+// later ones (blocks sized from their predecessors).
+TEST(CampaignBatch, PooledBlocksMatchSerialRunner) {
+  gen::Internet internet(small_gen());
+  const auto ip2as = internet.build_ip2as();
+  util::ThreadPool pool(4);
+  gen::CampaignRunner serial(internet, ip2as);
+  gen::CampaignRunner pooled(internet, ip2as, {}, &pool);
+  for (int cycle = 50; cycle < 53; ++cycle) {
+    auto serial_ctx = internet.instantiate(cycle);
+    auto pooled_ctx = internet.instantiate(cycle);
+    for (int sub = 0; sub < 3; ++sub) {
+      const dataset::SnapshotBatch want =
+          serial.snapshot(serial_ctx, cycle, sub);
+      const dataset::SnapshotBatch got =
+          pooled.snapshot(pooled_ctx, cycle, sub);
+      ASSERT_EQ(got.blocks.size(), internet.monitors().size());
+      EXPECT_EQ(dataset::serialize_pack(got), dataset::serialize_pack(want));
+      expect_batches_equal(got, want);
+    }
+  }
+}
+
 // Acceptance: arena high-water stays stable over a 60-cycle soak. The
-// workload repeats the same cycle, so after the first snapshot warms the
-// shard arenas the retained chunks must absorb every later one — observed
-// through the exported gauges (max-of: any growth would raise them).
+// workload repeats the same cycle, so after the first snapshot every
+// monitor's block fits the one chunk sized from its previous block —
+// observed through the blocks' chunk counts and the exported gauges
+// (max-of: any growth would raise them).
 TEST(CampaignBatch, ArenaHighWaterStableOverSixtyCycleSoak) {
   gen::Internet internet(small_gen());
   const auto ip2as = internet.build_ip2as();
@@ -428,6 +459,9 @@ TEST(CampaignBatch, ArenaHighWaterStableOverSixtyCycleSoak) {
     auto ctx = internet.instantiate(50);
     const dataset::SnapshotBatch snap = runner.snapshot(ctx, 50, 0);
     ASSERT_GT(snap.trace_count(), 0u);
+    for (const dataset::TraceBatch& block : snap.blocks) {
+      EXPECT_EQ(block.arena().chunk_count(), 1u);
+    }
   }
   EXPECT_EQ(obs::registry().gauge("probe.arena.capacity_bytes").value(),
             capacity_warm);

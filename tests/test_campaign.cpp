@@ -48,7 +48,7 @@ TEST_F(CampaignTest, TracesAreAnnotated) {
   MonthContext ctx = internet.instantiate(50);
   const auto snap = runner.snapshot(ctx, 50, 0);
   int annotated_hops = 0;
-  for (const dataset::TraceView t : snap.traces) {
+  for (const dataset::TraceView t : snap) {
     EXPECT_NE(t.dst_asn(), 0u);
     for (std::size_t k = 0; k < t.hop_count(); ++k) {
       if (!t.hop(k).anonymous() && t.hop(k).asn() != 0) ++annotated_hops;
@@ -61,7 +61,7 @@ TEST_F(CampaignTest, SomeTracesCrossExplicitTunnels) {
   MonthContext ctx = internet.instantiate(50);
   const auto snap = runner.snapshot(ctx, 50, 0);
   int tunneled = 0;
-  for (const dataset::TraceView t : snap.traces) {
+  for (const dataset::TraceView t : snap) {
     tunneled += t.crosses_explicit_tunnel() ? 1 : 0;
   }
   EXPECT_GT(tunneled, 20);
@@ -74,7 +74,7 @@ TEST_F(CampaignTest, MonitorShareReducesFleet) {
   half.monitor_share = 0.5;
   const auto snap = runner.snapshot(ctx, 50, 0, half);
   std::set<std::uint32_t> monitors;
-  for (const dataset::TraceView t : snap.traces) {
+  for (const dataset::TraceView t : snap) {
     monitors.insert(t.monitor_id());
   }
   EXPECT_EQ(monitors.size(), 2u);
@@ -97,9 +97,10 @@ TEST_F(CampaignTest, CampaignDeterministicForSameSeed) {
   const auto other_ip2as = other.build_ip2as();
   const auto m2 = CampaignRunner(other, other_ip2as).month(40);
   ASSERT_EQ(m1.cycle().trace_count(), m2.cycle().trace_count());
-  for (std::size_t i = 0; i < m1.cycle().trace_count(); ++i) {
-    const dataset::TraceView a = m1.cycle().traces.view(i);
-    const dataset::TraceView b = m2.cycle().traces.view(i);
+  auto next_b = m2.cycle().begin();
+  for (const dataset::TraceView a : m1.cycle()) {
+    const dataset::TraceView b = *next_b;
+    ++next_b;
     ASSERT_EQ(a.hop_count(), b.hop_count());
     for (std::size_t h = 0; h < a.hop_count(); ++h) {
       EXPECT_EQ(a.hop(h).addr(), b.hop(h).addr());
@@ -248,7 +249,7 @@ TEST(ProbePlan, ResolvesToPathSpecOnDefaultWorld) {
   }
 }
 
-// One runner kept for a whole campaign (plans, shard arenas, walk scratch
+// One runner kept for a whole campaign (plans, block sizes, walk scratch
 // and asn memo warm from cycle to cycle, the fleet dips included) generates
 // the same bytes as a fresh runner per cycle; so does daily_month on the
 // warm runner. Monitors fan out over a pool, where plans are built lazily.

@@ -185,18 +185,18 @@ TEST(Corruptor, DropExtensionRemovesLabelStacks) {
   chaos::Corruptor corruptor(config);
   corruptor.corrupt(snap);
   EXPECT_GT(corruptor.stats().extensions_dropped, 0u);
-  EXPECT_EQ(snap.traces.lse_count(), 0u);  // no hop quotes a stack
+  EXPECT_EQ(snap.lse_count(), 0u);  // no hop quotes a stack
 }
 
 TEST(Corruptor, BlackoutDropsWholeMonitors) {
   chaos::ChaosConfig config;
   config.monitor_blackout = 1.0;
   dataset::SnapshotBatch snap = sample_snapshot();
-  ASSERT_FALSE(snap.traces.empty());
+  ASSERT_GT(snap.trace_count(), 0u);
   const std::size_t before = snap.trace_count();
   chaos::Corruptor corruptor(config);
   corruptor.corrupt(snap);
-  EXPECT_TRUE(snap.traces.empty());
+  EXPECT_EQ(snap.trace_count(), 0u);
   EXPECT_EQ(corruptor.stats().monitors_blacked_out, 4u);
   EXPECT_EQ(corruptor.stats().traces_dropped, before);
 }
@@ -208,8 +208,9 @@ TEST(Corruptor, BogusIp2AsRemapsIntoPrivateRange) {
   chaos::Corruptor corruptor(config);
   corruptor.corrupt(snap);
   EXPECT_GT(corruptor.stats().asns_scrambled, 0u);
-  const auto addrs = snap.traces.hop_addr_col();
-  const auto asns = snap.traces.hop_asn_col();
+  ASSERT_EQ(snap.blocks.size(), 1u);  // the corruptor writes one block
+  const auto addrs = snap.blocks.front().hop_addr_col();
+  const auto asns = snap.blocks.front().hop_asn_col();
   for (std::size_t h = 0; h < addrs.size(); ++h) {
     if (addrs[h] != 0 && asns[h] != 0) {
       EXPECT_GE(asns[h], 64512u);

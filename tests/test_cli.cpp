@@ -251,7 +251,7 @@ TEST_F(CliPipeline, RouterLevelMatchesLibraryBuiltReport) {
   auto source = dataset::make_file_source(files);
   dataset::AsnCache asn_cache;
   while (auto snap = source.next()) {
-    ip2as->annotate(snap->traces, asn_cache);
+    ip2as->annotate(*snap, asn_cache);
     month.snapshots.push_back(std::move(*snap));
   }
   ASSERT_EQ(month.snapshots.size(), 3u);
@@ -259,7 +259,7 @@ TEST_F(CliPipeline, RouterLevelMatchesLibraryBuiltReport) {
   const lpr::FilteredCycle filtered = lpr::apply_filters(
       std::move(extracted.cycle), extracted.following, {});
   const lpr::LabelAliasResolver resolver(filtered.observations,
-                                         month.cycle().traces);
+                                         month.cycle());
   lpr::CycleReport want;
   want.cycle_id = filtered.cycle_id;
   want.date = filtered.date;

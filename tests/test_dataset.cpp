@@ -135,11 +135,11 @@ SnapshotBatch sample_snapshot() {
   Hop multi = labeled(0x0A000002, 300123);
   multi.rtt_ms = 1.5;
   multi.labels.push(17, 2, 1);  // two-entry stack
-  add_trace(snap.traces,
+  add_trace(snap,
             {.monitor_id = 7, .src = 0x01020304, .dst = 0x05060708},
             {plain(0x0A000001), anonymous(), multi});
-  add_trace(snap.traces, {.monitor_id = 8, .src = 1, .dst = 2,
-                          .reached = false}, {});
+  add_trace(snap, {.monitor_id = 8, .src = 1, .dst = 2, .reached = false},
+            {});
   return snap;
 }
 
@@ -151,14 +151,14 @@ TEST(WartsLite, RoundTripPreservesEverything) {
   EXPECT_EQ(back->cycle_id, snap.cycle_id);
   EXPECT_EQ(back->sub_index, snap.sub_index);
   EXPECT_EQ(back->date, snap.date);
-  testing::expect_batches_equal(back->traces, snap.traces);
-  const TraceView t0 = back->traces.view(0);
+  testing::expect_batches_equal(*back, snap);
+  const TraceView t0 = back->blocks.front().view(0);
   EXPECT_EQ(t0.monitor_id(), 7u);
   EXPECT_TRUE(t0.reached());
   ASSERT_EQ(t0.hop_count(), 3u);
   EXPECT_TRUE(t0.hop(1).anonymous());
   EXPECT_NEAR(t0.hop(0).rtt_ms(), 1.0, 1e-3);
-  EXPECT_FALSE(back->traces.view(1).reached());
+  EXPECT_FALSE(back->blocks.front().view(1).reached());
 }
 
 TEST(WartsLite, StreamRoundTrip) {
@@ -196,21 +196,20 @@ TEST(WartsLite, EmptySnapshotRoundTrip) {
   snap.date = "";
   const auto back = parse_snapshot(serialize_snapshot(snap));
   ASSERT_TRUE(back.has_value());
-  EXPECT_TRUE(back->traces.empty());
+  EXPECT_EQ(back->trace_count(), 0u);
 }
 
 TEST(WartsLite, AnonymousOnlyTraceRoundTrip) {
   SnapshotBatch snap;
   snap.cycle_id = 9;
   snap.date = "2013-01";
-  add_trace(snap.traces, {.monitor_id = 3, .src = 1, .dst = 2,
-                          .reached = false},
+  add_trace(snap, {.monitor_id = 3, .src = 1, .dst = 2, .reached = false},
             std::vector<Hop>(5, anonymous()));  // every hop anonymous
 
   const auto back = parse_snapshot(serialize_snapshot(snap));
   ASSERT_TRUE(back.has_value());
   ASSERT_EQ(back->trace_count(), 1u);
-  const TraceView trace = back->traces.view(0);
+  const TraceView trace = back->blocks.front().view(0);
   ASSERT_EQ(trace.hop_count(), 5u);
   for (std::size_t k = 0; k < trace.hop_count(); ++k) {
     EXPECT_TRUE(trace.hop(k).anonymous());
@@ -229,12 +228,13 @@ TEST(WartsLite, MaxDepthLabelStackRoundTrip) {
   }
   SnapshotBatch snap;
   snap.date = "2015-06";
-  add_trace(snap.traces, {.src = 1, .dst = 2}, {hop});
+  add_trace(snap, {.src = 1, .dst = 2}, {hop});
 
   const auto back = parse_snapshot(serialize_snapshot(snap));
   ASSERT_TRUE(back.has_value());
-  ASSERT_EQ(back->traces.view(0).hop_count(), 1u);
-  const net::LabelStack quoted = back->traces.view(0).hop(0).label_stack();
+  const TraceView trace = back->blocks.front().view(0);
+  ASSERT_EQ(trace.hop_count(), 1u);
+  const net::LabelStack quoted = trace.hop(0).label_stack();
   ASSERT_EQ(quoted.depth(), 16u);
   EXPECT_EQ(quoted, hop.labels);
   EXPECT_TRUE(quoted.entries().back().bottom_of_stack());
@@ -295,7 +295,7 @@ TEST(WartsLite, OversizedClaimRejectedBeforeAllocation) {
   DecodeDiagnostics diag;
   const auto salvaged = parse_snapshot(bytes, tolerant, &diag);
   ASSERT_TRUE(salvaged.has_value());
-  EXPECT_TRUE(salvaged->traces.empty());
+  EXPECT_EQ(salvaged->trace_count(), 0u);
   EXPECT_GE(diag.count(FaultClass::kOversizedClaim), 1u);
 }
 
@@ -402,7 +402,7 @@ TEST(PackFaults, OversizedSectionClaimIsBoundedNotAllocated) {
   // The hop columns are gone; traces with hops are individually skipped,
   // the hopless record survives.
   ASSERT_EQ(salvaged->trace_count(), 1u);
-  EXPECT_EQ(salvaged->traces.view(0).hop_count(), 0u);
+  EXPECT_EQ(salvaged->blocks.front().view(0).hop_count(), 0u);
 }
 
 TEST(PackFaults, OverlappingSectionsAreRejectedAsBadTable) {
@@ -430,7 +430,7 @@ TEST(PackFaults, OverlappingSectionsAreRejectedAsBadTable) {
   EXPECT_GE(diag.count(FaultClass::kBadSectionTable), 1u);
   // A core trace column is unusable: the snapshot degrades to empty rather
   // than serving aliased data.
-  EXPECT_TRUE(salvaged->traces.empty());
+  EXPECT_EQ(salvaged->trace_count(), 0u);
 }
 
 TEST(WartsLite, TextRenderingContainsKeyFields) {
@@ -471,13 +471,13 @@ TEST_P(WartsFuzz, RandomSnapshotsRoundTrip) {
                         static_cast<std::uint8_t>(rng.below(8)), 1);
       }
     }
-    add_trace(snap.traces, {monitor_id, src, dst, reached}, hops);
+    add_trace(snap, {monitor_id, src, dst, reached}, hops);
   }
 
   const auto back = parse_snapshot(serialize_snapshot(snap));
   ASSERT_TRUE(back.has_value());
   // The wire keeps RTTs to the microsecond.
-  testing::expect_batches_equal(back->traces, snap.traces, 1e-3);
+  testing::expect_batches_equal(*back, snap, 1e-3);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WartsFuzz, ::testing::Values(1, 2, 3, 4, 5));

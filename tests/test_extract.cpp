@@ -9,6 +9,7 @@
 #include "batch_testing.h"
 #include "lpr_reference.h"
 #include "chaos/chaos.h"
+#include "dataset/pack.h"
 #include "run/runner.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -39,9 +40,9 @@ dataset::SnapshotBatch snapshot_of(
   snap.cycle_id = 1;
   snap.date = "2014-12";
   for (const auto& hops : traces) {
-    testing::add_trace(snap.traces, {.dst = 0x90000001}, hops);
+    testing::add_trace(snap, {.dst = 0x90000001}, hops);
   }
-  test_ip2as().annotate(snap.traces);
+  test_ip2as().annotate(snap);
   return snap;
 }
 
@@ -372,6 +373,39 @@ TEST(ExtractChunks, MonthFanOutMatchesSerialOnCampaignMonth) {
   }
 }
 
+// A campaign month holds one block per monitor; its v3 round trip holds one
+// block per snapshot. The trace chunks follow the blocks, so the two split
+// differently, and extraction must not see it: the same observations, every
+// ExtractStats field and the same persistence sets, serial and pooled.
+TEST(ExtractChunks, MonitorBlocksMatchOneBlockRoundTrip) {
+  run::RunnerConfig config;
+  config.gen.dests_per_monitor = 60;
+  config.threads = 1;
+  const run::Runner runner(config);
+  const dataset::MonthData month = runner.month_data(30);
+  dataset::MonthData one;
+  one.cycle_id = month.cycle_id;
+  one.date = month.date;
+  for (const dataset::SnapshotBatch& snap : month.snapshots) {
+    ASSERT_EQ(snap.blocks.size(), 14u);
+    auto back = dataset::parse_pack(dataset::serialize_pack(snap));
+    ASSERT_TRUE(back.has_value());
+    ASSERT_EQ(back->blocks.size(), 1u);
+    runner.ip2as().annotate(*back);
+    one.snapshots.push_back(std::move(*back));
+  }
+
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "serial" : "4 threads");
+    const ExtractedMonth blocks = extract_month(month, runner.ip2as(), p);
+    const ExtractedMonth single = extract_month(one, runner.ip2as(), p);
+    EXPECT_GT(blocks.cycle.observations.size(), 0u);
+    reference::expect_same_extraction(blocks.cycle, single.cycle);
+    EXPECT_EQ(blocks.following, single.following);
+  }
+}
+
 // --- flat address set vs a std::set reference -----------------------------
 
 TEST(AddrSet, AgreesWithStdSetAcrossForcedGrowth) {
@@ -403,7 +437,7 @@ struct NaiveCensus {
 NaiveCensus naive_census(const dataset::SnapshotBatch& snap) {
   std::set<std::uint32_t> all, mpls;
   std::map<std::uint32_t, std::set<std::uint32_t>> as_all, as_mpls;
-  for (const dataset::TraceView trace : snap.traces) {
+  for (const dataset::TraceView trace : snap) {
     for (std::size_t k = 0; k < trace.hop_count(); ++k) {
       const dataset::HopView hop = trace.hop(k);
       if (hop.anonymous()) continue;

@@ -100,11 +100,11 @@ class Lab {
                             plane_.asn);
           path.segments.push_back(seg);
           path.dst = dst;
-          testing::trace_into(monitor, path, options, rng, snap.traces);
+          testing::trace_into(monitor, path, options, rng, snap);
         }
       }
     }
-    ip2as_.annotate(snap.traces);
+    ip2as_.annotate(snap);
 
     // Every router answers in the lab; Persistence sees a stable network.
     const lpr::PersistenceSet self = lpr::persistence_set(snap);

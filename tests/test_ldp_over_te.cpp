@@ -135,12 +135,12 @@ TEST(LdpOverTe, ExtractionHandlesStackedRuns) {
   options.reply_loss = 0.0;
   util::Rng obs_rng(1);
   dataset::SnapshotBatch snap;
-  testing::trace_into(monitor, f.path(), options, obs_rng, snap.traces);
+  testing::trace_into(monitor, f.path(), options, obs_rng, snap);
 
   dataset::Ip2As ip2as;
   ip2as.add_prefix(net::Ipv4Prefix(ip(0x10000000), 8), 65001);
   ip2as.add_prefix(net::Ipv4Prefix(ip(0x20000000), 8), 65099);
-  ip2as.annotate(snap.traces);
+  ip2as.annotate(snap);
 
   const auto extracted = lpr::extract_lsps(snap, ip2as);
   ASSERT_EQ(extracted.observations.size(), 1u);
@@ -174,9 +174,9 @@ TEST(LdpOverTe, SameTunnelForAllDestsKeepsIotpMonoLsp) {
   for (std::uint32_t d = 0; d < 8; ++d) {
     PathSpec p = f.path();
     p.dst = ip((d % 2 ? 0x20000000u : 0x30000000u) + (d << 8) + 1);
-    testing::trace_into(monitor, p, options, obs_rng, snap.traces);
+    testing::trace_into(monitor, p, options, obs_rng, snap);
   }
-  ip2as.annotate(snap.traces);
+  ip2as.annotate(snap);
   const auto extracted = lpr::extract_lsps(snap, ip2as);
   auto iotps = lpr::group_iotps(extracted.observations);
   const auto counts = lpr::classify_all(iotps);

@@ -33,11 +33,12 @@ SnapshotBatch sample_snapshot() {
   testing::Hop multi{0x0A000002, {}, 33.5};
   multi.labels.push(300123, 0, 1);
   multi.labels.push(17, 2, 255);
-  testing::add_trace(snap.traces,
+  testing::add_trace(snap,
                      {.monitor_id = 7, .src = 0x01020304, .dst = 0x05060708},
                      {plain, testing::anonymous(), multi});
-  testing::add_trace(snap.traces, {.monitor_id = 8, .src = 1, .dst = 2,
-                                   .reached = false}, {});  // zero hops
+  testing::add_trace(snap, {.monitor_id = 8, .src = 1, .dst = 2,
+                            .reached = false},
+                     {});  // zero hops
   return snap;
 }
 
@@ -107,15 +108,15 @@ TEST(Pack, RoundTripPreservesEverything) {
   EXPECT_EQ(back->cycle_id, snap.cycle_id);
   EXPECT_EQ(back->sub_index, snap.sub_index);
   EXPECT_EQ(back->date, snap.date);
-  testing::expect_batches_equal(back->traces, snap.traces);
-  const TraceView t0 = back->traces.view(0);
+  testing::expect_batches_equal(*back, snap);
+  const TraceView t0 = back->blocks.front().view(0);
   EXPECT_EQ(t0.monitor_id(), 7u);
   EXPECT_TRUE(t0.reached());
   ASSERT_EQ(t0.hop_count(), 3u);
   EXPECT_NEAR(t0.hop(0).rtt_ms(), 1.25, 1e-3);
   EXPECT_TRUE(t0.hop(1).anonymous());
-  EXPECT_FALSE(back->traces.view(1).reached());
-  EXPECT_EQ(back->traces.view(1).hop_count(), 0u);
+  EXPECT_FALSE(back->blocks.front().view(1).reached());
+  EXPECT_EQ(back->blocks.front().view(1).hop_count(), 0u);
 
   // Serialization is deterministic byte-for-byte.
   EXPECT_EQ(serialize_pack(*back), bytes);
@@ -129,7 +130,7 @@ TEST(Pack, EmptySnapshotRoundTrip) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->cycle_id, 3u);
   EXPECT_EQ(back->date, "2011-07");
-  EXPECT_TRUE(back->traces.empty());
+  EXPECT_EQ(back->trace_count(), 0u);
 }
 
 TEST(Pack, SectionsAreAligned) {
@@ -246,7 +247,8 @@ TEST(Pack, BadOffsetColumnSkipsExactlyTheDamagedRecord) {
   EXPECT_EQ(tol.records_skipped, 1u);
   EXPECT_EQ(tol.records_decoded, 1u);
   ASSERT_EQ(salvaged->trace_count(), 1u);
-  EXPECT_EQ(salvaged->traces.view(0).monitor_id(), 8u);  // undamaged record
+  // The undamaged record.
+  EXPECT_EQ(salvaged->blocks.front().view(0).monitor_id(), 8u);
 }
 
 // --- v2 <-> v3 parity ---------------------------------------------------
@@ -273,7 +275,7 @@ TEST(Pack, ParityWithV2AcrossFormatsAndThreadCounts) {
           pack ? serialize_pack(snap) : serialize_snapshot(snap);
       auto back = parse_snapshot(bytes);
       EXPECT_TRUE(back.has_value());
-      runner.ip2as().annotate(back->traces);
+      runner.ip2as().annotate(*back);
       out.snapshots.push_back(std::move(*back));
     }
     return out;

@@ -43,7 +43,7 @@ class PropertySweep : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(PropertySweep, QuotedStacksAreWellFormed) {
   // Every quoted LSE stack has exactly one bottom-of-stack flag, on its
   // last entry (RFC 3032).
-  for (const dataset::TraceView trace : snapshot.traces) {
+  for (const dataset::TraceView trace : snapshot) {
     for (std::size_t k = 0; k < trace.hop_count(); ++k) {
       const dataset::HopView hop = trace.hop(k);
       if (!hop.has_labels()) continue;
@@ -60,7 +60,7 @@ TEST_P(PropertySweep, QuotedStacksAreWellFormed) {
 
 TEST_P(PropertySweep, LabelsRespectVendorRanges) {
   // Every quoted label must come out of the owning router's vendor pool.
-  for (const dataset::TraceView trace : snapshot.traces) {
+  for (const dataset::TraceView trace : snapshot) {
     for (std::size_t k = 0; k < trace.hop_count(); ++k) {
       const dataset::HopView hop = trace.hop(k);
       if (!hop.has_labels() || hop.anonymous()) continue;
@@ -113,7 +113,7 @@ TEST_P(PropertySweep, LdpLabelsAreRouterScopedInTraces) {
 TEST_P(PropertySweep, ExtractionNeverInventsLabels) {
   // Every (addr, label) pair in extracted LSPs exists verbatim in a trace.
   std::set<std::pair<net::Ipv4Addr, std::uint32_t>> in_traces;
-  for (const dataset::TraceView trace : snapshot.traces) {
+  for (const dataset::TraceView trace : snapshot) {
     for (std::size_t k = 0; k < trace.hop_count(); ++k) {
       const dataset::HopView hop = trace.hop(k);
       for (const std::uint32_t label : hop.labels()) {
@@ -191,7 +191,7 @@ TEST_P(PropertySweep, ClassifiedIotpInvariants) {
 TEST_P(PropertySweep, TracesRespectAsPathOrder) {
   // Responding hops annotated with modelled ASes must appear in contiguous
   // AS segments (no interleaving A B A), matching valley-free forwarding.
-  for (const dataset::TraceView trace : snapshot.traces) {
+  for (const dataset::TraceView trace : snapshot) {
     std::vector<std::uint32_t> as_sequence;
     for (std::size_t k = 0; k < trace.hop_count(); ++k) {
       const dataset::HopView hop = trace.hop(k);

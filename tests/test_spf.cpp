@@ -140,7 +140,9 @@ TEST(Spf, PathCountMultiplies) {
   }
   std::uint32_t next_ip = 100;
   auto link = [&](RouterId x, RouterId y) {
-    topo.add_link(x, y, ip(next_ip++), ip(next_ip++), 1);
+    const net::Ipv4Addr x_ip = ip(next_ip++);
+    const net::Ipv4Addr y_ip = ip(next_ip++);
+    topo.add_link(x, y, x_ip, y_ip, 1);
   };
   link(r[0], r[1]);
   link(r[0], r[2]);
@@ -401,7 +403,9 @@ TEST(SpfReferenceParity, UnreachablePartition) {
   }
   std::uint32_t next_ip = 100;
   auto link = [&](RouterId x, RouterId y, std::uint32_t cost) {
-    topo.add_link(x, y, ip(next_ip++), ip(next_ip++), cost);
+    const net::Ipv4Addr x_ip = ip(next_ip++);
+    const net::Ipv4Addr y_ip = ip(next_ip++);
+    topo.add_link(x, y, x_ip, y_ip, cost);
   };
   link(r[0], r[1], 1);
   link(r[1], r[2], 1);
@@ -499,7 +503,9 @@ TEST(SpfReconverge, FailureIsolatedToItsComponent) {
   }
   std::uint32_t next_ip = 100;
   auto link = [&](RouterId x, RouterId y) {
-    topo.add_link(x, y, ip(next_ip++), ip(next_ip++), 1);
+    const net::Ipv4Addr x_ip = ip(next_ip++);
+    const net::Ipv4Addr y_ip = ip(next_ip++);
+    topo.add_link(x, y, x_ip, y_ip, 1);
   };
   link(r[0], r[1]);  // link 0: in every triangle-A shortest-path DAG
   link(r[1], r[2]);
@@ -639,7 +645,9 @@ TEST(SpfPathCount, DiamondChainExponential) {
   };
   std::uint32_t link_ip = 100000;
   auto link = [&](RouterId x, RouterId y) {
-    topo.add_link(x, y, ip(link_ip++), ip(link_ip++), 1);
+    const net::Ipv4Addr x_ip = ip(link_ip++);
+    const net::Ipv4Addr y_ip = ip(link_ip++);
+    topo.add_link(x, y, x_ip, y_ip, 1);
   };
   RouterId head = router();
   const RouterId first = head;

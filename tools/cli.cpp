@@ -305,7 +305,7 @@ LoadResult load_inputs(Args& args, std::ostream& err, bool need_ip2as,
           << " records, skipped " << diag.records_skipped << " ("
           << diag.faults_total() << " faults)\n";
     }
-    data.ip2as.annotate(snap->traces, asn_cache);
+    data.ip2as.annotate(*snap, asn_cache);
     data.snapshots.push_back(std::move(*snap));
   }
   if (source.failed()) {
@@ -470,7 +470,7 @@ int run_classify(Args& args, std::ostream& out, std::ostream& err) {
   std::size_t alias_sets = 0;
   if (router_level) {
     const lpr::LabelAliasResolver resolver(filtered.observations,
-                                           month.cycle().traces);
+                                           month.cycle());
     alias_sets = resolver.alias_sets().size();
     filtered.observations =
         lpr::to_router_level(std::move(filtered.observations), resolver);

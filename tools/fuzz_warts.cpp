@@ -137,6 +137,7 @@ SnapshotBatch seed_snapshot(mum::util::Rng& rng) {
   snap.cycle_id = static_cast<std::uint32_t>(rng.below(60));
   snap.sub_index = static_cast<std::uint32_t>(rng.below(4));
   snap.date = "2014-06";
+  mum::dataset::TraceBatch& out = snap.blocks.emplace_back();
   const int traces = 1 + static_cast<int>(rng.below(6));
   for (int i = 0; i < traces; ++i) {
     // Draw order: monitor, src, dst, reached, then each hop in turn.
@@ -144,15 +145,15 @@ SnapshotBatch seed_snapshot(mum::util::Rng& rng) {
     const mum::net::Ipv4Addr src(static_cast<std::uint32_t>(rng.next()));
     const mum::net::Ipv4Addr dst(static_cast<std::uint32_t>(rng.next()));
     const bool reached = rng.chance(0.8);
-    snap.traces.begin_trace(monitor, src, dst);
+    out.begin_trace(monitor, src, dst);
     const int hops = static_cast<int>(rng.below(12));
     for (int h = 0; h < hops; ++h) {
       if (rng.chance(0.1)) {
-        snap.traces.add_hop(mum::net::kAnonymousAddr, 0.0);
+        out.add_hop(mum::net::kAnonymousAddr, 0.0);
         continue;
       }
       const mum::net::Ipv4Addr addr(static_cast<std::uint32_t>(rng.next()));
-      snap.traces.add_hop(addr, rng.uniform01() * 200.0);
+      out.add_hop(addr, rng.uniform01() * 200.0);
       // Entries are drawn bottom first, as LabelStack::push stacks them.
       mum::net::LabelStack labels;
       const int stack = static_cast<int>(rng.below(4));
@@ -161,10 +162,10 @@ SnapshotBatch seed_snapshot(mum::util::Rng& rng) {
                     static_cast<std::uint8_t>(rng.below(8)), 64);
       }
       for (const auto& lse : labels.entries()) {
-        snap.traces.add_label(lse.encode());
+        out.add_label(lse.encode());
       }
     }
-    snap.traces.end_trace(reached);
+    out.end_trace(reached);
   }
   return snap;
 }
