@@ -144,7 +144,7 @@ void BM_IngestFileSource(benchmark::State& state) {
   const bool pack = state.range(0) != 0;
   const auto& paths = pack ? c.v3_paths : c.v2_paths;
   for (auto _ : state) {
-    auto source = dataset::make_file_source(paths);
+    dataset::SnapshotSource source(paths);
     std::uint64_t traces = 0;
     while (const auto snap = source.next()) traces += snap->trace_count();
     if (traces != c.traces) state.SkipWithError("source lost traces");

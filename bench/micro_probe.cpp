@@ -1,6 +1,6 @@
 // Measurement-path throughput: observation -> trace storage -> annotate ->
-// pack serialization -> ingest, heap Traces vs the arena-backed SoA
-// TraceBatch (DESIGN.md Sec. 14). Forwarding walks are precomputed once —
+// pack serialization -> ingest, heap Traces vs the SoA TraceBatch
+// (DESIGN.md Sec. 14). Forwarding walks are precomputed once —
 // the network simulation is the workload's input, not the measurement path
 // — so the gated pair isolates exactly the stages the batch layout
 // changed. Reports traces/s (SetItemsProcessed) and heap allocations per
@@ -34,6 +34,11 @@
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
+
+// Every delete frees through release(), kept out of line: inlined into a
+// caller, a bare free() would meet the pointer of a (not inlined) operator
+// new, which GCC reports as a mismatched pair (-Wmismatched-new-delete).
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -54,17 +59,17 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace {
@@ -260,8 +265,8 @@ std::string Corpus::heap_pack() const {
   return dataset::serialize_pack(snap);
 }
 
-// Batch measurement path: traces land as SoA columns in one arena chunk
-// sized up front (one allocation per snapshot), memoized column annotate,
+// Batch measurement path: traces land as SoA columns reserved up front
+// (one allocation per column per snapshot), memoized column annotate,
 // column-memcpy pack serialization.
 std::string Corpus::batch_pack(dataset::AsnCache& asn_cache) const {
   const auto& monitors = internet.monitors();

@@ -24,7 +24,15 @@ asan_build="${3:-$repo/build-asan}"
 
 echo "== tier-1: build + ctest ($build) =="
 cmake -B "$build" -S "$repo"
-cmake --build "$build" -j
+# The default build must compile without a warning: one left in the log
+# hides the next. Only what this run recompiles is seen, so a fresh build
+# directory checks every file.
+cmake --build "$build" -j 2>&1 | tee "$build/tier1-build.log"
+if grep -q 'warning:' "$build/tier1-build.log"; then
+  echo "FAIL: the default build printed compiler warnings"
+  grep 'warning:' "$build/tier1-build.log"
+  exit 1
+fi
 ctest --test-dir "$build" --output-on-failure -j
 
 echo "== tier-1: micro_probe smoke (heap reference == batch path) =="
@@ -119,8 +127,8 @@ cmake -B "$tsan_build" -S "$repo" -DMUM_TSAN=ON
 # test_obs runs with telemetry sinks installed, so the sharded metric and
 # trace paths get raced for real. test_evolve races the DeltaEvolver's
 # per-AS delta fan-out and the evolved runner at 16 threads. test_batch
-# races the probe fan-out into the snapshot's blocks (one private arena and
-# one AsnCache per monitor, each block annotated inside its monitor task;
+# races the probe fan-out into the snapshot's blocks (one block and one
+# AsnCache per monitor, each block annotated inside its monitor task;
 # its CampaignBatch cases compare a 4-thread runner with a serial one) and
 # campaigns at 16 threads, checked against the recorded snapshot and report
 # digests. The

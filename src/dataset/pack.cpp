@@ -519,14 +519,14 @@ SnapshotBatch PackView::to_snapshot_batch() const {
   out.sub_index = sub_index_;
   out.date.assign(date_);
   if (n_traces_ == 0) {
-    out.blocks.emplace_back(0, 0, 0);
+    out.blocks.emplace_back();
     return out;
   }
 
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
   // Fast path: every record valid and the hop/LSE sections structurally
   // sound — the wire columns are exactly the batch columns, so ingest is a
-  // handful of bulk copies into the batch arena. (LE only: on the wire the
+  // handful of bulk copies into the batch columns. (LE only: on the wire the
   // columns are little-endian.)
   const auto sec_ptr = [&](PackSection s) {
     return bytes_.data() + section_off_[section_index(s)];

@@ -21,7 +21,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "dataset/decode.h"
@@ -86,12 +85,5 @@ class SnapshotSource {
   std::string error_;
   SourceErrorKind kind_ = SourceErrorKind::kNone;
 };
-
-// The source over `paths`, as constructed above.
-inline SnapshotSource make_file_source(std::vector<std::string> paths,
-                                       const DecodeOptions& options = {},
-                                       util::ThreadPool* pool = nullptr) {
-  return SnapshotSource(std::move(paths), options, pool);
-}
 
 }  // namespace mum::dataset

@@ -1,75 +1,23 @@
 #include "dataset/trace_batch.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace mum::dataset {
 
-namespace {
-// A monitor's block of traces runs a few hundred KB of columns; start an
-// unsized arena there so it reaches its size in a few chunks.
-constexpr std::size_t kGrowingArenaChunk = 256 * 1024;
-
-// Arena bytes the columns of a batch with these counts take, each column
-// rounded up to 8-byte alignment (an upper bound on the padding the arena
-// inserts between them).
-std::size_t column_bytes(std::size_t traces, std::size_t hops,
-                         std::size_t lses) noexcept {
-  const auto col = [](std::size_t n, std::size_t elem) {
-    return (n * elem + 7) & ~std::size_t{7};
-  };
-  // monitor, src, dst, dst_asn; reached; hop_off; hop_addr, hop_asn;
-  // hop_rtt; lse_off; lse_pool.
-  return 4 * col(traces, 4) + col(traces, 1) + col(traces + 1, 8) +
-         2 * col(hops, 4) + col(hops, 8) + col(hops + 1, 8) + col(lses, 4);
-}
-}  // namespace
-
-TraceBatch::TraceBatch()
-    : TraceBatch(std::make_unique<util::Arena>(kGrowingArenaChunk), 0, 0, 0) {
-}
-
 TraceBatch::TraceBatch(std::size_t traces, std::size_t hops,
-                       std::size_t lses)
-    : TraceBatch(std::make_unique<util::Arena>(
-                     column_bytes(traces, hops, lses)),
-                 traces, hops, lses) {}
-
-TraceBatch::TraceBatch(std::unique_ptr<util::Arena> arena,
-                       std::size_t traces, std::size_t hops,
-                       std::size_t lses)
-    : arena_(std::move(arena)),
-      monitor_(*arena_, traces),
-      src_(*arena_, traces),
-      dst_(*arena_, traces),
-      dst_asn_(*arena_, traces),
-      reached_(*arena_, traces),
-      hop_off_(*arena_, traces + 1),
-      hop_addr_(*arena_, hops),
-      hop_rtt_(*arena_, hops),
-      hop_asn_(*arena_, hops),
-      lse_off_(*arena_, hops + 1),
-      lse_pool_(*arena_, lses) {
-  hop_off_.push_back(0);
-  lse_off_.push_back(0);
-}
-
-void TraceBatch::rehome(std::size_t traces, std::size_t hops,
-                        std::size_t lses) {
-  TraceBatch out(traces, hops, lses);
-  out.monitor_.append(monitor_.span());
-  out.src_.append(src_.span());
-  out.dst_.append(dst_.span());
-  out.dst_asn_.append(dst_asn_.span());
-  out.reached_.append(reached_.span());
-  out.hop_addr_.append(hop_addr_.span());
-  out.hop_rtt_.append(hop_rtt_.span());
-  out.hop_asn_.append(hop_asn_.span());
-  out.lse_pool_.append(lse_pool_.span());
-  out.hop_off_.clear();
-  out.hop_off_.append(hop_off_.span());
-  out.lse_off_.clear();
-  out.lse_off_.append(lse_off_.span());
-  *this = std::move(out);
+                       std::size_t lses) {
+  monitor_.reserve(traces);
+  src_.reserve(traces);
+  dst_.reserve(traces);
+  dst_asn_.reserve(traces);
+  reached_.reserve(traces);
+  hop_off_.reserve(traces + 1);
+  hop_addr_.reserve(hops);
+  hop_rtt_.reserve(hops);
+  hop_asn_.reserve(hops);
+  lse_off_.reserve(hops + 1);
+  lse_pool_.reserve(lses);
 }
 
 void TraceBatch::begin_trace(std::uint32_t monitor_id, net::Ipv4Addr src,
@@ -101,16 +49,16 @@ void TraceBatch::end_trace(bool reached) {
 
 void TraceBatch::discard_trace() {
   const std::size_t traces = reached_.size();
-  monitor_.truncate(traces);
-  src_.truncate(traces);
-  dst_.truncate(traces);
-  dst_asn_.truncate(traces);
+  monitor_.resize(traces);
+  src_.resize(traces);
+  dst_.resize(traces);
+  dst_asn_.resize(traces);
   const auto hops = static_cast<std::size_t>(hop_off_.back());
-  hop_addr_.truncate(hops);
-  hop_rtt_.truncate(hops);
-  hop_asn_.truncate(hops);
-  lse_off_.truncate(hops + 1);
-  lse_pool_.truncate(static_cast<std::size_t>(lse_off_.back()));
+  hop_addr_.resize(hops);
+  hop_rtt_.resize(hops);
+  hop_asn_.resize(hops);
+  lse_off_.resize(hops + 1);
+  lse_pool_.resize(static_cast<std::size_t>(lse_off_.back()));
 }
 
 void TraceBatch::assign_columns(std::span<const std::uint32_t> monitor,
@@ -122,22 +70,38 @@ void TraceBatch::assign_columns(std::span<const std::uint32_t> monitor,
                                 std::span<const std::uint32_t> hop_rtt_q,
                                 std::span<const std::uint64_t> lse_off,
                                 std::span<const std::uint32_t> lse_pool) {
-  monitor_.append(monitor);
-  src_.append(src);
-  dst_.append(dst);
-  reached_.append(reached);
-  hop_addr_.append(hop_addr);
-  lse_pool_.append(lse_pool);
-  hop_off_.clear();
-  hop_off_.append(hop_off);
-  lse_off_.clear();
-  lse_off_.append(lse_off);
+  monitor_.assign(monitor.begin(), monitor.end());
+  src_.assign(src.begin(), src.end());
+  dst_.assign(dst.begin(), dst.end());
+  reached_.assign(reached.begin(), reached.end());
+  hop_off_.assign(hop_off.begin(), hop_off.end());
+  hop_addr_.assign(hop_addr.begin(), hop_addr.end());
+  lse_off_.assign(lse_off.begin(), lse_off.end());
+  lse_pool_.assign(lse_pool.begin(), lse_pool.end());
   // Annotations are not persisted in the pack; zero-fill like a fresh run.
-  for (std::size_t i = 0; i < monitor.size(); ++i) dst_asn_.push_back(0);
-  for (std::size_t h = 0; h < hop_addr.size(); ++h) {
-    hop_asn_.push_back(0);
-    hop_rtt_.push_back(static_cast<double>(hop_rtt_q[h]) / 1000.0);
-  }
+  dst_asn_.assign(monitor.size(), 0);
+  hop_asn_.assign(hop_addr.size(), 0);
+  hop_rtt_.resize(hop_rtt_q.size());
+  std::ranges::transform(hop_rtt_q, hop_rtt_.begin(), [](std::uint32_t q) {
+    return static_cast<double>(q) / 1000.0;
+  });
+}
+
+template <class F>
+std::size_t TraceBatch::sum_columns(F f) const noexcept {
+  return f(monitor_) + f(src_) + f(dst_) + f(dst_asn_) + f(reached_) +
+         f(hop_off_) + f(hop_addr_) + f(hop_rtt_) + f(hop_asn_) +
+         f(lse_off_) + f(lse_pool_);
+}
+
+std::size_t TraceBatch::capacity_bytes() const noexcept {
+  return sum_columns(
+      [](const auto& col) { return col.capacity() * sizeof(col[0]); });
+}
+
+std::size_t TraceBatch::used_bytes() const noexcept {
+  return sum_columns(
+      [](const auto& col) { return col.size() * sizeof(col[0]); });
 }
 
 std::size_t SnapshotBatch::trace_count() const noexcept {

@@ -1,10 +1,10 @@
-// Arena-backed structure-of-arrays trace storage — the measurement-plane
-// mirror of the v3 pack layout (pack.h).
+// Structure-of-arrays trace storage — the measurement-plane mirror of the
+// v3 pack layout (pack.h).
 //
-// A TraceBatch holds a block of traces as contiguous columns carved from
-// its own util::Arena: fixed per-trace fields (monitor, src, dst, dst_asn,
-// reached), a prefix-sum hop-offset column, per-hop columns (addr, rtt,
-// asn), a prefix-sum LSE-offset column, and one shared pool of RFC 3032
+// A TraceBatch holds a block of traces as contiguous std::vector columns:
+// fixed per-trace fields (monitor, src, dst, dst_asn, reached), a
+// prefix-sum hop-offset column, per-hop columns (addr, rtt, asn), a
+// prefix-sum LSE-offset column, and one shared pool of RFC 3032
 // label-stack words replacing per-hop heap-owning LabelStack vectors. The
 // column set and ordering deliberately match PackSection, so a block
 // serializes into a .mump pack as one memcpy per column (pack.cpp) and
@@ -25,24 +25,21 @@
 // writers walk the blocks in order. Hand-built lab inputs go through the
 // same append protocol (begin_trace / add_hop / add_label / end_trace).
 //
-// Arena ownership: every batch owns a private arena. A batch of unknown
-// size grows it by geometric chunks; a batch constructed from counts gets
-// one chunk laid out for exactly those columns (the campaign sizes each
-// monitor's block from that monitor's previous one). Only
-// trivially-copyable column data lives in the arena, so moving a batch is
-// a pointer copy and dropping one frees its chunks without running
-// per-trace destructors.
+// Column memory: a batch of unknown size grows its columns as vectors do;
+// a batch constructed from counts reserves every column to them (the
+// campaign sizes each monitor's block from that monitor's previous one).
+// Columns hold only trivially-copyable data, so moving a batch moves
+// eleven vectors and dropping one frees them without per-trace
+// destructors.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "net/ipv4.h"
 #include "net/lse.h"
-#include "util/arena.h"
 
 namespace mum::dataset {
 
@@ -115,11 +112,10 @@ class TraceIterator {
 
 class TraceBatch {
  public:
-  // A private arena of geometric chunks: for batches of unknown size.
-  TraceBatch();
-  // A private arena of one chunk laid out for exactly these counts, with
-  // every column reserved to them. Appending past a count still works; it
-  // costs the arena a second chunk.
+  // Empty columns that grow as traces are appended.
+  TraceBatch() = default;
+  // Every column reserved to these counts. Appending past a count still
+  // works; the columns past it grow as vectors do.
   TraceBatch(std::size_t traces, std::size_t hops, std::size_t lses);
 
   TraceBatch(TraceBatch&&) noexcept = default;
@@ -131,11 +127,6 @@ class TraceBatch {
   std::size_t hop_count() const noexcept { return hop_addr_.size(); }
   std::size_t lse_count() const noexcept { return lse_pool_.size(); }
   bool empty() const noexcept { return monitor_.empty(); }
-
-  // Move the records into a fresh arena of one chunk laid out for `traces`,
-  // `hops` and `lses` (each at least the current count), freeing the old
-  // arena.
-  void rehome(std::size_t traces, std::size_t hops, std::size_t lses);
 
   // --- append protocol (no interleaving between traces) ------------------
   // begin_trace, then per hop: add_hop followed by its add_label calls,
@@ -169,69 +160,71 @@ class TraceBatch {
 
   // --- raw columns (serialization + annotate) ----------------------------
   std::span<const std::uint32_t> monitor_col() const noexcept {
-    return monitor_.span();
+    return monitor_;
   }
   std::span<const std::uint32_t> src_col() const noexcept {
-    return src_.span();
+    return src_;
   }
   std::span<const std::uint32_t> dst_col() const noexcept {
-    return dst_.span();
+    return dst_;
   }
   std::span<const std::uint32_t> dst_asn_col() const noexcept {
-    return dst_asn_.span();
+    return dst_asn_;
   }
   std::span<const std::uint8_t> reached_col() const noexcept {
-    return reached_.span();
+    return reached_;
   }
   // Size trace_count()+1; leading zero.
   std::span<const std::uint64_t> hop_off_col() const noexcept {
-    return hop_off_.span();
+    return hop_off_;
   }
   std::span<const std::uint32_t> hop_addr_col() const noexcept {
-    return hop_addr_.span();
+    return hop_addr_;
   }
   std::span<const double> hop_rtt_col() const noexcept {
-    return hop_rtt_.span();
+    return hop_rtt_;
   }
   std::span<const std::uint32_t> hop_asn_col() const noexcept {
-    return hop_asn_.span();
+    return hop_asn_;
   }
   // Size hop_count()+1; leading zero.
   std::span<const std::uint64_t> lse_off_col() const noexcept {
-    return lse_off_.span();
+    return lse_off_;
   }
   std::span<const std::uint32_t> lse_pool_col() const noexcept {
-    return lse_pool_.span();
+    return lse_pool_;
   }
 
   // Mutable annotation columns (dataset::Ip2As::annotate writes these).
   std::span<std::uint32_t> dst_asn_mut() noexcept {
-    return dst_asn_.mutable_span();
+    return dst_asn_;
   }
   std::span<std::uint32_t> hop_asn_mut() noexcept {
-    return hop_asn_.mutable_span();
+    return hop_asn_;
   }
 
-  const util::Arena& arena() const noexcept { return *arena_; }
+  // Bytes the columns hold reserved, and bytes their elements fill (the
+  // campaign's probe.arena.* telemetry).
+  std::size_t capacity_bytes() const noexcept;
+  std::size_t used_bytes() const noexcept;
 
  private:
-  TraceBatch(std::unique_ptr<util::Arena> arena, std::size_t traces,
-             std::size_t hops, std::size_t lses);
+  // f(column) summed over the eleven columns.
+  template <class F>
+  std::size_t sum_columns(F f) const noexcept;
 
-  // Heap-held so the columns' arena pointer survives a move of the batch.
-  std::unique_ptr<util::Arena> arena_;
-
-  util::ArenaVector<std::uint32_t> monitor_;
-  util::ArenaVector<std::uint32_t> src_;
-  util::ArenaVector<std::uint32_t> dst_;
-  util::ArenaVector<std::uint32_t> dst_asn_;
-  util::ArenaVector<std::uint8_t> reached_;
-  util::ArenaVector<std::uint64_t> hop_off_;
-  util::ArenaVector<std::uint32_t> hop_addr_;
-  util::ArenaVector<double> hop_rtt_;
-  util::ArenaVector<std::uint32_t> hop_asn_;
-  util::ArenaVector<std::uint64_t> lse_off_;
-  util::ArenaVector<std::uint32_t> lse_pool_;
+  std::vector<std::uint32_t> monitor_;
+  std::vector<std::uint32_t> src_;
+  std::vector<std::uint32_t> dst_;
+  std::vector<std::uint32_t> dst_asn_;
+  std::vector<std::uint8_t> reached_;
+  // The two offset columns start with their leading zero.
+  std::vector<std::uint64_t> hop_off_ = {0};
+  std::vector<std::uint32_t> hop_addr_;
+  std::vector<double> hop_rtt_;
+  std::vector<std::uint32_t> hop_asn_;
+  std::vector<std::uint64_t> lse_off_ = {0};
+  std::vector<std::uint32_t> lse_pool_;
 };
 
 // Forward iteration over a snapshot's traces as TraceViews, block after

@@ -1,5 +1,6 @@
 #include "dataset/warts_lite.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -15,48 +16,6 @@ namespace {
 constexpr std::size_t kMinHopBytes = 9;
 constexpr std::size_t kMinTraceBytes = 11;
 constexpr std::size_t kMinLseBytes = 4;
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::optional<std::uint8_t> get_u8(std::string_view in, std::size_t& pos,
-                                   std::size_t limit) {
-  if (pos >= limit) return std::nullopt;
-  return static_cast<std::uint8_t>(in[pos++]);
-}
-
-std::optional<std::uint32_t> get_u32(std::string_view in, std::size_t& pos,
-                                     std::size_t limit) {
-  if (pos + 4 > limit) return std::nullopt;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(in[pos + i]))
-         << (8 * i);
-  }
-  pos += 4;
-  return v;
-}
-
-void put_string(std::string& out, const std::string& s) {
-  put_varint(out, s.size());
-  out.append(s);
-}
-
-std::optional<std::string> get_string(std::string_view in, std::size_t& pos,
-                                      std::size_t limit) {
-  const auto len = get_varint(in, pos, limit);
-  if (!len || *len > limit - pos) return std::nullopt;
-  std::string s(in.substr(pos, *len));
-  pos += *len;
-  return s;
-}
 
 // Decode one trace from [pos, limit) into `out` through the builder
 // protocol, leaving the trace open: returns its reached flag for the caller
@@ -127,13 +86,24 @@ void put_varint(std::string& out, std::uint64_t value) {
   out.push_back(static_cast<char>(value));
 }
 
-std::optional<std::uint64_t> get_varint(std::string_view in,
-                                        std::size_t& pos) {
-  return get_varint(in, pos, in.size());
+void put_u8(std::string& out, std::uint8_t v) {
+  out.push_back(static_cast<char>(v));
+}
+
+void put_u32(std::string& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+void put_string(std::string& out, const std::string& s) {
+  put_varint(out, s.size());
+  out.append(s);
 }
 
 std::optional<std::uint64_t> get_varint(std::string_view in, std::size_t& pos,
                                         std::size_t limit) {
+  limit = std::min(limit, in.size());
   std::uint64_t value = 0;
   int shift = 0;
   while (pos < limit) {
@@ -144,6 +114,34 @@ std::optional<std::uint64_t> get_varint(std::string_view in, std::size_t& pos,
     shift += 7;
   }
   return std::nullopt;  // truncated
+}
+
+std::optional<std::uint8_t> get_u8(std::string_view in, std::size_t& pos,
+                                   std::size_t limit) {
+  if (pos >= std::min(limit, in.size())) return std::nullopt;
+  return static_cast<std::uint8_t>(in[pos++]);
+}
+
+std::optional<std::uint32_t> get_u32(std::string_view in, std::size_t& pos,
+                                     std::size_t limit) {
+  if (pos + 4 > std::min(limit, in.size())) return std::nullopt;
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(in[pos + i]))
+         << (8 * i);
+  }
+  pos += 4;
+  return v;
+}
+
+std::optional<std::string> get_string(std::string_view in, std::size_t& pos,
+                                      std::size_t limit) {
+  limit = std::min(limit, in.size());
+  const auto len = get_varint(in, pos, limit);
+  if (!len || *len > limit - pos) return std::nullopt;
+  std::string s(in.substr(pos, *len));
+  pos += *len;
+  return s;
 }
 
 std::string serialize_snapshot(const SnapshotBatch& snapshot,
@@ -216,7 +214,7 @@ std::optional<SnapshotBatch> parse_snapshot_v2(
 
   // A decoded snapshot is one block, sized once the header bounds it.
   SnapshotBatch snap;
-  TraceBatch& block = snap.blocks.emplace_back(0, 0, 0);
+  TraceBatch& block = snap.blocks.emplace_back();
   std::size_t field = pos;
   const auto cycle_id = get_varint(bytes, pos);
   const auto sub_index = get_varint(bytes, pos);

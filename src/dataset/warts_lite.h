@@ -91,14 +91,25 @@ std::optional<SnapshotBatch> parse_snapshot_v2(
 std::string to_text(TraceView trace);
 std::string to_text(const SnapshotBatch& snapshot);
 
-// --- varint helpers (exposed for tests and sibling formats) ------------
+// --- byte helpers (exposed for tests and sibling formats) -------------
+// Varints, little-endian fixed-width integers and varint-length-prefixed
+// strings. Readers advance `pos`, never read at or beyond `limit` (default:
+// the end of `in`), and return nullopt on truncation or varint overflow.
 
 void put_varint(std::string& out, std::uint64_t value);
-// Reads a varint at `pos`, advancing it; nullopt on truncation/overflow.
-std::optional<std::uint64_t> get_varint(std::string_view in,
-                                        std::size_t& pos);
-// Same, bounded: never reads at or beyond `limit`.
-std::optional<std::uint64_t> get_varint(std::string_view in,
-                                        std::size_t& pos, std::size_t limit);
+void put_u8(std::string& out, std::uint8_t v);
+void put_u32(std::string& out, std::uint32_t v);
+void put_string(std::string& out, const std::string& s);
+std::optional<std::uint64_t> get_varint(
+    std::string_view in, std::size_t& pos,
+    std::size_t limit = std::string_view::npos);
+std::optional<std::uint8_t> get_u8(std::string_view in, std::size_t& pos,
+                                   std::size_t limit = std::string_view::npos);
+std::optional<std::uint32_t> get_u32(
+    std::string_view in, std::size_t& pos,
+    std::size_t limit = std::string_view::npos);
+std::optional<std::string> get_string(
+    std::string_view in, std::size_t& pos,
+    std::size_t limit = std::string_view::npos);
 
 }  // namespace mum::dataset

@@ -6,7 +6,6 @@
 #include "obs/telemetry.h"
 #include "probe/forwarder.h"
 #include "probe/traceroute.h"
-#include "util/arena.h"
 
 namespace mum::gen {
 
@@ -21,8 +20,8 @@ struct BlockSize {
 // failures, label dynamics and deployments moved a path. On the default
 // study its hops mostly move by under 5% from one snapshot to the next and
 // its LSE words (4 B each) by up to 50% when a new cycle's deployments
-// change; about 1% of blocks still outgrow their chunk and take a second
-// one.
+// change; a block that outgrows a count grows that column as a vector
+// does.
 BlockSize next_block_size(const dataset::TraceBatch& last) {
   const auto grow = [](std::size_t n, unsigned shift) {
     return n + (n >> shift) + 64;
@@ -124,10 +123,10 @@ dataset::SnapshotBatch CampaignRunner::snapshot(
   // through its own AsnCache; the blocks, in monitor order, are the
   // snapshot, identical to a serial run.
   //
-  // A block's arena is one chunk sized from the monitor's previous block
-  // plus headroom, so a snapshot holds its columns and little else. A
-  // monitor's first block has no size to go by: it grows its arena by
-  // chunks, then moves once into a chunk laid out like its successors'.
+  // A block's columns are reserved from the monitor's previous block plus
+  // headroom, so a snapshot holds its columns and little slack. A
+  // monitor's first block has no size to go by: its columns grow as
+  // vectors do.
   snap.blocks.reserve(n_monitors);
   for (std::size_t mi = 0; mi < n_monitors; ++mi) {
     const std::optional<BlockSize>& next = states_[mi]->next;
@@ -152,16 +151,14 @@ dataset::SnapshotBatch CampaignRunner::snapshot(
                                state.walk, out);
     }
     ip2as_->annotate(out, state.asn_cache);
-    const bool first = !state.next;
     state.next = next_block_size(out);
-    if (first) {
-      out.rehome(state.next->traces, state.next->hops, state.next->lses);
-    }
   });
 
-  // Arena telemetry — observed state only (obs/telemetry.h contract),
-  // summed over this snapshot's block arenas; the soak test asserts the
-  // high-water gauge stops climbing after warm-up.
+  // Block memory telemetry — observed state only (obs/telemetry.h
+  // contract), summed over this snapshot's blocks: the column bytes
+  // reserved, the column bytes in use and the blocks started (the
+  // probe.arena.* names predate the vector columns). The soak test asserts
+  // the gauges stop climbing after warm-up.
   static obs::Gauge& arena_capacity =
       obs::registry().gauge("probe.arena.capacity_bytes");
   static obs::Gauge& arena_high_water =
@@ -174,8 +171,8 @@ dataset::SnapshotBatch CampaignRunner::snapshot(
       obs::registry().counter("probe.batch.hops");
   std::uint64_t capacity = 0, high_water = 0;
   for (const dataset::TraceBatch& block : snap.blocks) {
-    capacity += block.arena().capacity();
-    high_water += block.arena().high_water();
+    capacity += block.capacity_bytes();
+    high_water += block.used_bytes();
   }
   arena_capacity.max_of(static_cast<std::int64_t>(capacity));
   arena_high_water.max_of(static_cast<std::int64_t>(high_water));

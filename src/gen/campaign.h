@@ -66,7 +66,7 @@ class CampaignRunner {
   // phase: the per-AS flaps (MonthContext::apply_flaps), and the
   // per-monitor probe, where each monitor resolves its probe plan against
   // `ctx`'s data planes, walks and observes into its own block of the
-  // snapshot (one arena chunk, sized from the monitor's previous block) and
+  // snapshot (columns reserved from the monitor's previous block) and
   // ip2as-annotates that block through its own memo. The blocks are the
   // snapshot, in monitor order; nothing is copied after the probe.
   //
@@ -105,7 +105,7 @@ class CampaignRunner {
 
   // Per-monitor probe state, kept for the runner's lifetime: the monitor's
   // probe plan (see plan_all), the column counts of its last block (which
-  // size its next block's arena; the soak test gates this via the
+  // size its next block's columns; the soak test gates this via the
   // probe.arena.* gauges), path/walk scratch and the addr -> asn memo that
   // annotates its blocks.
   struct MonitorState;

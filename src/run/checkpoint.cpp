@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "dataset/pack.h"
-#include "dataset/warts_lite.h"  // varint helpers + stream serializer
+#include "dataset/warts_lite.h"  // byte helpers + stream serializer
 #include "obs/telemetry.h"
 #include "util/io.h"
 #include "util/rng.h"  // fnv1a
@@ -17,7 +17,13 @@ namespace {
 
 namespace fs = std::filesystem;
 
+using dataset::get_string;
+using dataset::get_u32;
+using dataset::get_u8;
 using dataset::get_varint;
+using dataset::put_string;
+using dataset::put_u32;
+using dataset::put_u8;
 using dataset::put_varint;
 
 constexpr char kMagic[4] = {'M', 'U', 'M', 'C'};
@@ -26,53 +32,12 @@ constexpr char kMagic[4] = {'M', 'U', 'M', 'C'};
 // recomputes), which beats misattributing fault counters.
 constexpr std::uint8_t kVersion = 2;
 
-// --- primitive writers/readers ------------------------------------------
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
+// --- primitive writers (the rest are dataset's byte helpers) ---------
 
 void put_u64(std::string& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
   }
-}
-
-void put_string(std::string& out, const std::string& s) {
-  put_varint(out, s.size());
-  out.append(s);
-}
-
-std::optional<std::uint8_t> get_u8(const std::string& in, std::size_t& pos) {
-  if (pos >= in.size()) return std::nullopt;
-  return static_cast<std::uint8_t>(in[pos++]);
-}
-
-std::optional<std::uint32_t> get_u32(const std::string& in,
-                                     std::size_t& pos) {
-  if (pos + 4 > in.size()) return std::nullopt;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(in[pos + i]))
-         << (8 * i);
-  }
-  pos += 4;
-  return v;
-}
-
-std::optional<std::string> get_string(const std::string& in,
-                                      std::size_t& pos) {
-  const auto len = get_varint(in, pos);
-  if (!len || *len > in.size() - pos) return std::nullopt;
-  std::string s = in.substr(pos, *len);
-  pos += *len;
-  return s;
 }
 
 // --- composite writers ---------------------------------------------------

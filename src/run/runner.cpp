@@ -189,8 +189,8 @@ std::optional<lpr::CycleReport> Runner::run_cycle_from_data(
   }
   // Strict decode: these shards were written by a previous run; damage
   // means the cycle should be regenerated, not silently thinned.
-  auto source = dataset::make_file_source(
-      paths, dataset::DecodeOptions{}, pool_.get());
+  dataset::SnapshotSource source(paths, dataset::DecodeOptions{},
+                                 pool_.get());
   dataset::MonthData month;
   month.cycle_id = static_cast<std::uint32_t>(cycle);
   month.date = gen::cycle_date(cycle);

@@ -23,8 +23,8 @@ void* Arena::allocate_slow(std::size_t bytes, std::size_t align) {
     // eventual footprint without over-reserving small arenas.
     std::size_t want = min_chunk_ << std::min<std::size_t>(chunks_.size(), 10);
     want = std::max(want, bytes + align);
-    // Not zero-filled: make_array value-initialises what it hands out, the
-    // other carvers overwrite, and untouched capacity is never faulted in.
+    // Not zero-filled: make_array value-initialises what it hands out, and
+    // untouched capacity is never faulted in.
     chunks_.push_back(
         Chunk{std::make_unique_for_overwrite<std::byte[]>(want), want});
   }

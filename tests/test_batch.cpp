@@ -1,4 +1,4 @@
-// Tests for the arena-backed SoA measurement path (DESIGN.md §14).
+// Tests for the SoA measurement path (DESIGN.md §14).
 //
 // The batch path replaced a heap-Trace pipeline that stored every trace as
 // an AoS value. That pipeline is gone from the library; its outputs on the
@@ -119,25 +119,19 @@ dataset::TraceBatch reference_batch() {
 TEST(ArenaStats, SnapshotTracksUseHighWaterAndResets) {
   util::Arena arena(128);
   arena.make_array<std::uint64_t>(100);
-  const util::Arena::Stats warm = arena.stats();
-  EXPECT_GE(warm.used_bytes, 100 * sizeof(std::uint64_t));
-  EXPECT_GE(warm.capacity_bytes, warm.used_bytes);
-  // high_water is current-inclusive: never below what is live right now.
-  EXPECT_GE(warm.high_water_bytes, warm.used_bytes);
-  EXPECT_EQ(warm.reset_count, 0u);
-  EXPECT_GE(warm.chunk_count, 1u);
+  const std::size_t used = arena.used();
+  const std::size_t capacity = arena.capacity();
+  EXPECT_GE(used, 100 * sizeof(std::uint64_t));
+  EXPECT_GE(capacity, used);
 
   arena.reset();
-  const util::Arena::Stats after = arena.stats();
-  EXPECT_EQ(after.used_bytes, 0u);
-  EXPECT_EQ(after.capacity_bytes, warm.capacity_bytes);
-  EXPECT_GE(after.high_water_bytes, warm.used_bytes);
-  EXPECT_EQ(after.reset_count, 1u);
+  EXPECT_EQ(arena.used(), 0u);
+  EXPECT_EQ(arena.capacity(), capacity);
 }
 
-// The satellite guarantee behind the steady-state claim: an identical
-// workload replayed against a reset arena re-carves the retained chunks —
-// capacity, chunk count and high water all freeze after the first pass.
+// The guarantee behind RSVP's steady state: an identical workload replayed
+// against a reset arena re-carves the retained chunks — capacity and bytes
+// handed out both freeze after the first pass.
 TEST(ArenaStats, IdenticalWorkloadAfterResetDoesNotGrow) {
   util::Arena arena(256);
   const auto workload = [&arena] {
@@ -150,15 +144,13 @@ TEST(ArenaStats, IdenticalWorkloadAfterResetDoesNotGrow) {
   workload();
   arena.reset();
   workload();
-  const util::Arena::Stats warm = arena.stats();
+  const std::size_t capacity = arena.capacity();
+  const std::size_t used = arena.used();
   for (int round = 0; round < 10; ++round) {
     arena.reset();
     workload();
-    const util::Arena::Stats now = arena.stats();
-    EXPECT_EQ(now.capacity_bytes, warm.capacity_bytes);
-    EXPECT_EQ(now.chunk_count, warm.chunk_count);
-    EXPECT_EQ(now.high_water_bytes, warm.high_water_bytes);
-    EXPECT_EQ(now.used_bytes, warm.used_bytes);
+    EXPECT_EQ(arena.capacity(), capacity);
+    EXPECT_EQ(arena.used(), used);
   }
 }
 
@@ -311,6 +303,70 @@ TEST(TraceBatch, DiscardDropsOnlyTheOpenTrace) {
   expect_batches_equal(batch, reference_batch());
 }
 
+// A block reserved from counts holds the same columns and writes the same
+// bytes as one grown from empty, whether its traces overflow the
+// reservation (each column then grows past its count) or fit in it. The
+// reserved blocks also open and discard a record once past the overflow;
+// it leaves no mark.
+TEST(TraceBatch, ReservedBlocksMatchGrowingBlock) {
+  const auto snapshot = [](dataset::TraceBatch block) {
+    dataset::SnapshotBatch snap;
+    snap.cycle_id = 50;
+    snap.date = "2010-03";
+    snap.blocks.push_back(std::move(block));
+    return snap;
+  };
+  const auto fill = [](dataset::TraceBatch& out, bool discard) {
+    observe_fixture([&](std::size_t i) -> dataset::TraceBatch& {
+      if (discard && i == 40) {
+        out.begin_trace(99, net::Ipv4Addr(1), net::Ipv4Addr(2));
+        out.add_hop(net::Ipv4Addr(3), 1.0);
+        out.add_label(0x12345100);
+        out.discard_trace();
+      }
+      return out;
+    }).annotate(out);
+  };
+  dataset::TraceBatch grown;
+  fill(grown, false);
+  ASSERT_GT(grown.trace_count(), 40u);
+  ASSERT_GT(grown.lse_count(), 4u);
+
+  dataset::TraceBatch under(8, 16, 4);
+  fill(under, true);
+  const std::size_t traces = 2 * grown.trace_count();
+  const std::size_t hops = 2 * grown.hop_count();
+  const std::size_t lses = 2 * grown.lse_count();
+  dataset::TraceBatch over(traces, hops, lses);
+  fill(over, true);
+  // The reservation held: no column of `over` grew.
+  EXPECT_EQ(over.capacity_bytes(),
+            dataset::TraceBatch(traces, hops, lses).capacity_bytes());
+
+  const dataset::SnapshotBatch want = snapshot(std::move(grown));
+  const dataset::TraceBatch& g = want.blocks.front();
+  for (dataset::TraceBatch* block : {&under, &over}) {
+    const dataset::TraceBatch& b = *block;
+    EXPECT_GE(b.capacity_bytes(), b.used_bytes());
+    EXPECT_EQ(b.used_bytes(), g.used_bytes());
+    EXPECT_TRUE(std::ranges::equal(b.monitor_col(), g.monitor_col()));
+    EXPECT_TRUE(std::ranges::equal(b.src_col(), g.src_col()));
+    EXPECT_TRUE(std::ranges::equal(b.dst_col(), g.dst_col()));
+    EXPECT_TRUE(std::ranges::equal(b.dst_asn_col(), g.dst_asn_col()));
+    EXPECT_TRUE(std::ranges::equal(b.reached_col(), g.reached_col()));
+    EXPECT_TRUE(std::ranges::equal(b.hop_off_col(), g.hop_off_col()));
+    EXPECT_TRUE(std::ranges::equal(b.hop_addr_col(), g.hop_addr_col()));
+    EXPECT_TRUE(std::ranges::equal(b.hop_rtt_col(), g.hop_rtt_col()));
+    EXPECT_TRUE(std::ranges::equal(b.hop_asn_col(), g.hop_asn_col()));
+    EXPECT_TRUE(std::ranges::equal(b.lse_off_col(), g.lse_off_col()));
+    EXPECT_TRUE(std::ranges::equal(b.lse_pool_col(), g.lse_pool_col()));
+    const dataset::SnapshotBatch got = snapshot(std::move(*block));
+    EXPECT_EQ(dataset::serialize_snapshot(got, 2),
+              dataset::serialize_snapshot(want, 2));
+    EXPECT_EQ(dataset::serialize_pack(got), dataset::serialize_pack(want));
+  }
+}
+
 TEST(TraceBatch, PackAndStreamWritersMatchAosBytes) {
   // The batch's columns ARE the pack sections; the column writers must emit
   // the bytes the per-record AoS writers produced for this snapshot.
@@ -411,10 +467,10 @@ TEST(CampaignBatch, ArenaTelemetryGaugesExported) {
   EXPECT_GE(capacity, high_water);
 }
 
-// The probe fan-out: each monitor task writes only its own block (and its
-// own arena), so a pooled runner's snapshots equal a serial runner's byte
-// for byte — the first one (blocks grown by chunks, then moved) and the
-// later ones (blocks sized from their predecessors).
+// The probe fan-out: each monitor task writes only its own block, so a
+// pooled runner's snapshots equal a serial runner's byte for byte — the
+// first one (blocks grown from empty) and the later ones (blocks reserved
+// from their predecessors).
 TEST(CampaignBatch, PooledBlocksMatchSerialRunner) {
   gen::Internet internet(small_gen());
   const auto ip2as = internet.build_ip2as();
@@ -436,11 +492,11 @@ TEST(CampaignBatch, PooledBlocksMatchSerialRunner) {
   }
 }
 
-// Acceptance: arena high-water stays stable over a 60-cycle soak. The
+// Acceptance: block memory stays stable over a 60-cycle soak. The
 // workload repeats the same cycle, so after the first snapshot every
-// monitor's block fits the one chunk sized from its previous block —
-// observed through the blocks' chunk counts and the exported gauges
-// (max-of: any growth would raise them).
+// monitor's block fits the columns reserved from its previous block —
+// observed through the exported gauges (max-of: any growth would raise
+// them).
 TEST(CampaignBatch, ArenaHighWaterStableOverSixtyCycleSoak) {
   gen::Internet internet(small_gen());
   const auto ip2as = internet.build_ip2as();
@@ -459,9 +515,6 @@ TEST(CampaignBatch, ArenaHighWaterStableOverSixtyCycleSoak) {
     auto ctx = internet.instantiate(50);
     const dataset::SnapshotBatch snap = runner.snapshot(ctx, 50, 0);
     ASSERT_GT(snap.trace_count(), 0u);
-    for (const dataset::TraceBatch& block : snap.blocks) {
-      EXPECT_EQ(block.arena().chunk_count(), 1u);
-    }
   }
   EXPECT_EQ(obs::registry().gauge("probe.arena.capacity_bytes").value(),
             capacity_warm);

@@ -248,7 +248,7 @@ TEST_F(CliPipeline, RouterLevelMatchesLibraryBuiltReport) {
   const auto ip2as = dataset::ip2as_from_text(table_text.str());
   ASSERT_TRUE(ip2as.has_value());
   dataset::MonthData month;
-  auto source = dataset::make_file_source(files);
+  dataset::SnapshotSource source(files);
   dataset::AsnCache asn_cache;
   while (auto snap = source.next()) {
     ip2as->annotate(*snap, asn_cache);

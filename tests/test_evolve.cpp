@@ -58,7 +58,7 @@ TEST(Arena, BumpAllocatesZeroedAlignedArrays) {
 // zeroed arrays.
 TEST(Arena, MakeArrayZeroesDirtiedChunkAfterReset) {
   util::Arena arena(256);
-  const auto dirty = arena.make_array_uninit<std::uint64_t>(64);
+  const auto dirty = arena.make_array<std::uint64_t>(64);
   std::fill(dirty.begin(), dirty.end(), ~std::uint64_t{0});
   arena.reset();
   const auto clean = arena.make_array<std::uint64_t>(64);
@@ -66,48 +66,26 @@ TEST(Arena, MakeArrayZeroesDirtiedChunkAfterReset) {
   for (const std::uint64_t v : clean) EXPECT_EQ(v, 0u);
 }
 
-TEST(Arena, CopyArrayPreservesContents) {
-  util::Arena arena;
-  const std::vector<std::uint16_t> src = {1, 2, 3, 5, 8, 13};
-  auto copy = arena.copy_array<std::uint16_t>({src.data(), src.size()});
-  ASSERT_EQ(copy.size(), src.size());
-  for (std::size_t i = 0; i < src.size(); ++i) EXPECT_EQ(copy[i], src[i]);
-  EXPECT_NE(static_cast<const void*>(copy.data()),
-            static_cast<const void*>(src.data()));
-}
-
 TEST(Arena, ResetRetainsChunksAndTracksHighWater) {
   util::Arena arena(64);
   // Force growth across several chunks.
   for (int i = 0; i < 50; ++i) arena.make_array<std::uint64_t>(16);
-  EXPECT_GT(arena.chunk_count(), 1u);
   const std::size_t cap = arena.capacity();
-  const std::size_t hw = arena.high_water();
-  EXPECT_GT(hw, 0u);
+  const std::size_t used = arena.used();
+  EXPECT_GT(cap, 64u);
+  EXPECT_GE(cap, used);
+  EXPECT_GE(used, 50 * 16 * sizeof(std::uint64_t));
 
   arena.reset();
   EXPECT_EQ(arena.used(), 0u);
-  EXPECT_EQ(arena.capacity(), cap);      // chunks retained, not freed
-  EXPECT_EQ(arena.high_water(), hw);     // peak survives the reset
+  EXPECT_EQ(arena.capacity(), cap);  // chunks retained, not freed
 
   // A same-sized workload after reset fits in the retained chunks: the
-  // capacity high-water mark is reached once, then allocation stops.
+  // capacity is reached once, then allocation stops, and the bytes handed
+  // out (the high water) repeat.
   for (int i = 0; i < 50; ++i) arena.make_array<std::uint64_t>(16);
   EXPECT_EQ(arena.capacity(), cap);
-}
-
-TEST(ArenaVector, GrowsAndKeepsElements) {
-  util::Arena arena(128);
-  util::ArenaVector<std::uint32_t> v(arena);
-  EXPECT_TRUE(v.empty());
-  for (std::uint32_t i = 0; i < 1000; ++i) v.push_back(i * 3);
-  ASSERT_EQ(v.size(), 1000u);
-  for (std::uint32_t i = 0; i < 1000; ++i) EXPECT_EQ(v[i], i * 3);
-  std::uint64_t sum = 0;
-  for (const std::uint32_t x : v) sum += x;
-  EXPECT_EQ(sum, 3ull * 999 * 1000 / 2);
-  v.clear();
-  EXPECT_EQ(v.size(), 0u);
+  EXPECT_EQ(arena.used(), used);
 }
 
 // --- mpls::LabelPool state/burn --------------------------------------------

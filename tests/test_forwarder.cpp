@@ -20,9 +20,9 @@ net::Ipv4Addr ip(std::uint32_t v) { return net::Ipv4Addr(v); }
 // A reusable AS fixture: diamond + parallel bundle on one arm.
 //
 //        b
-//      /   \
-//    a       d     a=ingress border, d=egress border
-//      \\   /      (a-c is a 2-link bundle)
+//      /   \       a=ingress border, d=egress border
+//    a       d     (a-c is a 2-link bundle)
+//      \\   /
 //        c
 struct PlaneFixture {
   PlaneFixture() : topo(65001) {
@@ -288,7 +288,9 @@ TEST(Forwarder, CoverageMonotoneInclusion) {
     const bool low = !walk_path(p, 1).hops[1].labels.empty();
     f.plane.mpls_coverage = 0.8;
     const bool high = !walk_path(p, 1).hops[1].labels.empty();
-    if (low) EXPECT_TRUE(high);
+    if (low) {
+      EXPECT_TRUE(high);
+    }
   }
 }
 

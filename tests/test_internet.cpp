@@ -42,7 +42,9 @@ TEST_F(InternetTest, StubsAreNotModeled) {
   for (const std::uint32_t asn : internet.graph().asns()) {
     const auto& node = internet.graph().as_node(asn);
     EXPECT_EQ(node.modeled, internet.modeled(asn) != nullptr);
-    if (node.tier == AsTier::kStub) EXPECT_FALSE(node.modeled);
+    if (node.tier == AsTier::kStub) {
+      EXPECT_FALSE(node.modeled);
+    }
   }
 }
 

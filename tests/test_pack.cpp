@@ -350,7 +350,7 @@ TEST(SnapshotSourceTest, FileSourceStreamsMixedFormats) {
   // With and without a pool (prefetch overlap) the stream is identical.
   for (const bool pooled : {false, true}) {
     util::ThreadPool pool(2);
-    auto source = make_file_source(paths, {}, pooled ? &pool : nullptr);
+    SnapshotSource source(paths, {}, pooled ? &pool : nullptr);
     const auto first = source.next();
     ASSERT_TRUE(first.has_value());
     EXPECT_EQ(first->sub_index, 1u);
@@ -365,11 +365,11 @@ TEST(SnapshotSourceTest, FileSourceStreamsMixedFormats) {
   }
 
   // Missing and undecodable files fail with the path in the error.
-  auto missing = make_file_source({(dir / "nope.mumw").string()}, {}, nullptr);
+  SnapshotSource missing({(dir / "nope.mumw").string()}, {}, nullptr);
   EXPECT_FALSE(missing.next().has_value());
   EXPECT_NE(missing.error().find("cannot read"), std::string::npos);
   std::ofstream(dir / "junk.mump", std::ios::binary) << "not a container";
-  auto junk = make_file_source({(dir / "junk.mump").string()}, {}, nullptr);
+  SnapshotSource junk({(dir / "junk.mump").string()}, {}, nullptr);
   EXPECT_FALSE(junk.next().has_value());
   EXPECT_TRUE(junk.failed());
   EXPECT_NE(junk.error().find("junk.mump"), std::string::npos);

@@ -111,8 +111,8 @@ TEST(Spf, SelfDistanceZeroNoNextHops) {
 
 TEST(Spf, DiamondEcmp) {
   //    b
-  //  /   \
-  // a     d   (all costs 1: two equal paths a-b-d / a-c-d)
+  //  /   \    all costs 1: two equal paths,
+  // a     d   a-b-d and a-c-d
   //  \   /
   //    c
   AsTopology topo(1);

@@ -295,7 +295,7 @@ LoadResult load_inputs(Args& args, std::ostream& err, bool need_ip2as,
     err << "no snapshot files given\n";
     return {std::nullopt, kExitUsage};
   }
-  auto source = dataset::make_file_source(
+  dataset::SnapshotSource source(
       files, dataset::DecodeOptions{.tolerant = tolerant}, pool);
   dataset::AsnCache asn_cache;
   while (auto snap = source.next()) {
