@@ -174,15 +174,24 @@ cmake -B "$asan_build" -S "$repo" -DMUM_ASAN=ON
 # runs whole campaigns through the column writers: the chaos corruptor
 # rebuilding batches, and the v2/v3 decoders appending into them.
 # test_dataset and test_pack hand-build batches through the append protocol
-# and feed them to both writers and both decoders.
+# and feed them to both writers and both decoders. test_evolve, test_mpls,
+# test_frr and test_failures drive the RSVP-TE planes: every LSP's hops live
+# in one vector per plane that a re-signal may move, so a hop span held
+# across a re-signal is a heap-use-after-free that only ASan reports (the
+# stale bytes usually still read back right).
 cmake --build "$asan_build" -j --target fuzz_warts --target test_chaos \
   --target test_batch --target test_golden --target test_dataset \
-  --target test_pack
+  --target test_pack --target test_evolve --target test_mpls \
+  --target test_frr --target test_failures
 "$asan_build/tools/fuzz_warts" --iters 10000
 "$asan_build/tests/test_chaos"
 "$asan_build/tests/test_batch"
 "$asan_build/tests/test_golden"
 "$asan_build/tests/test_dataset"
 "$asan_build/tests/test_pack"
+"$asan_build/tests/test_evolve"
+"$asan_build/tests/test_mpls"
+"$asan_build/tests/test_frr"
+"$asan_build/tests/test_failures"
 
 echo "== tier-1: OK =="

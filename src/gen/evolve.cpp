@@ -51,7 +51,7 @@ void DeltaEvolver::step_to(int cycle, int day_of_month) {
 
   // Roll every AS back to its pristine start-of-month state (undoes flap
   // re-signalling, dynamics, failure reroutes; rewinds label counters and
-  // scratch arenas), then mutate forward to the target cycle.
+  // truncates RSVP hop vectors), then mutate forward to the target cycle.
   ctx.restore_pristine();
   ctx.cycle_ = cycle;
   ctx.month_seed_ =

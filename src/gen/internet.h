@@ -202,8 +202,9 @@ class MonthContext {
   friend class Internet;
   friend class DeltaEvolver;
   // Rolls every AS back to its pristine start-of-month control-plane state:
-  // undoes flap re-signalling, dynamics re-optimization and failure state,
-  // rewinds label-pool counters, and resets per-cycle scratch arenas. After
+  // undoes flap re-signalling, dynamics re-optimization and failure state
+  // (each RSVP-TE plane copies back its pristine LSP table and truncates its
+  // hop vector), and rewinds label-pool counters. After
   // this, the context is byte-equivalent to a freshly instantiated month
   // just before its initial apply_flaps(0). DeltaEvolver::step_to starts
   // from it.

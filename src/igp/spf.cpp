@@ -236,44 +236,4 @@ IgpState IgpState::reconverge(const topo::AsTopology& topo,
   return out;
 }
 
-std::uint64_t IgpState::path_count(topo::RouterId src, topo::RouterId dst,
-                                   std::uint64_t cap) const {
-  const EgressColumn& col = column(dst);
-  if (src == dst) return 1;
-  if (!col.reachable(src)) return 0;
-  // Memoized DP over the next-hop DAG: memo[v] = min(#paths v->dst, cap).
-  // kUnset must stay distinct from any legal value, so clamp cap below ~0.
-  constexpr std::uint64_t kUnset = ~std::uint64_t{0};
-  cap = std::min(cap, kUnset - 1);
-  std::vector<std::uint64_t> memo(n_, kUnset);
-  memo[dst] = 1;
-
-  // Iterative DFS (explicit stack) so deep DAGs cannot overflow the C stack.
-  std::vector<topo::RouterId> stack{src};
-  while (!stack.empty()) {
-    const topo::RouterId v = stack.back();
-    if (memo[v] != kUnset) {
-      stack.pop_back();
-      continue;
-    }
-    bool ready = true;
-    for (const NextHop& nh : col.nexthops(v)) {
-      if (memo[nh.neighbor] == kUnset) {
-        stack.push_back(nh.neighbor);
-        ready = false;
-      }
-    }
-    if (!ready) continue;
-    stack.pop_back();
-    std::uint64_t total = 0;
-    for (const NextHop& nh : col.nexthops(v)) {
-      const std::uint64_t c = memo[nh.neighbor];
-      total = c >= cap - total ? cap : total + c;
-      if (total >= cap) break;
-    }
-    memo[v] = total;
-  }
-  return memo[src];
-}
-
 }  // namespace mum::igp

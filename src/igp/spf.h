@@ -140,12 +140,6 @@ class IgpState {
   const EgressColumn& column(topo::RouterId egress) const;
   std::size_t router_count() const noexcept { return n_; }
 
-  // Number of loop-free shortest paths from src to dst (counts distinct
-  // link sequences, saturating at `cap`). Memoized DP over dst's next-hop
-  // DAG: O(V + E) regardless of how many paths the DAG encodes.
-  std::uint64_t path_count(topo::RouterId src, topo::RouterId dst,
-                           std::uint64_t cap = 1u << 20) const;
-
   // Whole-state equality (test oracle for incremental reconvergence).
   friend bool operator==(const IgpState&, const IgpState&) = default;
 

@@ -40,11 +40,4 @@ std::uint32_t LdpPlane::label_of(topo::RouterId r, topo::RouterId fec) const {
   return labels_.at(r * n_ + fec);
 }
 
-bool LdpPlane::has_fec(topo::RouterId fec) const {
-  for (std::size_t r = 0; r < n_; ++r) {
-    if (labels_[r * n_ + fec] != kNoLabel) return true;
-  }
-  return false;
-}
-
 }  // namespace mum::mpls

@@ -49,9 +49,6 @@ class LdpPlane {
   // kNoLabel when `r` has no binding for that FEC.
   std::uint32_t label_of(topo::RouterId r, topo::RouterId fec) const;
 
-  // True when the FEC is bound anywhere (i.e. an LSP-tree exists toward it).
-  bool has_fec(topo::RouterId fec) const;
-
  private:
   LdpConfig config_;
   // labels_[r * n + fec]

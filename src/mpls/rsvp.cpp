@@ -32,58 +32,33 @@ std::vector<topo::LinkId> RsvpTePlane::compute_route(
   return route;
 }
 
-bool operator==(std::span<const TeHop> a, std::span<const TeHop> b) noexcept {
-  return std::equal(a.begin(), a.end(), b.begin(), b.end());
-}
-
-std::span<const TeHop> RsvpTePlane::sign_route(
-    topo::RouterId ingress, topo::RouterId egress,
-    const std::vector<topo::LinkId>& route, std::vector<LabelPool>& pools) {
-  // Hop storage is bump-allocated: the pristine build fills the base arena,
-  // post-pristine re-signalling fills the per-cycle scratch arena.
-  util::Arena& arena = pristine_marked_ ? scratch_arena_ : base_arena_;
-  const std::span<TeHop> hops = arena.make_array<TeHop>(route.size());
+HopRange RsvpTePlane::sign_route(topo::RouterId ingress, topo::RouterId egress,
+                                 const std::vector<topo::LinkId>& route,
+                                 std::vector<LabelPool>& pools) {
+  const HopRange range{static_cast<std::uint32_t>(hops_.size()),
+                       static_cast<std::uint32_t>(route.size())};
   topo::RouterId at = ingress;
-  std::size_t i = 0;
   for (const topo::LinkId lid : route) {
     const topo::RouterId next = topo_->link(lid).other(at);
-    TeHop& hop = hops[i++];
-    hop.router = next;
-    hop.in_link = lid;
     const bool is_egress = (next == egress);
-    hop.in_label = (is_egress && config_.php) ? net::kLabelImplicitNull
-                                              : pools[next].allocate();
+    hops_.push_back(TeHop{next, lid,
+                          (is_egress && config_.php) ? net::kLabelImplicitNull
+                                                     : pools[next].allocate()});
     at = next;
   }
-  return hops;
-}
-
-void RsvpTePlane::save_undo(const TeLsp& lsp) {
-  if (!pristine_marked_ || saved_epoch_[lsp.id] == epoch_) return;
-  saved_epoch_[lsp.id] = epoch_;
-  undo_.push_back(Undo{lsp.id, lsp.hops, lsp.resignal_count, lsp.on_backup});
+  return range;
 }
 
 void RsvpTePlane::mark_pristine() {
   pristine_marked_ = true;
-  pristine_lsp_count_ = lsps_.size();
-  saved_epoch_.assign(lsps_.size(), 0);
-  undo_.clear();
-  epoch_ = 1;
+  pristine_lsps_ = lsps_;
+  pristine_hop_count_ = hops_.size();
 }
 
 void RsvpTePlane::restore_pristine() {
   if (!pristine_marked_) return;
-  for (const Undo& u : undo_) {
-    TeLsp& lsp = lsps_[u.id];
-    lsp.hops = u.hops;
-    lsp.resignal_count = u.resignal_count;
-    lsp.on_backup = u.on_backup;
-  }
-  undo_.clear();
-  ++epoch_;
-  lsps_.resize(pristine_lsp_count_);
-  scratch_arena_.reset();
+  lsps_ = pristine_lsps_;
+  hops_.resize(pristine_hop_count_);
 }
 
 std::vector<LspId> RsvpTePlane::signal(topo::RouterId ingress,
@@ -103,7 +78,7 @@ std::vector<LspId> RsvpTePlane::signal(topo::RouterId ingress,
     lsp.id = static_cast<LspId>(lsps_.size());
     lsp.ingress = ingress;
     lsp.egress = egress;
-    lsp.hops = sign_route(ingress, egress, route, pools);
+    lsp.primary = sign_route(ingress, egress, route, pools);
     if (config_.frr) {
       // Pre-signal a maximally link-disjoint backup: search route variants
       // for the one sharing the fewest links with the primary.
@@ -124,7 +99,7 @@ std::vector<LspId> RsvpTePlane::signal(topo::RouterId ingress,
         if (shared == 0) break;
       }
       if (!best.empty() && best_shared < route.size()) {
-        lsp.backup_hops = sign_route(ingress, egress, best, pools);
+        lsp.backup = sign_route(ingress, egress, best, pools);
       }
     }
     ids.push_back(lsp.id);
@@ -138,15 +113,14 @@ void RsvpTePlane::resignal_over(LspId id,
                                 std::vector<LabelPool>& pools) {
   if (route.empty()) return;
   TeLsp& lsp = lsps_.at(id);
-  save_undo(lsp);
-  lsp.hops = sign_route(lsp.ingress, lsp.egress, route, pools);
+  lsp.primary = sign_route(lsp.ingress, lsp.egress, route, pools);
   lsp.on_backup = false;
   ++lsp.resignal_count;
 }
 
 bool RsvpTePlane::crosses_down_link(
     LspId id, const std::vector<bool>& link_down) const {
-  for (const TeHop& hop : lsps_.at(id).active_hops()) {
+  for (const TeHop& hop : active_hops(id)) {
     if (link_down[hop.in_link]) return true;
   }
   return false;
@@ -154,9 +128,9 @@ bool RsvpTePlane::crosses_down_link(
 
 bool RsvpTePlane::backup_intact(LspId id,
                                 const std::vector<bool>& link_down) const {
-  const TeLsp& lsp = lsps_.at(id);
-  if (lsp.backup_hops.empty()) return false;
-  for (const TeHop& hop : lsp.backup_hops) {
+  const std::span<const TeHop> backup = backup_hops(id);
+  if (backup.empty()) return false;
+  for (const TeHop& hop : backup) {
     if (link_down[hop.in_link]) return false;  // backup broken too
   }
   return true;
@@ -165,35 +139,23 @@ bool RsvpTePlane::backup_intact(LspId id,
 bool RsvpTePlane::activate_backup(LspId id,
                                   const std::vector<bool>& link_down) {
   if (!backup_intact(id, link_down)) return false;
-  TeLsp& lsp = lsps_.at(id);
-  save_undo(lsp);
-  lsp.on_backup = true;
+  lsps_.at(id).on_backup = true;
   return true;
 }
 
 void RsvpTePlane::revert_to_primary(LspId id) {
-  TeLsp& lsp = lsps_.at(id);
-  save_undo(lsp);
-  lsp.on_backup = false;
+  lsps_.at(id).on_backup = false;
 }
 
 void RsvpTePlane::reoptimize(LspId id, std::vector<LabelPool>& pools) {
-  TeLsp& lsp = lsps_.at(id);
+  // Copy the route out first: signing appends to hops_, which may move it.
+  const std::span<const TeHop> current = hops(id);
   std::vector<topo::LinkId> route;
-  route.reserve(lsp.hops.size());
-  for (const TeHop& hop : lsp.hops) route.push_back(hop.in_link);
-  save_undo(lsp);
-  lsp.hops = sign_route(lsp.ingress, lsp.egress, route, pools);
+  route.reserve(current.size());
+  for (const TeHop& hop : current) route.push_back(hop.in_link);
+  TeLsp& lsp = lsps_.at(id);
+  lsp.primary = sign_route(lsp.ingress, lsp.egress, route, pools);
   ++lsp.resignal_count;
-}
-
-std::vector<LspId> RsvpTePlane::lsps_between(topo::RouterId ingress,
-                                             topo::RouterId egress) const {
-  std::vector<LspId> out;
-  for (const TeLsp& lsp : lsps_) {
-    if (lsp.ingress == ingress && lsp.egress == egress) out.push_back(lsp.id);
-  }
-  return out;
 }
 
 }  // namespace mum::mpls

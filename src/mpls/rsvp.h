@@ -10,18 +10,19 @@
 //  * Ingress routers may periodically "re-optimize" an LSP: re-signal it,
 //    drawing fresh labels at every hop (Fig. 17's sawtooth; mostly a Juniper
 //    timer behaviour per the paper).
+//
+// Storage: a plane keeps every LSP's hops in one vector; an LSP holds index
+// ranges into it. A month rolls back by copying the pristine LSP table in
+// and truncating the vector (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "igp/spf.h"
 #include "mpls/label_pool.h"
 #include "topo/topology.h"
-#include "util/arena.h"
 #include "util/rng.h"
 
 namespace mum::mpls {
@@ -38,32 +39,32 @@ struct TeHop {
   friend bool operator==(const TeHop&, const TeHop&) = default;
 };
 
-// Deep element-wise comparison for hop sequences. TeLsp stores hop views
-// into the owning plane's arenas; two views are "the same path" when their
-// contents match, wherever they are stored.
-bool operator==(std::span<const TeHop> a, std::span<const TeHop> b) noexcept;
+// A run of hops in the owning RsvpTePlane's hop vector.
+struct HopRange {
+  std::uint32_t offset = 0;
+  std::uint32_t length = 0;
+
+  friend bool operator==(const HopRange&, const HopRange&) = default;
+};
 
 struct TeLsp {
   LspId id = 0;
   topo::RouterId ingress = topo::kInvalidRouter;
   topo::RouterId egress = topo::kInvalidRouter;
   // Hops strictly after the ingress, in order; the last entry is the egress
-  // (its in_label is implicit-null when PHP applies). Views into the owning
-  // RsvpTePlane's hop arenas; valid for the plane's lifetime (re-signalling
-  // repoints the view, it never frees the old storage mid-cycle).
-  std::span<const TeHop> hops;
+  // (its in_label is implicit-null when PHP applies). Read them through
+  // RsvpTePlane::hops(id).
+  HopRange primary;
   // Pre-signalled fast-reroute backup (RFC 4090): a maximally link-disjoint
   // path with its own labels, ready before any failure. Empty when FRR is
-  // off or no disjoint route exists.
-  std::span<const TeHop> backup_hops;
+  // off or no disjoint route exists. Read through RsvpTePlane::backup_hops.
+  HopRange backup;
   // How many times this LSP has been re-signalled.
   std::uint32_t resignal_count = 0;
   // True while traffic rides the backup path.
   bool on_backup = false;
 
-  std::span<const TeHop> active_hops() const noexcept {
-    return on_backup && !backup_hops.empty() ? backup_hops : hops;
-  }
+  friend bool operator==(const TeLsp&, const TeLsp&) = default;
 };
 
 struct RsvpConfig {
@@ -117,9 +118,20 @@ class RsvpTePlane {
   std::size_t lsp_count() const noexcept { return lsps_.size(); }
   const std::vector<TeLsp>& lsps() const noexcept { return lsps_; }
 
-  // All LSPs of a LER pair.
-  std::vector<LspId> lsps_between(topo::RouterId ingress,
-                                  topo::RouterId egress) const;
+  // An LSP's primary, backup and active (the backup while on_backup and
+  // non-empty, else the primary) hops. A span stays valid until the plane's
+  // next mutation: signalling appends to the hop vector, which may move it.
+  std::span<const TeHop> hops(LspId id) const {
+    return view(lsps_.at(id).primary);
+  }
+  std::span<const TeHop> backup_hops(LspId id) const {
+    return view(lsps_.at(id).backup);
+  }
+  std::span<const TeHop> active_hops(LspId id) const {
+    const TeLsp& lsp = lsps_.at(id);
+    return view(lsp.on_backup && lsp.backup.length > 0 ? lsp.backup
+                                                       : lsp.primary);
+  }
 
   // A loop-free route from ingress to egress as a link sequence. `variant` 0
   // is the IGP shortest route (ECMP ties broken deterministically); higher
@@ -130,49 +142,34 @@ class RsvpTePlane {
 
   // --- cycle-evolution support (gen::DeltaEvolver / MonthContext) ---
   //
-  // mark_pristine() freezes the fully signalled start-of-month control plane
-  // as the rollback baseline. Later mutations (reoptimize, resignal_over,
-  // backup activation) record a one-shot undo entry per LSP and draw their
-  // hop storage from a scratch arena; restore_pristine() rolls every LSP
-  // back and resets the scratch arena, so a steady month-over-month workload
-  // stops allocating once the scratch high-water mark is reached.
+  // mark_pristine() copies the fully signalled start-of-month LSP table and
+  // notes the hop count as the rollback baseline. Later mutations
+  // (reoptimize, resignal_over, backup activation) rewrite LSP entries and
+  // append fresh hops; restore_pristine() assigns the copy back and
+  // truncates the hop vector to the baseline. Both vectors keep their
+  // capacity, so a steady month-over-month workload stops allocating once
+  // its largest month has been seen.
   void mark_pristine();
   void restore_pristine();
 
-  // Arena the post-pristine mutations allocate from (capacity observability
-  // for the no-growth gate in tests).
-  const util::Arena& scratch_arena() const noexcept { return scratch_arena_; }
-
  private:
-  std::span<const TeHop> sign_route(topo::RouterId ingress,
-                                    topo::RouterId egress,
-                                    const std::vector<topo::LinkId>& route,
-                                    std::vector<LabelPool>& pools);
-  // Record the pre-mutation state of `lsp` once per restore epoch.
-  void save_undo(const TeLsp& lsp);
+  std::span<const TeHop> view(HopRange r) const noexcept {
+    return {hops_.data() + r.offset, r.length};
+  }
+  // Append the hops of `route` with fresh labels; returns their range.
+  HopRange sign_route(topo::RouterId ingress, topo::RouterId egress,
+                      const std::vector<topo::LinkId>& route,
+                      std::vector<LabelPool>& pools);
 
   const topo::AsTopology* topo_;
   const igp::IgpState* igp_;
   RsvpConfig config_;
   std::vector<TeLsp> lsps_;
+  std::vector<TeHop> hops_;  // every LSP's primary and backup hops
 
-  // Hop storage: signalling before mark_pristine() fills base_arena_ (lives
-  // until the plane dies); mutations after it fill scratch_arena_ (reset on
-  // every restore_pristine()).
-  util::Arena base_arena_{16 * 1024};
-  util::Arena scratch_arena_{16 * 1024};
   bool pristine_marked_ = false;
-
-  struct Undo {
-    LspId id = 0;
-    std::span<const TeHop> hops;
-    std::uint32_t resignal_count = 0;
-    bool on_backup = false;
-  };
-  std::vector<Undo> undo_;
-  std::vector<std::uint32_t> saved_epoch_;  // per LSP; == epoch_ once saved
-  std::uint32_t epoch_ = 1;
-  std::size_t pristine_lsp_count_ = 0;
+  std::vector<TeLsp> pristine_lsps_;
+  std::size_t pristine_hop_count_ = 0;
 };
 
 }  // namespace mum::mpls

@@ -55,13 +55,6 @@ void LabelStack::pop() {
   fix_bottom_flags();
 }
 
-void LabelStack::swap_top(std::uint32_t label) {
-  if (size_ == 0) return;
-  auto& top_entry = data_mut()[0];
-  top_entry = LabelStackEntry(label, top_entry.traffic_class(),
-                              top_entry.bottom_of_stack(), top_entry.ttl());
-}
-
 std::vector<std::uint32_t> LabelStack::labels() const {
   std::vector<std::uint32_t> out;
   out.reserve(size_);

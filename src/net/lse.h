@@ -90,8 +90,6 @@ class LabelStack {
   void push(std::uint32_t label, std::uint8_t tc, std::uint8_t ttl);
   // Pop the top entry; no-op on an empty stack.
   void pop();
-  // Swap the top label in place.
-  void swap_top(std::uint32_t label);
 
   // The sequence of label values, top first (what LPR compares).
   std::vector<std::uint32_t> labels() const;

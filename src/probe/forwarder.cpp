@@ -54,7 +54,9 @@ bool walk_segment(const SegmentSpec& seg, net::Ipv4Addr dst,
     if (const auto lsp_id =
             select_te_lsp(plane, seg.ingress, seg.egress, dst)) {
       const mpls::TeLsp& lsp = plane.rsvp->lsp(*lsp_id);
-      for (const mpls::TeHop& te_hop : lsp.active_hops()) {
+      const std::span<const mpls::TeHop> te_hops =
+          plane.rsvp->active_hops(*lsp_id);
+      for (const mpls::TeHop& te_hop : te_hops) {
         const topo::Link& link = topo.link(te_hop.in_link);
         HopRecord hop;
         hop.addr = link.iface_of(te_hop.router);
@@ -69,7 +71,7 @@ bool walk_segment(const SegmentSpec& seg, net::Ipv4Addr dst,
         if (te_hop.router == lsp.egress) hop.ttl_visible = true;
         out.hops.push_back(std::move(hop));
       }
-      return !lsp.active_hops().empty();
+      return !te_hops.empty();
     }
   }
 
@@ -92,7 +94,7 @@ bool walk_segment(const SegmentSpec& seg, net::Ipv4Addr dst,
       const std::uint32_t inner = plane.ldp->label_of(hub, seg.egress);
       if (inner != mpls::LdpPlane::kNoLabel &&
           inner != net::kLabelImplicitNull) {
-        for (const mpls::TeHop& te_hop : tunnel.active_hops()) {
+        for (const mpls::TeHop& te_hop : plane.rsvp->active_hops(*hub_id)) {
           const topo::Link& link = topo.link(te_hop.in_link);
           HopRecord hop;
           hop.addr = link.iface_of(te_hop.router);

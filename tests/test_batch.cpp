@@ -29,7 +29,6 @@
 #include "probe/traceroute.h"
 #include "run/checkpoint.h"
 #include "run/runner.h"
-#include "util/arena.h"
 #include "util/thread_pool.h"
 
 namespace mum {
@@ -112,46 +111,6 @@ dataset::TraceBatch reference_batch() {
   observe_fixture([&](std::size_t) -> dataset::TraceBatch& { return out; })
       .annotate(out);
   return out;
-}
-
-// --- arena stats -----------------------------------------------------------
-
-TEST(ArenaStats, SnapshotTracksUseHighWaterAndResets) {
-  util::Arena arena(128);
-  arena.make_array<std::uint64_t>(100);
-  const std::size_t used = arena.used();
-  const std::size_t capacity = arena.capacity();
-  EXPECT_GE(used, 100 * sizeof(std::uint64_t));
-  EXPECT_GE(capacity, used);
-
-  arena.reset();
-  EXPECT_EQ(arena.used(), 0u);
-  EXPECT_EQ(arena.capacity(), capacity);
-}
-
-// The guarantee behind RSVP's steady state: an identical workload replayed
-// against a reset arena re-carves the retained chunks — capacity and bytes
-// handed out both freeze after the first pass.
-TEST(ArenaStats, IdenticalWorkloadAfterResetDoesNotGrow) {
-  util::Arena arena(256);
-  const auto workload = [&arena] {
-    for (int i = 0; i < 32; ++i) {
-      arena.make_array<std::uint32_t>(17);
-      arena.make_array<std::uint64_t>(9);
-      arena.make_array<std::uint8_t>(3);
-    }
-  };
-  workload();
-  arena.reset();
-  workload();
-  const std::size_t capacity = arena.capacity();
-  const std::size_t used = arena.used();
-  for (int round = 0; round < 10; ++round) {
-    arena.reset();
-    workload();
-    EXPECT_EQ(arena.capacity(), capacity);
-    EXPECT_EQ(arena.used(), used);
-  }
 }
 
 // --- small-inline LabelStack -----------------------------------------------

@@ -6,7 +6,6 @@
 #include "dataset/ip2as.h"
 #include "dataset/pack.h"
 #include "dataset/warts_lite.h"
-#include "icmp/icmp.h"
 #include "util/rng.h"
 
 namespace mum::dataset {
@@ -481,30 +480,6 @@ TEST_P(WartsFuzz, RandomSnapshotsRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WartsFuzz, ::testing::Values(1, 2, 3, 4, 5));
-
-// --- ICMP ---------------------------------------------------------------
-
-TEST(Icmp, ReplyToString) {
-  icmp::IcmpReply reply;
-  reply.type = icmp::IcmpType::kTimeExceeded;
-  reply.from = ip(0x0A000001);
-  reply.rtt_ms = 12.0;
-  EXPECT_NE(icmp::to_string(reply).find("time-exceeded"), std::string::npos);
-  EXPECT_NE(icmp::to_string(reply).find("10.0.0.1"), std::string::npos);
-  EXPECT_FALSE(reply.has_labels());
-
-  icmp::MplsExtension ext;
-  ext.stack.push(300000, 0, 1);
-  reply.mpls = ext;
-  EXPECT_TRUE(reply.has_labels());
-  EXPECT_NE(icmp::to_string(reply).find("L=300000"), std::string::npos);
-}
-
-TEST(Icmp, EmptyExtensionHasNoLabels) {
-  icmp::IcmpReply reply;
-  reply.mpls = icmp::MplsExtension{};
-  EXPECT_FALSE(reply.has_labels());
-}
 
 }  // namespace
 }  // namespace mum::dataset

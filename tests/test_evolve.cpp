@@ -5,8 +5,8 @@
 // from-scratch `instantiate(cycle)` — at any thread count, from any starting
 // cycle, with every churn knob turned on. The full rebuild (`instantiate`,
 // and Runner::run_cycle above it) is the oracle; these tests hold the two
-// paths against each other at every layer (arena, label pools, incremental
-// SPF, evolver, runner, resume).
+// paths against each other at every layer (RSVP-TE hops, label pools,
+// incremental SPF, evolver, runner, resume).
 #include "gen/evolve.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,6 @@
 #include "run/runner.h"
 #include "topo/builder.h"
 #include "topo/topology.h"
-#include "util/arena.h"
 #include "util/rng.h"
 
 namespace mum {
@@ -38,55 +38,6 @@ namespace {
 namespace fs = std::filesystem;
 
 net::Ipv4Addr ip(std::uint32_t low) { return net::Ipv4Addr(10, 0, 0, low); }
-
-// --- util::Arena -----------------------------------------------------------
-
-TEST(Arena, BumpAllocatesZeroedAlignedArrays) {
-  util::Arena arena(256);
-  auto a = arena.make_array<std::uint32_t>(10);
-  ASSERT_EQ(a.size(), 10u);
-  for (const std::uint32_t v : a) EXPECT_EQ(v, 0u);
-  auto b = arena.make_array<std::uint64_t>(3);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) %
-                alignof(std::uint64_t),
-            0u);
-  EXPECT_GE(arena.used(), 10 * sizeof(std::uint32_t) + 3 * sizeof(std::uint64_t));
-}
-
-// Chunks are not zero-filled when allocated, so make_array alone owes its
-// callers zeroes: a chunk dirtied, reset and carved again still hands out
-// zeroed arrays.
-TEST(Arena, MakeArrayZeroesDirtiedChunkAfterReset) {
-  util::Arena arena(256);
-  const auto dirty = arena.make_array<std::uint64_t>(64);
-  std::fill(dirty.begin(), dirty.end(), ~std::uint64_t{0});
-  arena.reset();
-  const auto clean = arena.make_array<std::uint64_t>(64);
-  EXPECT_EQ(clean.data(), dirty.data());  // the same bytes, carved again
-  for (const std::uint64_t v : clean) EXPECT_EQ(v, 0u);
-}
-
-TEST(Arena, ResetRetainsChunksAndTracksHighWater) {
-  util::Arena arena(64);
-  // Force growth across several chunks.
-  for (int i = 0; i < 50; ++i) arena.make_array<std::uint64_t>(16);
-  const std::size_t cap = arena.capacity();
-  const std::size_t used = arena.used();
-  EXPECT_GT(cap, 64u);
-  EXPECT_GE(cap, used);
-  EXPECT_GE(used, 50 * 16 * sizeof(std::uint64_t));
-
-  arena.reset();
-  EXPECT_EQ(arena.used(), 0u);
-  EXPECT_EQ(arena.capacity(), cap);  // chunks retained, not freed
-
-  // A same-sized workload after reset fits in the retained chunks: the
-  // capacity is reached once, then allocation stops, and the bytes handed
-  // out (the high water) repeat.
-  for (int i = 0; i < 50; ++i) arena.make_array<std::uint64_t>(16);
-  EXPECT_EQ(arena.capacity(), cap);
-  EXPECT_EQ(arena.used(), used);
-}
 
 // --- mpls::LabelPool state/burn --------------------------------------------
 
@@ -193,83 +144,169 @@ TEST(ReconvergeDelta, IdenticalOverlayRecomputesNothing) {
   EXPECT_EQ(stats.sources_recomputed, 0u);
 }
 
-// --- RsvpTePlane arena reuse ------------------------------------------------
+// --- RsvpTePlane hop vector and pristine rollback -------------------------
 
-// A steady month-over-month mutation workload must stop allocating once the
-// scratch arena's high-water mark is reached: capacity after a couple of
-// cycles equals capacity after a hundred.
-TEST(RsvpArena, ScratchCapacityStopsGrowingAcrossRestoreCycles) {
-  topo::AsTopology topo(1);
-  const auto a = topo.add_router(ip(1), topo::Vendor::kJuniper, true);
-  const auto b = topo.add_router(ip(2), topo::Vendor::kJuniper, false);
-  const auto c = topo.add_router(ip(3), topo::Vendor::kJuniper, false);
-  const auto d = topo.add_router(ip(4), topo::Vendor::kJuniper, true);
-  topo.add_link(a, b, ip(101), ip(102), 1);
-  topo.add_link(a, c, ip(103), ip(104), 1);
-  topo.add_link(b, d, ip(105), ip(106), 1);
-  topo.add_link(c, d, ip(107), ip(108), 1);
-  const igp::IgpState igp = igp::IgpState::compute(topo);
+// Diamond a-{b,c}-d with per-router Juniper pools: two disjoint arms, so
+// FRR backups exist and a re-signal can move an LSP to the other arm.
+struct TeDiamond {
+  TeDiamond() : topo(1) {
+    a = topo.add_router(ip(1), topo::Vendor::kJuniper, true);
+    b = topo.add_router(ip(2), topo::Vendor::kJuniper, false);
+    c = topo.add_router(ip(3), topo::Vendor::kJuniper, false);
+    d = topo.add_router(ip(4), topo::Vendor::kJuniper, true);
+    topo.add_link(a, b, ip(101), ip(102), 1);
+    topo.add_link(a, c, ip(103), ip(104), 1);
+    topo.add_link(b, d, ip(105), ip(106), 1);
+    topo.add_link(c, d, ip(107), ip(108), 1);
+    igp = igp::IgpState::compute(topo);
+    for (std::size_t i = 0; i < topo.router_count(); ++i) {
+      pools.emplace_back(topo::Vendor::kJuniper, i * 17 + 1);
+    }
+  }
+
+  // A plane signalled with `count` LSPs from a to d and marked pristine.
+  // Identical calls give identical planes (labels included): each draws
+  // from its own copy of the start pools.
+  mpls::RsvpTePlane signalled(int count, bool frr,
+                              std::vector<mpls::LabelPool>& own_pools) const {
+    mpls::RsvpConfig config;
+    config.frr = frr;
+    mpls::RsvpTePlane plane(&topo, &igp, config);
+    own_pools = pools;
+    util::Rng rng(5);
+    plane.signal(a, d, count, own_pools, rng);
+    plane.mark_pristine();
+    return plane;
+  }
+
+  topo::AsTopology topo;
+  igp::IgpState igp;
   std::vector<mpls::LabelPool> pools;
-  for (std::size_t i = 0; i < topo.router_count(); ++i) {
-    pools.emplace_back(topo::Vendor::kJuniper, i * 17 + 1);
-  }
+  topo::RouterId a, b, c, d;
+};
 
-  mpls::RsvpTePlane plane(&topo, &igp, {});
-  util::Rng rng(5);
-  const auto ids = plane.signal(a, d, 6, pools, rng);
-  plane.mark_pristine();
-
-  std::size_t cap_after_warmup = 0;
-  for (int cycle = 0; cycle < 100; ++cycle) {
-    for (const mpls::LspId id : ids) plane.reoptimize(id, pools);
-    EXPECT_GT(plane.scratch_arena().used(), 0u);
-    plane.restore_pristine();
-    EXPECT_EQ(plane.scratch_arena().used(), 0u);
-    if (cycle == 1) cap_after_warmup = plane.scratch_arena().capacity();
-  }
-  EXPECT_GT(cap_after_warmup, 0u);
-  EXPECT_EQ(plane.scratch_arena().capacity(), cap_after_warmup);
+std::vector<mpls::TeHop> copy_of(std::span<const mpls::TeHop> hops) {
+  return {hops.begin(), hops.end()};
 }
 
-TEST(RsvpArena, RestorePristineRewindsLspState) {
-  topo::AsTopology topo(1);
-  const auto a = topo.add_router(ip(1), topo::Vendor::kJuniper, true);
-  const auto b = topo.add_router(ip(2), topo::Vendor::kJuniper, false);
-  const auto d = topo.add_router(ip(3), topo::Vendor::kJuniper, true);
-  topo.add_link(a, b, ip(101), ip(102), 1);
-  topo.add_link(b, d, ip(103), ip(104), 1);
-  const igp::IgpState igp = igp::IgpState::compute(topo);
+// Every LSP's primary, backup and active hops, copied out of the plane.
+std::vector<std::vector<mpls::TeHop>> all_hops(
+    const mpls::RsvpTePlane& plane) {
+  std::vector<std::vector<mpls::TeHop>> out;
+  for (const mpls::TeLsp& lsp : plane.lsps()) {
+    out.push_back(copy_of(plane.hops(lsp.id)));
+    out.push_back(copy_of(plane.backup_hops(lsp.id)));
+    out.push_back(copy_of(plane.active_hops(lsp.id)));
+  }
+  return out;
+}
+
+// After every kind of mutation, restore_pristine() gives back the exact
+// pristine LSP table: every TeLsp field (hop ranges, re-signal count,
+// backup flag) and every hop.
+TEST(RsvpHops, RestorePristineRewindsLspState) {
+  const TeDiamond f;
   std::vector<mpls::LabelPool> pools;
-  for (std::size_t i = 0; i < topo.router_count(); ++i) {
-    pools.emplace_back(topo::Vendor::kJuniper, i + 3);
-  }
+  mpls::RsvpTePlane plane = f.signalled(3, /*frr=*/true, pools);
+  ASSERT_EQ(plane.lsp_count(), 3u);
+  const std::vector<mpls::TeLsp> table = plane.lsps();
+  const auto hops = all_hops(plane);
 
-  mpls::RsvpTePlane plane(&topo, &igp, {});
-  util::Rng rng(2);
-  const auto ids = plane.signal(a, d, 2, pools, rng);
-  plane.mark_pristine();
-
-  std::vector<std::vector<mpls::TeHop>> pristine_hops;
-  for (const mpls::LspId id : ids) {
-    const auto hops = plane.lsp(id).hops;
-    pristine_hops.emplace_back(hops.begin(), hops.end());
+  // Double reoptimize: the second re-signal replaces the first's hops.
+  for (const mpls::TeLsp& lsp : table) {
+    plane.reoptimize(lsp.id, pools);
+    plane.reoptimize(lsp.id, pools);
   }
-
-  // Mutate twice (double reoptimize exercises the one-shot undo guard),
-  // then roll back.
-  for (const mpls::LspId id : ids) {
-    plane.reoptimize(id, pools);
-    plane.reoptimize(id, pools);
+  // Move LSP 1 onto its backup's links with fresh labels.
+  std::vector<topo::LinkId> other_arm;
+  for (const mpls::TeHop& hop : plane.backup_hops(1)) {
+    other_arm.push_back(hop.in_link);
   }
-  EXPECT_EQ(plane.lsp(ids[0]).resignal_count, 2u);
+  ASSERT_FALSE(other_arm.empty());
+  plane.resignal_over(1, other_arm, pools);
+  // Fast reroute: LSP 0 switches to its backup and back; LSP 2 stays on it.
+  for (const mpls::LspId id : {0u, 2u}) {
+    std::vector<bool> down(f.topo.link_count(), false);
+    down[plane.hops(id)[0].in_link] = true;
+    ASSERT_TRUE(plane.activate_backup(id, down)) << "lsp " << id;
+  }
+  plane.revert_to_primary(0);
+  EXPECT_TRUE(plane.lsp(2).on_backup);
+  EXPECT_EQ(plane.lsp(0).resignal_count, 2u);
+  EXPECT_EQ(plane.lsp(1).resignal_count, 3u);
+  EXPECT_FALSE(plane.lsps() == table);
+
   plane.restore_pristine();
+  EXPECT_TRUE(plane.lsps() == table);
+  EXPECT_EQ(all_hops(plane), hops);
+}
 
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const mpls::TeLsp& lsp = plane.lsp(ids[i]);
-    EXPECT_EQ(lsp.resignal_count, 0u);
-    ASSERT_EQ(lsp.hops.size(), pristine_hops[i].size());
-    for (std::size_t h = 0; h < lsp.hops.size(); ++h) {
-      EXPECT_EQ(lsp.hops[h], pristine_hops[i][h]);
+// Re-signals that outgrow the hop vector's capacity move it mid-month. A
+// plane that moved must end up with exactly the hops of an identical plane
+// whose vector was already large enough: no re-signal may read hops
+// through a span taken before the move.
+TEST(RsvpHops, ReallocationMidMonthKeepsEveryLspsHops) {
+  const TeDiamond f;
+  const auto month = [](mpls::RsvpTePlane& plane,
+                        std::vector<mpls::LabelPool>& pools) {
+    for (int round = 0; round < 8; ++round) {
+      for (mpls::LspId id = 0; id < plane.lsp_count(); ++id) {
+        plane.reoptimize(id, pools);
+      }
+    }
+    std::vector<topo::LinkId> other_arm;
+    for (const mpls::TeHop& hop : plane.backup_hops(0)) {
+      other_arm.push_back(hop.in_link);
+    }
+    plane.resignal_over(0, other_arm, pools);
+  };
+
+  // `warm` lives through one month and its rollback first, so its hop
+  // vector already holds a whole month.
+  std::vector<mpls::LabelPool> warm_pools, cold_pools;
+  mpls::RsvpTePlane warm = f.signalled(6, /*frr=*/true, warm_pools);
+  mpls::RsvpTePlane cold = f.signalled(6, /*frr=*/true, cold_pools);
+  const std::vector<mpls::LabelPool> pristine_pools = warm_pools;
+  month(warm, warm_pools);
+  warm.restore_pristine();
+  warm_pools = pristine_pools;
+  ASSERT_TRUE(warm.lsps() == cold.lsps());
+  ASSERT_EQ(all_hops(warm), all_hops(cold));
+
+  // Re-signals leave backups where they are, so a backup's address moves
+  // only with the whole vector.
+  ASSERT_FALSE(warm.backup_hops(0).empty());
+  const mpls::TeHop* warm_storage = warm.backup_hops(0).data();
+  const mpls::TeHop* cold_storage = cold.backup_hops(0).data();
+  month(warm, warm_pools);
+  month(cold, cold_pools);
+  EXPECT_EQ(warm.backup_hops(0).data(), warm_storage);  // did not move
+  ASSERT_NE(cold.backup_hops(0).data(), cold_storage);  // moved mid-month
+  EXPECT_TRUE(warm.lsps() == cold.lsps());
+  EXPECT_EQ(all_hops(warm), all_hops(cold));
+}
+
+// A steady month-over-month mutation workload stops allocating once the
+// hop vector has held its largest month: the storage the vector holds
+// after two restore cycles is the storage it holds after a hundred (a
+// regrowth would move it, since the new block is taken while the old one
+// is live).
+TEST(RsvpHops, CapacityStopsGrowingAcrossRestoreCycles) {
+  const TeDiamond f;
+  std::vector<mpls::LabelPool> pools;
+  mpls::RsvpTePlane plane = f.signalled(6, /*frr=*/false, pools);
+  const std::vector<mpls::TeLsp> table = plane.lsps();
+
+  const mpls::TeHop* storage_after_warmup = nullptr;
+  for (int cycle = 0; cycle < 100; ++cycle) {
+    for (const mpls::TeLsp& lsp : table) plane.reoptimize(lsp.id, pools);
+    EXPECT_EQ(plane.lsp(0).resignal_count, 1u);
+    plane.restore_pristine();
+    EXPECT_TRUE(plane.lsps() == table);
+    if (cycle == 1) storage_after_warmup = plane.hops(0).data();
+    if (cycle >= 1) {
+      ASSERT_EQ(plane.hops(0).data(), storage_after_warmup)
+          << "cycle " << cycle;
     }
   }
 }

@@ -92,7 +92,7 @@ TEST(RsvpResignal, CrossesDownLinkDetection) {
 
   std::vector<bool> down(f.topo.link_count(), false);
   // LSP takes a->?->d; mark whichever first link it uses as down.
-  const auto first_link = plane.lsp(ids[0]).hops[0].in_link;
+  const auto first_link = plane.hops(ids[0])[0].in_link;
   down[first_link] = true;
   EXPECT_TRUE(plane.crosses_down_link(ids[0], down));
   down[first_link] = false;
@@ -106,18 +106,16 @@ TEST(RsvpResignal, ResignalOverNewRouteChangesPathAndLabels) {
   std::vector<mpls::LabelPool> pools(4, mpls::LabelPool(Vendor::kJuniper));
   util::Rng rng(1);
   const auto ids = plane.signal(f.a, f.d, 1, pools, rng);
-  const auto before = plane.lsp(ids[0]);
-
   // Re-route via the other arm.
-  const RouterId old_mid = before.hops[0].router;
+  const RouterId old_mid = plane.hops(ids[0])[0].router;
   const RouterId new_mid = old_mid == f.b ? f.c : f.b;
   const topo::LinkId l1 = old_mid == f.b ? f.ac : f.ab;
   const topo::LinkId l2 = old_mid == f.b ? f.cd : f.bd;
   plane.resignal_over(ids[0], {l1, l2}, pools);
-  const auto& after = plane.lsp(ids[0]);
-  EXPECT_EQ(after.hops[0].router, new_mid);
-  EXPECT_EQ(after.hops.back().router, f.d);
-  EXPECT_EQ(after.resignal_count, 1u);
+  const auto after = plane.hops(ids[0]);
+  EXPECT_EQ(after[0].router, new_mid);
+  EXPECT_EQ(after.back().router, f.d);
+  EXPECT_EQ(plane.lsp(ids[0]).resignal_count, 1u);
 }
 
 TEST(RsvpResignal, EmptyRouteIsNoop) {
@@ -127,10 +125,10 @@ TEST(RsvpResignal, EmptyRouteIsNoop) {
   std::vector<mpls::LabelPool> pools(4, mpls::LabelPool(Vendor::kJuniper));
   util::Rng rng(1);
   const auto ids = plane.signal(f.a, f.d, 1, pools, rng);
-  const auto before = plane.lsp(ids[0]);
+  const std::size_t hops_before = plane.hops(ids[0]).size();
   plane.resignal_over(ids[0], {}, pools);
   EXPECT_EQ(plane.lsp(ids[0]).resignal_count, 0u);
-  EXPECT_EQ(plane.lsp(ids[0]).hops.size(), before.hops.size());
+  EXPECT_EQ(plane.hops(ids[0]).size(), hops_before);
 }
 
 // --- LER gating ---------------------------------------------------------
@@ -237,7 +235,7 @@ rsvp_state(const gen::Internet& internet, const gen::MonthContext& ctx) {
     const probe::AsDataPlane* plane = ctx.plane_of(asn);
     if (plane == nullptr || plane->rsvp == nullptr) continue;
     for (const mpls::TeLsp& lsp : plane->rsvp->lsps()) {
-      const auto hops = lsp.active_hops();
+      const auto hops = plane->rsvp->active_hops(lsp.id);
       out.back().emplace_back(
           std::vector<mpls::TeHop>(hops.begin(), hops.end()),
           lsp.resignal_count);

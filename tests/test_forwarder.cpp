@@ -212,10 +212,10 @@ TEST(Forwarder, TeLspFollowsSignalledRoute) {
   f.enable_ldp();
   f.enable_te(/*lsps=*/1);
   const auto result = walk_path(f.path(), 1);
-  const auto& lsp = f.rsvp->lsp(0);
-  ASSERT_EQ(result.hops.size(), 1 + lsp.hops.size());
-  for (std::size_t i = 0; i < lsp.hops.size(); ++i) {
-    const auto& te_hop = lsp.hops[i];
+  const auto te_hops = f.rsvp->hops(0);
+  ASSERT_EQ(result.hops.size(), 1 + te_hops.size());
+  for (std::size_t i = 0; i < te_hops.size(); ++i) {
+    const auto& te_hop = te_hops[i];
     EXPECT_EQ(result.hops[i + 1].addr,
               f.topo.link(te_hop.in_link).iface_of(te_hop.router));
   }

@@ -3,6 +3,10 @@
 // keep their label content across intra-month failures).
 #include <gtest/gtest.h>
 
+#include <set>
+#include <span>
+#include <vector>
+
 #include "mpls/rsvp.h"
 #include "util/rng.h"
 
@@ -14,6 +18,11 @@ using topo::RouterId;
 using topo::Vendor;
 
 net::Ipv4Addr ip(std::uint32_t v) { return net::Ipv4Addr(v); }
+
+// A plane's hop spans are only valid until its next mutation; compare copies.
+std::vector<TeHop> copy_of(std::span<const TeHop> hops) {
+  return {hops.begin(), hops.end()};
+}
 
 // Diamond with disjoint arms: a-b-d and a-c-d.
 struct FrrFixture {
@@ -51,15 +60,15 @@ TEST(Frr, BackupPreSignalledAndDisjoint) {
   auto plane = f.make_plane(true);
   util::Rng rng(1);
   const auto ids = plane.signal(f.a, f.d, 1, f.pools, rng);
-  const TeLsp& lsp = plane.lsp(ids[0]);
-  ASSERT_FALSE(lsp.backup_hops.empty());
+  const auto backup = plane.backup_hops(ids[0]);
+  ASSERT_FALSE(backup.empty());
   // Link-disjoint on the diamond: primary and backup share no link.
   std::set<topo::LinkId> primary_links;
-  for (const auto& hop : lsp.hops) primary_links.insert(hop.in_link);
-  for (const auto& hop : lsp.backup_hops) {
+  for (const auto& hop : plane.hops(ids[0])) primary_links.insert(hop.in_link);
+  for (const auto& hop : backup) {
     EXPECT_FALSE(primary_links.contains(hop.in_link));
   }
-  EXPECT_EQ(lsp.backup_hops.back().router, f.d);
+  EXPECT_EQ(backup.back().router, f.d);
 }
 
 TEST(Frr, NoBackupWhenDisabled) {
@@ -67,7 +76,7 @@ TEST(Frr, NoBackupWhenDisabled) {
   auto plane = f.make_plane(false);
   util::Rng rng(1);
   const auto ids = plane.signal(f.a, f.d, 1, f.pools, rng);
-  EXPECT_TRUE(plane.lsp(ids[0]).backup_hops.empty());
+  EXPECT_TRUE(plane.backup_hops(ids[0]).empty());
 }
 
 TEST(Frr, ActivateSwitchesActiveHopsWithoutNewLabels) {
@@ -78,17 +87,18 @@ TEST(Frr, ActivateSwitchesActiveHopsWithoutNewLabels) {
   const std::uint64_t allocated_before = f.pools[f.b].allocated() +
                                          f.pools[f.c].allocated() +
                                          f.pools[f.d].allocated();
-  const auto backup_before = plane.lsp(ids[0]).backup_hops;
+  const auto backup_before = copy_of(plane.backup_hops(ids[0]));
 
   std::vector<bool> down(f.topo.link_count(), false);
-  down[plane.lsp(ids[0]).hops[0].in_link] = true;  // break the primary
+  down[plane.hops(ids[0])[0].in_link] = true;  // break the primary
   ASSERT_TRUE(plane.crosses_down_link(ids[0], down));
   ASSERT_TRUE(plane.activate_backup(ids[0], down));
 
-  const TeLsp& lsp = plane.lsp(ids[0]);
-  EXPECT_TRUE(lsp.on_backup);
-  EXPECT_EQ(lsp.active_hops(), lsp.backup_hops);
-  EXPECT_EQ(lsp.backup_hops, backup_before);  // labels unchanged
+  EXPECT_TRUE(plane.lsp(ids[0]).on_backup);
+  EXPECT_EQ(copy_of(plane.active_hops(ids[0])),
+            copy_of(plane.backup_hops(ids[0])));
+  EXPECT_EQ(copy_of(plane.backup_hops(ids[0])),
+            backup_before);  // labels unchanged
   EXPECT_EQ(f.pools[f.b].allocated() + f.pools[f.c].allocated() +
                 f.pools[f.d].allocated(),
             allocated_before);  // no fresh labels drawn
@@ -111,11 +121,11 @@ TEST(Frr, RevertToPrimary) {
   util::Rng rng(1);
   const auto ids = plane.signal(f.a, f.d, 1, f.pools, rng);
   std::vector<bool> down(f.topo.link_count(), false);
-  down[plane.lsp(ids[0]).hops[0].in_link] = true;
+  down[plane.hops(ids[0])[0].in_link] = true;
   ASSERT_TRUE(plane.activate_backup(ids[0], down));
   plane.revert_to_primary(ids[0]);
   EXPECT_FALSE(plane.lsp(ids[0]).on_backup);
-  EXPECT_EQ(plane.lsp(ids[0]).active_hops(), plane.lsp(ids[0]).hops);
+  EXPECT_EQ(copy_of(plane.active_hops(ids[0])), copy_of(plane.hops(ids[0])));
 }
 
 TEST(Frr, ResignalClearsBackupState) {
@@ -124,10 +134,10 @@ TEST(Frr, ResignalClearsBackupState) {
   util::Rng rng(1);
   const auto ids = plane.signal(f.a, f.d, 1, f.pools, rng);
   std::vector<bool> down(f.topo.link_count(), false);
-  down[plane.lsp(ids[0]).hops[0].in_link] = true;
+  down[plane.hops(ids[0])[0].in_link] = true;
   ASSERT_TRUE(plane.activate_backup(ids[0], down));
   std::vector<topo::LinkId> route;
-  for (const auto& hop : plane.lsp(ids[0]).backup_hops) {
+  for (const auto& hop : plane.backup_hops(ids[0])) {
     route.push_back(hop.in_link);
   }
   plane.resignal_over(ids[0], route, f.pools);
@@ -149,7 +159,7 @@ TEST(Frr, LineTopologyHasNoDisjointBackup) {
   std::vector<LabelPool> pools(3, LabelPool(Vendor::kCisco));
   util::Rng rng(1);
   const auto ids = plane.signal(a, d, 1, pools, rng);
-  EXPECT_TRUE(plane.lsp(ids[0]).backup_hops.empty());
+  EXPECT_TRUE(plane.backup_hops(ids[0]).empty());
 }
 
 }  // namespace

@@ -297,7 +297,9 @@ TEST_P(GoldenDigests, MixedFormatResume) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, GoldenDigests, ::testing::Values(1, 4, 16),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "t" + std::to_string(info.param);
+                           char name[16];
+                           std::snprintf(name, sizeof name, "t%d", info.param);
+                           return std::string(name);
                          });
 
 }  // namespace

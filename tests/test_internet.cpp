@@ -212,12 +212,12 @@ TEST_F(InternetTest, DynamicsRelabelVodafoneLsps) {
   ASSERT_GT(rsvp->lsp_count(), 0u);
   std::vector<std::uint32_t> labels_before;
   for (const auto& lsp : rsvp->lsps()) {
-    for (const auto& hop : lsp.hops) labels_before.push_back(hop.in_label);
+    for (const auto& hop : rsvp->hops(lsp.id)) labels_before.push_back(hop.in_label);
   }
   ctx.advance_dynamics();
   std::vector<std::uint32_t> labels_after;
   for (const auto& lsp : rsvp->lsps()) {
-    for (const auto& hop : lsp.hops) labels_after.push_back(hop.in_label);
+    for (const auto& hop : rsvp->hops(lsp.id)) labels_after.push_back(hop.in_label);
   }
   EXPECT_NE(labels_before, labels_after);
 }
@@ -228,12 +228,16 @@ TEST_F(InternetTest, DynamicsLeaveStaticAsesAlone) {
   ASSERT_NE(att_rsvp, nullptr);
   std::vector<std::uint32_t> before;
   for (const auto& lsp : att_rsvp->lsps()) {
-    for (const auto& hop : lsp.hops) before.push_back(hop.in_label);
+    for (const auto& hop : att_rsvp->hops(lsp.id)) {
+      before.push_back(hop.in_label);
+    }
   }
   ctx.advance_dynamics();
   std::vector<std::uint32_t> after;
   for (const auto& lsp : att_rsvp->lsps()) {
-    for (const auto& hop : lsp.hops) after.push_back(hop.in_label);
+    for (const auto& hop : att_rsvp->hops(lsp.id)) {
+      after.push_back(hop.in_label);
+    }
   }
   EXPECT_EQ(before, after);
 }

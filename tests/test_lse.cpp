@@ -84,22 +84,6 @@ TEST(LabelStack, PopEmptyIsNoop) {
   EXPECT_TRUE(stack.empty());
 }
 
-TEST(LabelStack, SwapTopKeepsOtherFields) {
-  LabelStack stack;
-  stack.push(100, 5, 9);
-  stack.swap_top(4242);
-  EXPECT_EQ(stack.top().label(), 4242u);
-  EXPECT_EQ(stack.top().traffic_class(), 5);
-  EXPECT_EQ(stack.top().ttl(), 9);
-  EXPECT_TRUE(stack.top().bottom_of_stack());
-}
-
-TEST(LabelStack, SwapTopOnEmptyIsNoop) {
-  LabelStack stack;
-  stack.swap_top(5);
-  EXPECT_TRUE(stack.empty());
-}
-
 TEST(LabelStack, LabelsTopFirst) {
   LabelStack stack;
   stack.push(1, 0, 64);
@@ -120,7 +104,8 @@ TEST(LabelStack, EqualityIsContentBased) {
   a.push(7, 0, 1);
   b.push(7, 0, 1);
   EXPECT_EQ(a, b);
-  b.swap_top(8);
+  b.pop();
+  b.push(8, 0, 1);
   EXPECT_NE(a, b);
 }
 

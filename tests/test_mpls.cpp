@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "mpls/label_pool.h"
@@ -71,12 +72,22 @@ struct LineFixture {
   RouterId a, b, c;
 };
 
+// True when some router of the line binds a label for `fec`, i.e. an
+// LSP-tree exists toward it.
+bool bound_anywhere(const LdpPlane& plane, const LineFixture& f,
+                    RouterId fec) {
+  for (const RouterId r : {f.a, f.b, f.c}) {
+    if (plane.label_of(r, fec) != LdpPlane::kNoLabel) return true;
+  }
+  return false;
+}
+
 TEST(Ldp, BordersGetFecsByDefault) {
   LineFixture f;
   const LdpPlane plane = LdpPlane::build(f.topo, f.igp, {}, f.pools);
-  EXPECT_TRUE(plane.has_fec(f.a));
-  EXPECT_FALSE(plane.has_fec(f.b));  // not a border
-  EXPECT_TRUE(plane.has_fec(f.c));
+  EXPECT_TRUE(bound_anywhere(plane, f, f.a));
+  EXPECT_FALSE(bound_anywhere(plane, f, f.b));  // not a border
+  EXPECT_TRUE(bound_anywhere(plane, f, f.c));
 }
 
 TEST(Ldp, AllLoopbacksModeBindsEverything) {
@@ -84,7 +95,7 @@ TEST(Ldp, AllLoopbacksModeBindsEverything) {
   LdpConfig config;
   config.fec_all_loopbacks = true;
   const LdpPlane plane = LdpPlane::build(f.topo, f.igp, config, f.pools);
-  EXPECT_TRUE(plane.has_fec(f.b));
+  EXPECT_TRUE(bound_anywhere(plane, f, f.b));
 }
 
 TEST(Ldp, PhpAdvertisesImplicitNullAtEgress) {
@@ -173,7 +184,11 @@ TEST(Rsvp, SignalsRequestedNumberOfLsps) {
   const auto ids = plane.signal(f.a, f.d, 3, f.pools, rng);
   EXPECT_EQ(ids.size(), 3u);
   EXPECT_EQ(plane.lsp_count(), 3u);
-  EXPECT_EQ(plane.lsps_between(f.a, f.d).size(), 3u);
+  const auto between = std::count_if(
+      plane.lsps().begin(), plane.lsps().end(), [&](const TeLsp& lsp) {
+        return lsp.ingress == f.a && lsp.egress == f.d;
+      });
+  EXPECT_EQ(between, 3);
 }
 
 TEST(Rsvp, LspEndsAtEgress) {
@@ -181,10 +196,10 @@ TEST(Rsvp, LspEndsAtEgress) {
   RsvpTePlane plane(&f.topo, &f.igp, {});
   util::Rng rng(1);
   const auto ids = plane.signal(f.a, f.d, 1, f.pools, rng);
-  const TeLsp& lsp = plane.lsp(ids[0]);
-  ASSERT_FALSE(lsp.hops.empty());
-  EXPECT_EQ(lsp.hops.back().router, f.d);
-  EXPECT_EQ(lsp.ingress, f.a);
+  const auto hops = plane.hops(ids[0]);
+  ASSERT_FALSE(hops.empty());
+  EXPECT_EQ(hops.back().router, f.d);
+  EXPECT_EQ(plane.lsp(ids[0]).ingress, f.a);
 }
 
 TEST(Rsvp, PhpGivesImplicitNullAtEgressOnly) {
@@ -192,12 +207,12 @@ TEST(Rsvp, PhpGivesImplicitNullAtEgressOnly) {
   RsvpTePlane plane(&f.topo, &f.igp, {});
   util::Rng rng(1);
   const auto ids = plane.signal(f.a, f.d, 1, f.pools, rng);
-  const TeLsp& lsp = plane.lsp(ids[0]);
-  for (std::size_t i = 0; i < lsp.hops.size(); ++i) {
-    if (i + 1 == lsp.hops.size()) {
-      EXPECT_EQ(lsp.hops[i].in_label, net::kLabelImplicitNull);
+  const auto hops = plane.hops(ids[0]);
+  for (std::size_t i = 0; i < hops.size(); ++i) {
+    if (i + 1 == hops.size()) {
+      EXPECT_EQ(hops[i].in_label, net::kLabelImplicitNull);
     } else {
-      EXPECT_GE(lsp.hops[i].in_label, net::kLabelFirstUnreserved);
+      EXPECT_GE(hops[i].in_label, net::kLabelFirstUnreserved);
     }
   }
 }
@@ -209,7 +224,7 @@ TEST(Rsvp, NoPhpAllocatesEgressLabel) {
   RsvpTePlane plane(&f.topo, &f.igp, config);
   util::Rng rng(1);
   const auto ids = plane.signal(f.a, f.d, 1, f.pools, rng);
-  EXPECT_GE(plane.lsp(ids[0]).hops.back().in_label,
+  EXPECT_GE(plane.hops(ids[0]).back().in_label,
             net::kLabelFirstUnreserved);
 }
 
@@ -222,12 +237,12 @@ TEST(Rsvp, PerLspLabelsDiffer) {
   RsvpTePlane plane(&f.topo, &f.igp, config);
   util::Rng rng(1);
   const auto ids = plane.signal(f.a, f.d, 2, f.pools, rng);
-  const TeLsp& l1 = plane.lsp(ids[0]);
-  const TeLsp& l2 = plane.lsp(ids[1]);
-  ASSERT_EQ(l1.hops.size(), l2.hops.size());
-  ASSERT_GE(l1.hops.size(), 2u);
-  EXPECT_EQ(l1.hops[0].router, l2.hops[0].router);  // same route
-  EXPECT_NE(l1.hops[0].in_label, l2.hops[0].in_label);
+  const auto l1 = plane.hops(ids[0]);
+  const auto l2 = plane.hops(ids[1]);
+  ASSERT_EQ(l1.size(), l2.size());
+  ASSERT_GE(l1.size(), 2u);
+  EXPECT_EQ(l1[0].router, l2[0].router);  // same route
+  EXPECT_NE(l1[0].in_label, l2[0].in_label);
 }
 
 TEST(Rsvp, ComputeRouteVariantZeroFollowsIgp) {
@@ -261,16 +276,17 @@ TEST(Rsvp, ReoptimizeKeepsRouteChangesLabels) {
   RsvpTePlane plane(&f.topo, &f.igp, {});
   util::Rng rng(1);
   const auto ids = plane.signal(f.a, f.d, 1, f.pools, rng);
-  const TeLsp before = plane.lsp(ids[0]);
+  const auto signed_hops = plane.hops(ids[0]);
+  const std::vector<TeHop> before(signed_hops.begin(), signed_hops.end());
   plane.reoptimize(ids[0], f.pools);
-  const TeLsp& after = plane.lsp(ids[0]);
-  ASSERT_EQ(before.hops.size(), after.hops.size());
-  EXPECT_EQ(after.resignal_count, 1u);
+  const auto after = plane.hops(ids[0]);
+  ASSERT_EQ(before.size(), after.size());
+  EXPECT_EQ(plane.lsp(ids[0]).resignal_count, 1u);
   bool some_label_changed = false;
-  for (std::size_t i = 0; i < before.hops.size(); ++i) {
-    EXPECT_EQ(before.hops[i].router, after.hops[i].router);
-    EXPECT_EQ(before.hops[i].in_link, after.hops[i].in_link);
-    if (before.hops[i].in_label != after.hops[i].in_label) {
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(before[i].router, after[i].router);
+    EXPECT_EQ(before[i].in_link, after[i].in_link);
+    if (before[i].in_label != after[i].in_label) {
       some_label_changed = true;
     }
   }
@@ -283,10 +299,10 @@ TEST(Rsvp, ReoptimizedLabelsGrowUntilWrap) {
   RsvpTePlane plane(&f.topo, &f.igp, {});
   util::Rng rng(1);
   const auto ids = plane.signal(f.a, f.d, 1, f.pools, rng);
-  std::uint32_t prev = plane.lsp(ids[0]).hops[0].in_label;
+  std::uint32_t prev = plane.hops(ids[0])[0].in_label;
   for (int i = 0; i < 5; ++i) {
     plane.reoptimize(ids[0], f.pools);
-    const std::uint32_t cur = plane.lsp(ids[0]).hops[0].in_label;
+    const std::uint32_t cur = plane.hops(ids[0])[0].in_label;
     EXPECT_GT(cur, prev);  // far from the wrap point in this test
     prev = cur;
   }

@@ -125,14 +125,21 @@ TEST(Spf, DiamondEcmp) {
   topo.add_link(b, d, ip(105), ip(106), 1);
   topo.add_link(c, d, ip(107), ip(108), 1);
   const IgpState igp = IgpState::compute(topo);
-  EXPECT_EQ(igp.column(d).nexthops(a).size(), 2u);
-  EXPECT_EQ(igp.path_count(a, d), 2u);
-  // Intermediate routers see a single next hop each.
-  EXPECT_EQ(igp.column(d).nexthops(b).size(), 1u);
+  // a branches over both b and c; each branch then has one next hop, d.
+  const EgressColumn& toward = igp.column(d);
+  const auto branches = toward.nexthops(a);
+  ASSERT_EQ(branches.size(), 2u);
+  EXPECT_NE(branches[0].neighbor, branches[1].neighbor);
+  for (const NextHop& nh : branches) {
+    EXPECT_TRUE(nh.neighbor == b || nh.neighbor == c);
+    ASSERT_EQ(toward.nexthops(nh.neighbor).size(), 1u);
+    EXPECT_EQ(toward.nexthops(nh.neighbor)[0].neighbor, d);
+  }
 }
 
 TEST(Spf, PathCountMultiplies) {
-  // Two diamonds in series: 2 * 2 = 4 shortest paths.
+  // Two diamonds in series: 2 * 2 = 4 shortest paths, one branch point per
+  // diamond and a single next hop everywhere else.
   AsTopology topo(1);
   std::vector<RouterId> r;
   for (std::uint32_t i = 0; i < 7; ++i) {
@@ -153,7 +160,30 @@ TEST(Spf, PathCountMultiplies) {
   link(r[4], r[6]);
   link(r[5], r[6]);
   const IgpState igp = IgpState::compute(topo);
-  EXPECT_EQ(igp.path_count(r[0], r[6]), 4u);
+  const EgressColumn& toward = igp.column(r[6]);
+  EXPECT_EQ(toward.nexthops(r[0]).size(), 2u);
+  EXPECT_EQ(toward.nexthops(r[3]).size(), 2u);
+  for (const RouterId v : {r[1], r[2], r[4], r[5]}) {
+    EXPECT_EQ(toward.nexthops(v).size(), 1u) << "router " << v;
+  }
+  // Walking every branch reaches r[6] along four distinct link sequences.
+  std::vector<std::vector<topo::LinkId>> paths;
+  std::vector<topo::LinkId> walk;
+  auto visit = [&](auto&& self, RouterId at) -> void {
+    if (at == r[6]) {
+      paths.push_back(walk);
+      return;
+    }
+    for (const NextHop& nh : toward.nexthops(at)) {
+      walk.push_back(nh.link);
+      self(self, nh.neighbor);
+      walk.pop_back();
+    }
+  };
+  visit(visit, r[0]);
+  std::sort(paths.begin(), paths.end());
+  EXPECT_EQ(std::unique(paths.begin(), paths.end()), paths.end());
+  EXPECT_EQ(paths.size(), 4u);
 }
 
 // Property tests over random builder topologies.
@@ -612,7 +642,6 @@ TEST(SpfReconverge, ColumnNotHeldThrows) {
   // A column the state does not hold is an error, never "unreachable".
   EXPECT_THROW(inc.column(0), std::logic_error);
   EXPECT_THROW(inc.column(1), std::logic_error);
-  EXPECT_THROW(inc.path_count(2, 1), std::logic_error);
   EXPECT_THROW(baseline.column(3), std::logic_error);  // no such router
   const IgpState none = IgpState::reconverge(topo, baseline, {}, down, {});
   EXPECT_THROW(none.column(2), std::logic_error);
@@ -628,57 +657,6 @@ TEST(SpfReconverge, ParallelOutputMatchesSerial) {
   EXPECT_TRUE(IgpState::compute(topo, {}, &pool) == IgpState::compute(topo));
   EXPECT_TRUE(IgpState::compute(topo, down, &pool) ==
               IgpState::compute(topo, down));
-}
-
-// ---------------------------------------------------------------------------
-// path_count: memoized DP must handle exponentially many shortest paths.
-// ---------------------------------------------------------------------------
-
-TEST(SpfPathCount, DiamondChainExponential) {
-  // 40 diamonds in series: 2^40 shortest paths end to end. The former
-  // recursive enumeration would take ~2^40 steps; the memoized DP is O(V+E).
-  constexpr int kDiamonds = 40;
-  AsTopology topo(1);
-  std::uint32_t next_ip = 1;
-  auto router = [&] {
-    return topo.add_router(ip(next_ip++), Vendor::kCisco, false);
-  };
-  std::uint32_t link_ip = 100000;
-  auto link = [&](RouterId x, RouterId y) {
-    const net::Ipv4Addr x_ip = ip(link_ip++);
-    const net::Ipv4Addr y_ip = ip(link_ip++);
-    topo.add_link(x, y, x_ip, y_ip, 1);
-  };
-  RouterId head = router();
-  const RouterId first = head;
-  for (int i = 0; i < kDiamonds; ++i) {
-    const RouterId up = router();
-    const RouterId dn = router();
-    const RouterId tail = router();
-    link(head, up);
-    link(head, dn);
-    link(up, tail);
-    link(dn, tail);
-    head = tail;
-  }
-  const IgpState igp = IgpState::compute(topo);
-  EXPECT_EQ(igp.path_count(first, head, std::uint64_t{1} << 50),
-            std::uint64_t{1} << kDiamonds);
-  // Saturation: a small cap is hit exactly, not overshot.
-  EXPECT_EQ(igp.path_count(first, head, 100), 100u);
-  // Default cap still saturates cleanly.
-  EXPECT_EQ(igp.path_count(first, head), std::uint64_t{1} << 20);
-}
-
-TEST(SpfPathCount, BasicsUnchanged) {
-  const AsTopology topo = triangle();
-  const IgpState igp = IgpState::compute(topo);
-  EXPECT_EQ(igp.path_count(0, 0), 1u);
-  EXPECT_EQ(igp.path_count(0, 2), 1u);  // unique path via b
-  AsTopology split(1);
-  split.add_router(ip(1), Vendor::kCisco, false);
-  split.add_router(ip(2), Vendor::kCisco, false);
-  EXPECT_EQ(IgpState::compute(split).path_count(0, 1), 0u);
 }
 
 }  // namespace
